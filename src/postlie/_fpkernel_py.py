@@ -181,14 +181,7 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
         if not symmetric:
             skew = (pr - pr.transpose(0, 2, 1, 3) - cg[None] + cn[None]) % p
             ok &= np.all(skew == 0, axis=(1, 2, 3))
-        lhs = np.einsum("ijt,mtkr->mijkr", cg, pr) % p
-        rhs = (np.einsum("mjkt,mitr->mijkr", pr, pr)
-               - np.einsum("mikt,mjtr->mijkr", pr, pr)) % p
-        ok &= np.all((lhs - rhs) % p == 0, axis=(1, 2, 3, 4))
-        lhs = np.einsum("jkt,mitr->mijkr", cn, pr) % p
-        rhs = (np.einsum("mijt,tkr->mijkr", pr, cn)
-               + np.einsum("mikt,jtr->mijkr", pr, cn)) % p
-        ok &= np.all((lhs - rhs) % p == 0, axis=(1, 2, 3, 4))
+        ok &= _pair_filter(p, cn, pr, np.broadcast_to(cg, pr.shape))
         for woff in np.nonzero(ok)[0]:
             idx = a + int(woff)
             prf = [int(v) for v in pr[woff].reshape(-1)]

@@ -20,8 +20,7 @@ from .fields import GF, QQ
 from .lie import check_lie_axioms, classify_low_dim
 from .report import CheckReport
 from .search import (SearchSpec, enumerate_products, nonexistence_probe,
-                     orbit_reduce, phi_ansatz_sweep, pair_from_phi,
-                     decode_matrix)
+                     orbit_reduce, phi_ansatz_sweep, decode_matrix)
 from .structures import (check_structure, derived_identity_audit,
                          embed_semidirect, is_complete_structure,
                          all_right_multiplications_nilpotent,
@@ -110,8 +109,6 @@ def _cmd_analyze(args):
         _emit(args, {"command": "analyze", "file": args.file,
                      "report": report.as_dict()}, lines)
         return 1
-    pair.g.validate()
-    pair.n.validate()
     pair.validate()
     cases = special_case_detect(pair)
     complete = is_complete_structure(pair)
@@ -357,8 +354,6 @@ def _cmd_embed(args):
                      "report": report.as_dict()},
               ["embed: tables failed verification"])
         return 1
-    pair.g.validate()
-    pair.n.validate()
     pair.validate()
     emb = embed_semidirect(pair)
     payload = {
@@ -388,8 +383,6 @@ def _cmd_audit(args):
                      "report": report.as_dict()},
               ["audit: tables failed verification"])
         return 1
-    pair.g.validate()
-    pair.n.validate()
     pair.validate()
     audit = derived_identity_audit(pair)
     theorems = theorem_audit(pair)

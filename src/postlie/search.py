@@ -10,6 +10,7 @@ is a theorem about GF(p) and nothing more; results that feed into
 rational-case reasoning carry an explicit evidence banner saying so.
 """
 
+import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ from .errors import (GuardError, ParameterError, StructureError,
 from .fields import GF
 from .lie import LieAlgebra, is_nilpotent, is_perfect, is_solvable
 from .linalg import Matrix
-from .structures import BilinearProduct, PostLiePair, check_structure
+from .structures import (BilinearProduct, PostLiePair, check_structure,
+                         induced_bracket, phi_product)
 
 GUARD_ENV = "POSTLIE_GUARD"
 DEFAULT_GUARD = 10_000_000
@@ -56,27 +58,18 @@ def _require_prime_field(field):
     return field.p
 
 
+def _flat_tensor(n, slot):
+    """Row-major n^3 int list of a bilinear table given by slot(i, j)."""
+    return [c.a for i in range(n) for j in range(n) for c in slot(i, j)]
+
+
 def flat_bracket_tensor(L):
     """Row-major n^3 int list of a bracket table over GF(p)."""
-    n = L.dim
-    flat = [0] * (n * n * n)
-    for i in range(n):
-        for j in range(n):
-            vec = L.bracket_basis(i, j)
-            for k in range(n):
-                flat[(i * n + j) * n + k] = vec[k].a
-    return flat
+    return _flat_tensor(L.dim, L.bracket_basis)
 
 
 def flat_product_tensor(product):
-    n = product.dim
-    flat = [0] * (n * n * n)
-    for i in range(n):
-        for j in range(n):
-            vec = product.product_basis(i, j)
-            for k in range(n):
-                flat[(i * n + j) * n + k] = vec[k].a
-    return flat
+    return _flat_tensor(product.dim, product.product_basis)
 
 
 @dataclass(frozen=True)
@@ -238,6 +231,8 @@ class PhiSweepResult:
     indices: tuple
     total: int
     backend: str
+    # the validated pair of each hit, in the order of `indices`
+    pairs: tuple = dataclasses.field(default=(), compare=False, repr=False)
 
 
 def phi_ansatz_sweep(n_alg, kernel=None):
@@ -258,42 +253,27 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     total = check_guard(p ** (n * n))
     cn = flat_bracket_tensor(n_alg)
     raw = kernel.phi_sweep(p, n, cn, 0, total)
+    pairs = []
     for index in raw:
         try:
-            pair_from_phi(n_alg, decode_matrix(n_alg.field, n, index))
+            pairs.append(pair_from_phi(n_alg,
+                                       decode_matrix(n_alg.field, n, index)))
         except StructureError as exc:
             raise GuardError(
                 "kernel hit %d failed exact re-verification; kernel and "
                 "checker disagree" % index) from exc
     return PhiSweepResult(n=n_alg, indices=tuple(raw), total=total,
                           backend=getattr(kernel, "BACKEND",
-                                          getattr(kernel, "NAME", "?")))
+                                          getattr(kernel, "NAME", "?")),
+                          pairs=tuple(pairs))
 
 
 def pair_from_phi(n_alg, phi):
     """The pair with product x.y = {phi x, y} and the induced first
     bracket; raises through validation when phi is not a hit."""
-    n = n_alg.dim
-    field = n_alg.field
-    table = {}
-    brackets = {}
-    for i in range(n):
-        for j in range(n):
-            table[(i, j)] = n_alg.bracket(tuple(phi.col(i)),
-                                          [field.one if t == j else field.zero
-                                           for t in range(n)])
-    product = BilinearProduct(field, n, table)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = [a - b + c for a, b, c in zip(product.product_basis(i, j),
-                                                product.product_basis(j, i),
-                                                n_alg.bracket_basis(i, j))]
-            brackets[(i, j)] = tuple(vec)
-    g = LieAlgebra(field, n, brackets)
-    g.validate()
-    pair = PostLiePair(g, n_alg, product)
-    pair.validate()
-    return pair
+    product = phi_product(n_alg, phi)
+    return PostLiePair(induced_bracket(product, n_alg), n_alg,
+                       product).validate()
 
 
 def automorphism_indices(algebras, kernel=None):
@@ -430,14 +410,11 @@ def nonexistence_probe(g_class, n_class="sl2", p=5, kernel=None):
             "the simple table degenerates mod %d; use p >= 5" % p)
     from .catalog import builtin_algebra
     n_alg = builtin_algebra("sl2", field=GF(p))
-    n_alg.validate()
     sweep = phi_ansatz_sweep(n_alg, kernel=kernel)
     target = _PROBE_TARGETS[g_class]
     counts = {}
     matching = []
-    for index in sweep.indices:
-        pair = pair_from_phi(n_alg, decode_matrix(n_alg.field, n_alg.dim,
-                                                  index))
+    for index, pair in zip(sweep.indices, sweep.pairs):
         label = _fp_bracket_class(pair.g)
         counts[label] = counts.get(label, 0) + 1
         if label == target:

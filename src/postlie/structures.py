@@ -207,6 +207,41 @@ def _triples_all(n):
     return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
 
 
+def _module_action(g, product):
+    """Delta of [x,y].z = x.(y.z) - y.(x.z) on basis triples."""
+    def delta(i, j, k):
+        lhs = _rmul(product, g.bracket_basis(i, j), k)
+        rhs = vsub(_lmul(product, i, product.product_basis(j, k)),
+                   _lmul(product, j, product.product_basis(i, k)))
+        return vsub(lhs, rhs)
+    return delta
+
+
+def _derivation_action(n, product):
+    """Delta of x.{y,z} = {x.y, z} + {y, x.z} on basis triples."""
+    def delta(i, j, k):
+        lhs = _lmul(product, i, n.bracket_basis(j, k))
+        e_j = unit_vector(n.field, n.dim, j)
+        e_k = unit_vector(n.field, n.dim, k)
+        rhs = vadd(n.bracket(product.product_basis(i, j), e_k),
+                   n.bracket(e_j, product.product_basis(i, k)))
+        return vsub(lhs, rhs)
+    return delta
+
+
+def _associator_skew(n, product):
+    """Delta of {x,y}.z = (y.x).z - y.(x.z) - (x.y).z + x.(y.z)."""
+    def delta(i, j, k):
+        lhs = _rmul(product, n.bracket_basis(i, j), k)
+        rhs = vsub(
+            vsub(_rmul(product, product.product_basis(j, i), k),
+                 _lmul(product, j, product.product_basis(i, k))),
+            vsub(_rmul(product, product.product_basis(i, j), k),
+                 _lmul(product, i, product.product_basis(j, k))))
+        return vsub(lhs, rhs)
+    return delta
+
+
 def check_structure(g, n, product):
     """Scan the three defining identities of a pair structure."""
     dim = g.dim
@@ -216,24 +251,12 @@ def check_structure(g, n, product):
         rhs = vsub(g.bracket_basis(i, j), n.bracket_basis(i, j))
         return vsub(lhs, rhs)
 
-    def module(i, j, k):
-        lhs = _rmul(product, g.bracket_basis(i, j), k)
-        rhs = vsub(_lmul(product, i, product.product_basis(j, k)),
-                   _lmul(product, j, product.product_basis(i, k)))
-        return vsub(lhs, rhs)
-
-    def derivation(i, j, k):
-        lhs = _lmul(product, i, n.bracket_basis(j, k))
-        e_j = unit_vector(n.field, dim, j)
-        e_k = unit_vector(n.field, dim, k)
-        rhs = vadd(n.bracket(product.product_basis(i, j), e_k),
-                   n.bracket(e_j, product.product_basis(i, k)))
-        return vsub(lhs, rhs)
-
     items = (
         _scan_item("skew-part", _pairs(dim), skew),
-        _scan_item("module-action", _triples_pair_any(dim), module),
-        _scan_item("derivation-action", _triples_any_pair(dim), derivation),
+        _scan_item("module-action", _triples_pair_any(dim),
+                   _module_action(g, product)),
+        _scan_item("derivation-action", _triples_any_pair(dim),
+                   _derivation_action(n, product)),
     )
     return CheckReport("post-Lie structure", items)
 
@@ -250,30 +273,35 @@ def check_algebra(product, n):
     jacobi = check_lie_axioms(n).item("jacobi")
     jacobi = CheckItem("bracket-jacobi", jacobi.passed, jacobi.witness,
                        jacobi.discrepancy)
-
-    def associator_skew(i, j, k):
-        lhs = _rmul(product, n.bracket_basis(i, j), k)
-        rhs = vsub(
-            vsub(_rmul(product, product.product_basis(j, i), k),
-                 _lmul(product, j, product.product_basis(i, k))),
-            vsub(_rmul(product, product.product_basis(i, j), k),
-                 _lmul(product, i, product.product_basis(j, k))))
-        return vsub(lhs, rhs)
-
-    def derivation(i, j, k):
-        lhs = _lmul(product, i, n.bracket_basis(j, k))
-        e_j = unit_vector(n.field, dim, j)
-        e_k = unit_vector(n.field, dim, k)
-        rhs = vadd(n.bracket(product.product_basis(i, j), e_k),
-                   n.bracket(e_j, product.product_basis(i, k)))
-        return vsub(lhs, rhs)
-
     items = (
         jacobi,
-        _scan_item("associator-skew", _triples_pair_any(dim), associator_skew),
-        _scan_item("derivation-action", _triples_any_pair(dim), derivation),
+        _scan_item("associator-skew", _triples_pair_any(dim),
+                   _associator_skew(n, product)),
+        _scan_item("derivation-action", _triples_any_pair(dim),
+                   _derivation_action(n, product)),
     )
     return CheckReport("post-Lie algebra", items)
+
+
+def induced_bracket(product, n, name=None):
+    """The unvalidated bracket table x.y - y.x + {x,y}."""
+    table = {}
+    for i, j in _pairs(n.dim):
+        table[(i, j)] = vadd(
+            vsub(product.product_basis(i, j), product.product_basis(j, i)),
+            n.bracket_basis(i, j))
+    return LieAlgebra(n.field, n.dim, table, name=name)
+
+
+def phi_product(n, phi):
+    """The product x.y = {phi(x), y} for an endomorphism phi of n."""
+    dim = n.dim
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            table[(i, j)] = n.bracket(phi.col(i),
+                                      unit_vector(n.field, dim, j))
+    return BilinearProduct(n.field, dim, table)
 
 
 def associated_bracket(product, n, name=None):
@@ -287,13 +315,7 @@ def associated_bracket(product, n, name=None):
         raise StructureError(
             "product is not post-Lie over this bracket (%s)" %
             "; ".join(it.describe() for it in report.failures()), report)
-    table = {}
-    for i in range(n.dim):
-        for j in range(i + 1, n.dim):
-            table[(i, j)] = vadd(
-                vsub(product.product_basis(i, j), product.product_basis(j, i)),
-                n.bracket_basis(i, j))
-    return LieAlgebra(n.field, n.dim, table, name=name or "associated").validate()
+    return induced_bracket(product, n, name=name or "associated").validate()
 
 
 def derived_identity_audit(pair):
@@ -321,21 +343,6 @@ def derived_identity_audit(pair):
 
     def unit(i):
         return unit_vector(field, dim, i)
-
-    def module(i, j, k):
-        lhs = _rmul(product, g.bracket_basis(i, j), k)
-        rhs = vsub(_lmul(product, i, product.product_basis(j, k)),
-                   _lmul(product, j, product.product_basis(i, k)))
-        return vsub(lhs, rhs)
-
-    def associator_skew(i, j, k):
-        lhs = _rmul(product, n.bracket_basis(i, j), k)
-        rhs = vsub(
-            vsub(_rmul(product, product.product_basis(j, i), k),
-                 _lmul(product, j, product.product_basis(i, k))),
-            vsub(_rmul(product, product.product_basis(i, j), k),
-                 _lmul(product, i, product.product_basis(j, k))))
-        return vsub(lhs, rhs)
 
     def right_slot(z, i, j):
         lhs = _lmul(product, z, g.bracket_basis(i, j))
@@ -381,10 +388,11 @@ def derived_identity_audit(pair):
         return vsub(lhs, rhs)
 
     items = (
-        _scan_item("module-action", _triples_pair_any(dim), module),
-        _scan_item("associator-skew", _triples_pair_any(dim), associator_skew),
-        _scan_item("right-slot-expansion", _triples_any_pair(dim),
-                   lambda z, i, j: right_slot(z, i, j)),
+        _scan_item("module-action", _triples_pair_any(dim),
+                   _module_action(g, product)),
+        _scan_item("associator-skew", _triples_pair_any(dim),
+                   _associator_skew(n, product)),
+        _scan_item("right-slot-expansion", _triples_any_pair(dim), right_slot),
         _scan_item("mixed-rearrangement", _triples_all(dim), mixed),
         _scan_item("cyclic-left-action", _triples_all(dim), cyclic_left),
         _scan_item("cyclic-product-action", _triples_all(dim), cyclic_product),
@@ -410,21 +418,16 @@ def left_multiplications(pair):
     return tuple(pair.product.left_matrix_basis(i) for i in range(pair.dim))
 
 
-def is_complete_structure(pair):
-    """Are all left multiplications L(x) nilpotent?
+def _flag_reaches_space(field, dim, mats):
+    """Does the flag F_0 = 0, F_{t+1} = {v : M v in F_t for all M in mats}
+    reach the whole space?
 
-    Decided exactly over any field by the flag
-      F_0 = 0,  F_{t+1} = {v : L(e_i) v in F_t for all i}.
-    The flag reaches the whole space iff every L(x) is nilpotent: upward,
-    each L(x) maps F_{t+1} into F_t, so reaching V forces L(x)^dim = 0;
-    downward, simultaneous strict triangularizability follows from all
-    basis operators (hence all L(x), by bilinearity inside the flag
-    argument) being nilpotent.  No eigenvalue computations are involved.
+    It does iff the operators are simultaneously strictly triangular in
+    some basis: upward, each M maps F_{t+1} into F_t, so reaching V forces
+    every product of dim operators to vanish; downward, a common
+    strictly triangular basis puts its first t vectors inside F_t.  No
+    eigenvalue computations are involved, so this is exact over any field.
     """
-    _require_validated_pair(pair)
-    dim = pair.dim
-    field = pair.field
-    mats = [pair.product.left_matrix_basis(i) for i in range(dim)]
     flag = Subspace.span(field, dim, [])
     while True:
         if flag.dim == dim:
@@ -432,44 +435,43 @@ def is_complete_structure(pair):
         rows = []
         for a in flag.annihilator_rows():
             arow = Matrix(field, [a])
-            for L in mats:
-                rows.append((arow * L).row(0))
+            for M in mats:
+                rows.append((arow * M).row(0))
         nxt_basis = nullspace(Matrix(field, rows)) if rows else \
             [unit_vector(field, dim, i) for i in range(dim)]
         nxt = Subspace.span(field, dim, list(nxt_basis))
         if nxt.dim == flag.dim:
             return False
         flag = nxt
+
+
+def is_complete_structure(pair):
+    """Are all left multiplications L(x) nilpotent?
+
+    Decided exactly over any field by the flag of the basis operators
+    L(e_i) (see `_flag_reaches_space`).  Reaching V forces L(x)^dim = 0
+    for every x; conversely, module-action makes {L(x)} a Lie algebra of
+    linear maps, so when all L(x) are nilpotent Engel's theorem makes them
+    simultaneously strictly triangular and the flag reaches V.
+    """
+    return _flag_reaches_space(pair.field, pair.dim,
+                               left_multiplications(pair))
 
 
 def all_right_multiplications_nilpotent(pair):
     """Are all right multiplications R(x) nilpotent?
 
-    The mirror image of `is_complete_structure`; informational, not the
-    structure completeness.  When n is abelian the product is pre-Lie,
-    and this is Segal's completeness of that pre-Lie algebra.  V9 at
-    alpha = 0 is complete in this sense only.
+    The mirror image of `is_complete_structure`, run on the R(e_j);
+    informational, not the structure completeness.  A True answer forces
+    R(x)^dim = 0 for every x; {R(x)} need not be a Lie algebra, so the
+    Engel converse of the left case is not available.  When n is abelian the
+    product is pre-Lie, and this is Segal's completeness of that pre-Lie
+    algebra.  V9 at alpha = 0 is complete in this sense only.
     """
     _require_validated_pair(pair)
-    dim = pair.dim
-    mats = [pair.product.right_matrix_basis(j) for j in range(dim)]
-    # mirror of the left flag, using R in place of L
-    field = pair.field
-    flag = Subspace.span(field, dim, [])
-    while True:
-        if flag.dim == dim:
-            return True
-        rows = []
-        for a in flag.annihilator_rows():
-            arow = Matrix(field, [a])
-            for R in mats:
-                rows.append((arow * R).row(0))
-        nxt_basis = nullspace(Matrix(field, rows)) if rows else \
-            [unit_vector(field, dim, i) for i in range(dim)]
-        nxt = Subspace.span(field, dim, list(nxt_basis))
-        if nxt.dim == flag.dim:
-            return False
-        flag = nxt
+    return _flag_reaches_space(
+        pair.field, pair.dim,
+        [pair.product.right_matrix_basis(j) for j in range(pair.dim)])
 
 
 def sampled_left_mult_nilpotency(pair, samples=50, seed=0):
@@ -615,17 +617,8 @@ def product_from_endomorphism(n, phi):
                              (phi.shape, n.dim))
     dim = n.dim
     field = n.field
-    table = {}
-    for i in range(dim):
-        for j in range(dim):
-            table[(i, j)] = n.bracket(phi.col(i), unit_vector(field, dim, j))
-    product = BilinearProduct(field, dim, table)
-    induced = {}
-    for i, j in _pairs(dim):
-        induced[(i, j)] = vadd(
-            vsub(product.product_basis(i, j), product.product_basis(j, i)),
-            n.bracket_basis(i, j))
-    g_candidate = LieAlgebra(field, dim, induced, name="induced")
+    product = phi_product(n, phi)
+    g_candidate = induced_bracket(product, n, name="induced")
 
     def gap(i, j):
         e_i = unit_vector(field, dim, i)
@@ -667,27 +660,29 @@ def endomorphism_from_structure(pair):
     n = pair.n
     if not is_complete_lie(n):
         raise StructureError("phi is only determined when n is complete")
+    phi = Matrix.from_cols(pair.field, _inner_derivation_vectors(pair))
+    if phi_product(n, phi) != pair.product:
+        raise StructureError("internal error: recovered phi does not "
+                             "reproduce the product")
+    return phi
+
+
+def _inner_derivation_vectors(pair):
+    """The vectors v_i with L(e_i) = ad(v_i) in n, one per basis index."""
+    n = pair.n
     dim = pair.dim
     field = pair.field
     ad_flats = [flatten_matrix(n.adjoint_matrix(unit_vector(field, dim, t)))
                 for t in range(dim)]
-    cols = []
+    vs = []
     for i in range(dim):
         L_i = pair.product.left_matrix_basis(i)
         coords = coordinates_in_span(ad_flats, flatten_matrix(L_i), field)
         if coords is None:
             raise StructureError("internal error: left multiplication is "
                                  "not an inner derivation")
-        cols.append(coords)
-    phi = Matrix.from_cols(field, cols)
-    for i in range(dim):
-        for j in range(dim):
-            expected = pair.product.product_basis(i, j)
-            got = n.bracket(phi.col(i), unit_vector(field, dim, j))
-            if expected != got:
-                raise StructureError("internal error: recovered phi does not "
-                                     "reproduce the product")
-    return phi
+        vs.append(coords)
+    return vs
 
 
 @dataclass(frozen=True)
@@ -802,12 +797,7 @@ def structure_from_graph_subalgebra(n, elements, name=None):
         for j in range(dim):
             table[(i, j)] = left[i].col(j)
     product = BilinearProduct(field, dim, table)
-    g_table = {}
-    for i, j in _pairs(dim):
-        g_table[(i, j)] = vadd(
-            n.bracket_basis(i, j),
-            vsub(product.product_basis(i, j), product.product_basis(j, i)))
-    g = LieAlgebra(field, dim, g_table, name=name or "graph-induced")
+    g = induced_bracket(product, n, name=name or "graph-induced")
     return PostLiePair(g, n, product, name=name).validate()
 
 
@@ -843,16 +833,7 @@ def split_semisimple(pair):
         raise StructureError("n is not semisimple (degenerate Killing form)")
     dim = pair.dim
     field = pair.field
-    ad_flats = [flatten_matrix(n.adjoint_matrix(unit_vector(field, dim, t)))
-                for t in range(dim)]
-    vs = []
-    for i in range(dim):
-        L_i = pair.product.left_matrix_basis(i)
-        coords = coordinates_in_span(ad_flats, flatten_matrix(L_i), field)
-        if coords is None:
-            raise StructureError("internal error: left multiplication is "
-                                 "not inner on a semisimple algebra")
-        vs.append(coords)
+    vs = _inner_derivation_vectors(pair)
     ambient = direct_sum(n, n, name="double")
     basis = []
     for i in range(dim):
@@ -911,15 +892,11 @@ def prelie_from_two_step(pair):
         lhs = vsub(prelie.product_basis(i, j), prelie.product_basis(j, i))
         return vsub(lhs, pair.g.bracket_basis(i, j))
 
-    def left_symmetry(i, j, k):
-        lhs = _rmul(prelie, pair.g.bracket_basis(i, j), k)
-        rhs = vsub(_lmul(prelie, i, prelie.product_basis(j, k)),
-                   _lmul(prelie, j, prelie.product_basis(i, k)))
-        return vsub(lhs, rhs)
-
+    # left-symmetry of o is module-action with o in place of the product
     items = (
         _scan_item("commutator-matches-bracket", _pairs(dim), commutator_match),
-        _scan_item("left-symmetry", _triples_pair_any(dim), left_symmetry),
+        _scan_item("left-symmetry", _triples_pair_any(dim),
+                   _module_action(pair.g, prelie)),
     )
     return prelie, CheckReport("pre-Lie deformation", items)
 

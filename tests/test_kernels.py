@@ -6,7 +6,10 @@ Expected answers come from the exact-arithmetic layer or from plain
 in-test loops, never from the kernel under test.
 """
 
+import importlib.util
+import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -104,24 +107,81 @@ def test_jacobi_frozen_cases(kern):
     assert kern.jacobi_ok(3, 2, [1] * 8) is True
 
 
+# (g, n) bracket pairs for the differential test of verify_structure;
+# non-abelian n makes derivation-action a real constraint
+VERIFY_PAIRS = (
+    ("abelian", "abelian", 1),
+    ("r2", "abelian", 2),
+    ("r2", "r2", 2),
+    ("abelian", "r2", 2),
+    ("n3", "n3", 3),
+    ("abelian", "n3", 3),
+    ("sl2", "sl2", 3),
+)
+
+
+def _named(name, field, dim):
+    if name == "abelian":
+        return builtin_algebra("abelian", field=field, dim=dim)
+    return builtin_algebra(name, field=field)
+
+
+def _candidate_tensor(rng, mode, p, n, cg, cn):
+    """A flat product tensor: fully random (mode 0), or with the skew part
+    forced to [x,y] - {x,y} and sparse (mode 1) or rank-one
+    x.y = lam(x) lam(y) w (mode 2) symmetric part."""
+    if mode == 0:
+        return [rng.randrange(p) for _ in range(n ** 3)]
+    if mode == 1:
+        sym = {(i, j): [rng.randrange(p) if rng.random() < 0.25 else 0
+                        for _ in range(n)]
+               for i in range(n) for j in range(i, n)}
+    else:
+        lam = [rng.randrange(p) for _ in range(n)]
+        w = [rng.randrange(p) for _ in range(n)]
+        sym = {(i, j): [lam[i] * lam[j] * c % p for c in w]
+               for i in range(n) for j in range(i, n)}
+    flat = [0] * (n ** 3)
+    for (i, j), vec in sym.items():
+        for k in range(n):
+            flat[(j * n + i) * n + k] = vec[k]
+            if i != j:
+                slot = (i * n + j) * n + k
+                flat[slot] = (vec[k] + cg[slot] - cn[slot]) % p
+    return flat
+
+
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
 def test_verify_structure_matches_exact_layer(kern):
-    F = GF(3)
-    g = builtin_algebra("r2", field=F)
-    n = builtin_algebra("abelian", field=F, dim=2)
-    cg = flat_bracket_tensor(g)
-    cn = flat_bracket_tensor(n)
     rng = random.Random(977)
     outcomes = set()
-    for _ in range(250):
-        flat = [rng.randrange(3) for _ in range(8)]
-        table = {(i, j): {k: flat[(i * 2 + j) * 2 + k] for k in range(2)}
-                 for i in range(2) for j in range(2)}
-        product = BilinearProduct(F, 2, table)
-        expected = check_structure(g, n, product).passed
-        assert kern.verify_structure(3, 2, cg, cn, flat) is expected
-        outcomes.add(expected)
+    lone_failures = set()
+    for g_name, n_name, dim in VERIFY_PAIRS:
+        for p in (2, 3, 5, 7):
+            F = GF(p)
+            g = _named(g_name, F, dim)
+            n = _named(n_name, F, dim)
+            cg = flat_bracket_tensor(g)
+            cn = flat_bracket_tensor(n)
+            flats = [[0] * (dim ** 3)]
+            flats += [_candidate_tensor(rng, t % 3, p, dim, cg, cn)
+                      for t in range(60)]
+            for flat in flats:
+                table = {(i, j): {k: flat[(i * dim + j) * dim + k]
+                                  for k in range(dim)}
+                         for i in range(dim) for j in range(dim)}
+                report = check_structure(g, n, BilinearProduct(F, dim, table))
+                expected = report.passed
+                assert kern.verify_structure(p, dim, cg, cn, flat) \
+                    is expected, (g_name, n_name, p, flat)
+                outcomes.add(expected)
+                failed = [item.name for item in report.failures()]
+                if len(failed) == 1:
+                    lone_failures.add(failed[0])
+    # the sample must exercise both outcomes, and reach the module-action
+    # and derivation-action scans with the other identities passing
     assert outcomes == {True, False}
+    assert {"module-action", "derivation-action"} <= lone_failures
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
@@ -206,6 +266,19 @@ def test_gl_sweep_backends_agree_and_match_direct_scan():
     assert cykern.gl_invariance_sweep(p, n, [cg], 0, total) == expect
     zero_hits = cykern.gl_invariance_sweep(p, n, [_zero_flat(n)], 0, total)
     assert len(zero_hits) == 48  # |GL_2(F_3)|
+
+
+def test_backend_bench_quick_run_agrees():
+    # the timing script is the one place that runs every importable
+    # backend on the same sweeps; a nonzero return means a hit-list
+    # mismatch between them
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / \
+        "bench_fpkernel.py"
+    spec = importlib.util.spec_from_file_location("bench_fpkernel", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = io.StringIO()
+    assert bench.run(quick=True, out=out) == 0, out.getvalue()
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)

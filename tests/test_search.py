@@ -16,7 +16,7 @@ from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             encode_product, enumerate_products,
                             nonexistence_probe, orbit_reduce, pair_from_phi,
                             phi_ansatz_sweep, transform_product)
-from postlie.structures import check_structure
+from postlie.structures import check_structure, product_from_endomorphism
 
 
 def _abelian_spec(p, symmetric=True):
@@ -213,17 +213,25 @@ def test_phi_sweep_hits_validate_and_non_hits_fail():
     result = phi_ansatz_sweep(n)
     hits = set(result.indices)
     assert 0 in hits  # the zero endomorphism always works
+    # sl2 is centerless, so product_from_endomorphism applies and must
+    # agree with pair_from_phi on hits and non-hits alike
     for index in list(result.indices)[:20]:
-        pair = pair_from_phi(n, decode_matrix(GF(3), 3, index))
+        phi = decode_matrix(GF(3), 3, index)
+        pair = pair_from_phi(n, phi)
         assert pair.validated
+        product, report = product_from_endomorphism(n, phi)
+        assert report.passed
+        assert product == pair.product
     rng = random.Random(5)
     tried = 0
     while tried < 400:
         index = rng.randrange(result.total)
         if index in hits:
             continue
+        phi = decode_matrix(GF(3), 3, index)
         with pytest.raises(StructureError):
-            pair_from_phi(n, decode_matrix(GF(3), 3, index))
+            pair_from_phi(n, phi)
+        assert not product_from_endomorphism(n, phi)[1].passed
         tried += 1
 
 

@@ -1,5 +1,6 @@
 """Structure checks, completeness, special shapes, embeddings."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from postlie.errors import (DimensionError, StructureError,
 from postlie.fields import GF, QQ
 from postlie.lie import check_lie_axioms, is_nilpotent, is_perfect
 from postlie.linalg import Matrix, unit_vector, vadd, vscale, vsub
+from postlie.search import SearchSpec, enumerate_products
 from postlie.structures import (TAG_COMMUTATIVE, TAG_CYCLIC, TAG_LR_IDENTITY,
                                 TAG_LR_PAIR, TAG_LSA, TAG_NOVIKOV,
                                 TAG_PRE_LIE, TAG_SCALAR, TAG_ZERO,
@@ -169,6 +171,39 @@ def test_completeness_over_finite_fields_is_exact():
     pair = get_entry("V9").build_sample({"alpha": 0}, field=GF(5))
     assert is_complete_structure(pair) is False
     assert all_right_multiplications_nilpotent(pair) is True
+
+    # every structure on (r2, abelian) and (abelian, r2) over GF(3): the
+    # left flag equals "L(x)^dim = 0 for every x", which is exact because
+    # module-action makes {L(x)} a Lie algebra and Engel's theorem applies;
+    # the right flag (simultaneous strict triangularity) implies that
+    # R(x)^dim = 0 for every x
+    F = GF(3)
+    dim = 2
+    basis = [unit_vector(F, dim, i) for i in range(dim)]
+    points = [tuple(F.scalar(c) for c in coords)
+              for coords in itertools.product(range(3), repeat=dim)]
+    r2 = builtin_algebra("r2", field=F)
+    ab = builtin_algebra("abelian", field=F, dim=dim)
+    flags = set()
+    for g, n, hit_count in ((r2, ab, 21), (ab, r2, 12)):
+        hits = enumerate_products(SearchSpec(g, n)).products()
+        assert len(hits) == hit_count
+        for product in hits:
+            pair = PostLiePair(g, n, product).validate()
+
+            def nilpotent(x, left):
+                cols = [product.product(x, e) if left
+                        else product.product(e, x) for e in basis]
+                return Matrix.from_cols(F, cols).power(dim).is_zero()
+
+            left = is_complete_structure(pair)
+            right = all_right_multiplications_nilpotent(pair)
+            assert left is all(nilpotent(x, True) for x in points)
+            if right:
+                assert all(nilpotent(x, False) for x in points)
+            flags.add((left, right))
+    assert {left for left, _ in flags} == {True, False}
+    assert {right for _, right in flags} == {True, False}
 
 
 def test_special_cases_zero_product():
