@@ -24,16 +24,17 @@ def _workloads(quick):
     prod_field = GF(pp)
     zero = [0] * (pd ** 3)
     fp = 3 if quick else 5
-    phi_alg = builtin_algebra("sl2", field=GF(fp))
-    cn = flat_bracket_tensor(phi_alg)
-    return [
-        ("product_sweep GF(%d) dim %d full" % (pp, pd),
-         lambda kern: kern.product_sweep(pp, pd, zero, zero, False, 0,
-                                         pp ** (pd ** 3))),
-        ("phi_sweep sl2 GF(%d)" % fp,
-         lambda kern: kern.phi_sweep(fp, 3, cn, 0,
-                                     fp ** (phi_alg.dim ** 2))),
-    ]
+    work = [("product_sweep GF(%d) dim %d full" % (pp, pd),
+             lambda kern: kern.product_sweep(pp, pd, zero, zero, False, 0,
+                                             pp ** (pd ** 3)))]
+    # sl2 has no centre and n3 has one; the fallback's phi test relies on
+    # n being a Lie algebra, not on a trivial centre, so both are compared
+    for name in ("sl2", "n3"):
+        cn = flat_bracket_tensor(builtin_algebra(name, field=GF(fp)))
+        work.append(("phi_sweep %s GF(%d)" % (name, fp),
+                     lambda kern, cn=cn: kern.phi_sweep(fp, 3, cn, 0,
+                                                        fp ** 9)))
+    return work
 
 
 def run(quick=False, out=sys.stdout):

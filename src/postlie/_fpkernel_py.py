@@ -3,10 +3,15 @@
 Same contracts as the compiled module `_fpkernel`: candidates are indexed
 by base-p digit strings (big-endian over row-major entries), tensors are
 flat int lists of length n^3 with T[(i*n + j)*n + k] the k-th component of
-the (i, j) slot, and every survivor of a vectorized filter is re-verified
-with the plain-int checkers below before being returned, so the numpy
-layer is never the sole authority on a hit.
+the (i, j) slot.  Each identity is stated once, as a mask over a batch of
+tensors, on the same basis tuples the compiled kernel scans (i < j, and
+i < j < k for Jacobi); the sweeps apply the masks to chunks of candidates,
+and `jacobi_ok` and `verify_structure` to a batch of one.  Sweep hits are
+not checked again here: `search` re-verifies every hit in exact
+arithmetic, so the numpy layer is never the sole authority on a hit.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -22,12 +27,6 @@ def _check_args(p, n):
         raise ValueError("modulus out of range: %d" % p)
 
 
-def _check_flat(flat, n):
-    k = n * n * n
-    if len(flat) != k:
-        raise ValueError("flat tensor must have length %d" % k)
-
-
 def _digits(lo, hi, p, k):
     idx = np.arange(lo, hi, dtype=np.int64)
     shifts = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -35,111 +34,115 @@ def _digits(lo, hi, p, k):
 
 
 def _tensor(flat, n, p):
+    if len(flat) != n ** 3:
+        raise ValueError("flat tensor must have length %d" % n ** 3)
     return np.array(flat, dtype=np.int64).reshape(n, n, n) % p
 
 
+def _increasing(n, r):
+    """Index arrays of the strictly increasing r-tuples of basis indices."""
+    tuples = np.array(list(combinations(range(n), r)), dtype=np.intp)
+    return tuples.reshape(-1, r).T
+
+
+def _vanishes(p, delta):
+    """Per candidate m: every entry of delta[m] is 0 mod p."""
+    return np.all(delta % p == 0, axis=tuple(range(1, delta.ndim)))
+
+
+# The identities.  Batched tensors have shape (m, n, n, n); `cg` and `cn`
+# are one (n, n, n) table shared by the batch.  Entries are reduced mod p,
+# so every sum of products below fits in int64.
+
+def _jacobi(p, br):
+    """Jacobi: {{x, y}, z} + {{y, z}, x} + {{z, x}, y} = 0 on e_i, e_j, e_k,
+    i < j < k."""
+    i, j, k = _increasing(br.shape[-1], 3)
+
+    def term(a, b, c):
+        return np.einsum("mqt,mtqr->mqr", br[:, a, b], br[:, :, c])
+    return _vanishes(p, term(i, j, k) + term(j, k, i) + term(k, i, j))
+
+
+def _skew(p, pr, cg, cn):
+    """Skew-part: x.y - y.x = [x, y] - {x, y} on e_i, e_j, i < j."""
+    i, j = _increasing(pr.shape[-1], 2)
+    return _vanishes(p, (pr - pr.swapaxes(1, 2) - cg + cn)[:, i, j])
+
+
+def _module_action(p, br, pr):
+    """Module-action: [x, y].z = x.(y.z) - y.(x.z) on x = e_i, y = e_j,
+    i < j, where br[m] is the first bracket [,] of candidate m.  The
+    matrix pr[m, i] is the transpose of L(e_i): v -> e_i . v."""
+    i, j = _increasing(pr.shape[-1], 2)
+    return _vanishes(p, np.einsum("mqt,mtkr->mqkr", br[:, i, j], pr)
+                     - pr[:, j] @ pr[:, i] + pr[:, i] @ pr[:, j])
+
+
+def _derivation_action(p, cn, pr):
+    """Derivation-action: x.{y, z} = {x.y, z} + {y, x.z} on y = e_j,
+    z = e_k, j < k."""
+    j, k = _increasing(cn.shape[-1], 2)
+    return _vanishes(p, np.einsum("qt,mitr->miqr", cn[j, k], pr)
+                     - np.einsum("miqt,tqr->miqr", pr[:, :, j], cn[:, k])
+                     - np.einsum("miqt,qtr->miqr", pr[:, :, k], cn[j]))
+
+
+def _structure(p, cg, cn, pr):
+    """The three pair identities of products pr[m] on (cg, cn)."""
+    return (_skew(p, pr, cg, cn)
+            & _module_action(p, np.broadcast_to(cg, pr.shape), pr)
+            & _derivation_action(p, cn, pr))
+
+
+def _scan(lo, hi, mask):
+    """Indices in [lo, hi) where mask(a, b), a boolean array over the
+    chunk [a, b), holds."""
+    hits = []
+    for a in range(lo, hi, _CHUNK):
+        b = min(hi, a + _CHUNK)
+        hits.extend(a + int(off) for off in np.nonzero(mask(a, b))[0])
+    return hits
+
+
 def jacobi_ok(p, n, c):
-    """Plain-int Jacobi check of a flat bracket tensor."""
+    """Jacobi check of a flat bracket tensor."""
     _check_args(p, n)
-    _check_flat(c, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for r in range(n):
-                    s = 0
-                    for t in range(n):
-                        s += c[(i * n + j) * n + t] * c[(t * n + k) * n + r]
-                        s += c[(j * n + k) * n + t] * c[(t * n + i) * n + r]
-                        s += c[(k * n + i) * n + t] * c[(t * n + j) * n + r]
-                    if s % p:
-                        return False
-    return True
+    return bool(_jacobi(p, _tensor(c, n, p)[None])[0])
 
 
 def verify_structure(p, n, cg, cn, pr):
-    """Plain-int scan of the three pair identities on flat tensors."""
+    """Check of the three pair identities on flat tensors."""
     _check_args(p, n)
-    for flat in (cg, cn, pr):
-        _check_flat(flat, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                d = (pr[(i * n + j) * n + k] - pr[(j * n + i) * n + k]
-                     - cg[(i * n + j) * n + k] + cn[(i * n + j) * n + k])
-                if d % p:
-                    return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for r in range(n):
-                    lhs = 0
-                    rhs = 0
-                    for t in range(n):
-                        lhs += cg[(i * n + j) * n + t] * pr[(t * n + k) * n + r]
-                        rhs += pr[(j * n + k) * n + t] * pr[(i * n + t) * n + r]
-                        rhs -= pr[(i * n + k) * n + t] * pr[(j * n + t) * n + r]
-                    if (lhs - rhs) % p:
-                        return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                for r in range(n):
-                    lhs = 0
-                    rhs = 0
-                    for t in range(n):
-                        lhs += cn[(j * n + k) * n + t] * pr[(i * n + t) * n + r]
-                        rhs += pr[(i * n + j) * n + t] * cn[(t * n + k) * n + r]
-                        rhs += pr[(i * n + k) * n + t] * cn[(j * n + t) * n + r]
-                    if (lhs - rhs) % p:
-                        return False
-    return True
-
-
-def _pair_filter(p, cn, pr, br):
-    """Vectorized module-action + derivation-action masks (g = br)."""
-    lhs = np.einsum("mijt,mtkr->mijkr", br, pr) % p
-    rhs = (np.einsum("mjkt,mitr->mijkr", pr, pr)
-           - np.einsum("mikt,mjtr->mijkr", pr, pr)) % p
-    ok = np.all((lhs - rhs) % p == 0, axis=(1, 2, 3, 4))
-    lhs = np.einsum("jkt,mitr->mijkr", cn, pr) % p
-    rhs = (np.einsum("mijt,tkr->mijkr", pr, cn)
-           + np.einsum("mikt,jtr->mijkr", pr, cn)) % p
-    ok &= np.all((lhs - rhs) % p == 0, axis=(1, 2, 3, 4))
-    return ok
-
-
-def _jacobi_filter(p, br):
-    cyc = np.einsum("mijt,mtkr->mijkr", br, br)
-    cyc = cyc + cyc.transpose(0, 2, 3, 1, 4) + cyc.transpose(0, 3, 1, 2, 4)
-    return np.all(cyc % p == 0, axis=(1, 2, 3, 4))
+    cg, cn, pr = (_tensor(flat, n, p) for flat in (cg, cn, pr))
+    return bool(_structure(p, cg, cn, pr[None])[0])
 
 
 def phi_sweep(p, n, cn_flat, lo, hi):
     """Indices in [lo, hi) whose endomorphism yields a structure product.
 
     The candidate with index m is the matrix phi with entries the base-p
-    digits of m (row major); the product is x.y = {phi x, y}, the first
-    bracket is the induced one x.y - y.x + {x, y}, and the hit test is
-    that the induced bracket satisfies Jacobi and the pair identities
-    hold.  Skew-part holds by construction.
+    digits of m (row major); the product is x.y = {phi x, y} and the first
+    bracket is the induced one x.y - y.x + {x, y}.  The hit test is
+    module-action alone, which is as strong as the compiled kernel's full
+    test as long as n is a Lie algebra: skew-part holds by construction,
+    derivation-action is the Jacobi identity of n, and once those hold,
+    module-action makes the induced bracket satisfy Jacobi.  So a `cn`
+    that is not alternating or fails Jacobi mod p is rejected with
+    ValueError; otherwise phi = 0 would count as a hit.
     """
     _check_args(p, n)
     cn = _tensor(cn_flat, n, p)
-    hits = []
-    for a in range(lo, hi, _CHUNK):
-        b = min(hi, a + _CHUNK)
+    if (np.any(cn.diagonal()) or np.any((cn + cn.swapaxes(0, 1)) % p)
+            or not _jacobi(p, cn[None])[0]):
+        raise ValueError("second bracket is not a Lie bracket mod %d" % p)
+
+    def hit(a, b):
         phi = _digits(a, b, p, n * n).reshape(b - a, n, n)
         pr = np.einsum("mki,kjr->mijr", phi, cn) % p
-        br = (pr - pr.transpose(0, 2, 1, 3) + cn[None, :, :, :]) % p
-        mask = _jacobi_filter(p, br) & _pair_filter(p, cn, pr, br)
-        for off in np.nonzero(mask)[0]:
-            idx = a + int(off)
-            prf = [int(v) for v in pr[off].reshape(-1)]
-            brf = [int(v) for v in br[off].reshape(-1)]
-            if jacobi_ok(p, n, brf) and verify_structure(p, n, brf, cn_flat,
-                                                         prf):
-                hits.append(idx)
-    return hits
+        br = (pr - pr.swapaxes(1, 2) + cn) % p
+        return _module_action(p, br, pr)
+    return _scan(lo, hi, hit)
 
 
 def _products_from_digits(p, n, digits, cg, cn, symmetric):
@@ -172,22 +175,9 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     cg = _tensor(cg_flat, n, p)
     cn = _tensor(cn_flat, n, p)
     k = n * n * (n + 1) // 2 if symmetric else n ** 3
-    hits = []
-    for a in range(lo, hi, _CHUNK):
-        b = min(hi, a + _CHUNK)
-        digits = _digits(a, b, p, k)
-        pr = _products_from_digits(p, n, digits, cg, cn, symmetric)
-        ok = np.ones(b - a, dtype=bool)
-        if not symmetric:
-            skew = (pr - pr.transpose(0, 2, 1, 3) - cg[None] + cn[None]) % p
-            ok &= np.all(skew == 0, axis=(1, 2, 3))
-        ok &= _pair_filter(p, cn, pr, np.broadcast_to(cg, pr.shape))
-        for woff in np.nonzero(ok)[0]:
-            idx = a + int(woff)
-            prf = [int(v) for v in pr[woff].reshape(-1)]
-            if verify_structure(p, n, cg_flat, cn_flat, prf):
-                hits.append(idx)
-    return hits
+    return _scan(lo, hi, lambda a, b: _structure(
+        p, cg, cn,
+        _products_from_digits(p, n, _digits(a, b, p, k), cg, cn, symmetric)))
 
 
 def _dets(T, n):
@@ -207,9 +197,8 @@ def gl_invariance_sweep(p, n, tensors, lo, hi):
     if len(tensors) > 8:
         raise ValueError("at most 8 tensors per sweep")
     ts = [_tensor(t, n, p) for t in tensors]
-    hits = []
-    for a in range(lo, hi, _CHUNK):
-        b = min(hi, a + _CHUNK)
+
+    def preserved(a, b):
         T = _digits(a, b, p, n * n).reshape(b - a, n, n)
         ok = _dets(T, n) % p != 0
         for C in ts:
@@ -217,5 +206,5 @@ def gl_invariance_sweep(p, n, tensors, lo, hi):
             lhs = np.einsum("milr,mlj->mijr", lhs, T) % p
             rhs = np.einsum("mrs,ijs->mijr", T, C) % p
             ok &= np.all((lhs - rhs) % p == 0, axis=(1, 2, 3))
-        hits.extend(a + int(off) for off in np.nonzero(ok)[0])
-    return hits
+        return ok
+    return _scan(lo, hi, preserved)

@@ -17,15 +17,13 @@ from .document import dumps_pair, read_pair
 from .errors import (DocumentError, GuardError, ParameterError,
                      PostLieError, StructureError, UnsupportedFieldError)
 from .fields import GF, QQ
-from .lie import check_lie_axioms, classify_low_dim
-from .report import CheckReport
+from .lie import classify_low_dim
 from .search import (SearchSpec, enumerate_products, nonexistence_probe,
                      orbit_reduce, phi_ansatz_sweep, decode_matrix)
-from .structures import (check_structure, derived_identity_audit,
-                         embed_semidirect, is_complete_structure,
-                         all_right_multiplications_nilpotent,
-                         sampled_left_mult_nilpotency, special_case_detect,
-                         theorem_audit)
+from .structures import (all_right_multiplications_nilpotent,
+                         derived_identity_audit, embed_semidirect,
+                         is_complete_structure, sampled_left_mult_nilpotency,
+                         special_case_detect, theorem_audit)
 
 _BUILTIN_NAMES = ("abelian", "r2", "n3", "r3", "r3_lambda", "sl2")
 
@@ -67,17 +65,9 @@ def _load(path):
         raise DocumentError(str(exc), path)
 
 
-def _full_report(pair):
-    rg = check_lie_axioms(pair.g).prefixed("g.")
-    rn = check_lie_axioms(pair.n).prefixed("n.")
-    rp = check_structure(pair.g, pair.n, pair.product)
-    items = rg.items + rn.items + rp.items
-    return CheckReport("pair" if pair.name is None else pair.name, items)
-
-
 def _cmd_check(args):
     pair = _load(args.file)
-    report = _full_report(pair)
+    report = pair.full_report()
     payload = {"command": "check", "file": args.file,
                "field": pair.field.name, "dim": pair.dim,
                "report": report.as_dict()}
@@ -102,14 +92,13 @@ def _classification_names(pair):
 
 def _cmd_analyze(args):
     pair = _load(args.file)
-    report = _full_report(pair)
+    report = pair.full_report()
     if not report.passed:
         lines = ["analyze: tables failed verification"]
         lines += ["  " + text for text in report.lines() if "FAIL" in text]
         _emit(args, {"command": "analyze", "file": args.file,
                      "report": report.as_dict()}, lines)
         return 1
-    pair.validate()
     cases = special_case_detect(pair)
     complete = is_complete_structure(pair)
     sampled = sampled_left_mult_nilpotency(pair, seed=args.seed)
@@ -348,13 +337,12 @@ def _cmd_search_probe(args):
 
 def _cmd_embed(args):
     pair = _load(args.file)
-    report = _full_report(pair)
+    report = pair.full_report()
     if not report.passed:
         _emit(args, {"command": "embed", "file": args.file,
                      "report": report.as_dict()},
               ["embed: tables failed verification"])
         return 1
-    pair.validate()
     emb = embed_semidirect(pair)
     payload = {
         "command": "embed",
@@ -377,13 +365,12 @@ def _cmd_embed(args):
 
 def _cmd_audit(args):
     pair = _load(args.file)
-    report = _full_report(pair)
+    report = pair.full_report()
     if not report.passed:
         _emit(args, {"command": "audit", "file": args.file,
                      "report": report.as_dict()},
               ["audit: tables failed verification"])
         return 1
-    pair.validate()
     audit = derived_identity_audit(pair)
     theorems = theorem_audit(pair)
     ok = audit.passed and theorems.consistent

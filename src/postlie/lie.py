@@ -78,7 +78,10 @@ class LieAlgebra:
         return not self.brackets
 
     def validate(self):
-        """Scan the Jacobi identity; mark the algebra usable on success."""
+        """Scan the Jacobi identity once (tables never change after
+        construction); mark the algebra usable on success."""
+        if self._validated:
+            return self
         report = check_lie_axioms(self)
         if not report.passed:
             raise StructureError(

@@ -240,10 +240,15 @@ def phi_ansatz_sweep(n_alg, kernel=None):
 
     A hit is a phi whose induced skew bracket x.y - y.x + {x,y} satisfies
     Jacobi and whose product passes the structure identities against that
-    bracket.  When the second table is complete (all derivations inner,
-    trivial center) every structure product has this shape, so the sweep
-    is exhaustive over all structures with the given n, not merely over an
-    ansatz.
+    bracket.  n must be a Lie algebra (it is validated first): then
+    skew-part holds by construction, derivation-action is the Jacobi
+    identity of n, and module-action gives Jacobi of the induced bracket,
+    so module-action alone decides a hit.  That is all the numpy fallback
+    tests; the compiled kernel tests everything, and every hit is
+    re-verified in exact arithmetic.  When the second table is complete
+    (all derivations inner, trivial center) every structure product has
+    this shape, so the sweep is exhaustive over all structures with the
+    given n, not merely over an ansatz.
     """
     if kernel is None:
         from . import fpkernel as kernel

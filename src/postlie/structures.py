@@ -168,6 +168,20 @@ class PostLiePair:
         self._validated = True
         return self
 
+    def full_report(self):
+        """The Jacobi scans of g and n (items prefixed "g." and "n.") and
+        the pair identities, as one report.  A passing report marks the
+        pair and both tables validated, so `validate` does not scan again.
+        """
+        report = CheckReport(
+            "pair" if self.name is None else self.name,
+            check_lie_axioms(self.g).prefixed("g.").items
+            + check_lie_axioms(self.n).prefixed("n.").items
+            + check_structure(self.g, self.n, self.product).items)
+        if report.passed:
+            self.g._validated = self.n._validated = self._validated = True
+        return report
+
     def __repr__(self):
         label = self.name or "PostLiePair"
         return "%s(dim=%d, %s)" % (label, self.dim, self.field.name)

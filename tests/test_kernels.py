@@ -327,6 +327,18 @@ def test_kernel_argument_errors(kern):
         kern.gl_invariance_sweep(0, 2, [[0] * 8], 0, 1)
     with pytest.raises(ValueError, match="tensors"):
         kern.gl_invariance_sweep(3, 2, [[0] * 8] * 9, 0, 1)
+    if kern is pykern:
+        # the fallback's phi test is module-action alone, which is exact
+        # only over a Lie bracket; anything else must be refused, or
+        # phi = 0 would count as a hit
+        bad = LieAlgebra(GF(5), 3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+        with pytest.raises(ValueError, match="not a Lie bracket"):
+            kern.phi_sweep(5, 3, flat_bracket_tensor(bad), 0, 1)
+        with pytest.raises(ValueError, match="not a Lie bracket"):
+            kern.phi_sweep(5, 2, [0, 0, 1, 0, 1, 0, 0, 0], 0, 1)
+        # {e1, e1} = e1 is antisymmetric mod 2 but not alternating
+        with pytest.raises(ValueError, match="not a Lie bracket"):
+            kern.phi_sweep(2, 1, [1], 0, 1)
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)

@@ -4,16 +4,19 @@ import random
 
 import pytest
 
+from postlie import fpkernel
 from postlie.catalog import builtin_algebra, get_entry
 from postlie.errors import (DimensionError, GuardError,
                             ParameterError, StructureError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ
+from postlie.lie import center
 from postlie.linalg import Matrix
 from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             automorphism_indices, check_guard, current_guard,
                             decode_matrix, decode_product, encode_matrix,
                             encode_product, enumerate_products,
+                            flat_bracket_tensor,
                             nonexistence_probe, orbit_reduce, pair_from_phi,
                             phi_ansatz_sweep, transform_product)
 from postlie.structures import check_structure, product_from_endomorphism
@@ -208,31 +211,52 @@ def test_phi_sweep_backends_agree():
     assert res_c.backend == "compiled" and res_p.backend == "python"
 
 
-def test_phi_sweep_hits_validate_and_non_hits_fail():
-    n = builtin_algebra("sl2", field=GF(3))
-    result = phi_ansatz_sweep(n)
-    hits = set(result.indices)
-    assert 0 in hits  # the zero endomorphism always works
-    # sl2 is centerless, so product_from_endomorphism applies and must
-    # agree with pair_from_phi on hits and non-hits alike
-    for index in list(result.indices)[:20]:
+def _validates(n, phi):
+    try:
+        pair_from_phi(n, phi)
+    except StructureError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["abelian", "n3", "r3", "sl2"])
+def test_phi_sweep_hits_validate_and_non_hits_fail(name):
+    def algebra(p):
+        return builtin_algebra(name, field=GF(p), dim=3)
+
+    # exact oracle over GF(2): every backend's hit set is exactly the set
+    # of phi whose pair validates (the fallback tests module-action alone)
+    n = algebra(2)
+    oracle = {index for index in range(2 ** 9)
+              if _validates(n, decode_matrix(GF(2), 3, index))}
+    assert 0 in oracle
+    for kern in fpkernel.backends():
+        assert set(kern.phi_sweep(2, 3, flat_bracket_tensor(n), 0,
+                                  2 ** 9)) == oracle, kern.NAME
+
+    n = algebra(3)
+    hits = fpkernel.phi_sweep(3, 3, flat_bracket_tensor(n), 0, 3 ** 9)
+    hit_set = set(hits)
+    assert 0 in hit_set  # the zero endomorphism always works
+    # on a centerless n, product_from_endomorphism applies and must agree
+    # with pair_from_phi on hits and non-hits alike
+    centerless = center(n).dim == 0
+    assert centerless == (name in ("r3", "sl2"))
+    for index in hits[:20]:
         phi = decode_matrix(GF(3), 3, index)
         pair = pair_from_phi(n, phi)
         assert pair.validated
-        product, report = product_from_endomorphism(n, phi)
-        assert report.passed
-        assert product == pair.product
-    rng = random.Random(5)
-    tried = 0
-    while tried < 400:
-        index = rng.randrange(result.total)
-        if index in hits:
-            continue
+        if centerless:
+            product, report = product_from_endomorphism(n, phi)
+            assert report.passed
+            assert product == pair.product
+    non_hits = [index for index in range(3 ** 9) if index not in hit_set]
+    for index in random.Random(5).sample(non_hits, min(400, len(non_hits))):
         phi = decode_matrix(GF(3), 3, index)
         with pytest.raises(StructureError):
             pair_from_phi(n, phi)
-        assert not product_from_endomorphism(n, phi)[1].passed
-        tried += 1
+        if centerless:
+            assert not product_from_endomorphism(n, phi)[1].passed
 
 
 def test_pair_from_phi_shapes():
