@@ -24,9 +24,14 @@ def _workloads(quick):
     prod_field = GF(pp)
     zero = [0] * (pd ** 3)
     fp = 3 if quick else 5
+    # n3/n3 over GF(2), symmetric: 2^18 candidates, which derivation-action
+    # (every L(x) a derivation of n3) cuts to 2^9 in the fallback
+    n3 = flat_bracket_tensor(builtin_algebra("n3", field=GF(2)))
     work = [("product_sweep GF(%d) dim %d full" % (pp, pd),
              lambda kern: kern.product_sweep(pp, pd, zero, zero, False, 0,
-                                             pp ** (pd ** 3)))]
+                                             pp ** (pd ** 3))),
+            ("product_sweep n3/n3 GF(2) symmetric",
+             lambda kern: kern.product_sweep(2, 3, n3, n3, True, 0, 2 ** 18))]
     # sl2 has no centre and n3 has one; the fallback's phi test relies on
     # n being a Lie algebra, not on a trivial centre, so both are compared
     for name in ("sl2", "n3"):

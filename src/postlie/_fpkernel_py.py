@@ -3,10 +3,14 @@
 Same contracts as the compiled module `_fpkernel`: candidates are indexed
 by base-p digit strings (big-endian over row-major entries), tensors are
 flat int lists of length n^3 with T[(i*n + j)*n + k] the k-th component of
-the (i, j) slot.  Each identity is stated once, as a mask over a batch of
-tensors, on the same basis tuples the compiled kernel scans (i < j, and
-i < j < k for Jacobi); the sweeps apply the masks to chunks of candidates,
-and `jacobi_ok` and `verify_structure` to a batch of one.  Sweep hits are
+the (i, j) slot.  Each identity is stated once over a batch of tensors, on
+the same basis tuples the compiled kernel scans (i < j, and i < j < k for
+Jacobi): Jacobi and module-action as masks, skew-part and
+derivation-action as residuals that `_vanishes` turns into masks.  Those
+two residuals are affine in the product tensor, so `product_sweep` reads
+its linear system off the same statements and scans only the candidates
+that solve it.  The sweeps apply the masks to chunks of candidates, and
+`jacobi_ok` and `verify_structure` to a batch of one.  Sweep hits are
 not checked again here: `search` re-verifies every hit in exact
 arithmetic, so the numpy layer is never the sole authority on a hit.
 """
@@ -14,6 +18,9 @@ arithmetic, so the numpy layer is never the sole authority on a hit.
 from itertools import combinations
 
 import numpy as np
+
+from .fields import GF, is_prime
+from .linalg import Matrix, rref
 
 NAME = "python"
 
@@ -64,10 +71,11 @@ def _jacobi(p, br):
     return _vanishes(p, term(i, j, k) + term(j, k, i) + term(k, i, j))
 
 
-def _skew(p, pr, cg, cn):
-    """Skew-part: x.y - y.x = [x, y] - {x, y} on e_i, e_j, i < j."""
+def _skew(pr, cg, cn):
+    """Residual of skew-part, x.y - y.x = [x, y] - {x, y}, on e_i, e_j,
+    i < j."""
     i, j = _increasing(pr.shape[-1], 2)
-    return _vanishes(p, (pr - pr.swapaxes(1, 2) - cg + cn)[:, i, j])
+    return (pr - pr.swapaxes(1, 2) - cg + cn)[:, i, j]
 
 
 def _module_action(p, br, pr):
@@ -79,20 +87,20 @@ def _module_action(p, br, pr):
                      - pr[:, j] @ pr[:, i] + pr[:, i] @ pr[:, j])
 
 
-def _derivation_action(p, cn, pr):
-    """Derivation-action: x.{y, z} = {x.y, z} + {y, x.z} on y = e_j,
-    z = e_k, j < k."""
+def _derivation_action(cn, pr):
+    """Residual of derivation-action, x.{y, z} = {x.y, z} + {y, x.z}, on
+    y = e_j, z = e_k, j < k."""
     j, k = _increasing(cn.shape[-1], 2)
-    return _vanishes(p, np.einsum("qt,mitr->miqr", cn[j, k], pr)
-                     - np.einsum("miqt,tqr->miqr", pr[:, :, j], cn[:, k])
-                     - np.einsum("miqt,qtr->miqr", pr[:, :, k], cn[j]))
+    return (np.einsum("qt,mitr->miqr", cn[j, k], pr)
+            - np.einsum("miqt,tqr->miqr", pr[:, :, j], cn[:, k])
+            - np.einsum("miqt,qtr->miqr", pr[:, :, k], cn[j]))
 
 
 def _structure(p, cg, cn, pr):
     """The three pair identities of products pr[m] on (cg, cn)."""
-    return (_skew(p, pr, cg, cn)
+    return (_vanishes(p, _skew(pr, cg, cn))
             & _module_action(p, np.broadcast_to(cg, pr.shape), pr)
-            & _derivation_action(p, cn, pr))
+            & _vanishes(p, _derivation_action(cn, pr)))
 
 
 def _scan(lo, hi, mask):
@@ -162,6 +170,55 @@ def _products_from_digits(p, n, digits, cg, cn, symmetric):
     return pr
 
 
+def _solution_space(p, n, cg, cn, symmetric):
+    """The digit vectors on which the affine identities hold.
+
+    Those are derivation-action, and skew-part in full mode (symmetric
+    mode builds skew-part into every candidate).  Their residuals are
+    affine in the digits, so the values at the zero candidate and at the
+    k unit candidates give the linear system, which is solved once over
+    GF(p).  The columns are ordered least significant digit first, so
+    each pivot digit depends only on more significant free digits.
+    Returns None when the system is inconsistent, else (free, piv, base,
+    coef): the digit positions of the free digits, most significant
+    first, and of the pivot digits, and the solution of rank r has the
+    free digits f, the base-p digit string of r, and the pivot digits
+    (base + f @ coef) mod p.  Rank order is then index order: two
+    solutions first differ at a free digit, since the pivot digits above
+    it are fixed by the free digits above it.
+    """
+    k = n * n * (n + 1) // 2 if symmetric else n ** 3
+    units = np.vstack([np.zeros((1, k), dtype=np.int64),
+                       np.eye(k, dtype=np.int64)])
+    pr = _products_from_digits(p, n, units, cg, cn, symmetric)
+    parts = [_derivation_action(cn, pr)]
+    if not symmetric:
+        parts.append(_skew(pr, cg, cn))
+    res = np.concatenate([r.reshape(k + 1, -1) for r in parts], axis=1)
+    # one row per residual entry: the digit columns least significant
+    # first (column c is digit k - 1 - c), then the right-hand side
+    system = np.unique(np.column_stack([(res[:0:-1] - res[0]).T, -res[0]])
+                       % p, axis=0)
+    R, pivots = rref(Matrix(GF(p), system[system.any(axis=1)].tolist()))
+    if k in pivots:
+        return None
+    rows = np.array([[v.a for v in R.row(r)] for r in range(len(pivots))],
+                    dtype=np.int64).reshape(len(pivots), k + 1)
+    free = np.array([c for c in range(k - 1, -1, -1) if c not in pivots],
+                    dtype=np.intp)
+    piv = np.array(pivots, dtype=np.intp)
+    return k - 1 - free, k - 1 - piv, rows[:, k], -rows[:, free].T % p
+
+
+def _solution_digits(p, space, lo, hi):
+    """Digit vectors of the solutions with ranks in [lo, hi)."""
+    free, piv, base, coef = space
+    digits = np.empty((hi - lo, free.size + piv.size), dtype=np.int64)
+    digits[:, free] = f = _digits(lo, hi, p, free.size)
+    digits[:, piv] = (base + f @ coef) % p
+    return digits
+
+
 def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     """Indices in [lo, hi) whose product tensor satisfies the pair identities.
 
@@ -169,15 +226,46 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     as the products e_j . e_i, and the opposite slot is forced to
     e_j . e_i + [e_i, e_j] - {e_i, e_j}, which bakes the skew-part
     identity into every candidate; in full mode the digits are the whole
-    tensor and skew-part is scanned like the other identities.
+    tensor.  Derivation-action, and skew-part in full mode, are affine in
+    the digits: they are solved over GF(p) (`_solution_space`), and only
+    the solutions are scanned, in rank order, which is index order, so
+    the hits come out sorted and a range [lo, hi) is a range of ranks,
+    found by bisection.  Module-action is quadratic and stays a mask; the
+    mask applied to each solution is the full `_structure` test.  Indices
+    outside [0, p^k) name no candidate.  The modulus must be prime.
     """
     _check_args(p, n)
+    if not is_prime(p):
+        raise ValueError("product sweeps solve over GF(p); modulus %d is "
+                         "not prime" % p)
     cg = _tensor(cg_flat, n, p)
     cn = _tensor(cn_flat, n, p)
-    k = n * n * (n + 1) // 2 if symmetric else n ** 3
-    return _scan(lo, hi, lambda a, b: _structure(
-        p, cg, cn,
-        _products_from_digits(p, n, _digits(a, b, p, k), cg, cn, symmetric)))
+    space = _solution_space(p, n, cg, cn, symmetric)
+    if space is None:
+        return []
+    k = space[0].size + space[1].size
+    # index = digits @ place, in Python ints where int64 could overflow
+    place = np.array([p ** (k - 1 - t) for t in range(k)],
+                     dtype=np.int64 if p ** k < 2 ** 63 else object)
+
+    def first_rank(lo):
+        """The rank of the first solution with index at least lo."""
+        a, b = 0, p ** space[0].size
+        while a < b:
+            mid = (a + b) // 2
+            if _solution_digits(p, space, mid, mid + 1)[0] @ place < lo:
+                a = mid + 1
+            else:
+                b = mid
+        return a
+
+    hits = []
+    r_lo, r_hi = first_rank(lo), first_rank(hi)
+    for a in range(r_lo, r_hi, _CHUNK):
+        digits = _solution_digits(p, space, a, min(r_hi, a + _CHUNK))
+        pr = _products_from_digits(p, n, digits, cg, cn, symmetric)
+        hits.extend((digits[_structure(p, cg, cn, pr)] @ place).tolist())
+    return hits
 
 
 def _dets(T, n):

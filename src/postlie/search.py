@@ -159,15 +159,18 @@ def encode_product(spec, product):
     n = spec.dim
     p = spec.p
     if spec.symmetric:
-        digits = []
-        for i in range(n):
-            for j in range(i, n):
-                digits.extend(v.a for v in product.product_basis(j, i))
-        candidate = decode_product(spec, _digits_index(digits, p))
-        if candidate != product:
+        def forced(i, j):
+            return tuple(a + b - c for a, b, c in zip(
+                product.product_basis(j, i), spec.g.bracket_basis(i, j),
+                spec.n.bracket_basis(i, j)))
+        if (product.field != spec.g.field or product.dim != n
+                or any(product.product_basis(i, j) != forced(i, j)
+                       for i in range(n) for j in range(i + 1, n))):
             raise ParameterError(
                 "product is outside the symmetric parametrization; its "
                 "skew part does not match the bracket gap")
+        digits = [v.a for i in range(n) for j in range(i, n)
+                  for v in product.product_basis(j, i)]
         return _digits_index(digits, p)
     digits = []
     for i in range(n):

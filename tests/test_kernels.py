@@ -11,6 +11,7 @@ import io
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from postlie import _fpkernel_py as pykern
@@ -281,6 +282,116 @@ def test_backend_bench_quick_run_agrees():
     assert bench.run(quick=True, out=out) == 0, out.getvalue()
 
 
+def _linear(p, cg, cn, pr):
+    """The affine identities the fallback solves instead of scanning."""
+    return (pykern._vanishes(p, pykern._skew(pr, cg, cn))
+            & pykern._vanishes(p, pykern._derivation_action(cn, pr)))
+
+
+def _box_scan(p, n, cg, cn, symmetric):
+    """Indices of the whole digit box where the affine identities hold,
+    and where the `_structure` mask holds: the scan the fallback's product
+    sweep replaced, kept here as the oracle for its solving.  The masks
+    themselves are checked against the exact layer by
+    `test_verify_structure_matches_exact_layer`."""
+    k = n * n * (n + 1) // 2 if symmetric else n ** 3
+    total = p ** k
+    linear, hits = [], []
+    for a in range(0, total, 1 << 15):
+        digits = pykern._digits(a, min(total, a + (1 << 15)), p, k)
+        pr = pykern._products_from_digits(p, n, digits, cg, cn, symmetric)
+        for found, mask in ((linear, _linear), (hits, pykern._structure)):
+            found.extend(a + int(m)
+                         for m in np.nonzero(mask(p, cg, cn, pr))[0])
+    return linear, hits
+
+
+def _check_solved_sweep(rng, p, n, cg_flat, cn_flat, symmetric):
+    """Compare the fallback's product sweep with the box scan, whole and
+    in uneven pieces; returns the free-digit count, or None when the
+    linear system has no solution."""
+    k = n * n * (n + 1) // 2 if symmetric else n ** 3
+    total = p ** k
+    cg = pykern._tensor(cg_flat, n, p)
+    cn = pykern._tensor(cn_flat, n, p)
+    case = (p, n, cg_flat, cn_flat, symmetric)
+    space = pykern._solution_space(p, n, cg, cn, symmetric)
+    solved = []
+    if space is not None:
+        # every solution, in rank order: exactly the box points where the
+        # affine identities hold, and already sorted by index
+        digits = pykern._solution_digits(p, space, 0, p ** space[0].size)
+        solved = [sum(d * p ** (k - 1 - t) for t, d in enumerate(row))
+                  for row in digits.tolist()]
+    linear, expect = _box_scan(p, n, cg, cn, symmetric)
+    assert solved == linear, case
+    assert pykern.product_sweep(p, n, cg_flat, cn_flat, symmetric,
+                                0, total) == expect, case
+    # uneven pieces, one of them with lo == hi
+    cuts = sorted([0, total] + [rng.randrange(total + 1) for _ in range(4)])
+    at = rng.randrange(len(cuts))
+    cuts.insert(at, cuts[at])
+    stitched = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        stitched.extend(pykern.product_sweep(p, n, cg_flat, cn_flat,
+                                             symmetric, lo, hi))
+    assert stitched == expect, (case, cuts)
+    assert pykern.product_sweep(p, n, cg_flat, cn_flat, symmetric,
+                                total, 0) == []
+    return None if space is None else space[0].size
+
+
+BOX_LIMIT = 400_000
+BUILTINS = {1: ("abelian",), 2: ("abelian", "r2"),
+            3: ("abelian", "n3", "r3", "sl2")}
+# dim-3 boxes (GF(2) only) take about a second each to scan, so only
+# these pairs; sl2 is n3 mod 2
+DIM3_PAIRS = (("n3", "n3"), ("abelian", "n3"), ("r3", "sl2"))
+
+
+def test_product_sweep_matches_box_scan_on_builtins():
+    rng = random.Random(5150)
+    for dim, names in BUILTINS.items():
+        pairs = DIM3_PAIRS if dim == 3 else [(g, n) for g in names
+                                             for n in names]
+        for p in (2, 3, 5, 7):
+            F = GF(p)
+            for symmetric in (True, False):
+                k = dim * dim * (dim + 1) // 2 if symmetric else dim ** 3
+                if p ** k > BOX_LIMIT:
+                    continue
+                for g_name, n_name in pairs:
+                    cg = flat_bracket_tensor(_named(g_name, F, dim))
+                    cn = flat_bracket_tensor(_named(n_name, F, dim))
+                    _check_solved_sweep(rng, p, dim, cg, cn, symmetric)
+
+
+def test_product_sweep_matches_box_scan_on_random_tables():
+    # arbitrary tensors, some not antisymmetric and some with cg = cn
+    # (a homogeneous system in symmetric mode), so that systems with no
+    # solution, with one, and with no pivot all occur
+    rng = random.Random(8093)
+    seen = set()
+    cases = [(n, p, symmetric) for n in (1, 2) for p in (2, 3, 5, 7)
+             for symmetric in (True, False)
+             if p ** (n * n * (n + 1) // 2 if symmetric else n ** 3)
+             <= BOX_LIMIT]
+    for n, p, symmetric in cases * 3 + [(3, 2, True)] * 2:
+        k = n * n * (n + 1) // 2 if symmetric else n ** 3
+        if rng.random() < 0.5:
+            cg = _random_bracket(rng, n, p)[0]
+            cn = _random_bracket(rng, n, p)[0]
+        else:
+            cg = [rng.randrange(p) for _ in range(n ** 3)]
+            cn = [rng.randrange(p) for _ in range(n ** 3)]
+        if n == 3 or rng.random() < 0.25:
+            cg = list(cn)
+        free = _check_solved_sweep(rng, p, n, cg, cn, symmetric)
+        seen.add("inconsistent" if free is None else
+                 "d = 0" if free == 0 else "d = k" if free == k else "cut")
+    assert seen == {"inconsistent", "d = 0", "d = k", "cut"}
+
+
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
 def test_sweep_windows_compose(kern):
     cg = _r2_flat(3)
@@ -339,6 +450,9 @@ def test_kernel_argument_errors(kern):
         # {e1, e1} = e1 is antisymmetric mod 2 but not alternating
         with pytest.raises(ValueError, match="not a Lie bracket"):
             kern.phi_sweep(2, 1, [1], 0, 1)
+        # the product sweep solves its affine identities over GF(p)
+        with pytest.raises(ValueError, match="not prime"):
+            kern.product_sweep(4, 2, [0] * 8, [0] * 8, True, 0, 1)
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)

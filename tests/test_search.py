@@ -81,6 +81,26 @@ def test_encode_rejects_unreachable_tables():
     with pytest.raises(ParameterError):
         encode_product(spec, asym)
 
+    # one product off the parametrization per forced slot (i < j): a
+    # reachable product with that slot alone shifted
+    F = GF(3)
+    spec3 = SearchSpec(builtin_algebra("r3", field=F),
+                       builtin_algebra("n3", field=F), symmetric=True)
+    reachable = decode_product(spec3, 5000)
+    assert encode_product(spec3, reachable) == 5000
+    outside = "outside the symmetric parametrization"
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        table = dict(reachable.table)
+        slot = reachable.product_basis(i, j)
+        table[(i, j)] = (slot[0] + 1,) + slot[1:]
+        with pytest.raises(ParameterError, match=outside):
+            encode_product(spec3, BilinearProduct(F, 3, table))
+    # a product over another field or of another dimension
+    with pytest.raises(ParameterError, match=outside):
+        encode_product(spec3, BilinearProduct(GF(5), 3, {}))
+    with pytest.raises(ParameterError, match=outside):
+        encode_product(spec3, BilinearProduct(F, 2, {}))
+
 
 def test_enumeration_full_agrees_with_direct_scan():
     # GF(2) is small enough to re-check every candidate with the scanner
