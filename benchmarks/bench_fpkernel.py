@@ -39,6 +39,12 @@ def _workloads(quick):
         work.append(("phi_sweep %s GF(%d)" % (name, fp),
                      lambda kern, cn=cn: kern.phi_sweep(fp, 3, cn, 0,
                                                         fp ** 9)))
+    if not quick:
+        # 1,066 hits; full mode only, because the compiled kernel scans
+        # the whole 7^9 box here, about 9 s
+        sl2 = flat_bracket_tensor(builtin_algebra("sl2", field=GF(7)))
+        work.append(("phi_sweep sl2 GF(7)",
+                     lambda kern: kern.phi_sweep(7, 3, sl2, 0, 7 ** 9)))
     return work
 
 

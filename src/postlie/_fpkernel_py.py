@@ -9,7 +9,9 @@ Jacobi): Jacobi and module-action as masks, skew-part and
 derivation-action as residuals that `_vanishes` turns into masks.  Those
 two residuals are affine in the product tensor, so `product_sweep` reads
 its linear system off the same statements and scans only the candidates
-that solve it.  The sweeps apply the masks to chunks of candidates, and
+that solve it; `phi_sweep` in dimension 3 likewise solves module-action
+on (e1, e2), which is affine in the last column of phi once the first
+two are fixed.  The sweeps apply the masks to chunks of candidates, and
 `jacobi_ok` and `verify_structure` to a batch of one.  Sweep hits are
 not checked again here: `search` re-verifies every hit in exact
 arithmetic, so the numpy layer is never the sole authority on a hit.
@@ -20,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .fields import GF, is_prime
-from .linalg import Matrix, rref
+from .linalg import Matrix, nullspace, rref
 
 NAME = "python"
 
@@ -126,6 +128,93 @@ def verify_structure(p, n, cg, cn, pr):
     return bool(_structure(p, cg, cn, pr[None])[0])
 
 
+def _phi_hits(p, cn, phi):
+    """Module-action of x.y = {phi x, y} against its induced bracket, per
+    matrix phi[m] (column i is phi e_i)."""
+    pr = np.einsum("mki,kjr->mijr", phi, cn) % p
+    br = (pr - pr.swapaxes(1, 2) + cn) % p
+    return _module_action(p, br, pr)
+
+
+def _centre(p, cn):
+    """Every element of Z(n) mod p, one per row, from a basis computed
+    exactly over GF(p): z is central when {z, e_j} = 0 for every j."""
+    n = cn.shape[0]
+    rows = cn.transpose(1, 2, 0).reshape(n * n, n).tolist()
+    basis = np.array([[v.a for v in z]
+                      for z in nullspace(Matrix(GF(p), rows))],
+                     dtype=np.int64).reshape(-1, n)
+    return _digits(0, p ** len(basis), p, len(basis)) @ basis % p
+
+
+def _solved_phi_sweep(p, cn, lo, hi):
+    """The dim-3 phi sweep, solving the (e1, e2) defect for phi e3.
+
+    Module-action for x.y = {phi x, y} says that the defect
+    {phi x, phi y} - phi({phi x, y} + {x, phi y} + {x, y}) is central
+    (by Jacobi of n, [x, y].z - x.(y.z) + y.(x.z) is {z, defect}).  Fix
+    the columns a = phi e1 and b = phi e2, a prefix of six digits, and
+    let w = {a, e2} + {e1, b} + {e1, e2}.  The (e1, e2) defect is
+    S - w_3 phi e3 with S = {a, b} - w_1 a - w_2 b, so it is central
+    exactly when phi e3 lies in S / w_3 + Z(n) (w_3 != 0), or when S is
+    central and phi e3 is anything (w_3 = 0).  Only those candidates are
+    built, and each one is decided by the same module-action mask as the
+    box scan.
+    """
+    centre = _centre(p, cn)
+    anything = _digits(0, p ** 3, p, 3)
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)],
+                       dtype=np.int64)
+    # place[r, c]: the place value of the digit phi[r, c] in an index
+    place = p ** np.arange(8, -1, -1, dtype=np.int64).reshape(3, 3)
+
+    def columns(a, b):
+        """phi e1 and phi e2 of the prefixes in [a, b), as (m, 3, 2)."""
+        return _digits(a, b, p, 6).reshape(b - a, 3, 2)
+
+    def first_prefix(bound):
+        """The first prefix whose own digits place it at bound or above;
+        prefix order is index order with phi e3 = 0."""
+        a, b = 0, p ** 6
+        while a < b:
+            mid = (a + b) // 2
+            if np.sum(columns(mid, mid + 1)[0] * place[:, :2]) < bound:
+                a = mid + 1
+            else:
+                b = mid
+        return a
+
+    hits = []
+
+    def test(cols, base, choices):
+        """Mask the candidates with phi e1, phi e2 from cols[m] and
+        phi e3 = base[m] + each row of choices, about _CHUNK at a time."""
+        step = max(1, _CHUNK // len(choices))
+        for s in range(0, len(cols), step):
+            last = (base[s:s + step, None] + choices) % p
+            m, c = last.shape[:2]
+            phi = np.concatenate([np.repeat(cols[s:s + step], c, axis=0),
+                                  last.reshape(m * c, 3, 1)], axis=2)
+            idx = np.einsum("mrc,rc->m", phi, place)
+            keep = (lo <= idx) & (idx < hi)
+            hits.extend(idx[keep][_phi_hits(p, cn, phi[keep])].tolist())
+
+    q_lo = first_prefix(lo - (p - 1) * place[:, 2].sum())
+    q_hi = first_prefix(hi)
+    for a in range(q_lo, q_hi, _CHUNK):
+        cols = columns(a, min(q_hi, a + _CHUNK))
+        x, y = cols[..., 0], cols[..., 1]
+        w = (x @ cn[:, 1] + y @ cn[0] + cn[0, 1]) % p
+        s = (np.einsum("mk,ml,klr->mr", x, y, cn)
+             - w[:, :1] * x - w[:, 1:2] * y) % p
+        solved = w[:, 2] != 0
+        free = ~solved & np.all(np.einsum("mk,kjr->mjr", s, cn) % p == 0,
+                                axis=(1, 2))
+        test(cols[solved], s[solved] * inverse[w[solved, 2]][:, None], centre)
+        test(cols[free], np.zeros_like(s[free]), anything)
+    return sorted(hits)
+
+
 def phi_sweep(p, n, cn_flat, lo, hi):
     """Indices in [lo, hi) whose endomorphism yields a structure product.
 
@@ -138,19 +227,28 @@ def phi_sweep(p, n, cn_flat, lo, hi):
     module-action makes the induced bracket satisfy Jacobi.  So a `cn`
     that is not alternating or fails Jacobi mod p is rejected with
     ValueError; otherwise phi = 0 would count as a hit.
+
+    In dimension 3, module-action on (e1, e2) is the weight-1 Rota-Baxter
+    equation modulo the centre Z(n); it is affine in phi e3 once phi e1
+    and phi e2 are fixed, so it is solved over GF(p) for each of those
+    p^6 prefixes and only its solutions are masked
+    (`_solved_phi_sweep`).  Dimensions 1 and 2 scan the whole box, at
+    most p^4 candidates.  Either way the hits are sorted, and a range
+    [lo, hi) gives exactly the hits in it.  Indices outside [0, p^(n^2))
+    name no candidate.  The modulus must be prime.
     """
     _check_args(p, n)
+    if not is_prime(p):
+        raise ValueError("phi sweeps solve over GF(p); modulus %d is not "
+                         "prime" % p)
     cn = _tensor(cn_flat, n, p)
     if (np.any(cn.diagonal()) or np.any((cn + cn.swapaxes(0, 1)) % p)
             or not _jacobi(p, cn[None])[0]):
         raise ValueError("second bracket is not a Lie bracket mod %d" % p)
-
-    def hit(a, b):
-        phi = _digits(a, b, p, n * n).reshape(b - a, n, n)
-        pr = np.einsum("mki,kjr->mijr", phi, cn) % p
-        br = (pr - pr.swapaxes(1, 2) + cn) % p
-        return _module_action(p, br, pr)
-    return _scan(lo, hi, hit)
+    if n == 3:
+        return _solved_phi_sweep(p, cn, lo, hi)
+    return _scan(max(lo, 0), min(hi, p ** (n * n)), lambda a, b: _phi_hits(
+        p, cn, _digits(a, b, p, n * n).reshape(b - a, n, n)))
 
 
 def _products_from_digits(p, n, digits, cg, cn, symmetric):

@@ -48,7 +48,13 @@ class Mod:
             return x
         return None
 
+    # Each operator first takes the common case, a Mod with the same
+    # modulus; everything else goes through _other, which folds in ints
+    # and raises on a foreign modulus.
+
     def __add__(self, x):
+        if type(x) is Mod and x.p == self.p:
+            return Mod(self.a + x.a, self.p)
         b = self._other(x)
         if b is None:
             return NotImplemented
@@ -57,6 +63,8 @@ class Mod:
     __radd__ = __add__
 
     def __sub__(self, x):
+        if type(x) is Mod and x.p == self.p:
+            return Mod(self.a - x.a, self.p)
         b = self._other(x)
         if b is None:
             return NotImplemented
@@ -69,6 +77,8 @@ class Mod:
         return Mod(b - self.a, self.p)
 
     def __mul__(self, x):
+        if type(x) is Mod and x.p == self.p:
+            return Mod(self.a * x.a, self.p)
         b = self._other(x)
         if b is None:
             return NotImplemented
@@ -106,6 +116,8 @@ class Mod:
         return self
 
     def __eq__(self, x):
+        if type(x) is Mod and x.p == self.p:
+            return self.a == x.a
         if isinstance(x, Mod):
             if x.p != self.p:
                 raise FieldMismatchError(
@@ -133,7 +145,9 @@ class Mod:
 class Field:
     """Q when p is None, else F_p for a prime p < 2**16."""
 
-    __slots__ = ("p",)
+    # zero and one are built once: scalars are never mutated, so every
+    # caller can share them
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p=None):
         if p is not None:
@@ -142,6 +156,8 @@ class Field:
                 raise UnsupportedFieldError(
                     "modulus must be a prime below 2**16, got %r" % (p,))
         self.p = p
+        self.zero = self.scalar(0)
+        self.one = self.scalar(1)
 
     @property
     def is_rational(self):
@@ -154,14 +170,6 @@ class Field:
     @property
     def name(self):
         return "Q" if self.p is None else "Fp:%d" % self.p
-
-    @property
-    def zero(self):
-        return self.scalar(0)
-
-    @property
-    def one(self):
-        return self.scalar(1)
 
     def scalar(self, x):
         """Coerce an int, Fraction, Mod, or canonical string into this field."""

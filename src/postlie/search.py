@@ -155,17 +155,22 @@ def decode_product(spec, index):
 
 def encode_product(spec, product):
     """Inverse of decode_product; rejects tensors the parametrization
-    cannot reach (a symmetric-mode product whose skew part is off)."""
+    cannot reach: a product over another field or of another dimension,
+    or a symmetric-mode product whose skew part is off."""
     n = spec.dim
     p = spec.p
+    mode = "symmetric" if spec.symmetric else "full"
+    if product.field != spec.g.field or product.dim != n:
+        raise ParameterError(
+            "product is outside the %s parametrization; it is not a "
+            "dimension-%d product over %s" % (mode, n, spec.g.field.name))
     if spec.symmetric:
         def forced(i, j):
             return tuple(a + b - c for a, b, c in zip(
                 product.product_basis(j, i), spec.g.bracket_basis(i, j),
                 spec.n.bracket_basis(i, j)))
-        if (product.field != spec.g.field or product.dim != n
-                or any(product.product_basis(i, j) != forced(i, j)
-                       for i in range(n) for j in range(i + 1, n))):
+        if any(product.product_basis(i, j) != forced(i, j)
+               for i in range(n) for j in range(i + 1, n)):
             raise ParameterError(
                 "product is outside the symmetric parametrization; its "
                 "skew part does not match the bracket gap")
@@ -247,8 +252,12 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     skew-part holds by construction, derivation-action is the Jacobi
     identity of n, and module-action gives Jacobi of the induced bracket,
     so module-action alone decides a hit.  That is all the numpy fallback
-    tests; the compiled kernel tests everything, and every hit is
-    re-verified in exact arithmetic.  When the second table is complete
+    tests, and in dimension 3 it first solves module-action on (e1, e2)
+    for phi e3 modulo the centre of n, so it masks only the solutions;
+    the compiled kernel scans and tests everything.  Either way every
+    hit is re-verified here in exact arithmetic by building its pair
+    with `pair_from_phi`.  `total` stays the whole box p^(n^2), which is
+    also what the guard counts.  When the second table is complete
     (all derivations inner, trivial center) every structure product has
     this shape, so the sweep is exhaustive over all structures with the
     given n, not merely over an ansatz.

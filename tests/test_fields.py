@@ -1,11 +1,14 @@
 """Exact scalar arithmetic over Q and prime fields."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from postlie.errors import UnsupportedFieldError
+from postlie.errors import FieldMismatchError, UnsupportedFieldError
 from postlie.fields import GF, QQ, Field, Mod, is_prime
 
 
@@ -116,3 +119,50 @@ def test_field_axioms_sampled():
 def test_mod_repr_is_plain():
     assert str(Mod(3, 7)) == "3"
     assert Mod(-2, 7) == Mod(5, 7)
+
+
+def test_mixed_moduli_raise_on_either_side():
+    a, b = Mod(3, 5), Mod(3, 7)
+    for x, y in ((a, b), (b, a)):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(FieldMismatchError):
+                op(x, y)
+    with pytest.raises(FieldMismatchError):
+        a + GF(7).one
+
+
+def test_mod_int_interop_is_unchanged():
+    a = GF(7).scalar(5)
+    assert (a + 4, 4 + a, a - 6, 6 - a, a * 3, 3 * a) == tuple(
+        Mod(v, 7) for v in (2, 2, 6, 1, 1, 1))
+    assert a == 5 and 5 == a and a == 12 and a != 4
+    assert -a == 2 and a / 3 == 4 and 3 / a == 2
+    with pytest.raises(TypeError):
+        a + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * a
+    assert (a == "5") is False
+
+
+def test_field_constants_are_shared_and_arithmetic_makes_new_scalars():
+    F = GF(5)
+    zero, one = F.zero, F.one
+    assert F.zero is zero and F.one is one
+    assert zero == 0 and one == 1 and QQ.zero == 0 and QQ.one == 1
+    results = [zero + zero, zero - zero, zero * one, one * one, -zero,
+               zero + 0, 1 * one]
+    assert all(r is not zero and r is not one for r in results)
+    assert (zero.a, one.a) == (0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 65521]), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_mod_ops_agree_with_ints(p, x, y):
+    a, b = Mod(x, p), Mod(y, p)
+    for op in (operator.add, operator.sub, operator.mul):
+        expect = op(x, y) % p
+        for got in (op(a, b), op(a, y), op(x, b)):
+            assert type(got) is Mod and (got.a, got.p) == (expect, p)
+    assert (a == b) is (x % p == y % p)
+    assert (a == y) is (x % p == y % p)

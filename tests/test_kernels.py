@@ -18,7 +18,8 @@ from postlie import _fpkernel_py as pykern
 from postlie import fpkernel
 from postlie.catalog import builtin_algebra, get_entry
 from postlie.fields import GF
-from postlie.lie import LieAlgebra, check_lie_axioms
+from postlie.lie import LieAlgebra, center, check_lie_axioms
+from postlie.linalg import Matrix, inverse
 from postlie.search import flat_bracket_tensor, flat_product_tensor
 from postlie.structures import BilinearProduct, check_structure
 
@@ -450,9 +451,11 @@ def test_kernel_argument_errors(kern):
         # {e1, e1} = e1 is antisymmetric mod 2 but not alternating
         with pytest.raises(ValueError, match="not a Lie bracket"):
             kern.phi_sweep(2, 1, [1], 0, 1)
-        # the product sweep solves its affine identities over GF(p)
+        # both sweeps solve their affine identities over GF(p)
         with pytest.raises(ValueError, match="not prime"):
             kern.product_sweep(4, 2, [0] * 8, [0] * 8, True, 0, 1)
+        with pytest.raises(ValueError, match="not prime"):
+            kern.phi_sweep(4, 3, [0] * 27, 0, 1)
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
@@ -461,3 +464,72 @@ def test_sweep_results_are_sorted_ints(kern):
     hits = kern.phi_sweep(2, 3, cn, 0, 2 ** 9)
     assert hits == sorted(hits)
     assert all(isinstance(h, int) for h in hits)
+
+
+def _phi_box_scan(p, n, cn):
+    """Indices of every phi in the box whose product x.y = {phi x, y}
+    passes the `_module_action` mask: the scan the fallback's dim-3 phi
+    sweep replaced, kept here as the oracle for its solving."""
+    total = p ** (n * n)
+    hits = []
+    for a in range(0, total, 1 << 15):
+        phi = pykern._digits(a, min(total, a + (1 << 15)), p, n * n)
+        phi = phi.reshape(-1, n, n)
+        pr = np.einsum("mki,kjr->mijr", phi, cn) % p
+        br = (pr - pr.swapaxes(1, 2) + cn) % p
+        hits.extend(a + int(m) for m in
+                    np.nonzero(pykern._module_action(p, br, pr))[0])
+    return hits
+
+
+def _seeded_basis_change(rng, F, n):
+    while True:
+        T = Matrix(F, [[rng.randrange(F.p) for _ in range(n)]
+                       for _ in range(n)])
+        if inverse(T) is not None:
+            return T
+
+
+def test_phi_sweep_matches_box_scan():
+    # tier-1 has no compiled backend, so this oracle is the only check
+    # of the solved sweep against the box there
+    rng = random.Random(6173)
+    cases = [(name, p, conj) for p in (2, 3)
+             for name in ("abelian", "n3", "r3", "sl2")
+             for conj in (False, True)]
+    cases += [("sl2", 5, False), ("r3", 5, False)]
+    branches = set()
+    with_centre = set()
+    for name, p, conj in cases:
+        F = GF(p)
+        L = _named(name, F, 3)
+        if conj:
+            L = L.change_basis(_seeded_basis_change(rng, F, 3))
+        if center(L).dim:
+            with_centre.add(name)
+        flat = flat_bracket_tensor(L)
+        cn = pykern._tensor(flat, 3, p)
+        total = p ** 9
+        expect = _phi_box_scan(p, 3, cn)
+        case = (name, p, conj)
+        assert pykern.phi_sweep(p, 3, flat, 0, total) == expect, case
+        # uneven pieces, one of them with lo == hi
+        cuts = sorted([0, total] + [rng.randrange(total + 1)
+                                    for _ in range(4)])
+        at = rng.randrange(len(cuts))
+        cuts.insert(at, cuts[at])
+        stitched = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            stitched.extend(pykern.phi_sweep(p, 3, flat, lo, hi))
+        assert stitched == expect, (case, cuts)
+        assert pykern.phi_sweep(p, 3, flat, total, 0) == []
+        # which branch of the solve each hit came from: w_3, the
+        # e3-coefficient of {phi e1, e2} + {e1, phi e2} + {e1, e2}
+        phi = pykern._digits(0, total, p, 9)[expect].reshape(-1, 3, 3)
+        w3 = (phi[:, :, 0] @ cn[:, 1, 2] + phi[:, :, 1] @ cn[0, :, 2]
+              + cn[0, 1, 2]) % p
+        branches |= {"w3 != 0" if w else "w3 = 0" for w in w3.tolist()}
+    assert branches == {"w3 != 0", "w3 = 0"}
+    # Z(n) != 0 puts a whole coset of candidates behind each solution
+    # (sl2 mod 2 is n3)
+    assert {"abelian", "n3"} <= with_centre

@@ -1,7 +1,9 @@
 """Finite-field sweeps: encoding, enumeration, orbits, the phi ansatz."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from postlie import fpkernel
@@ -11,7 +13,7 @@ from postlie.errors import (DimensionError, GuardError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ
 from postlie.lie import center
-from postlie.linalg import Matrix
+from postlie.linalg import Matrix, inverse
 from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             automorphism_indices, check_guard, current_guard,
                             decode_matrix, decode_product, encode_matrix,
@@ -100,6 +102,15 @@ def test_encode_rejects_unreachable_tables():
         encode_product(spec3, BilinearProduct(GF(5), 3, {}))
     with pytest.raises(ParameterError, match=outside):
         encode_product(spec3, BilinearProduct(F, 2, {}))
+    # full mode reaches every table of its field and dimension, and no
+    # other: a GF(5) product with e2.e2 = 4 e2 once encoded to 4
+    full = _abelian_spec(3, symmetric=False)
+    assert encode_product(full, decode_product(full, 4)) == 4
+    outside = "outside the full parametrization"
+    with pytest.raises(ParameterError, match=outside):
+        encode_product(full, BilinearProduct(GF(5), 2, {(1, 1): {1: 4}}))
+    with pytest.raises(ParameterError, match=outside):
+        encode_product(full, BilinearProduct(GF(3), 3, {}))
 
 
 def test_enumeration_full_agrees_with_direct_scan():
@@ -310,3 +321,72 @@ def test_probe_existence_and_banner():
 
     nothing = nonexistence_probe("heisenberg", p=5)
     assert not nothing.exists and nothing.matching == ()
+
+
+def _phi_matrices(p, indices):
+    """The matrices phi[m] (column i is phi e_i) of dim-3 sweep indices."""
+    digits = [[index // p ** (8 - t) % p for t in range(9)]
+              for index in indices]
+    return np.array(digits, dtype=np.int64).reshape(-1, 3, 3)
+
+
+def _phi_indices(p, phi):
+    return set((phi.reshape(-1, 9) % p @ p ** np.arange(8, -1, -1)).tolist())
+
+
+def _ints(mat):
+    return np.array([v.a for v in mat.flat()]).reshape(mat.nrows, mat.ncols)
+
+
+def _sl2_automorphisms(p):
+    """Aut(sl2) over GF(p), without the automorphism sweep: the builtin
+    table has {e1, e2} = e3, so T e3 = {T e1, T e2}, and the T whose
+    other two brackets hold and that are invertible are exactly the
+    automorphisms.  Each is (T, T^-1) as integer matrices."""
+    cn = np.array(flat_bracket_tensor(builtin_algebra("sl2", field=GF(p))),
+                  dtype=np.int64).reshape(3, 3, 3)
+    cols = np.array(list(itertools.product(range(p), repeat=6)),
+                    dtype=np.int64).reshape(-1, 2, 3)
+    a, b = cols[:, 0], cols[:, 1]
+
+    def bracket(x, y):
+        return np.einsum("mk,ml,klr->mr", x, y, cn) % p
+    c = bracket(a, b)
+    T = np.stack([a, b, c], axis=2)
+    ok = ((bracket(a, c) - T @ cn[0, 2]) % p == 0).all(axis=1) \
+        & ((bracket(b, c) - T @ cn[1, 2]) % p == 0).all(axis=1)
+    out = []
+    for mat in T[ok]:
+        inv = inverse(Matrix(GF(p), mat.tolist()))
+        if inv is not None:
+            out.append((mat, _ints(inv)))
+    return out
+
+
+@pytest.mark.parametrize("name, p, sample", [
+    ("n3", 3, None), ("r3", 3, None), ("sl2", 3, None), ("sl2", 5, 12)])
+def test_phi_hits_closed_under_involution_and_automorphisms(name, p, sample):
+    # both maps preserve the module-action defect modulo Z(n), so no
+    # oracle is needed: the defect of -id - phi is the defect of phi, and
+    # for T in Aut(n) the defect of T phi T^-1 is T applied to the defect
+    # of phi, which is central again because T Z(n) = Z(n)
+    F = GF(p)
+    n = builtin_algebra(name, field=F)
+    hits = fpkernel.phi_sweep(p, 3, flat_bracket_tensor(n), 0, p ** 9)
+    phi = _phi_matrices(p, hits)
+    hit_set = set(hits)
+    assert len(hit_set) == len(hits) > 1
+    assert _phi_indices(p, -np.eye(3, dtype=np.int64) - phi) == hit_set
+    if sample is None:
+        auts = [decode_matrix(F, 3, index)
+                for index in automorphism_indices([n])]
+        pairs = [(_ints(T), _ints(inverse(T))) for T in auts]
+    else:
+        # the automorphism sweep scans all 5^9 matrices, seconds on the
+        # numpy backend, so Aut(sl2) is built directly and sampled
+        pairs = _sl2_automorphisms(p)
+        assert len(pairs) == 120  # |PGL2(F5)|
+        pairs = random.Random(8231).sample(pairs, sample)
+    assert len(pairs) > 1
+    for T, T_inv in pairs:
+        assert _phi_indices(p, T @ phi @ T_inv) == hit_set
