@@ -190,10 +190,10 @@ def _solved_phi_sweep(p, cn, lo, hi):
         """Mask the candidates with phi e1, phi e2 from cols[m] and
         phi e3 = base[m] + each row of choices, about _CHUNK at a time."""
         step = max(1, _CHUNK // len(choices))
-        for s in range(0, len(cols), step):
-            last = (base[s:s + step, None] + choices) % p
+        for t in range(0, len(cols), step):
+            last = (base[t:t + step, None] + choices) % p
             m, c = last.shape[:2]
-            phi = np.concatenate([np.repeat(cols[s:s + step], c, axis=0),
+            phi = np.concatenate([np.repeat(cols[t:t + step], c, axis=0),
                                   last.reshape(m * c, 3, 1)], axis=2)
             idx = np.einsum("mrc,rc->m", phi, place)
             keep = (lo <= idx) & (idx < hi)

@@ -48,9 +48,9 @@ class Mod:
             return x
         return None
 
-    # Each operator first takes the common case, a Mod with the same
-    # modulus; everything else goes through _other, which folds in ints
-    # and raises on a foreign modulus.
+    # + - * first take the common case, a Mod with the same modulus;
+    # everything else goes through _other, which folds in ints and raises
+    # on a foreign modulus.
 
     def __add__(self, x):
         if type(x) is Mod and x.p == self.p:
@@ -116,8 +116,6 @@ class Mod:
         return self
 
     def __eq__(self, x):
-        if type(x) is Mod and x.p == self.p:
-            return self.a == x.a
         if isinstance(x, Mod):
             if x.p != self.p:
                 raise FieldMismatchError(
