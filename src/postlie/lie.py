@@ -16,9 +16,10 @@ from math import isqrt
 
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
-from .linalg import (Matrix, as_vector, commutator, coordinates_in_span,
-                     flatten_matrix, inverse, is_zero_vec, nullspace, rank,
-                     span_basis, unit_vector, vadd, vscale, vzero)
+from .linalg import (Matrix, as_vector, basis_change_table, commutator,
+                     coordinates_in_span, flatten_matrix, is_zero_vec,
+                     nullspace, rank, span_basis, unit_vector, vadd, vscale,
+                     vzero)
 from .report import CheckItem, CheckReport
 
 
@@ -91,16 +92,15 @@ class LieAlgebra:
         return self
 
     def change_basis(self, T):
-        """The same algebra written in the basis T e_1, ..., T e_n."""
-        Tinv = inverse(T)
-        if Tinv is None:
-            raise DimensionError("basis change matrix is singular")
-        table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                vec = Tinv.apply(self.bracket(T.col(i), T.col(j)))
-                table[(i, j)] = vec
-        out = LieAlgebra(self.field, self.dim, table, name=self.name)
+        """The same algebra written in the basis T e_1, ..., T e_n; a
+        singular T raises DimensionError."""
+        slots = dict(self.brackets)
+        for (i, j), vec in self.brackets.items():
+            slots[(j, i)] = tuple(-a for a in vec)
+        moved = basis_change_table(self.field, self.dim, slots, T)
+        out = LieAlgebra(self.field, self.dim,
+                         {(i, j): vec for (i, j), vec in moved.items()
+                          if i < j}, name=self.name)
         out._validated = self._validated
         return out
 

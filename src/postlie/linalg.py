@@ -7,6 +7,7 @@ No floating point is used anywhere.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DimensionError, FieldMismatchError
 
@@ -305,6 +306,54 @@ def inverse(matrix):
     if tuple(range(n)) != pivots[:n] or len(pivots) != n:
         return None
     return Matrix(field, [R.row(i)[n:] for i in range(n)])
+
+
+def basis_change_table(field, dim, slots, T, Tinv=None):
+    """The structure constants of a bilinear map B written in the basis
+    T e_1, ..., T e_n: {(i, j): T^-1 B(T e_i, T e_j)} for every index pair.
+
+    `slots` maps index pairs (a, b) to B(e_a, e_b); absent pairs are zero.
+    The contraction sums over a, then b, then c on raw values (residue
+    ints or Fractions), so the vectors it returns are not reduced: the
+    caller's table constructor reduces each entry into the field once.
+    `Tinv` is the inverse of T when the caller already holds it; it is
+    trusted, not checked.  Without it the inverse is computed here, and a
+    singular T raises DimensionError.
+    """
+    if T.field != field:
+        raise FieldMismatchError("basis change over %s for a table over %s"
+                                 % (T.field.name, field.name))
+    if T.shape != (dim, dim):
+        raise DimensionError("basis change of shape %r for dimension %d"
+                             % (T.shape, dim))
+    if Tinv is None:
+        Tinv = inverse(T)
+        if Tinv is None:
+            raise DimensionError("basis change matrix is singular")
+    # plain values: the residue int over GF(p), the Fraction itself over Q
+    raw = (lambda v: v) if field.is_rational else (lambda v: v.a)
+    n = range(dim)
+    t = [raw(v) for v in T.flat()]
+    s = [raw(v) for v in Tinv.flat()]
+    cols = [t[i::dim] for i in n]
+    back = [s[k * dim:(k + 1) * dim] for k in n]
+    entries = [(a, b, [raw(v) for v in vec])
+               for (a, b), vec in slots.items()]
+    table = {}
+    for i in n:
+        x = cols[i]
+        # left[c][b] = sum_a x_a B(e_a, e_b)_c
+        left = [[0] * dim for _ in n]
+        for a, b, vec in entries:
+            xa = x[a]
+            if xa:
+                for c in n:
+                    left[c][b] += xa * vec[c]
+        for j in n:
+            # w_c = B(T e_i, T e_j)_c = sum_b (T e_j)_b left[c][b]
+            w = [sum(map(mul, cols[j], row)) for row in left]
+            table[(i, j)] = tuple([sum(map(mul, r, w)) for r in back])
+    return table
 
 
 def coordinates_in_span(vectors, target, field):

@@ -18,7 +18,7 @@ from .errors import (GuardError, ParameterError, StructureError,
                      UnsupportedFieldError)
 from .fields import GF
 from .lie import LieAlgebra, is_nilpotent, is_perfect, is_solvable
-from .linalg import Matrix
+from .linalg import Matrix, inverse
 from .structures import (BilinearProduct, PostLiePair, check_structure,
                          induced_bracket, phi_product)
 
@@ -309,10 +309,30 @@ def automorphism_indices(algebras, kernel=None):
     return tuple(kernel.gl_invariance_sweep(p, n, tensors, 0, total))
 
 
-def transform_product(product, T):
+def transform_product(product, T, Tinv=None):
     """The product conjugated by the basis change T: the table of
-    T^-1 (T x . T y)."""
-    return product.change_basis(T)
+    T^-1 (T x . T y).  `Tinv` is the inverse of T when the caller already
+    holds it."""
+    return product.change_basis(T, Tinv)
+
+
+def _inverses(indices, mats):
+    """The inverse of each matrix in `mats` (decoded from `indices`), each
+    inverted once.  A group is closed under inverses, so an inverse found
+    in the list is that entry itself, and its own inverse is known without
+    a second inversion; None stands for a singular matrix."""
+    position = {index: k for k, index in enumerate(indices)}
+    invs = [None] * len(mats)
+    for k, T in enumerate(mats):
+        if invs[k] is not None:
+            continue
+        Tinv = inverse(T)
+        other = None if Tinv is None else position.get(encode_matrix(Tinv))
+        if other is None:
+            invs[k] = Tinv
+        else:
+            invs[k], invs[other] = mats[other], T
+    return invs
 
 
 @dataclass(frozen=True)
@@ -341,6 +361,7 @@ def orbit_reduce(spec, indices, kernel=None):
     hit_set = set(indices)
     auts = automorphism_indices([spec.g, spec.n], kernel=kernel)
     mats = [decode_matrix(spec.g.field, spec.dim, a) for a in auts]
+    pairs = list(zip(mats, _inverses(auts, mats)))
     seen = set()
     orbits = []
     for index in sorted(hit_set):
@@ -348,8 +369,8 @@ def orbit_reduce(spec, indices, kernel=None):
             continue
         product = decode_product(spec, index)
         orbit = set()
-        for T in mats:
-            moved = encode_product(spec, transform_product(product, T))
+        for T, Tinv in pairs:
+            moved = encode_product(spec, transform_product(product, T, Tinv))
             if moved not in hit_set:
                 raise GuardError(
                     "automorphism carried hit %d to non-hit %d; orbit "

@@ -25,9 +25,10 @@ from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
                   is_complete_lie, is_derivation, is_nilpotent, is_solvable,
                   is_perfect, killing_is_semisimple, nilpotency_class,
                   semidirect_with_derivations, classify_low_dim)
-from .linalg import (Matrix, as_vector, commutator, coordinates_in_span,
-                     flatten_matrix, inverse, is_nilpotent_matrix, is_zero_vec,
-                     nullspace, unit_vector, vadd, vscale, vsub, vzero)
+from .linalg import (Matrix, as_vector, basis_change_table, commutator,
+                     coordinates_in_span, flatten_matrix, inverse,
+                     is_nilpotent_matrix, is_zero_vec, nullspace, unit_vector,
+                     vadd, vscale, vsub, vzero)
 from .report import CheckItem, CheckReport
 
 
@@ -81,16 +82,12 @@ class BilinearProduct:
     def is_zero(self):
         return not self.table
 
-    def change_basis(self, T):
-        """The same product in the basis T e_1, ..., T e_n."""
-        Tinv = inverse(T)
-        if Tinv is None:
-            raise DimensionError("basis change matrix is singular")
-        table = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                table[(i, j)] = Tinv.apply(self.product(T.col(i), T.col(j)))
-        return BilinearProduct(self.field, self.dim, table)
+    def change_basis(self, T, Tinv=None):
+        """The same product in the basis T e_1, ..., T e_n.  `Tinv` is the
+        inverse of T when the caller already holds it (see
+        `basis_change_table`); a singular T raises DimensionError."""
+        return BilinearProduct(self.field, self.dim, basis_change_table(
+            self.field, self.dim, self.table, T, Tinv))
 
     def __eq__(self, other):
         if not isinstance(other, BilinearProduct):

@@ -18,8 +18,8 @@ from postlie.lie import (LieAlgebra, Subspace, center, check_lie_axioms,
                          is_nilpotent, is_perfect, is_solvable,
                          killing_is_semisimple, nilpotency_class,
                          semidirect_with_derivations, series)
-from postlie.linalg import (Matrix, flatten_matrix, matrix_from_flat, rank,
-                            span_basis, unit_vector)
+from postlie.linalg import (Matrix, flatten_matrix, inverse,
+                            matrix_from_flat, rank, span_basis, unit_vector)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -294,3 +294,31 @@ def test_change_basis_preserves_isomorphism_class():
     assert classify_low_dim(moved).name == "sl2"
     with pytest.raises(DimensionError):
         sl2.change_basis(Matrix.zeros(QQ, 3, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_change_basis_matches_the_slot_formula(field):
+    """Random tables, Lie or not: the i < j slots are T^-1 [T e_i, T e_j]
+    computed in the field's scalar classes, and the validated flag is
+    carried over, not recomputed."""
+    rng = random.Random(5)
+    for dim in (1, 2, 3):
+        for _ in range(10):
+            table = {(i, j): [rng.randrange(-2, 3) for _ in range(dim)]
+                     for i in range(dim) for j in range(i + 1, dim)}
+            L = LieAlgebra(field, dim, table)
+            T = Matrix(field, [[rng.randrange(-2, 3) for _ in range(dim)]
+                               for _ in range(dim)])
+            Tinv = inverse(T)
+            if Tinv is None:
+                with pytest.raises(DimensionError):
+                    L.change_basis(T)
+                continue
+            expected = {(i, j): Tinv.apply(L.bracket(T.col(i), T.col(j)))
+                        for i in range(dim) for j in range(i + 1, dim)}
+            moved = L.change_basis(T)
+            assert moved == LieAlgebra(field, dim, expected)
+            assert not moved.validated
+    n3 = builtin_algebra("n3", field=field)
+    moved = n3.change_basis(Matrix.identity(field, 3))
+    assert moved == n3 and moved.validated and moved.name == n3.name

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from postlie import _fpkernel_py as pykern
 from postlie import fpkernel
 from postlie.catalog import builtin_algebra, get_entry
 from postlie.errors import (DimensionError, GuardError,
@@ -13,15 +14,16 @@ from postlie.errors import (DimensionError, GuardError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ
 from postlie.lie import center
-from postlie.linalg import Matrix, inverse
+from postlie.linalg import Matrix, inverse, unit_vector
 from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             automorphism_indices, check_guard, current_guard,
                             decode_matrix, decode_product, encode_matrix,
                             encode_product, enumerate_products,
-                            flat_bracket_tensor,
+                            flat_bracket_tensor, flat_product_tensor,
                             nonexistence_probe, orbit_reduce, pair_from_phi,
                             phi_ansatz_sweep, transform_product)
-from postlie.structures import check_structure, product_from_endomorphism
+from postlie.structures import (BilinearProduct, check_structure,
+                                product_from_endomorphism)
 
 
 def _abelian_spec(p, symmetric=True):
@@ -214,6 +216,83 @@ def test_transform_product_is_an_action():
     assert transform_product(product, ident) == product
     with pytest.raises(DimensionError):
         transform_product(product, Matrix.zeros(GF(3), 2, 2))
+    # composition: conjugating by S, then by T, is conjugating by S T
+    mats = [decode_matrix(GF(3), 2, a)
+            for a in automorphism_indices((spec.g, spec.n))]
+    for S in mats[::7]:
+        for T in mats[::5]:
+            assert transform_product(transform_product(product, S), T) == \
+                transform_product(product, S * T)
+            assert transform_product(product, T, inverse(T)) == \
+                transform_product(product, T)
+
+
+def _fixed_counts(spec, hits, mats):
+    """|Fix(T)| on the hit list for each T in mats.  The action is linear
+    in the product, so each T is applied by the slot formula
+    T^-1 (T e_i . T e_j) to the n^3 unit products only, and the hit
+    tensors are then moved by that matrix in numpy."""
+    field, n, p = spec.g.field, spec.dim, spec.p
+    units = [BilinearProduct(field, n, {(a, b): unit_vector(field, n, c)})
+             for a in range(n) for b in range(n) for c in range(n)]
+    tensors = np.array([flat_product_tensor(decode_product(spec, i))
+                        for i in hits], dtype=np.int64)
+    counts = []
+    for T in mats:
+        Tinv = inverse(T)
+        cols = [T.col(i) for i in range(n)]
+        images = [flat_product_tensor(BilinearProduct(field, n, {
+            (i, j): Tinv.apply(unit.product(cols[i], cols[j]))
+            for i in range(n) for j in range(n)})) for unit in units]
+        moved = tensors @ np.array(images, dtype=np.int64) % p
+        counts.append(int((moved == tensors).all(axis=1).sum()))
+    return counts
+
+
+@pytest.mark.parametrize("name, p", [("abelian", 3), ("abelian", 5),
+                                     ("r2", 3), ("n3", 2)])
+def test_orbit_count_matches_burnside(name, p, monkeypatch):
+    """The orbit count in both parametrizations is Burnside's
+    (1/|G|) sum_T |Fix(T)|, with Fix(T) computed independently of
+    transform_product.  The full n3 box is 2^27, over the default guard;
+    the numpy kernel solves skew-part and derivation-action first and
+    masks only 2^9 of it."""
+    monkeypatch.setenv(GUARD_ENV, str(2 ** 27))
+    L = builtin_algebra(name, field=GF(p),
+                        **({"dim": 2} if name == "abelian" else {}))
+    mats = [decode_matrix(L.field, L.dim, a)
+            for a in automorphism_indices((L, L), kernel=pykern)]
+    for symmetric in (True, False):
+        spec = SearchSpec(L, L, symmetric=symmetric)
+        hits = enumerate_products(spec, kernel=pykern).indices
+        fixed = sum(_fixed_counts(spec, hits, mats))
+        assert fixed % len(mats) == 0
+        dec = orbit_reduce(spec, hits, kernel=pykern)
+        assert dec.aut_order == len(mats)
+        assert dec.count == fixed // len(mats)
+
+
+class _IntruderKernel:
+    """The numpy kernel, whose automorphism sweep also returns one
+    invertible matrix that is not an automorphism."""
+
+    def __init__(self, intruder):
+        self.intruder = intruder
+
+    def gl_invariance_sweep(self, p, n, tensors, lo, hi):
+        found = pykern.gl_invariance_sweep(p, n, tensors, lo, hi)
+        assert self.intruder not in found
+        return sorted(set(found) | {self.intruder})
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_orbit_reduce_rejects_a_non_automorphism(symmetric):
+    r2 = builtin_algebra("r2", field=GF(3))
+    spec = SearchSpec(r2, r2, symmetric=symmetric)
+    hits = enumerate_products(spec).indices
+    swap = encode_matrix(Matrix(GF(3), [[0, 1], [1, 0]]))
+    with pytest.raises(GuardError, match="carried hit .* to non-hit"):
+        orbit_reduce(spec, hits, kernel=_IntruderKernel(swap))
 
 
 def test_guard_env_variable(monkeypatch):

@@ -4,14 +4,16 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postlie.catalog import (builtin_algebra, get_entry, heis_commutative,
                              lambda_product, sl2_family)
-from postlie.errors import (DimensionError, StructureError,
-                            UnsupportedFieldError)
+from postlie.errors import (DimensionError, FieldMismatchError,
+                            StructureError, UnsupportedFieldError)
 from postlie.fields import GF, QQ
 from postlie.lie import check_lie_axioms, is_nilpotent, is_perfect
-from postlie.linalg import Matrix, unit_vector, vadd, vscale, vsub
+from postlie.linalg import Matrix, inverse, unit_vector, vadd, vscale, vsub
 from postlie.search import SearchSpec, enumerate_products
 from postlie.structures import (TAG_COMMUTATIVE, TAG_CYCLIC, TAG_LR_IDENTITY,
                                 TAG_LR_PAIR, TAG_LSA, TAG_NOVIKOV,
@@ -457,3 +459,56 @@ def test_sl2_family_brackets_and_perfection():
     assert fam.validated
     assert is_perfect(fam.n)
     assert not is_perfect(fam.g) and not is_nilpotent(fam.g)
+
+
+@st.composite
+def product_and_bases(draw):
+    """A random product over Q or GF(p), p in {2, 3, 5, 7}, in dimension
+    1 to 3, with two random (possibly singular) matrices of its size."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]))
+    dim = draw(st.integers(1, 3))
+    scalar = (st.fractions(min_value=-3, max_value=3, max_denominator=3)
+              if field.is_rational else st.integers(0, field.p - 1))
+
+    def matrix():
+        return Matrix(field, [[draw(scalar) for _ in range(dim)]
+                              for _ in range(dim)])
+
+    table = {(i, j): [draw(scalar) for _ in range(dim)]
+             for i in range(dim) for j in range(dim) if draw(st.booleans())}
+    return BilinearProduct(field, dim, table), matrix(), matrix()
+
+
+def _conjugated_by_formula(product, T):
+    """T^-1 (T e_i . T e_j) slot by slot, in the field's scalar classes."""
+    Tinv = inverse(T)
+    n = product.dim
+    return BilinearProduct(product.field, n, {
+        (i, j): Tinv.apply(product.product(T.col(i), T.col(j)))
+        for i in range(n) for j in range(n)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_and_bases())
+def test_change_basis_matches_the_slot_formula(case):
+    product, S, T = case
+    if inverse(T) is None:
+        with pytest.raises(DimensionError):
+            product.change_basis(T)
+        return
+    moved = product.change_basis(T)
+    assert moved == _conjugated_by_formula(product, T)
+    assert product.change_basis(T, inverse(T)) == moved
+    if inverse(S) is not None:
+        assert product.change_basis(S).change_basis(T) == \
+            product.change_basis(S * T)
+
+
+def test_change_basis_rejects_mismatched_matrices():
+    product = BilinearProduct(GF(3), 2, {(0, 1): [1, 2]})
+    with pytest.raises(DimensionError):
+        product.change_basis(Matrix.zeros(GF(3), 2, 2))
+    with pytest.raises(DimensionError):
+        product.change_basis(Matrix.identity(GF(3), 3))
+    with pytest.raises(FieldMismatchError):
+        product.change_basis(Matrix.identity(GF(5), 2))
