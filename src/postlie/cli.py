@@ -8,6 +8,7 @@ reports, and JSON payloads are always emitted in sorted order.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -481,9 +482,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser `main` shares between calls: parse_args leaves it
+    unchanged and builds a fresh namespace each time."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DocumentError, ParameterError, GuardError,

@@ -17,16 +17,16 @@ from math import isqrt
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
 from .linalg import (Matrix, as_vector, basis_change_table, commutator,
-                     coordinates_in_span, flatten_matrix, is_zero_vec,
-                     nullspace, rank, span_basis, unit_vector, vadd, vscale,
-                     vzero)
+                     contract, coordinates_in_span, flatten_matrix,
+                     is_zero_vec, nullspace, rank, span_basis, support_terms,
+                     unit_vector, vadd, vneg, vzero)
 from .report import CheckItem, CheckReport
 
 
 class LieAlgebra:
     """A finite-dimensional Lie algebra over Q or F_p."""
 
-    __slots__ = ("field", "dim", "brackets", "name", "_validated")
+    __slots__ = ("field", "dim", "brackets", "name", "_validated", "_terms")
 
     def __init__(self, field, dim, brackets=None, name=None):
         if dim < 0:
@@ -44,10 +44,19 @@ class LieAlgebra:
         self.brackets = table
         self.name = name
         self._validated = False
+        self._terms = None
 
     @property
     def validated(self):
         return self._validated
+
+    def _slots(self):
+        """Every nonzero [e_i, e_j], in both orders: the slot table of
+        `basis_change_table`, antisymmetry applied."""
+        slots = dict(self.brackets)
+        for (i, j), vec in self.brackets.items():
+            slots[(j, i)] = vneg(vec)
+        return slots
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] for any index pair, antisymmetry applied."""
@@ -59,13 +68,12 @@ class LieAlgebra:
         return vzero(self.field, self.dim) if vec is None else tuple(-a for a in vec)
 
     def bracket(self, x, y):
-        """Bilinear extension of the basis table."""
-        out = vzero(self.field, self.dim)
-        for (i, j), vec in self.brackets.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c != 0:
-                out = vadd(out, vscale(c, vec))
-        return out
+        """Bilinear extension of the basis table, evaluated on the supports
+        of x and y; either operand of the wrong length raises
+        DimensionError."""
+        if self._terms is None:
+            self._terms = support_terms(self._slots())
+        return contract(self.field, self.dim, self._terms, x, y)
 
     def adjoint_matrix(self, x):
         """ad(x): v -> [x, v] as a matrix acting on coordinate columns."""
@@ -94,10 +102,7 @@ class LieAlgebra:
     def change_basis(self, T):
         """The same algebra written in the basis T e_1, ..., T e_n; a
         singular T raises DimensionError."""
-        slots = dict(self.brackets)
-        for (i, j), vec in self.brackets.items():
-            slots[(j, i)] = tuple(-a for a in vec)
-        moved = basis_change_table(self.field, self.dim, slots, T)
+        moved = basis_change_table(self.field, self.dim, self._slots(), T)
         out = LieAlgebra(self.field, self.dim,
                          {(i, j): vec for (i, j), vec in moved.items()
                           if i < j}, name=self.name)

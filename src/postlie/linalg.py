@@ -30,12 +30,17 @@ def as_vector(field, dim, spec):
     return vec
 
 
+# vadd, vsub and vscale pass a coordinate through where the other
+# operand is zero: a Fraction operation costs a gcd even on a zero, and
+# the operands are field scalars, so the result is unchanged.
+
+
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(a + b if b else a for a, b in zip(u, v, strict=True))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
 
 
 def vneg(u):
@@ -43,11 +48,58 @@ def vneg(u):
 
 
 def vscale(c, u):
-    return tuple(c * a for a in u)
+    return tuple(c * a if a else a for a in u)
 
 
 def vzero(field, n):
     return (field.zero,) * n
+
+
+def support_terms(slots):
+    """The sparse form of a slot table, as `contract` reads it.
+
+    `slots` maps index pairs (i, j) to B(e_i, e_j), the convention of
+    `basis_change_table`; the result maps each pair to the tuple of its
+    nonzero coordinates (k, c), and drops pairs with none.
+    """
+    sparse = {}
+    for key, vec in slots.items():
+        terms = tuple((k, c) for k, c in enumerate(vec) if c)
+        if terms:
+            sparse[key] = terms
+    return sparse
+
+
+def contract(field, dim, terms, x, y):
+    """B(x, y) for the bilinear map whose sparse slot table is `terms`
+    (see `support_terms`).
+
+    Only supp(x) x supp(y) is visited, and each slot contributes only its
+    nonzero coordinates, so the cost follows the nonzero coordinates of
+    the operands and of the table, not dim**3.  Both operands must have
+    length dim.
+    """
+    if len(x) != dim or len(y) != dim:
+        raise DimensionError("operands of length %d and %d in dimension %d"
+                             % (len(x), len(y), dim))
+    right = [(j, b) for j, b in enumerate(y) if b]
+    out = None
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in right:
+            slot = terms.get((i, j))
+            if slot is None:
+                continue
+            if out is None:
+                out = [None] * dim
+            c = a * b
+            for k, v in slot:
+                w = out[k]
+                out[k] = c * v if w is None else w + c * v
+    if out is None:
+        return vzero(field, dim)
+    return tuple(field.zero if w is None else w for w in out)
 
 
 def is_zero_vec(u):
@@ -79,6 +131,18 @@ class Matrix:
         self.nrows = count
         self.ncols = width if width is not None else 0
         self._e = tuple(data)
+
+    @classmethod
+    def _from_scalars(cls, field, nrows, ncols, entries):
+        """A matrix from row-major entries that are already scalars of
+        `field`, without the constructor's coercion.  Like the
+        constructor, a matrix with no rows has no columns."""
+        out = object.__new__(cls)
+        out.field = field
+        out.nrows = nrows
+        out.ncols = ncols if nrows else 0
+        out._e = tuple(entries)
+        return out
 
     @classmethod
     def identity(cls, field, n):
@@ -126,31 +190,33 @@ class Matrix:
 
     def __add__(self, other):
         self._check_compatible(other, True)
-        return Matrix(self.field, [vadd(self.row(i), other.row(i))
-                                   for i in range(self.nrows)])
+        return Matrix._from_scalars(self.field, self.nrows, self.ncols,
+                                    vadd(self._e, other._e))
 
     def __sub__(self, other):
         self._check_compatible(other, True)
-        return Matrix(self.field, [vsub(self.row(i), other.row(i))
-                                   for i in range(self.nrows)])
+        return Matrix._from_scalars(self.field, self.nrows, self.ncols,
+                                    vsub(self._e, other._e))
 
     def __neg__(self):
-        return Matrix(self.field, [vneg(self.row(i)) for i in range(self.nrows)])
+        return Matrix._from_scalars(self.field, self.nrows, self.ncols,
+                                    vneg(self._e))
 
     def scale(self, c):
         c = self.field.scalar(c)
-        return Matrix(self.field, [vscale(c, self.row(i)) for i in range(self.nrows)])
+        return Matrix._from_scalars(self.field, self.nrows, self.ncols,
+                                    vscale(c, self._e))
 
     def __mul__(self, other):
         self._check_compatible(other, False)
         if self.ncols != other.nrows:
             raise DimensionError("cannot multiply %r by %r" % (self.shape, other.shape))
+        field = self.field
         cols = [other.col(j) for j in range(other.ncols)]
-        out = []
-        for i in range(self.nrows):
-            r = self.row(i)
-            out.append([_dot(r, c, self.field) for c in cols])
-        return Matrix(self.field, out)
+        return Matrix._from_scalars(
+            field, self.nrows, other.ncols,
+            [_dot(self.row(i), c, field)
+             for i in range(self.nrows) for c in cols])
 
     def apply(self, v):
         if len(v) != self.ncols:
@@ -198,10 +264,13 @@ class Matrix:
 
 
 def _dot(u, v, field):
-    acc = field.zero
+    """Sum of a*b over the coordinates where neither factor is zero; `u`
+    is a matrix row, so the sum is a field scalar."""
+    acc = None
     for a, b in zip(u, v, strict=True):
-        acc = acc + a * b
-    return acc
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return field.zero if acc is None else acc
 
 
 def rref(matrix):
@@ -229,7 +298,9 @@ def rref(matrix):
         r += 1
         if r == nrows:
             break
-    return Matrix(matrix.field, rows), tuple(pivots)
+    return (Matrix._from_scalars(matrix.field, nrows, ncols,
+                                 [v for row in rows for v in row]),
+            tuple(pivots))
 
 
 def rank(matrix):

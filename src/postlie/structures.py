@@ -26,9 +26,9 @@ from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
                   is_perfect, killing_is_semisimple, nilpotency_class,
                   semidirect_with_derivations, classify_low_dim)
 from .linalg import (Matrix, as_vector, basis_change_table, commutator,
-                     coordinates_in_span, flatten_matrix, inverse,
-                     is_nilpotent_matrix, is_zero_vec, nullspace, unit_vector,
-                     vadd, vscale, vsub, vzero)
+                     contract, coordinates_in_span, flatten_matrix, inverse,
+                     is_nilpotent_matrix, is_zero_vec, nullspace,
+                     support_terms, unit_vector, vadd, vscale, vsub, vzero)
 from .report import CheckItem, CheckReport
 
 
@@ -39,7 +39,7 @@ class BilinearProduct:
     e_i . e_j; absent pairs multiply to zero.
     """
 
-    __slots__ = ("field", "dim", "table")
+    __slots__ = ("field", "dim", "table", "_terms")
 
     def __init__(self, field, dim, table=None):
         data = {}
@@ -53,6 +53,7 @@ class BilinearProduct:
         self.field = field
         self.dim = dim
         self.table = data
+        self._terms = None
 
     @classmethod
     def zero(cls, field, dim):
@@ -62,12 +63,11 @@ class BilinearProduct:
         return self.table.get((i, j), vzero(self.field, self.dim))
 
     def product(self, x, y):
-        out = vzero(self.field, self.dim)
-        for (i, j), vec in self.table.items():
-            c = x[i] * y[j]
-            if c != 0:
-                out = vadd(out, vscale(c, vec))
-        return out
+        """Bilinear extension of the table, evaluated on the supports of x
+        and y; either operand of the wrong length raises DimensionError."""
+        if self._terms is None:
+            self._terms = support_terms(self.table)
+        return contract(self.field, self.dim, self._terms, x, y)
 
     def left_matrix_basis(self, i):
         """The operator L(e_i): v -> e_i . v."""
@@ -107,20 +107,12 @@ class BilinearProduct:
 
 def _lmul(product, i, v):
     """e_i . v for a coordinate vector v."""
-    out = vzero(product.field, product.dim)
-    for t in range(product.dim):
-        if v[t] != 0:
-            out = vadd(out, vscale(v[t], product.product_basis(i, t)))
-    return out
+    return product.product(unit_vector(product.field, product.dim, i), v)
 
 
 def _rmul(product, v, j):
     """v . e_j for a coordinate vector v."""
-    out = vzero(product.field, product.dim)
-    for t in range(product.dim):
-        if v[t] != 0:
-            out = vadd(out, vscale(v[t], product.product_basis(t, j)))
-    return out
+    return product.product(v, unit_vector(product.field, product.dim, j))
 
 
 class PostLiePair:
@@ -415,11 +407,15 @@ def left_mult_matrix(pair, x):
     """L(x): v -> x . v.  On a validated pair x -> L(x) is a g-representation
     by derivations of n; that is exactly the module-action and
     derivation-action identities, so no extra checking happens here."""
-    _require_validated_pair(pair)
-    out = Matrix.zeros(pair.field, pair.dim, pair.dim)
-    for i in range(pair.dim):
-        if x[i] != 0:
-            out = out + pair.product.left_matrix_basis(i).scale(x[i])
+    return _combination(pair.field, pair.dim, left_multiplications(pair), x)
+
+
+def _combination(field, dim, mats, coeffs):
+    """The dim x dim operator sum_t coeffs[t] mats[t]."""
+    out = Matrix.zeros(field, dim, dim)
+    for c, M in zip(coeffs, mats, strict=True):
+        if c != 0:
+            out = out + M.scale(c)
     return out
 
 
@@ -488,9 +484,9 @@ def all_right_multiplications_nilpotent(pair):
 def sampled_left_mult_nilpotency(pair, samples=50, seed=0):
     """Nilpotency of L(x) at pseudorandom x; a cross-check of the exact
     completeness decision, not a substitute for it."""
-    _require_validated_pair(pair)
     rng = random.Random(seed)
     field = pair.field
+    mats = left_multiplications(pair)
     for _ in range(samples):
         if field.is_rational:
             x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -498,7 +494,7 @@ def sampled_left_mult_nilpotency(pair, samples=50, seed=0):
         else:
             x = tuple(field.scalar(rng.randrange(field.characteristic))
                       for _ in range(pair.dim))
-        if not is_nilpotent_matrix(left_mult_matrix(pair, x)):
+        if not is_nilpotent_matrix(_combination(field, pair.dim, mats, x)):
             return False
     return True
 
@@ -713,15 +709,11 @@ class Embedding:
     def graph_elements(self):
         """The images as (vector in n, derivation matrix) pairs, the shape
         structure_from_graph_subalgebra consumes for the inverse direction."""
-        dim = self.derivations.base.dim
-        out = []
-        for vec in self.images:
-            D = Matrix.zeros(self.derivations.base.field, dim, dim)
-            for t, c in enumerate(vec[dim:]):
-                if c != 0:
-                    D = D + self.derivations.basis[t].scale(c)
-            out.append((vec[:dim], D))
-        return tuple(out)
+        base = self.derivations.base
+        return tuple((vec[:base.dim],
+                      _combination(base.field, base.dim,
+                                   self.derivations.basis, vec[base.dim:]))
+                     for vec in self.images)
 
 
 def embed_semidirect(pair):
@@ -795,14 +787,8 @@ def structure_from_graph_subalgebra(n, elements, name=None):
                                      "semidirect bracket (entries %d, %d)"
                                      % (a, b))
     # L(e_i) = sum_t Xinv[t][i] D_t  (the derivation attached to e_i)
-    left = []
-    for i in range(dim):
-        acc = Matrix.zeros(field, dim, dim)
-        for t in range(dim):
-            c = Xinv.entry(t, i)
-            if c != 0:
-                acc = acc + elements[t][1].scale(c)
-        left.append(acc)
+    left = [_combination(field, dim, [D for _, D in elements], Xinv.col(i))
+            for i in range(dim)]
     table = {}
     for i in range(dim):
         for j in range(dim):

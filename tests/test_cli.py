@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from postlie import cli
 from postlie.catalog import all_entries
-from postlie.cli import main
+from postlie.cli import build_parser, main
 from postlie.document import read_pair
 from postlie.fpkernel import BACKEND
 from postlie.search import BANNER
@@ -282,3 +283,47 @@ def test_usage_errors(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_main_shares_one_parser_without_leaking_state(capsys, monkeypatch,
+                                                     v5_doc):
+    """Repeated calls of main in one process print what a fresh parser
+    prints, and leave no option value behind for the next call."""
+    seeds = []
+    sampled = cli.sampled_left_mult_nilpotency
+
+    def recording(pair, seed):
+        seeds.append(seed)
+        return sampled(pair, seed=seed)
+
+    monkeypatch.setattr(cli, "sampled_left_mult_nilpotency", recording)
+
+    def fresh(argv):
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def shared(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    doc = str(v5_doc)
+    calls = (["analyze", doc, "--seed", "3"], ["analyze", doc],
+             ["analyze", doc, "--format", "json"], ["analyze"],
+             ["analyze", doc])
+    outputs = [shared(argv) for argv in calls]
+    assert [code for code, _, _ in outputs] == [0, 0, 0, 2, 0]
+    assert seeds == [3, 0, 0, 0]
+    assert outputs[1] == outputs[4]
+    assert json.loads(outputs[2][1])["command"] == "analyze"
+    assert "usage: postlie analyze" in outputs[3][2]
+    for argv, output in zip(calls, outputs):
+        assert output == fresh(argv)
