@@ -208,6 +208,28 @@ class Field:
         """Canonical text form: lowest terms 'a' or 'a/b' over Q, '0'..'p-1' mod p."""
         return str(self.scalar(x))
 
+    # The exact kernels add and multiply plain values and build a scalar
+    # once per result coordinate: a Mod operation allocates a Mod, while
+    # residue ints need no reduction until the result is read.
+
+    def raw(self, x):
+        """The plain value of a scalar of this field: the residue int over
+        GF(p), the Fraction itself over Q.  Anything else is coerced with
+        `scalar` first, so a residue of another field still raises."""
+        p = self.p
+        if p is None:
+            return x if type(x) is Fraction else self.scalar(x)
+        if type(x) is Mod and x.p == p:
+            return x.a
+        return self.scalar(x).a
+
+    def from_raw(self, v):
+        """The scalar of a plain value, the inverse of `raw`: an int in any
+        representative, reduced here, or over Q also a Fraction."""
+        if self.p is None:
+            return v if type(v) is Fraction else Fraction(v)
+        return Mod(v, self.p)
+
     def __eq__(self, other):
         if isinstance(other, Field):
             return self.p == other.p

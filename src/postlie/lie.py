@@ -16,11 +16,12 @@ from math import isqrt
 
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
-from .linalg import (Matrix, as_vector, basis_change_table, commutator,
-                     contract, coordinates_in_span, flatten_matrix,
-                     is_zero_vec, nullspace, rank, span_basis, support_terms,
+from .linalg import (Matrix, accumulate, as_vector, basis_change_table,
+                     commutator, contract, coordinates_in_span,
+                     flatten_matrix, is_zero_vec, nullspace, rank,
+                     span_basis, sparse_units, support_terms, table_from_raw,
                      unit_vector, vadd, vneg, vzero)
-from .report import CheckItem, CheckReport
+from .report import CheckReport, scan_item
 
 
 class LieAlgebra:
@@ -46,6 +47,20 @@ class LieAlgebra:
         self._validated = False
         self._terms = None
 
+    @classmethod
+    def from_raw(cls, field, dim, brackets, name=None):
+        """The algebra of a table of raw vectors (see `Field.raw`), each
+        coordinate reduced once; the keys are trusted to satisfy
+        0 <= i < j < dim and the vectors to have length dim."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.dim = dim
+        out.brackets = table_from_raw(field, brackets)
+        out.name = name
+        out._validated = False
+        out._terms = None
+        return out
+
     @property
     def validated(self):
         return self._validated
@@ -67,13 +82,18 @@ class LieAlgebra:
         vec = self.brackets.get((j, i))
         return vzero(self.field, self.dim) if vec is None else tuple(-a for a in vec)
 
+    def terms(self):
+        """The sparse slot table of the bracket, both orders (see
+        `linalg.support_terms`), built once."""
+        if self._terms is None:
+            self._terms = support_terms(self.field, self._slots())
+        return self._terms
+
     def bracket(self, x, y):
         """Bilinear extension of the basis table, evaluated on the supports
         of x and y; either operand of the wrong length raises
         DimensionError."""
-        if self._terms is None:
-            self._terms = support_terms(self._slots())
-        return contract(self.field, self.dim, self._terms, x, y)
+        return contract(self.field, self.dim, self.terms(), x, y)
 
     def adjoint_matrix(self, x):
         """ad(x): v -> [x, v] as a matrix acting on coordinate columns."""
@@ -103,9 +123,9 @@ class LieAlgebra:
         """The same algebra written in the basis T e_1, ..., T e_n; a
         singular T raises DimensionError."""
         moved = basis_change_table(self.field, self.dim, self._slots(), T)
-        out = LieAlgebra(self.field, self.dim,
-                         {(i, j): vec for (i, j), vec in moved.items()
-                          if i < j}, name=self.name)
+        out = LieAlgebra.from_raw(self.field, self.dim,
+                                  {(i, j): vec for (i, j), vec in moved.items()
+                                   if i < j}, name=self.name)
         out._validated = self._validated
         return out
 
@@ -137,28 +157,20 @@ def check_lie_axioms(L):
     Antisymmetry is structural (only i < j is stored), so the single
     computed item is the Jacobi scan; it carries the first failing triple.
     """
-    witness = None
-    discrepancy = None
     n = L.dim
-    for i in range(n):
-        e_i = unit_vector(L.field, n, i)
-        for j in range(i + 1, n):
-            e_j = unit_vector(L.field, n, j)
-            for k in range(j + 1, n):
-                e_k = unit_vector(L.field, n, k)
-                total = vadd(
-                    vadd(L.bracket(L.bracket_basis(i, j), e_k),
-                         L.bracket(L.bracket_basis(j, k), e_i)),
-                    L.bracket(L.bracket_basis(k, i), e_j))
-                if not is_zero_vec(total):
-                    witness = (i, j, k)
-                    discrepancy = total
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    item = CheckItem("jacobi", witness is None, witness, discrepancy)
+    B = L.terms()
+    e, _ = sparse_units(L.field, n)
+
+    def jacobi(i, j, k):
+        acc = [0] * n
+        accumulate(acc, B, B.get((i, j), ()), e[k])
+        accumulate(acc, B, B.get((j, k), ()), e[i])
+        accumulate(acc, B, B.get((k, i), ()), e[j])
+        return acc
+
+    triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+               for k in range(j + 1, n)]
+    item = scan_item("jacobi", L.field, triples, jacobi)
     return CheckReport("lie axioms (%s)" % (L.name or "bracket table"), (item,))
 
 
@@ -504,15 +516,18 @@ def classify_low_dim(L):
     if L.dim > 3:
         raise DimensionError("classification supports dimension <= 3")
     n = L.dim
+    # each series once; is_solvable, is_nilpotent and nilpotency_class
+    # read the same ends
     derived = series(L, "derived")
+    lower = series(L, "lower-central")
     # a length-one chain means [L, L] = L (the series repeats immediately)
     derived_dim = derived[1].dim if len(derived) > 1 else n
     cent = center(L)
     killing = killing_is_semisimple(L)[0]
     killing_rank = rank(killing)
-    solvable = is_solvable(L)
-    nilpotent = is_nilpotent(L)
-    nclass = nilpotency_class(L)
+    solvable = derived[-1].dim == 0
+    nilpotent = lower[-1].dim == 0
+    nclass = len(lower) - 1 if nilpotent else None
     perfect = is_perfect(L)
 
     name = None

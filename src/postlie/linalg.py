@@ -55,51 +55,96 @@ def vzero(field, n):
     return (field.zero,) * n
 
 
-def support_terms(slots):
-    """The sparse form of a slot table, as `contract` reads it.
+def sparse(field, vec):
+    """The nonzero coordinates of a vector of field scalars, as a list of
+    (k, raw value) pairs (see `Field.raw`): the operand form of
+    `accumulate`."""
+    raw = field.raw
+    return [(k, raw(c)) for k, c in enumerate(vec) if c]
+
+
+def sparse_units(field, dim):
+    """The unit vectors e_k and their negatives -e_k in sparse form, as
+    two lists indexed by k."""
+    one = field.raw(field.one)
+    return ([((k, one),) for k in range(dim)],
+            [((k, -one),) for k in range(dim)])
+
+
+def support_terms(field, slots):
+    """The sparse form of a slot table, as `accumulate` reads it.
 
     `slots` maps index pairs (i, j) to B(e_i, e_j), the convention of
-    `basis_change_table`; the result maps each pair to the tuple of its
-    nonzero coordinates (k, c), and drops pairs with none.
+    `basis_change_table`; the result maps each pair to `sparse` of its
+    vector, and drops pairs with no nonzero coordinate.
     """
-    sparse = {}
+    sparse_table = {}
     for key, vec in slots.items():
-        terms = tuple((k, c) for k, c in enumerate(vec) if c)
+        terms = sparse(field, vec)
         if terms:
-            sparse[key] = terms
-    return sparse
+            sparse_table[key] = terms
+    return sparse_table
+
+
+def accumulate(acc, terms, x, y):
+    """Add B(x, y) into `acc`, a list of raw values that starts as plain
+    int zeros, for the bilinear map whose sparse slot table is `terms`
+    (see `support_terms`); x and y are sparse operands (see `sparse`).
+
+    This is the one bilinear kernel.  Only supp(x) x supp(y) is visited,
+    and each slot contributes only its nonzero coordinates, so the cost
+    follows the nonzero coordinates of the operands and of the table, not
+    dim**3.  Nothing is reduced: `reduce_raw` or `Field.from_raw` does that
+    once per coordinate, when the sum is read.
+    """
+    get = terms.get
+    for i, a in x:
+        for j, b in y:
+            slot = get((i, j))
+            if slot is not None:
+                c = a * b
+                for k, v in slot:
+                    # a Fraction sum costs a gcd even onto a zero
+                    w = acc[k]
+                    acc[k] = w + c * v if w else c * v
+
+
+def raw_vector(field, vec):
+    """The raw values of a vector of field scalars, every coordinate."""
+    return [field.raw(c) for c in vec]
+
+
+def reduce_raw(field, values):
+    """Raw values in canonical form: residues in 0..p-1 over GF(p); over Q
+    the values themselves, which are exact already."""
+    p = field.p
+    return values if p is None else [v % p for v in values]
+
+
+def table_from_raw(field, table):
+    """{key: vector of field scalars} of a table of raw vectors, in key
+    order, each coordinate reduced once and without `Field.scalar`'s type
+    dispatch; keys whose vector reduces to zero are dropped."""
+    from_raw = field.from_raw
+    out = {}
+    for key in sorted(table):
+        vec = reduce_raw(field, table[key])
+        if any(vec):
+            out[key] = tuple(map(from_raw, vec))
+    return out
 
 
 def contract(field, dim, terms, x, y):
-    """B(x, y) for the bilinear map whose sparse slot table is `terms`
-    (see `support_terms`).
-
-    Only supp(x) x supp(y) is visited, and each slot contributes only its
-    nonzero coordinates, so the cost follows the nonzero coordinates of
-    the operands and of the table, not dim**3.  Both operands must have
-    length dim.
-    """
+    """B(x, y) for the bilinear map whose sparse slot table is `terms`:
+    `accumulate` on the supports of x and y, then one reduction per
+    coordinate.  Both operands must have length dim."""
     if len(x) != dim or len(y) != dim:
         raise DimensionError("operands of length %d and %d in dimension %d"
                              % (len(x), len(y), dim))
-    right = [(j, b) for j, b in enumerate(y) if b]
-    out = None
-    for i, a in enumerate(x):
-        if not a:
-            continue
-        for j, b in right:
-            slot = terms.get((i, j))
-            if slot is None:
-                continue
-            if out is None:
-                out = [None] * dim
-            c = a * b
-            for k, v in slot:
-                w = out[k]
-                out[k] = c * v if w is None else w + c * v
-    if out is None:
-        return vzero(field, dim)
-    return tuple(field.zero if w is None else w for w in out)
+    acc = [0] * dim
+    accumulate(acc, terms, sparse(field, x), sparse(field, y))
+    from_raw, zero = field.from_raw, field.zero
+    return tuple([from_raw(v) if v else zero for v in acc])
 
 
 def is_zero_vec(u):
@@ -384,9 +429,9 @@ def basis_change_table(field, dim, slots, T, Tinv=None):
     T e_1, ..., T e_n: {(i, j): T^-1 B(T e_i, T e_j)} for every index pair.
 
     `slots` maps index pairs (a, b) to B(e_a, e_b); absent pairs are zero.
-    The contraction sums over a, then b, then c on raw values (residue
-    ints or Fractions), so the vectors it returns are not reduced: the
-    caller's table constructor reduces each entry into the field once.
+    The contraction sums over a, then b, then c on raw values (see
+    `Field.raw`), so the vectors it returns are not reduced: the caller
+    reduces each entry once, with `table_from_raw`.
     `Tinv` is the inverse of T when the caller already holds it; it is
     trusted, not checked.  Without it the inverse is computed here, and a
     singular T raises DimensionError.
@@ -401,8 +446,7 @@ def basis_change_table(field, dim, slots, T, Tinv=None):
         Tinv = inverse(T)
         if Tinv is None:
             raise DimensionError("basis change matrix is singular")
-    # plain values: the residue int over GF(p), the Fraction itself over Q
-    raw = (lambda v: v) if field.is_rational else (lambda v: v.a)
+    raw = field.raw
     n = range(dim)
     t = [raw(v) for v in T.flat()]
     s = [raw(v) for v in Tinv.flat()]

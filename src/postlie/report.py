@@ -7,6 +7,8 @@ first broke, plus the nonzero difference of its two sides.  Indices are
 
 from dataclasses import dataclass
 
+from .linalg import reduce_raw
+
 
 @dataclass(frozen=True)
 class CheckItem:
@@ -68,3 +70,21 @@ class CheckReport:
             "passed": self.passed,
             "items": [item.as_dict() for item in self.items],
         }
+
+
+def scan_item(name, field, tuples, delta):
+    """Evaluate an identity over index tuples; the first nonzero difference
+    is the witness.
+
+    `delta(*idx)` returns the difference of the two sides at one tuple as
+    raw values (see `Field.raw`), unreduced; each coordinate is reduced
+    once, when its tuple is decided.  The scan short-circuits inside one
+    identity, but callers always collect every identity, so reports list
+    all broken ones.
+    """
+    for idx in tuples:
+        diff = reduce_raw(field, delta(*idx))
+        if any(diff):
+            return CheckItem(name, False, idx,
+                             tuple(map(field.from_raw, diff)))
+    return CheckItem(name, True)

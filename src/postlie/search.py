@@ -114,6 +114,11 @@ class SearchSpec:
 
 
 def _index_digits(index, p, k):
+    """The k base-p digits of a sweep index, most significant first; an
+    index outside 0..p^k - 1 raises ParameterError instead of wrapping."""
+    if not 0 <= index < p ** k:
+        raise ParameterError("index %d is outside the sweep range 0..%d"
+                             % (index, p ** k - 1))
     digits = [0] * k
     for t in range(k - 1, -1, -1):
         index, digits[t] = divmod(index, p)
@@ -127,30 +132,34 @@ def _digits_index(digits, p):
     return index
 
 
+def _bracket_gap(spec, i, j):
+    """The residues of [e_i, e_j] - {e_i, e_j}, unreduced: the skew part
+    that the symmetric parametrization forces on the slot (i, j)."""
+    return [a.a - b.a for a, b in zip(spec.g.bracket_basis(i, j),
+                                      spec.n.bracket_basis(i, j))]
+
+
 def decode_product(spec, index):
-    """The candidate product of a sweep index, as an exact table."""
+    """The candidate product of a sweep index, as an exact table; an index
+    outside 0..spec.total - 1 raises ParameterError."""
     n = spec.dim
-    p = spec.p
-    field = spec.g.field
-    digits = _index_digits(index, p, spec.digit_count)
+    digits = _index_digits(index, spec.p, spec.digit_count)
     table = {}
     if spec.symmetric:
         q = 0
         for i in range(n):
             for j in range(i, n):
                 low = digits[q * n:(q + 1) * n]
-                table[(j, i)] = tuple(low)
+                table[(j, i)] = low
                 if i != j:
-                    gap = [g - h for g, h in zip(spec.g.bracket_basis(i, j),
-                                                 spec.n.bracket_basis(i, j))]
-                    table[(i, j)] = tuple((low[r] + gap[r].a) % p
-                                          for r in range(n))
+                    table[(i, j)] = [a + d for a, d in
+                                     zip(low, _bracket_gap(spec, i, j))]
                 q += 1
     else:
         for i in range(n):
             for j in range(n):
-                table[(i, j)] = tuple(digits[(i * n + j) * n:(i * n + j + 1) * n])
-    return BilinearProduct(field, n, table)
+                table[(i, j)] = digits[(i * n + j) * n:(i * n + j + 1) * n]
+    return BilinearProduct.from_raw(spec.g.field, n, table)
 
 
 def encode_product(spec, product):
@@ -164,23 +173,27 @@ def encode_product(spec, product):
         raise ParameterError(
             "product is outside the %s parametrization; it is not a "
             "dimension-%d product over %s" % (mode, n, spec.g.field.name))
+
+    def residues(i, j):
+        return [v.a for v in product.product_basis(i, j)]
+
+    def forced(i, j):
+        return [(a + d) % p
+                for a, d in zip(residues(j, i), _bracket_gap(spec, i, j))]
+
     if spec.symmetric:
-        def forced(i, j):
-            return tuple(a + b - c for a, b, c in zip(
-                product.product_basis(j, i), spec.g.bracket_basis(i, j),
-                spec.n.bracket_basis(i, j)))
-        if any(product.product_basis(i, j) != forced(i, j)
+        if any(residues(i, j) != forced(i, j)
                for i in range(n) for j in range(i + 1, n)):
             raise ParameterError(
                 "product is outside the symmetric parametrization; its "
                 "skew part does not match the bracket gap")
-        digits = [v.a for i in range(n) for j in range(i, n)
-                  for v in product.product_basis(j, i)]
+        digits = [a for i in range(n) for j in range(i, n)
+                  for a in residues(j, i)]
         return _digits_index(digits, p)
     digits = []
     for i in range(n):
         for j in range(n):
-            digits.extend(v.a for v in product.product_basis(i, j))
+            digits.extend(residues(i, j))
     return _digits_index(digits, p)
 
 
@@ -224,6 +237,8 @@ def enumerate_products(spec, kernel=None):
 
 
 def decode_matrix(field, dim, index):
+    """The matrix of a sweep index over GF(p); an index outside
+    0..p^(dim^2) - 1 raises ParameterError."""
     digits = _index_digits(index, field.p, dim * dim)
     return Matrix(field, [digits[r * dim:(r + 1) * dim] for r in range(dim)])
 

@@ -25,11 +25,13 @@ from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
                   is_complete_lie, is_derivation, is_nilpotent, is_solvable,
                   is_perfect, killing_is_semisimple, nilpotency_class,
                   semidirect_with_derivations, classify_low_dim)
-from .linalg import (Matrix, as_vector, basis_change_table, commutator,
-                     contract, coordinates_in_span, flatten_matrix, inverse,
-                     is_nilpotent_matrix, is_zero_vec, nullspace,
-                     support_terms, unit_vector, vadd, vscale, vsub, vzero)
-from .report import CheckItem, CheckReport
+from .linalg import (Matrix, accumulate, as_vector, basis_change_table,
+                     commutator, contract, coordinates_in_span,
+                     flatten_matrix, inverse, is_nilpotent_matrix,
+                     is_zero_vec, nullspace, raw_vector, sparse,
+                     sparse_units, support_terms, table_from_raw,
+                     unit_vector, vadd, vscale, vsub, vzero)
+from .report import CheckItem, CheckReport, scan_item
 
 
 class BilinearProduct:
@@ -56,18 +58,35 @@ class BilinearProduct:
         self._terms = None
 
     @classmethod
+    def from_raw(cls, field, dim, table):
+        """The product of a table of raw vectors (see `Field.raw`), each
+        coordinate reduced once; the keys are trusted to lie in range and
+        the vectors to have length dim."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.dim = dim
+        out.table = table_from_raw(field, table)
+        out._terms = None
+        return out
+
+    @classmethod
     def zero(cls, field, dim):
         return cls(field, dim, {})
 
     def product_basis(self, i, j):
         return self.table.get((i, j), vzero(self.field, self.dim))
 
+    def terms(self):
+        """The sparse slot table of the product (see
+        `linalg.support_terms`), built once."""
+        if self._terms is None:
+            self._terms = support_terms(self.field, self.table)
+        return self._terms
+
     def product(self, x, y):
         """Bilinear extension of the table, evaluated on the supports of x
         and y; either operand of the wrong length raises DimensionError."""
-        if self._terms is None:
-            self._terms = support_terms(self.table)
-        return contract(self.field, self.dim, self._terms, x, y)
+        return contract(self.field, self.dim, self.terms(), x, y)
 
     def left_matrix_basis(self, i):
         """The operator L(e_i): v -> e_i . v."""
@@ -86,8 +105,10 @@ class BilinearProduct:
         """The same product in the basis T e_1, ..., T e_n.  `Tinv` is the
         inverse of T when the caller already holds it (see
         `basis_change_table`); a singular T raises DimensionError."""
-        return BilinearProduct(self.field, self.dim, basis_change_table(
-            self.field, self.dim, self.table, T, Tinv))
+        return BilinearProduct.from_raw(self.field, self.dim,
+                                        basis_change_table(
+                                            self.field, self.dim, self.table,
+                                            T, Tinv))
 
     def __eq__(self, other):
         if not isinstance(other, BilinearProduct):
@@ -103,16 +124,6 @@ class BilinearProduct:
     def __repr__(self):
         return "BilinearProduct(dim=%d, %s, %d nonzero pairs)" % (
             self.dim, self.field.name, len(self.table))
-
-
-def _lmul(product, i, v):
-    """e_i . v for a coordinate vector v."""
-    return product.product(unit_vector(product.field, product.dim, i), v)
-
-
-def _rmul(product, v, j):
-    """v . e_j for a coordinate vector v."""
-    return product.product(v, unit_vector(product.field, product.dim, j))
 
 
 class PostLiePair:
@@ -181,17 +192,6 @@ def _require_validated_pair(pair):
         raise NotValidatedError("run validate() before analysing %r" % (pair,))
 
 
-def _scan_item(name, tuples, delta_fn):
-    """Evaluate delta_fn over index tuples; first nonzero difference is the
-    witness.  The scan short-circuits inside one identity but callers always
-    collect every identity, so reports list all broken ones."""
-    for idx in tuples:
-        delta = delta_fn(*idx)
-        if not is_zero_vec(delta):
-            return CheckItem(name, False, idx, delta)
-    return CheckItem(name, True)
-
-
 def _pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -210,56 +210,81 @@ def _triples_all(n):
     return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
 
 
+# The identity scans below work on raw values (see `Field.raw`).  Each
+# delta starts from int zeros and adds every term of the identity with
+# `accumulate`; in the comments x, y, z stand for basis vectors, P for
+# the product table and G, N for the bracket tables of g and n, and e and
+# m hold the unit vectors and their negatives.
+
+
 def _module_action(g, product):
     """Delta of [x,y].z = x.(y.z) - y.(x.z) on basis triples."""
+    field, dim = product.field, product.dim
+    G, P = g.terms(), product.terms()
+    e, m = sparse_units(field, dim)
+
     def delta(i, j, k):
-        lhs = _rmul(product, g.bracket_basis(i, j), k)
-        rhs = vsub(_lmul(product, i, product.product_basis(j, k)),
-                   _lmul(product, j, product.product_basis(i, k)))
-        return vsub(lhs, rhs)
+        acc = [0] * dim
+        accumulate(acc, P, G.get((i, j), ()), e[k])
+        accumulate(acc, P, m[i], P.get((j, k), ()))
+        accumulate(acc, P, e[j], P.get((i, k), ()))
+        return acc
     return delta
 
 
 def _derivation_action(n, product):
     """Delta of x.{y,z} = {x.y, z} + {y, x.z} on basis triples."""
+    field, dim = product.field, product.dim
+    N, P = n.terms(), product.terms()
+    e, m = sparse_units(field, dim)
+
     def delta(i, j, k):
-        lhs = _lmul(product, i, n.bracket_basis(j, k))
-        e_j = unit_vector(n.field, n.dim, j)
-        e_k = unit_vector(n.field, n.dim, k)
-        rhs = vadd(n.bracket(product.product_basis(i, j), e_k),
-                   n.bracket(e_j, product.product_basis(i, k)))
-        return vsub(lhs, rhs)
+        acc = [0] * dim
+        accumulate(acc, P, e[i], N.get((j, k), ()))
+        accumulate(acc, N, P.get((i, j), ()), m[k])
+        accumulate(acc, N, m[j], P.get((i, k), ()))
+        return acc
     return delta
 
 
 def _associator_skew(n, product):
     """Delta of {x,y}.z = (y.x).z - y.(x.z) - (x.y).z + x.(y.z)."""
+    field, dim = product.field, product.dim
+    N, P = n.terms(), product.terms()
+    e, m = sparse_units(field, dim)
+
     def delta(i, j, k):
-        lhs = _rmul(product, n.bracket_basis(i, j), k)
-        rhs = vsub(
-            vsub(_rmul(product, product.product_basis(j, i), k),
-                 _lmul(product, j, product.product_basis(i, k))),
-            vsub(_rmul(product, product.product_basis(i, j), k),
-                 _lmul(product, i, product.product_basis(j, k))))
-        return vsub(lhs, rhs)
+        acc = [0] * dim
+        accumulate(acc, P, N.get((i, j), ()), e[k])
+        accumulate(acc, P, P.get((j, i), ()), m[k])
+        accumulate(acc, P, e[j], P.get((i, k), ()))
+        accumulate(acc, P, P.get((i, j), ()), e[k])
+        accumulate(acc, P, m[i], P.get((j, k), ()))
+        return acc
     return delta
 
 
 def check_structure(g, n, product):
     """Scan the three defining identities of a pair structure."""
-    dim = g.dim
+    field, dim = g.field, g.dim
+    G, N, P = g.terms(), n.terms(), product.terms()
+    e, m = sparse_units(field, dim)
 
     def skew(i, j):
-        lhs = vsub(product.product_basis(i, j), product.product_basis(j, i))
-        rhs = vsub(g.bracket_basis(i, j), n.bracket_basis(i, j))
-        return vsub(lhs, rhs)
+        # x.y - y.x - [x,y] + {x,y}
+        acc = [0] * dim
+        accumulate(acc, P, e[i], e[j])
+        accumulate(acc, P, m[j], e[i])
+        accumulate(acc, G, m[i], e[j])
+        accumulate(acc, N, e[i], e[j])
+        return acc
 
     items = (
-        _scan_item("skew-part", _pairs(dim), skew),
-        _scan_item("module-action", _triples_pair_any(dim),
-                   _module_action(g, product)),
-        _scan_item("derivation-action", _triples_any_pair(dim),
-                   _derivation_action(n, product)),
+        scan_item("skew-part", field, _pairs(dim), skew),
+        scan_item("module-action", field, _triples_pair_any(dim),
+                  _module_action(g, product)),
+        scan_item("derivation-action", field, _triples_any_pair(dim),
+                  _derivation_action(n, product)),
     )
     return CheckReport("post-Lie structure", items)
 
@@ -278,33 +303,42 @@ def check_algebra(product, n):
                        jacobi.discrepancy)
     items = (
         jacobi,
-        _scan_item("associator-skew", _triples_pair_any(dim),
-                   _associator_skew(n, product)),
-        _scan_item("derivation-action", _triples_any_pair(dim),
-                   _derivation_action(n, product)),
+        scan_item("associator-skew", n.field, _triples_pair_any(dim),
+                  _associator_skew(n, product)),
+        scan_item("derivation-action", n.field, _triples_any_pair(dim),
+                  _derivation_action(n, product)),
     )
     return CheckReport("post-Lie algebra", items)
 
 
 def induced_bracket(product, n, name=None):
     """The unvalidated bracket table x.y - y.x + {x,y}."""
+    field, dim = n.field, n.dim
+    N, P = n.terms(), product.terms()
+    e, m = sparse_units(field, dim)
     table = {}
-    for i, j in _pairs(n.dim):
-        table[(i, j)] = vadd(
-            vsub(product.product_basis(i, j), product.product_basis(j, i)),
-            n.bracket_basis(i, j))
-    return LieAlgebra(n.field, n.dim, table, name=name)
+    for i, j in _pairs(dim):
+        acc = [0] * dim
+        accumulate(acc, P, e[i], e[j])
+        accumulate(acc, P, m[j], e[i])
+        accumulate(acc, N, e[i], e[j])
+        table[(i, j)] = acc
+    return LieAlgebra.from_raw(field, dim, table, name=name)
 
 
 def phi_product(n, phi):
     """The product x.y = {phi(x), y} for an endomorphism phi of n."""
-    dim = n.dim
+    field, dim = n.field, n.dim
+    N = n.terms()
+    e, _ = sparse_units(field, dim)
     table = {}
     for i in range(dim):
+        x = sparse(field, phi.col(i))
         for j in range(dim):
-            table[(i, j)] = n.bracket(phi.col(i),
-                                      unit_vector(n.field, dim, j))
-    return BilinearProduct(n.field, dim, table)
+            acc = [0] * dim
+            accumulate(acc, N, x, e[j])
+            table[(i, j)] = acc
+    return BilinearProduct.from_raw(field, dim, table)
 
 
 def associated_bracket(product, n, name=None):
@@ -343,62 +377,72 @@ def derived_identity_audit(pair):
     g, n, product = pair.g, pair.n, pair.product
     dim = pair.dim
     field = pair.field
-
-    def unit(i):
-        return unit_vector(field, dim, i)
+    G, N, P = g.terms(), n.terms(), product.terms()
+    e, m = sparse_units(field, dim)
 
     def right_slot(z, i, j):
-        lhs = _lmul(product, z, g.bracket_basis(i, j))
-        rhs = vadd(vsub(_lmul(product, z, product.product_basis(i, j)),
-                        _lmul(product, z, product.product_basis(j, i))),
-                   _lmul(product, z, n.bracket_basis(i, j)))
-        return vsub(lhs, rhs)
+        # z.[x,y] - z.(x.y) + z.(y.x) - z.{x,y}
+        acc = [0] * dim
+        accumulate(acc, P, e[z], G.get((i, j), ()))
+        accumulate(acc, P, m[z], P.get((i, j), ()))
+        accumulate(acc, P, e[z], P.get((j, i), ()))
+        accumulate(acc, P, m[z], N.get((i, j), ()))
+        return acc
 
     def mixed(x, y, z):
-        pxy = product.product_basis(x, y)
-        pxz = product.product_basis(x, z)
-        lhs = vsub(vadd(g.bracket(pxy, unit(z)), g.bracket(unit(y), pxz)),
-                   _lmul(product, x, g.bracket_basis(y, z)))
-        rhs = vsub(_rmul(product, pxy, z), _rmul(product, pxz, y))
-        rhs = vadd(rhs, _lmul(product, y, pxz))
-        rhs = vsub(rhs, _lmul(product, x, product.product_basis(y, z)))
-        rhs = vadd(rhs, _lmul(product, x, product.product_basis(z, y)))
-        rhs = vsub(rhs, _lmul(product, z, pxy))
-        return vsub(lhs, rhs)
+        pxy = P.get((x, y), ())
+        pxz = P.get((x, z), ())
+        acc = [0] * dim
+        # the left side [x.y,z] + [y,x.z] - x.[y,z]
+        accumulate(acc, G, pxy, e[z])
+        accumulate(acc, G, e[y], pxz)
+        accumulate(acc, P, m[x], G.get((y, z), ()))
+        # minus the right side
+        accumulate(acc, P, pxy, m[z])
+        accumulate(acc, P, pxz, e[y])
+        accumulate(acc, P, m[y], pxz)
+        accumulate(acc, P, e[x], P.get((y, z), ()))
+        accumulate(acc, P, m[x], P.get((z, y), ()))
+        accumulate(acc, P, e[z], pxy)
+        return acc
 
-    def cyclic_brackets_rhs(x, y, z):
-        return vadd(
-            vadd(n.bracket(g.bracket_basis(x, y), unit(z)),
-                 n.bracket(g.bracket_basis(y, z), unit(x))),
-            n.bracket(g.bracket_basis(z, x), unit(y)))
+    def minus_cyclic_brackets(acc, x, y, z):
+        # - {[x,y],z} - {[y,z],x} - {[z,x],y}
+        accumulate(acc, N, G.get((x, y), ()), m[z])
+        accumulate(acc, N, G.get((y, z), ()), m[x])
+        accumulate(acc, N, G.get((z, x), ()), m[y])
 
     def cyclic_left(x, y, z):
-        lhs = vadd(
-            vadd(_lmul(product, x, n.bracket_basis(y, z)),
-                 _lmul(product, y, n.bracket_basis(z, x))),
-            _lmul(product, z, n.bracket_basis(x, y)))
-        return vsub(lhs, cyclic_brackets_rhs(x, y, z))
+        acc = [0] * dim
+        accumulate(acc, P, e[x], N.get((y, z), ()))
+        accumulate(acc, P, e[y], N.get((z, x), ()))
+        accumulate(acc, P, e[z], N.get((x, y), ()))
+        minus_cyclic_brackets(acc, x, y, z)
+        return acc
 
     def cyclic_product(x, y, z):
-        lhs = vadd(
-            vadd(_rmul(product, n.bracket_basis(x, y), z),
-                 _rmul(product, n.bracket_basis(y, z), x)),
-            _rmul(product, n.bracket_basis(z, x), y))
-        rhs = vadd(cyclic_brackets_rhs(x, y, z), vadd(
-            vadd(g.bracket(n.bracket_basis(x, y), unit(z)),
-                 g.bracket(n.bracket_basis(y, z), unit(x))),
-            g.bracket(n.bracket_basis(z, x), unit(y))))
-        return vsub(lhs, rhs)
+        acc = [0] * dim
+        accumulate(acc, P, N.get((x, y), ()), e[z])
+        accumulate(acc, P, N.get((y, z), ()), e[x])
+        accumulate(acc, P, N.get((z, x), ()), e[y])
+        minus_cyclic_brackets(acc, x, y, z)
+        accumulate(acc, G, N.get((x, y), ()), m[z])
+        accumulate(acc, G, N.get((y, z), ()), m[x])
+        accumulate(acc, G, N.get((z, x), ()), m[y])
+        return acc
 
     items = (
-        _scan_item("module-action", _triples_pair_any(dim),
-                   _module_action(g, product)),
-        _scan_item("associator-skew", _triples_pair_any(dim),
-                   _associator_skew(n, product)),
-        _scan_item("right-slot-expansion", _triples_any_pair(dim), right_slot),
-        _scan_item("mixed-rearrangement", _triples_all(dim), mixed),
-        _scan_item("cyclic-left-action", _triples_all(dim), cyclic_left),
-        _scan_item("cyclic-product-action", _triples_all(dim), cyclic_product),
+        scan_item("module-action", field, _triples_pair_any(dim),
+                  _module_action(g, product)),
+        scan_item("associator-skew", field, _triples_pair_any(dim),
+                  _associator_skew(n, product)),
+        scan_item("right-slot-expansion", field, _triples_any_pair(dim),
+                  right_slot),
+        scan_item("mixed-rearrangement", field, _triples_all(dim), mixed),
+        scan_item("cyclic-left-action", field, _triples_all(dim),
+                  cyclic_left),
+        scan_item("cyclic-product-action", field, _triples_all(dim),
+                  cyclic_product),
     )
     return CheckReport("derived identities", items)
 
@@ -542,28 +586,51 @@ def special_case_detect(pair):
     if scalar_ratio is not None:
         tags.add(TAG_SCALAR)
 
-    def associator(i, j, k):
-        return vsub(_rmul(product, product.product_basis(i, j), k),
-                    _lmul(product, i, product.product_basis(j, k)))
+    field = pair.field
+    P = product.terms()
+    e, m = sparse_units(field, dim)
 
-    lsa = all(associator(i, j, k) == associator(j, i, k)
-              for i, j, k in _triples_pair_any(dim))
-    left_comm = all(
-        _lmul(product, i, product.product_basis(j, k)) ==
-        _lmul(product, j, product.product_basis(i, k))
-        for i, j, k in _triples_pair_any(dim))
-    right_comm = all(
-        _rmul(product, product.product_basis(i, j), k) ==
-        _rmul(product, product.product_basis(i, k), j)
-        for i, j, k in _triples_any_pair(dim))
-    cyclic = all(is_zero_vec(vsub(
-        vadd(vadd(_lmul(product, x, product.product_basis(y, z)),
-                  _lmul(product, y, product.product_basis(x, z))),
-             _lmul(product, z, product.product_basis(x, y))),
-        vadd(vadd(_rmul(product, product.product_basis(y, z), x),
-                  _rmul(product, product.product_basis(x, z), y)),
-             _rmul(product, product.product_basis(x, y), z))))
-        for x, y, z in _triples_all(dim))
+    def holds(tuples, delta):
+        return scan_item(None, field, tuples, delta).passed
+
+    def lsa_delta(i, j, k):
+        # (x.y).z - x.(y.z) - (y.x).z + y.(x.z)
+        acc = [0] * dim
+        accumulate(acc, P, P.get((i, j), ()), e[k])
+        accumulate(acc, P, m[i], P.get((j, k), ()))
+        accumulate(acc, P, P.get((j, i), ()), m[k])
+        accumulate(acc, P, e[j], P.get((i, k), ()))
+        return acc
+
+    def left_comm_delta(i, j, k):
+        # x.(y.z) - y.(x.z)
+        acc = [0] * dim
+        accumulate(acc, P, e[i], P.get((j, k), ()))
+        accumulate(acc, P, m[j], P.get((i, k), ()))
+        return acc
+
+    def right_comm_delta(i, j, k):
+        # (x.y).z - (x.z).y
+        acc = [0] * dim
+        accumulate(acc, P, P.get((i, j), ()), e[k])
+        accumulate(acc, P, P.get((i, k), ()), m[j])
+        return acc
+
+    def cyclic_delta(x, y, z):
+        # x.(y.z) + y.(x.z) + z.(x.y) - (y.z).x - (x.z).y - (x.y).z
+        acc = [0] * dim
+        accumulate(acc, P, e[x], P.get((y, z), ()))
+        accumulate(acc, P, e[y], P.get((x, z), ()))
+        accumulate(acc, P, e[z], P.get((x, y), ()))
+        accumulate(acc, P, P.get((y, z), ()), m[x])
+        accumulate(acc, P, P.get((x, z), ()), m[y])
+        accumulate(acc, P, P.get((x, y), ()), m[z])
+        return acc
+
+    lsa = holds(_triples_pair_any(dim), lsa_delta)
+    left_comm = holds(_triples_pair_any(dim), left_comm_delta)
+    right_comm = holds(_triples_any_pair(dim), right_comm_delta)
+    cyclic = holds(_triples_all(dim), cyclic_delta)
 
     if lsa:
         tags.add(TAG_LSA)
@@ -627,21 +694,27 @@ def product_from_endomorphism(n, phi):
     product = phi_product(n, phi)
     g_candidate = induced_bracket(product, n, name="induced")
 
+    G, N = g_candidate.terms(), n.terms()
+    e, m = sparse_units(field, dim)
+    cols = [sparse(field, phi.col(i)) for i in range(dim)]
+
     def gap(i, j):
-        e_i = unit_vector(field, dim, i)
-        e_j = unit_vector(field, dim, j)
-        lhs = vadd(n.bracket(phi.col(i), e_j), n.bracket(e_i, phi.col(j)))
-        rhs = vsub(g_candidate.bracket_basis(i, j), n.bracket_basis(i, j))
-        return vsub(lhs, rhs)
+        # {phi x, y} + {x, phi y} - [x,y] + {x,y}
+        acc = [0] * dim
+        accumulate(acc, N, cols[i], e[j])
+        accumulate(acc, N, e[i], cols[j])
+        accumulate(acc, G, m[i], e[j])
+        accumulate(acc, N, e[i], e[j])
+        return acc
 
     def compat(i, j):
         lhs = phi.apply(g_candidate.bracket_basis(i, j))
         rhs = n.bracket(phi.col(i), phi.col(j))
-        return vsub(lhs, rhs)
+        return raw_vector(field, vsub(lhs, rhs))
 
     items = [
-        _scan_item("bracket-gap", _pairs(dim), gap),
-        _scan_item("automorphism-compat", _pairs(dim), compat),
+        scan_item("bracket-gap", field, _pairs(dim), gap),
+        scan_item("automorphism-compat", field, _pairs(dim), compat),
     ]
     jacobi = check_lie_axioms(g_candidate).item("jacobi")
     items.append(CheckItem("induced-jacobi", jacobi.passed, jacobi.witness,
@@ -739,9 +812,9 @@ def embed_semidirect(pair):
     def hom(i, j):
         lhs = matrix.apply(pair.g.bracket_basis(i, j))
         rhs = ambient.bracket(images[i], images[j])
-        return vsub(lhs, rhs)
+        return raw_vector(field, vsub(lhs, rhs))
 
-    items = (_scan_item("homomorphism", _pairs(dim), hom),)
+    items = (scan_item("homomorphism", field, _pairs(dim), hom),)
     report = CheckReport("semidirect embedding", items)
     return Embedding(ambient, ders, tuple(images), matrix, report)
 
@@ -841,20 +914,21 @@ def split_semisimple(pair):
         got = ambient.bracket(basis[i], basis[j])
         coords = coordinates_in_span(basis, got, field)
         if coords is None:
-            return got  # not even inside the span: report the full vector
-        return vsub(coords, pair.g.bracket_basis(i, j))
+            # not even inside the span: report the full vector
+            return raw_vector(field, got)
+        return raw_vector(field, vsub(coords, pair.g.bracket_basis(i, j)))
 
     def difference_map(i, j):
         # (p1 - p2) w_i = e_i by construction; verified honestly
         del j
         w = basis[i]
         diff = vsub(w[:dim], w[dim:])
-        return vsub(diff, unit_vector(field, dim, i))
+        return raw_vector(field, vsub(diff, unit_vector(field, dim, i)))
 
     items = (
-        _scan_item("subalgebra-matches-g", _pairs(dim), closure),
-        _scan_item("difference-map-bijective",
-                   [(i, i) for i in range(dim)], difference_map),
+        scan_item("subalgebra-matches-g", field, _pairs(dim), closure),
+        scan_item("difference-map-bijective", field,
+                  [(i, i) for i in range(dim)], difference_map),
     )
     report = CheckReport("semisimple split", items)
     return SplitEmbedding(ambient, tuple(basis), report)
@@ -877,23 +951,33 @@ def prelie_from_two_step(pair):
         raise StructureError("n must be nilpotent of class at most 2")
     dim = pair.dim
     field = pair.field
-    half = field.scalar(Fraction(1, 2))
+    half = field.raw(field.scalar(Fraction(1, 2)))
+    G, N, P = pair.g.terms(), n.terms(), pair.product.terms()
+    e, m = sparse_units(field, dim)
     table = {}
     for i in range(dim):
         for j in range(dim):
-            table[(i, j)] = vadd(pair.product.product_basis(i, j),
-                                 vscale(half, n.bracket_basis(i, j)))
-    prelie = BilinearProduct(field, dim, table)
+            acc = [0] * dim
+            accumulate(acc, P, e[i], e[j])
+            accumulate(acc, N, ((i, half),), e[j])
+            table[(i, j)] = acc
+    prelie = BilinearProduct.from_raw(field, dim, table)
+    O = prelie.terms()
 
     def commutator_match(i, j):
-        lhs = vsub(prelie.product_basis(i, j), prelie.product_basis(j, i))
-        return vsub(lhs, pair.g.bracket_basis(i, j))
+        # x o y - y o x - [x,y]
+        acc = [0] * dim
+        accumulate(acc, O, e[i], e[j])
+        accumulate(acc, O, m[j], e[i])
+        accumulate(acc, G, m[i], e[j])
+        return acc
 
     # left-symmetry of o is module-action with o in place of the product
     items = (
-        _scan_item("commutator-matches-bracket", _pairs(dim), commutator_match),
-        _scan_item("left-symmetry", _triples_pair_any(dim),
-                   _module_action(pair.g, prelie)),
+        scan_item("commutator-matches-bracket", field, _pairs(dim),
+                  commutator_match),
+        scan_item("left-symmetry", field, _triples_pair_any(dim),
+                  _module_action(pair.g, prelie)),
     )
     return prelie, CheckReport("pre-Lie deformation", items)
 

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from postlie.cli import build_parser, main
 from postlie.document import read_pair
 from postlie.fpkernel import BACKEND
 from postlie.search import BANNER
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(capsys, argv):
@@ -327,3 +330,28 @@ def test_main_shares_one_parser_without_leaking_state(capsys, monkeypatch,
     assert "usage: postlie analyze" in outputs[3][2]
     for argv, output in zip(calls, outputs):
         assert output == fresh(argv)
+
+
+def test_failure_reports_are_frozen(capsys, tmp_path, monkeypatch):
+    """`check` and `audit`, text and json, on documents that break one
+    pair identity each or the Jacobi identity of g or of n, over Q and
+    GF(5).  The expected bytes were recorded before the exact scans moved
+    to raw values (tools/gen_golden_failure_reports.py), so a change in
+    how a witness or a discrepancy is reduced or printed shows here."""
+    golden = json.loads((GOLDEN / "failure_reports.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for name, doc in golden["documents"].items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    failed = set()
+    for run in golden["runs"]:
+        code, out, err = _run(capsys, [run["command"], run["file"],
+                                       "--format", run["format"]])
+        assert (code, out, err) == (run["code"], run["out"], run["err"]), (
+            run["file"], run["command"], run["format"])
+        if run["command"] == "check" and run["format"] == "text":
+            failed |= {line.split(":")[0].strip() for line in out.splitlines()
+                       if "FAIL at" in line}
+    # every broken identity is among the recorded failures
+    assert failed >= {"skew-part", "module-action", "derivation-action",
+                      "g.jacobi", "n.jacobi"}
+    assert len(golden["runs"]) == 40

@@ -223,6 +223,17 @@ def test_classification_of_builtins():
         assert cls.solvable is solv and cls.nilpotent is nilp
     abelian = classify_low_dim(builtin_algebra("abelian", dim=3))
     assert abelian.name == "abelian" and abelian.center_dim == 3
+    # the flags come from one pass over each series, and agree with the
+    # public tests that walk the series again
+    for L in (builtin_algebra("n3"), builtin_algebra("r2"),
+              builtin_algebra("sl2"), builtin_algebra("abelian", dim=2),
+              builtin_algebra("r3_lambda", lam=0)):
+        cls = classify_low_dim(L)
+        assert (cls.solvable, cls.nilpotent, cls.nilpotency_class) == (
+            is_solvable(L), is_nilpotent(L), nilpotency_class(L))
+    assert classify_low_dim(builtin_algebra("n3")).nilpotency_class == 2
+    assert classify_low_dim(builtin_algebra("abelian", dim=2)) \
+        .nilpotency_class == 1
 
 
 def test_classification_ratio_sets():

@@ -60,6 +60,23 @@ def test_decode_encode_round_trip():
             assert encode_product(spec, product) == index
 
 
+def test_decode_rejects_indices_outside_the_sweep():
+    # both ends of 0..total - 1 decode; one step past either end is refused
+    # instead of wrapping onto the other end
+    for spec in (_abelian_spec(3), _abelian_spec(3, symmetric=False)):
+        last = spec.total - 1
+        assert encode_product(spec, decode_product(spec, 0)) == 0
+        assert encode_product(spec, decode_product(spec, last)) == last
+        for bad in (-1, spec.total, spec.total + 1):
+            with pytest.raises(ParameterError, match="outside the sweep"):
+                decode_product(spec, bad)
+    assert encode_matrix(decode_matrix(GF(3), 2, 0)) == 0
+    assert encode_matrix(decode_matrix(GF(3), 2, 80)) == 80
+    for bad in (-1, 81):
+        with pytest.raises(ParameterError, match="outside the sweep"):
+            decode_matrix(GF(3), 2, bad)
+
+
 def test_symmetric_decode_forces_the_skew_slots():
     # g = n = r2 over GF(5): opposite slots differ by [,]_g - {,}_n = 0,
     # so the symmetric mode really is symmetric here

@@ -1,5 +1,6 @@
-"""The support-driven bracket, product and matrix kernels against dense
-reference formulas written out here, over Q and GF(p)."""
+"""The support-driven bracket, product and matrix kernels, and the
+identity scans built on them, against dense reference formulas written
+out here, over Q and GF(p)."""
 
 from fractions import Fraction
 
@@ -8,11 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postlie.catalog import builtin_algebra
-from postlie.errors import DimensionError
+from postlie.errors import (DimensionError, FieldMismatchError,
+                            UnsupportedFieldError)
 from postlie.fields import GF, QQ, Mod
-from postlie.lie import LieAlgebra
+from postlie.lie import LieAlgebra, check_lie_axioms
 from postlie.linalg import Matrix
-from postlie.structures import BilinearProduct, _lmul, _rmul
+from postlie.structures import (TAG_CYCLIC, TAG_LR_IDENTITY, TAG_LSA,
+                                TAG_NOVIKOV, BilinearProduct, PostLiePair,
+                                check_algebra, check_structure,
+                                derived_identity_audit, induced_bracket,
+                                phi_product, prelie_from_two_step,
+                                special_case_detect)
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
 
@@ -108,8 +115,10 @@ def test_bracket_and_product_match_dense_formulas(case):
         e_i = _unit(field, dim, i)
         _check(field, L.bracket(e_i, y),
                _dense_bracket(field, dim, brackets, e_i, y))
-        _check(field, _lmul(P, i, y), _dense_product(field, dim, table, e_i, y))
-        _check(field, _rmul(P, x, i), _dense_product(field, dim, table, x, e_i))
+        _check(field, P.product(e_i, y),
+               _dense_product(field, dim, table, e_i, y))
+        _check(field, P.product(x, e_i),
+               _dense_product(field, dim, table, x, e_i))
 
 
 @st.composite
@@ -155,3 +164,348 @@ def test_wrong_length_operands_raise(field):
                 method(bad, good)
             with pytest.raises(DimensionError):
                 method(good, bad)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=lambda f: f.name)
+def test_operands_are_read_into_the_field(field):
+    """Plain ints are the image of Z and are read in; a residue of another
+    field raises rather than mixing silently."""
+    sl2 = builtin_algebra("sl2", field=field)
+    product = BilinearProduct(field, 3, {(0, 1): [1, 0, 2], (2, 2): [0, 1, 0]})
+    x, y = (1, 0, 0), (0, 1, 0)
+    as_field = [tuple(map(field.scalar, v)) for v in (x, y)]
+    for method in (sl2.bracket, product.product):
+        _check(field, method(x, y), method(*as_field))
+        foreign = tuple(GF(5).scalar(v) for v in x)
+        with pytest.raises(FieldMismatchError):
+            method(foreign, as_field[1])
+
+
+# --- the identity scans against dense oracles -------------------------
+
+
+@st.composite
+def pair_tables(draw):
+    """A field, a dimension 1-4, two bracket tables and a product.
+
+    kind "random": sparse random tables, almost always broken.  "zero":
+    g = n and the zero product, so the pair identities hold whatever the
+    tables.  "phi": n two-step nilpotent, x.y = {phi x, y} for a random
+    phi and g the induced bracket, so skew-part and derivation-action
+    hold and module-action may or may not.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "zero", "phi"]))
+    if kind == "random":
+        g = LieAlgebra(field, dim, {(i, j): _sparse(draw, field, dim)
+                                    for i in range(dim)
+                                    for j in range(i + 1, dim)})
+        n = LieAlgebra(field, dim, {(i, j): _sparse(draw, field, dim)
+                                    for i in range(dim)
+                                    for j in range(i + 1, dim)})
+        product = BilinearProduct(field, dim, {
+            (i, j): _sparse(draw, field, dim)
+            for i in range(dim) for j in range(dim)})
+        return field, dim, g, n, product
+    n = _two_step(draw, field, dim)
+    if kind == "zero":
+        return field, dim, n, n, BilinearProduct.zero(field, dim)
+    phi = Matrix(field, [_sparse(draw, field, dim, 0.6) for _ in range(dim)])
+    product = phi_product(n, phi)
+    return field, dim, induced_bracket(product, n), n, product
+
+
+def _two_step(draw, field, dim):
+    """Brackets of e_1..e_{dim-1} into the span of the last basis vector:
+    a Lie algebra of nilpotency class at most 2."""
+    last = dim - 1
+    return LieAlgebra(field, dim, {
+        (i, j): tuple(draw(_scalars(field)) if k == last else field.zero
+                      for k in range(dim))
+        for i in range(last) for j in range(i + 1, last)
+        if draw(st.booleans())})
+
+
+def _slot_table(dim, basis):
+    """{(i, j): basis(i, j)} over every ordered pair with a nonzero value."""
+    table = {(i, j): basis(i, j) for i in range(dim) for j in range(dim)}
+    return {key: vec for key, vec in table.items() if any(vec)}
+
+
+class Dense:
+    """Dense evaluation of the tables of a pair on field scalars: a
+    bilinear map sums x_i y_j B(e_i, e_j) over its slots, every operand
+    coordinate included."""
+
+    def __init__(self, field, dim, g, n, product):
+        self.field, self.dim = field, dim
+        self.gt = _slot_table(dim, g.bracket_basis)
+        self.nt = _slot_table(dim, n.bracket_basis)
+        self.pt = _slot_table(dim, product.product_basis)
+
+    def e(self, i):
+        return _unit(self.field, self.dim, i)
+
+    def _apply(self, table, x, y):
+        return _dense_product(self.field, self.dim, table, x, y)
+
+    def P(self, x, y):
+        return self._apply(self.pt, x, y)
+
+    def G(self, x, y):
+        return self._apply(self.gt, x, y)
+
+    def N(self, x, y):
+        return self._apply(self.nt, x, y)
+
+
+def _sum(field, dim, *terms):
+    """sum of (sign, vector) terms, coordinatewise in the field."""
+    out = [field.zero] * dim
+    for sign, vec in terms:
+        for k in range(dim):
+            out[k] = out[k] + vec[k] if sign > 0 else out[k] - vec[k]
+    return tuple(out)
+
+
+def _oracle_scan(tuples, delta):
+    for idx in tuples:
+        d = delta(*idx)
+        if any(v != 0 for v in d):
+            return False, idx, d
+    return True, None, None
+
+
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _pair_any(n):
+    return [(i, j, k) for i, j in _pairs(n) for k in range(n)]
+
+
+def _any_pair(n):
+    return [(i, j, k) for i in range(n) for j, k in _pairs(n)]
+
+
+def _all(n):
+    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+
+
+def _ordered(n):
+    return [(i, j, k) for i, j in _pairs(n) for k in range(j + 1, n)]
+
+
+def _oracles(D):
+    """name -> (tuples, delta) of every identity the scans evaluate."""
+    f, n, e = D.field, D.dim, D.e
+    P, G, N = D.P, D.G, D.N
+
+    def S(*terms):
+        return _sum(f, n, *terms)
+
+    def jacobi(B):
+        return lambda i, j, k: S((1, B(B(e(i), e(j)), e(k))),
+                                 (1, B(B(e(j), e(k)), e(i))),
+                                 (1, B(B(e(k), e(i)), e(j))))
+
+    def module(prod):
+        return lambda i, j, k: S((1, prod(G(e(i), e(j)), e(k))),
+                                 (-1, prod(e(i), prod(e(j), e(k)))),
+                                 (1, prod(e(j), prod(e(i), e(k)))))
+
+    def cyclic_brackets(x, y, z):
+        return S((1, N(G(e(x), e(y)), e(z))), (1, N(G(e(y), e(z)), e(x))),
+                 (1, N(G(e(z), e(x)), e(y))))
+
+    return {
+        "g.jacobi": (_ordered(n), jacobi(G)),
+        "n.jacobi": (_ordered(n), jacobi(N)),
+        "skew-part": (_pairs(n), lambda i, j: S(
+            (1, P(e(i), e(j))), (-1, P(e(j), e(i))),
+            (-1, G(e(i), e(j))), (1, N(e(i), e(j))))),
+        "module-action": (_pair_any(n), module(P)),
+        "derivation-action": (_any_pair(n), lambda i, j, k: S(
+            (1, P(e(i), N(e(j), e(k)))), (-1, N(P(e(i), e(j)), e(k))),
+            (-1, N(e(j), P(e(i), e(k)))))),
+        "associator-skew": (_pair_any(n), lambda i, j, k: S(
+            (1, P(N(e(i), e(j)), e(k))), (-1, P(P(e(j), e(i)), e(k))),
+            (1, P(e(j), P(e(i), e(k)))), (1, P(P(e(i), e(j)), e(k))),
+            (-1, P(e(i), P(e(j), e(k)))))),
+        "right-slot-expansion": (_any_pair(n), lambda z, x, y: S(
+            (1, P(e(z), G(e(x), e(y)))), (-1, P(e(z), P(e(x), e(y)))),
+            (1, P(e(z), P(e(y), e(x)))), (-1, P(e(z), N(e(x), e(y)))))),
+        "mixed-rearrangement": (_all(n), lambda x, y, z: S(
+            (1, G(P(e(x), e(y)), e(z))), (1, G(e(y), P(e(x), e(z)))),
+            (-1, P(e(x), G(e(y), e(z)))),
+            (-1, P(P(e(x), e(y)), e(z))), (1, P(P(e(x), e(z)), e(y))),
+            (-1, P(e(y), P(e(x), e(z)))), (1, P(e(x), P(e(y), e(z)))),
+            (-1, P(e(x), P(e(z), e(y)))), (1, P(e(z), P(e(x), e(y)))))),
+        "cyclic-left-action": (_all(n), lambda x, y, z: S(
+            (1, P(e(x), N(e(y), e(z)))), (1, P(e(y), N(e(z), e(x)))),
+            (1, P(e(z), N(e(x), e(y)))), (-1, cyclic_brackets(x, y, z)))),
+        "cyclic-product-action": (_all(n), lambda x, y, z: S(
+            (1, P(N(e(x), e(y)), e(z))), (1, P(N(e(y), e(z)), e(x))),
+            (1, P(N(e(z), e(x)), e(y))), (-1, cyclic_brackets(x, y, z)),
+            (-1, G(N(e(x), e(y)), e(z))), (-1, G(N(e(y), e(z)), e(x))),
+            (-1, G(N(e(z), e(x)), e(y))))),
+        # the raw product identities behind special_case_detect's tags
+        TAG_LSA: (_pair_any(n), lambda i, j, k: S(
+            (1, P(P(e(i), e(j)), e(k))), (-1, P(e(i), P(e(j), e(k)))),
+            (-1, P(P(e(j), e(i)), e(k))), (1, P(e(j), P(e(i), e(k)))))),
+        "left-commutative": (_pair_any(n), lambda i, j, k: S(
+            (1, P(e(i), P(e(j), e(k)))), (-1, P(e(j), P(e(i), e(k)))))),
+        "right-commutative": (_any_pair(n), lambda i, j, k: S(
+            (1, P(P(e(i), e(j)), e(k))), (-1, P(P(e(i), e(k)), e(j))))),
+        TAG_CYCLIC: (_all(n), lambda x, y, z: S(
+            (1, P(e(x), P(e(y), e(z)))), (1, P(e(y), P(e(x), e(z)))),
+            (1, P(e(z), P(e(x), e(y)))), (-1, P(P(e(y), e(z)), e(x))),
+            (-1, P(P(e(x), e(z)), e(y))), (-1, P(P(e(x), e(y)), e(z))))),
+    }
+
+
+def _expect(field, item, tuples, delta):
+    passed, witness, discrepancy = _oracle_scan(tuples, delta)
+    assert (item.passed, item.witness, item.discrepancy) == (
+        passed, witness, discrepancy), item.name
+    if not passed:
+        _assert_scalars(field, item.discrepancy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_tables())
+def test_identity_scans_match_dense_oracles(case):
+    field, dim, g, n, product = case
+    D = Dense(field, dim, g, n, product)
+    oracle = _oracles(D)
+
+    def expect(item, name=None):
+        _expect(field, item, *oracle[name or item.name])
+
+    expect(check_lie_axioms(g).item("jacobi"), "g.jacobi")
+    expect(check_lie_axioms(n).item("jacobi"), "n.jacobi")
+    for item in check_structure(g, n, product).items:
+        expect(item)
+    algebra = check_algebra(product, n)
+    expect(algebra.item("bracket-jacobi"), "n.jacobi")
+    expect(algebra.item("associator-skew"))
+    expect(algebra.item("derivation-action"))
+    pair = PostLiePair(g, n, product)
+    for item in derived_identity_audit(pair).items:
+        expect(item)
+
+    # the tags only read the raw product identities; the pair is marked
+    # validated so that broken tables reach them too
+    pair._validated = True
+    tags = special_case_detect(pair).tags
+    holds = {name: _oracle_scan(*oracle[name])[0]
+             for name in (TAG_LSA, TAG_CYCLIC, "left-commutative",
+                          "right-commutative")}
+    assert (TAG_LSA in tags) == holds[TAG_LSA]
+    assert (TAG_CYCLIC in tags) == holds[TAG_CYCLIC]
+    assert (TAG_LR_IDENTITY in tags) == (holds["left-commutative"]
+                                         and holds["right-commutative"])
+    assert (TAG_NOVIKOV in tags) == (holds[TAG_LSA]
+                                     and holds["right-commutative"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prelie_scans_match_dense_oracles(data):
+    """x o y = x.y + {x,y}/2 on a two-step n, with g and the product
+    random; the pair is marked validated so broken tables reach the
+    scans."""
+    field = data.draw(st.sampled_from(FIELDS))
+    dim = data.draw(st.integers(1, 4))
+    n = _two_step(data.draw, field, dim)
+    g = LieAlgebra(field, dim, {(i, j): _sparse(data.draw, field, dim)
+                                for i, j in _pairs(dim)})
+    product = BilinearProduct(field, dim, {
+        (i, j): _sparse(data.draw, field, dim)
+        for i in range(dim) for j in range(dim)})
+    pair = PostLiePair(g, n.validate(), product)
+    pair._validated = True
+    if field.characteristic == 2:
+        with pytest.raises(UnsupportedFieldError):
+            prelie_from_two_step(pair)
+        return
+    prelie, report = prelie_from_two_step(pair)
+    half = field.scalar(Fraction(1, 2))
+    D = Dense(field, dim, g, n, product)
+    dense_o = {(i, j): _sum(field, dim, (1, D.P(D.e(i), D.e(j))),
+                            (1, tuple(half * v for v in D.N(D.e(i), D.e(j)))))
+               for i in range(dim) for j in range(dim)}
+    for (i, j), vec in dense_o.items():
+        _check(field, prelie.product_basis(i, j), vec)
+    # from here on the dense product is o, so the module-action oracle
+    # is left-symmetry of o
+    D.pt = {key: vec for key, vec in dense_o.items() if any(vec)}
+    _expect(field, report.item("commutator-matches-bracket"), _pairs(dim),
+            lambda i, j: _sum(field, dim, (1, D.P(D.e(i), D.e(j))),
+                              (-1, D.P(D.e(j), D.e(i))),
+                              (-1, D.G(D.e(i), D.e(j)))))
+    _expect(field, report.item("left-symmetry"),
+            *_oracles(D)["module-action"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_phi_product_and_induced_bracket_match_the_bracket(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    dim = data.draw(st.integers(1, 4))
+    n = LieAlgebra(field, dim, {(i, j): _sparse(data.draw, field, dim)
+                                for i, j in _pairs(dim)})
+    phi = Matrix(field, [_sparse(data.draw, field, dim, 0.6)
+                         for _ in range(dim)])
+    product = phi_product(n, phi)
+    for i in range(dim):
+        for j in range(dim):
+            _check(field, product.product_basis(i, j),
+                   n.bracket(phi.col(i), _unit(field, dim, j)))
+    induced = induced_bracket(product, n)
+    for i, j in _pairs(dim):
+        _check(field, induced.bracket_basis(i, j), _sum(
+            field, dim, (1, product.product_basis(i, j)),
+            (-1, product.product_basis(j, i)), (1, n.bracket_basis(i, j))))
+
+
+@st.composite
+def raw_tables(draw):
+    """A field, a dimension and a table of raw values: ints of any sign
+    (and Fractions over Q), with all-zero and multiple-of-p slots."""
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(1, 4))
+    if field.is_rational:
+        value = st.one_of(st.integers(-20, 20),
+                          st.fractions(min_value=-5, max_value=5,
+                                       max_denominator=6))
+    else:
+        value = st.one_of(st.integers(-3 * field.p, 3 * field.p),
+                          st.integers(-3, 3).map(lambda t: t * field.p))
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            kind = draw(st.sampled_from(["absent", "zero", "values"]))
+            if kind == "zero":
+                table[(i, j)] = [0] * dim
+            elif kind == "values":
+                table[(i, j)] = [draw(value) for _ in range(dim)]
+    return field, dim, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_tables())
+def test_from_raw_tables_equal_the_coercing_constructors(case):
+    field, dim, table = case
+    P = BilinearProduct.from_raw(field, dim, table)
+    assert P == BilinearProduct(field, dim, table)
+    assert list(P.table) == sorted(P.table)
+    for vec in P.table.values():
+        _assert_scalars(field, vec)
+    upper = {(i, j): vec for (i, j), vec in table.items() if i < j}
+    L = LieAlgebra.from_raw(field, dim, upper, name="raw")
+    assert L == LieAlgebra(field, dim, upper)
+    assert L.name == "raw" and not L.validated
+    for vec in L.brackets.values():
+        _assert_scalars(field, vec)
