@@ -65,14 +65,6 @@ class LieAlgebra:
     def validated(self):
         return self._validated
 
-    def _slots(self):
-        """Every nonzero [e_i, e_j], in both orders: the slot table of
-        `basis_change_table`, antisymmetry applied."""
-        slots = dict(self.brackets)
-        for (i, j), vec in self.brackets.items():
-            slots[(j, i)] = vneg(vec)
-        return slots
-
     def bracket_basis(self, i, j):
         """[e_i, e_j] for any index pair, antisymmetry applied."""
         if i == j:
@@ -86,7 +78,10 @@ class LieAlgebra:
         """The sparse slot table of the bracket, both orders (see
         `linalg.support_terms`), built once."""
         if self._terms is None:
-            self._terms = support_terms(self.field, self._slots())
+            slots = dict(self.brackets)
+            for (i, j), vec in self.brackets.items():
+                slots[(j, i)] = vneg(vec)
+            self._terms = support_terms(self.field, slots)
         return self._terms
 
     def bracket(self, x, y):
@@ -122,7 +117,7 @@ class LieAlgebra:
     def change_basis(self, T):
         """The same algebra written in the basis T e_1, ..., T e_n; a
         singular T raises DimensionError."""
-        moved = basis_change_table(self.field, self.dim, self._slots(), T)
+        moved = basis_change_table(self.field, self.dim, self.terms(), T)
         out = LieAlgebra.from_raw(self.field, self.dim,
                                   {(i, j): vec for (i, j), vec in moved.items()
                                    if i < j}, name=self.name)

@@ -7,6 +7,8 @@ No floating point is used anywhere.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .errors import DimensionError, FieldMismatchError
@@ -58,32 +60,42 @@ def vzero(field, n):
 def sparse(field, vec):
     """The nonzero coordinates of a vector of field scalars, as a list of
     (k, raw value) pairs (see `Field.raw`): the operand form of
-    `accumulate`."""
+    `accumulate`.  A Fraction is its own raw value, so over Q only the
+    other coordinates go through `Field.raw`."""
     raw = field.raw
+    if field.p is None:
+        return [(k, c if type(c) is Fraction else raw(c))
+                for k, c in enumerate(vec) if c]
     return [(k, raw(c)) for k, c in enumerate(vec) if c]
 
 
+@lru_cache(maxsize=64)
 def sparse_units(field, dim):
     """The unit vectors e_k and their negatives -e_k in sparse form, as
-    two lists indexed by k."""
+    two tuples indexed by k; built once per field and dimension."""
     one = field.raw(field.one)
-    return ([((k, one),) for k in range(dim)],
-            [((k, -one),) for k in range(dim)])
+    return (tuple(((k, one),) for k in range(dim)),
+            tuple(((k, -one),) for k in range(dim)))
+
+
+def raw_terms(raw_table):
+    """The sparse slot table of a table of raw vectors: each pair maps to
+    the (k, value) pairs of its nonzero coordinates, and pairs with none
+    are dropped."""
+    out = {}
+    for key, vec in raw_table.items():
+        terms = tuple([(k, v) for k, v in enumerate(vec) if v])
+        if terms:
+            out[key] = terms
+    return out
 
 
 def support_terms(field, slots):
-    """The sparse form of a slot table, as `accumulate` reads it.
-
-    `slots` maps index pairs (i, j) to B(e_i, e_j), the convention of
-    `basis_change_table`; the result maps each pair to `sparse` of its
-    vector, and drops pairs with no nonzero coordinate.
-    """
-    sparse_table = {}
-    for key, vec in slots.items():
-        terms = sparse(field, vec)
-        if terms:
-            sparse_table[key] = terms
-    return sparse_table
+    """The sparse form of a slot table of field scalars, as `accumulate`
+    reads it: `slots` maps index pairs (i, j) to B(e_i, e_j), and the
+    result is `raw_terms` of their raw values."""
+    return raw_terms({key: raw_vector(field, vec)
+                      for key, vec in slots.items()})
 
 
 def accumulate(acc, terms, x, y):
@@ -94,8 +106,8 @@ def accumulate(acc, terms, x, y):
     This is the one bilinear kernel.  Only supp(x) x supp(y) is visited,
     and each slot contributes only its nonzero coordinates, so the cost
     follows the nonzero coordinates of the operands and of the table, not
-    dim**3.  Nothing is reduced: `reduce_raw` or `Field.from_raw` does that
-    once per coordinate, when the sum is read.
+    dim**3.  Nothing is reduced: `reduce_raw`, `reduce_table` or
+    `Field.from_raw` does that once per coordinate, when the sum is read.
     """
     get = terms.get
     for i, a in x:
@@ -121,17 +133,31 @@ def reduce_raw(field, values):
     return values if p is None else [v % p for v in values]
 
 
-def table_from_raw(field, table):
-    """{key: vector of field scalars} of a table of raw vectors, in key
-    order, each coordinate reduced once and without `Field.scalar`'s type
-    dispatch; keys whose vector reduces to zero are dropped."""
-    from_raw = field.from_raw
+def reduce_table(field, table):
+    """A table of raw vectors in canonical form (see `Field.raw`), in key
+    order: each vector a tuple of residues in 0..p-1 over GF(p), of
+    Fractions over Q, each coordinate reduced once; keys whose vector
+    reduces to zero are dropped."""
+    p = field.p
     out = {}
     for key in sorted(table):
-        vec = reduce_raw(field, table[key])
+        if p is None:
+            vec = tuple([v if type(v) is Fraction else Fraction(v)
+                         for v in table[key]])
+        else:
+            vec = tuple([v % p for v in table[key]])
         if any(vec):
-            out[key] = tuple(map(from_raw, vec))
+            out[key] = vec
     return out
+
+
+def table_from_raw(field, table):
+    """{key: vector of field scalars} of a table of raw vectors, in key
+    order, through `reduce_table` and without `Field.scalar`'s type
+    dispatch; keys whose vector reduces to zero are dropped."""
+    from_raw = field.from_raw
+    return {key: tuple(map(from_raw, vec))
+            for key, vec in reduce_table(field, table).items()}
 
 
 def contract(field, dim, terms, x, y):
@@ -144,6 +170,10 @@ def contract(field, dim, terms, x, y):
     acc = [0] * dim
     accumulate(acc, terms, sparse(field, x), sparse(field, y))
     from_raw, zero = field.from_raw, field.zero
+    if field.p is None:
+        # a sum of Fraction terms is a Fraction already
+        return tuple([v if type(v) is Fraction else from_raw(v) if v else zero
+                      for v in acc])
     return tuple([from_raw(v) if v else zero for v in acc])
 
 
@@ -158,7 +188,7 @@ def unit_vector(field, n, i):
 class Matrix:
     """Immutable dense matrix over one field, stored row major."""
 
-    __slots__ = ("field", "nrows", "ncols", "_e")
+    __slots__ = ("field", "nrows", "ncols", "_e", "_raw")
 
     def __init__(self, field, rows):
         data = []
@@ -176,6 +206,7 @@ class Matrix:
         self.nrows = count
         self.ncols = width if width is not None else 0
         self._e = tuple(data)
+        self._raw = None
 
     @classmethod
     def _from_scalars(cls, field, nrows, ncols, entries):
@@ -187,6 +218,7 @@ class Matrix:
         out.nrows = nrows
         out.ncols = ncols if nrows else 0
         out._e = tuple(entries)
+        out._raw = None
         return out
 
     @classmethod
@@ -223,6 +255,14 @@ class Matrix:
 
     def flat(self):
         return self._e
+
+    def raw_flat(self):
+        """The row-major entries as raw values (see `Field.raw`), built
+        once; over Q they are the entries themselves."""
+        if self._raw is None:
+            self._raw = (self._e if self.field.p is None
+                         else tuple(raw_vector(self.field, self._e)))
+        return self._raw
 
     def _check_compatible(self, other, need_shape):
         if not isinstance(other, Matrix):
@@ -319,33 +359,50 @@ def _dot(u, v, field):
 
 
 def rref(matrix):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    rows = [list(matrix.row(i)) for i in range(matrix.nrows)]
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    The elimination runs on raw values (see `Field.raw`): over GF(p) on
+    residue ints, reduced after every row operation, with one modular
+    inverse per pivot; over Q on the Fractions themselves.  The scalars
+    of R are built once, at the end."""
+    field = matrix.field
+    p = field.p
     nrows, ncols = matrix.shape
+    flat = matrix.raw_flat()
+    rows = [list(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
     pivots = []
     r = 0
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
+        piv = rows[r][c]
+        if p is None:
+            row = rows[r] = [v / piv if v else v for v in rows[r]]
+        else:
+            inv = pow(piv, -1, p)
+            row = rows[r] = [v * inv % p for v in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                if p is None:
+                    rows[i] = [v - f * w if w else v
+                               for v, w in zip(rows[i], row)]
+                else:
+                    rows[i] = [(v - f * w) % p for v, w in zip(rows[i], row)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return (Matrix._from_scalars(matrix.field, nrows, ncols,
-                                 [v for row in rows for v in row]),
-            tuple(pivots))
+    entries = [v for row in rows for v in row]
+    if p is not None:
+        entries = map(field.from_raw, entries)
+    return Matrix._from_scalars(field, nrows, ncols, entries), tuple(pivots)
 
 
 def rank(matrix):
@@ -415,23 +472,28 @@ def inverse(matrix):
         raise DimensionError("inverse of a non-square matrix")
     n = matrix.nrows
     field = matrix.field
-    ident = Matrix.identity(field, n)
-    aug = Matrix(field, [tuple(matrix.row(i)) + tuple(ident.row(i))
-                         for i in range(n)])
+    one, zero = field.one, field.zero
+    aug = Matrix._from_scalars(
+        field, n, 2 * n,
+        [v for i in range(n) for v in matrix.row(i)
+         + tuple(one if j == i else zero for j in range(n))])
     R, pivots = rref(aug)
     if tuple(range(n)) != pivots[:n] or len(pivots) != n:
         return None
-    return Matrix(field, [R.row(i)[n:] for i in range(n)])
+    return Matrix._from_scalars(field, n, n,
+                                [v for i in range(n) for v in R.row(i)[n:]])
 
 
-def basis_change_table(field, dim, slots, T, Tinv=None):
+def basis_change_table(field, dim, terms, T, Tinv=None):
     """The structure constants of a bilinear map B written in the basis
     T e_1, ..., T e_n: {(i, j): T^-1 B(T e_i, T e_j)} for every index pair.
 
-    `slots` maps index pairs (a, b) to B(e_a, e_b); absent pairs are zero.
-    The contraction sums over a, then b, then c on raw values (see
-    `Field.raw`), so the vectors it returns are not reduced: the caller
-    reduces each entry once, with `table_from_raw`.
+    `terms` is the sparse slot table of B (see `support_terms`): index
+    pairs (a, b) map to the nonzero coordinates of B(e_a, e_b), and absent
+    pairs are zero.  For each (i, j) the contraction visits only the
+    support of the table, on raw values (see `Field.raw`), so the vectors
+    it returns are not reduced: the caller reduces each entry once, with
+    `reduce_table`.
     `Tinv` is the inverse of T when the caller already holds it; it is
     trusted, not checked.  Without it the inverse is computed here, and a
     singular T raises DimensionError.
@@ -446,28 +508,25 @@ def basis_change_table(field, dim, slots, T, Tinv=None):
         Tinv = inverse(T)
         if Tinv is None:
             raise DimensionError("basis change matrix is singular")
-    raw = field.raw
     n = range(dim)
-    t = [raw(v) for v in T.flat()]
-    s = [raw(v) for v in Tinv.flat()]
+    t = T.raw_flat()
+    s = Tinv.raw_flat()
     cols = [t[i::dim] for i in n]
     back = [s[k * dim:(k + 1) * dim] for k in n]
-    entries = [(a, b, [raw(v) for v in vec])
-               for (a, b), vec in slots.items()]
+    slots = [(a, b, vec) for (a, b), vec in terms.items()]
     table = {}
     for i in n:
         x = cols[i]
-        # left[c][b] = sum_a x_a B(e_a, e_b)_c
-        left = [[0] * dim for _ in n]
-        for a, b, vec in entries:
-            xa = x[a]
-            if xa:
-                for c in n:
-                    left[c][b] += xa * vec[c]
         for j in n:
-            # w_c = B(T e_i, T e_j)_c = sum_b (T e_j)_b left[c][b]
-            w = [sum(map(mul, cols[j], row)) for row in left]
-            table[(i, j)] = tuple([sum(map(mul, r, w)) for r in back])
+            y = cols[j]
+            # w = B(T e_i, T e_j) = sum over (a, b) of x_a y_b B(e_a, e_b)
+            w = [0] * dim
+            for a, b, vec in slots:
+                c = x[a] * y[b]
+                if c:
+                    for k, v in vec:
+                        w[k] += c * v
+            table[(i, j)] = [sum(map(mul, r, w)) for r in back]
     return table
 
 

@@ -13,6 +13,7 @@ rational-case reasoning carry an explicit evidence banner saying so.
 import dataclasses
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (GuardError, ParameterError, StructureError,
                      UnsupportedFieldError)
@@ -112,6 +113,26 @@ class SearchSpec:
     def total(self):
         return self.p ** self.digit_count
 
+    @cached_property
+    def digit_slots(self):
+        """The slots a sweep index spells, in digit order: (j, i) for
+        i <= j in symmetric mode, every (i, j) row-major in full mode."""
+        n = range(self.dim)
+        if self.symmetric:
+            return tuple((j, i) for i in n for j in n if i <= j)
+        return tuple((i, j) for i in n for j in n)
+
+    @cached_property
+    def bracket_gap(self):
+        """{(i, j): residues of [e_i, e_j] - {e_i, e_j}} for i < j, each
+        reduced, computed once per spec: the skew part that the symmetric
+        parametrization forces on the slot (i, j) over the slot (j, i)."""
+        p, n = self.p, range(self.dim)
+        return {(i, j): tuple([(a.a - b.a) % p for a, b in
+                               zip(self.g.bracket_basis(i, j),
+                                   self.n.bracket_basis(i, j))])
+                for i in n for j in n if i < j}
+
 
 def _index_digits(index, p, k):
     """The k base-p digits of a sweep index, most significant first; an
@@ -132,40 +153,24 @@ def _digits_index(digits, p):
     return index
 
 
-def _bracket_gap(spec, i, j):
-    """The residues of [e_i, e_j] - {e_i, e_j}, unreduced: the skew part
-    that the symmetric parametrization forces on the slot (i, j)."""
-    return [a.a - b.a for a, b in zip(spec.g.bracket_basis(i, j),
-                                      spec.n.bracket_basis(i, j))]
-
-
 def decode_product(spec, index):
     """The candidate product of a sweep index, as an exact table; an index
     outside 0..spec.total - 1 raises ParameterError."""
     n = spec.dim
     digits = _index_digits(index, spec.p, spec.digit_count)
-    table = {}
+    table = {key: digits[q * n:(q + 1) * n]
+             for q, key in enumerate(spec.digit_slots)}
     if spec.symmetric:
-        q = 0
-        for i in range(n):
-            for j in range(i, n):
-                low = digits[q * n:(q + 1) * n]
-                table[(j, i)] = low
-                if i != j:
-                    table[(i, j)] = [a + d for a, d in
-                                     zip(low, _bracket_gap(spec, i, j))]
-                q += 1
-    else:
-        for i in range(n):
-            for j in range(n):
-                table[(i, j)] = digits[(i * n + j) * n:(i * n + j + 1) * n]
+        for (i, j), gap in spec.bracket_gap.items():
+            table[(i, j)] = [a + d for a, d in zip(table[(j, i)], gap)]
     return BilinearProduct.from_raw(spec.g.field, n, table)
 
 
 def encode_product(spec, product):
-    """Inverse of decode_product; rejects tensors the parametrization
-    cannot reach: a product over another field or of another dimension,
-    or a symmetric-mode product whose skew part is off."""
+    """Inverse of decode_product, read off the reduced residues of
+    `product.raw`; rejects tensors the parametrization cannot reach: a
+    product over another field or of another dimension, or a
+    symmetric-mode product whose skew part is off."""
     n = spec.dim
     p = spec.p
     mode = "symmetric" if spec.symmetric else "full"
@@ -173,28 +178,18 @@ def encode_product(spec, product):
         raise ParameterError(
             "product is outside the %s parametrization; it is not a "
             "dimension-%d product over %s" % (mode, n, spec.g.field.name))
-
-    def residues(i, j):
-        return [v.a for v in product.product_basis(i, j)]
-
-    def forced(i, j):
-        return [(a + d) % p
-                for a, d in zip(residues(j, i), _bracket_gap(spec, i, j))]
-
+    raw = product.raw
+    zero = (0,) * n
     if spec.symmetric:
-        if any(residues(i, j) != forced(i, j)
-               for i in range(n) for j in range(i + 1, n)):
-            raise ParameterError(
-                "product is outside the symmetric parametrization; its "
-                "skew part does not match the bracket gap")
-        digits = [a for i in range(n) for j in range(i, n)
-                  for a in residues(j, i)]
-        return _digits_index(digits, p)
-    digits = []
-    for i in range(n):
-        for j in range(n):
-            digits.extend(residues(i, j))
-    return _digits_index(digits, p)
+        for (i, j), gap in spec.bracket_gap.items():
+            low = raw.get((j, i), zero)
+            if raw.get((i, j), zero) != tuple([(a + d) % p for a, d
+                                               in zip(low, gap)]):
+                raise ParameterError(
+                    "product is outside the symmetric parametrization; its "
+                    "skew part does not match the bracket gap")
+    return _digits_index([a for key in spec.digit_slots
+                          for a in raw.get(key, zero)], p)
 
 
 @dataclass(frozen=True)
@@ -240,12 +235,11 @@ def decode_matrix(field, dim, index):
     """The matrix of a sweep index over GF(p); an index outside
     0..p^(dim^2) - 1 raises ParameterError."""
     digits = _index_digits(index, field.p, dim * dim)
-    return Matrix(field, [digits[r * dim:(r + 1) * dim] for r in range(dim)])
+    return Matrix._from_scalars(field, dim, dim, map(field.from_raw, digits))
 
 
 def encode_matrix(mat):
-    digits = [v.a for v in mat.flat()]
-    return _digits_index(digits, mat.field.p)
+    return _digits_index(mat.raw_flat(), mat.field.p)
 
 
 @dataclass(frozen=True)

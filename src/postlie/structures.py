@@ -28,23 +28,28 @@ from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
 from .linalg import (Matrix, accumulate, as_vector, basis_change_table,
                      commutator, contract, coordinates_in_span,
                      flatten_matrix, inverse, is_nilpotent_matrix,
-                     is_zero_vec, nullspace, raw_vector, sparse,
-                     sparse_units, support_terms, table_from_raw,
-                     unit_vector, vadd, vscale, vsub, vzero)
+                     is_zero_vec, nullspace, raw_terms, raw_vector,
+                     reduce_table, sparse, sparse_units, unit_vector, vadd,
+                     vscale, vsub, vzero)
 from .report import CheckItem, CheckReport, scan_item
 
 
 class BilinearProduct:
     """A bilinear product stored as sparse structure constants.
 
-    `table` maps ordered index pairs (i, j) to the coefficient vector of
-    e_i . e_j; absent pairs multiply to zero.
+    `raw` maps ordered index pairs (i, j) to the coefficient vector of
+    e_i . e_j as a tuple of reduced raw values (see `Field.raw`): residues
+    in 0..p-1 over GF(p), Fractions over Q.  Absent pairs multiply to
+    zero, and no stored vector is zero.  `table` holds the same vectors
+    as field scalars; it is built on first read, so a product that is
+    only contracted, conjugated or encoded never builds a scalar.
     """
 
-    __slots__ = ("field", "dim", "table", "_terms")
+    __slots__ = ("field", "dim", "raw", "_table", "_terms")
 
     def __init__(self, field, dim, table=None):
         data = {}
+        raw = field.raw
         for (i, j), spec in sorted((table or {}).items()):
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionError(
@@ -54,18 +59,20 @@ class BilinearProduct:
                 data[(i, j)] = vec
         self.field = field
         self.dim = dim
-        self.table = data
+        self.raw = {key: tuple(map(raw, vec)) for key, vec in data.items()}
+        self._table = data
         self._terms = None
 
     @classmethod
     def from_raw(cls, field, dim, table):
         """The product of a table of raw vectors (see `Field.raw`), each
-        coordinate reduced once; the keys are trusted to lie in range and
-        the vectors to have length dim."""
+        coordinate reduced once (see `reduce_table`); the keys are trusted
+        to lie in range and the vectors to have length dim."""
         out = cls.__new__(cls)
         out.field = field
         out.dim = dim
-        out.table = table_from_raw(field, table)
+        out.raw = reduce_table(field, table)
+        out._table = None
         out._terms = None
         return out
 
@@ -73,14 +80,24 @@ class BilinearProduct:
     def zero(cls, field, dim):
         return cls(field, dim, {})
 
+    @property
+    def table(self):
+        """{(i, j): vector of field scalars} of the nonzero slots, in key
+        order, built from `raw` once."""
+        if self._table is None:
+            from_raw = self.field.from_raw
+            self._table = {key: tuple(map(from_raw, vec))
+                           for key, vec in self.raw.items()}
+        return self._table
+
     def product_basis(self, i, j):
         return self.table.get((i, j), vzero(self.field, self.dim))
 
     def terms(self):
         """The sparse slot table of the product (see
-        `linalg.support_terms`), built once."""
+        `linalg.support_terms`), read off `raw` once."""
         if self._terms is None:
-            self._terms = support_terms(self.field, self.table)
+            self._terms = raw_terms(self.raw)
         return self._terms
 
     def product(self, x, y):
@@ -99,7 +116,7 @@ class BilinearProduct:
                                 [self.product_basis(i, j) for i in range(self.dim)])
 
     def is_zero(self):
-        return not self.table
+        return not self.raw
 
     def change_basis(self, T, Tinv=None):
         """The same product in the basis T e_1, ..., T e_n.  `Tinv` is the
@@ -107,23 +124,21 @@ class BilinearProduct:
         `basis_change_table`); a singular T raises DimensionError."""
         return BilinearProduct.from_raw(self.field, self.dim,
                                         basis_change_table(
-                                            self.field, self.dim, self.table,
+                                            self.field, self.dim, self.terms(),
                                             T, Tinv))
 
     def __eq__(self, other):
         if not isinstance(other, BilinearProduct):
             return NotImplemented
         return (self.field == other.field and self.dim == other.dim
-                and self.table == other.table)
+                and self.raw == other.raw)
 
     def __hash__(self):
-        items = tuple((k, tuple(str(c) for c in v))
-                      for k, v in sorted(self.table.items()))
-        return hash((self.field, self.dim, items))
+        return hash((self.field, self.dim, tuple(sorted(self.raw.items()))))
 
     def __repr__(self):
         return "BilinearProduct(dim=%d, %s, %d nonzero pairs)" % (
-            self.dim, self.field.name, len(self.table))
+            self.dim, self.field.name, len(self.raw))
 
 
 class PostLiePair:

@@ -97,6 +97,64 @@ def test_rref_is_idempotent(A):
     assert R == R2 and pivots == pivots2
 
 
+def _scalar_rref(matrix):
+    """Gauss-Jordan on field scalars, first nonzero row as pivot: the
+    reference that the raw-value elimination of `rref` must reproduce."""
+    rows = [list(matrix.row(i)) for i in range(matrix.nrows)]
+    pivots = []
+    r = 0
+    for c in range(matrix.ncols):
+        found = [i for i in range(r, matrix.nrows) if rows[i][c] != 0]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        piv = rows[r][c]
+        rows[r] = [v / piv for v in rows[r]]
+        for i in range(matrix.nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == matrix.nrows:
+            break
+    return rows, tuple(pivots)
+
+
+@st.composite
+def any_matrix(draw):
+    """A matrix over Q or GF(2, 3, 7) of up to 4 x 5, often singular."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    value = (small_fraction if field.is_rational
+             else st.integers(-2 * field.p, 2 * field.p))
+    rows = [[draw(value) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[-1])]
+        rows[0] = rows[-1][:]
+    return Matrix(field, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrix())
+def test_rref_matches_the_scalar_elimination(A):
+    R, pivots = rref(A)
+    rows, expected = _scalar_rref(A)
+    assert pivots == expected
+    assert R.rows() == [tuple(row) for row in rows]
+    assert R.field == A.field and R.shape == A.shape
+    for v in R.flat():
+        assert v == A.field.scalar(v) and type(v) is type(A.field.one)
+        if not A.field.is_rational:
+            assert v.p == A.field.p
+    if A.nrows == A.ncols:
+        inv = inverse(A)
+        ident = Matrix.identity(A.field, A.nrows)
+        assert (inv is None) == (len(pivots) < A.nrows)
+        if inv is not None:
+            assert A * inv == ident and inv * A == ident
+
+
 @settings(max_examples=60, deadline=None)
 @given(q_matrix(3, 4))
 def test_nullspace_vectors_annihilate(A):

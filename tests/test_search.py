@@ -5,9 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postlie import _fpkernel_py as pykern
-from postlie import fpkernel
+from postlie import fpkernel, search
 from postlie.catalog import builtin_algebra, get_entry
 from postlie.errors import (DimensionError, GuardError,
                             ParameterError, StructureError,
@@ -58,6 +60,64 @@ def test_decode_encode_round_trip():
             index = rng.randrange(spec.total)
             product = decode_product(spec, index)
             assert encode_product(spec, product) == index
+
+
+def _sweep_specs():
+    """Bracket pairs to sweep over, with forced slots whose bracket gap is
+    zero and nonzero, in dimensions 2 and 3 and both modes."""
+    specs = []
+    for g, n, p in (("abelian", "abelian", 5), ("r2", "abelian", 5),
+                    ("r2", "r2", 3), ("r3", "n3", 3), ("n3", "n3", 2),
+                    ("sl2", "n3", 7)):
+        field = GF(p)
+        G, N = (builtin_algebra(name, field=field,
+                                **({"dim": 2} if name == "abelian" else {}))
+                for name in (g, n))
+        if G.dim == N.dim:
+            specs += [SearchSpec(G, N, symmetric=True),
+                      SearchSpec(G, N, symmetric=False)]
+    return specs
+
+
+_SWEEP_SPECS = _sweep_specs()
+
+
+@st.composite
+def _spec_and_index(draw):
+    spec = draw(st.sampled_from(_SWEEP_SPECS))
+    return spec, draw(st.integers(0, spec.total - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spec_and_index(), st.data())
+def test_decode_encode_round_trip_property(case, data):
+    spec, index = case
+    product = decode_product(spec, index)
+    assert encode_product(spec, product) == index
+    # the same table built by the coercing constructor encodes alike
+    rebuilt = BilinearProduct(spec.g.field, spec.dim, product.table)
+    assert rebuilt == product
+    assert encode_product(spec, rebuilt) == index
+    p, n = spec.p, spec.dim
+    i, j = data.draw(st.sampled_from(
+        [(i, j) for i in range(n) for j in range(n) if i < j]))
+    k = data.draw(st.integers(0, n - 1))
+    shift = data.draw(st.integers(1, p - 1))
+    raw = {key: list(vec) for key, vec in product.raw.items()}
+    slot = raw.setdefault((i, j), [0] * n)
+    slot[k] += shift
+    moved = BilinearProduct.from_raw(spec.g.field, n, raw)
+    if spec.symmetric:
+        # a shifted upper slot puts the skew part off the bracket gap
+        with pytest.raises(ParameterError, match="skew part"):
+            encode_product(spec, moved)
+    else:
+        # full mode reaches every table: one digit moves by the shift
+        digit = (i * n + j) * n + k
+        place = p ** (spec.digit_count - 1 - digit)
+        old = product.raw.get((i, j), (0,) * n)[k]
+        assert encode_product(spec, moved) == \
+            index + ((old + shift) % p - old) * place
 
 
 def test_decode_rejects_indices_outside_the_sweep():
@@ -242,6 +302,32 @@ def test_transform_product_is_an_action():
                 transform_product(product, S * T)
             assert transform_product(product, T, inverse(T)) == \
                 transform_product(product, T)
+
+
+@pytest.mark.parametrize("name, p", [("abelian", 3), ("r2", 3)])
+def test_orbit_reduce_transforms_each_representative_once_per_automorphism(
+        name, p, monkeypatch):
+    # orbit_reduce conjugates one representative per orbit by every
+    # automorphism through transform_product, once per pair, and each
+    # call returns a product; the benchmark's per-layer counts rely on it
+    L = builtin_algebra(name, field=GF(p),
+                        **({"dim": 2} if name == "abelian" else {}))
+    spec = SearchSpec(L, L)
+    hits = enumerate_products(spec).indices
+    calls = []
+
+    def counted(product, T, Tinv=None):
+        moved = transform_product(product, T, Tinv)
+        assert type(moved) is BilinearProduct
+        calls.append(product)
+        return moved
+
+    monkeypatch.setattr(search, "transform_product", counted)
+    dec = orbit_reduce(spec, hits)
+    assert dec.count > 1
+    assert len(calls) == dec.count * dec.aut_order
+    assert sorted({encode_product(spec, P) for P in calls}) == \
+        sorted(dec.representatives())
 
 
 def _fixed_counts(spec, hits, mats):

@@ -13,7 +13,7 @@ from postlie.errors import (DimensionError, FieldMismatchError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ, Mod
 from postlie.lie import LieAlgebra, check_lie_axioms
-from postlie.linalg import Matrix
+from postlie.linalg import Matrix, support_terms
 from postlie.structures import (TAG_CYCLIC, TAG_LR_IDENTITY, TAG_LSA,
                                 TAG_NOVIKOV, BilinearProduct, PostLiePair,
                                 check_algebra, check_structure,
@@ -509,3 +509,34 @@ def test_from_raw_tables_equal_the_coercing_constructors(case):
     assert L.name == "raw" and not L.validated
     for vec in L.brackets.values():
         _assert_scalars(field, vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_tables(), st.data())
+def test_from_raw_products_agree_with_the_coercing_constructor(case, data):
+    # unreduced residues, multiples of p, ints and Fractions over Q: both
+    # constructors store the same reduced raw values and read alike
+    field, dim, table = case
+    P = BilinearProduct.from_raw(field, dim, table)
+    Q = BilinearProduct(field, dim, table)
+    assert P.table == Q.table
+    assert list(P.table) == sorted(P.table)
+    assert P.terms() == Q.terms() == support_terms(field, P.table)
+    assert P == Q and hash(P) == hash(Q)
+    assert P.raw == Q.raw and list(P.raw) == list(Q.raw)
+    assert P.is_zero() == Q.is_zero() == (not P.table)
+    for vec in P.raw.values():
+        assert any(vec)
+        for v in vec:
+            if field.is_rational:
+                assert type(v) is Fraction
+            else:
+                assert type(v) is int and 0 <= v < field.p
+    x, y = _sparse(data.draw, field, dim), _sparse(data.draw, field, dim)
+    got = P.product(x, y)
+    _assert_scalars(field, got)
+    assert got == Q.product(x, y)
+    expected = [field.zero] * dim
+    for (i, j), vec in P.table.items():
+        expected = [e + x[i] * y[j] * v for e, v in zip(expected, vec)]
+    assert got == tuple(expected)
