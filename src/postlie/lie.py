@@ -18,16 +18,22 @@ from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
 from .linalg import (Matrix, accumulate, as_vector, basis_change_table,
                      commutator, contract, coordinates_in_span,
-                     flatten_matrix, is_zero_vec, nullspace, rank,
-                     span_basis, sparse_units, support_terms, table_from_raw,
-                     unit_vector, vadd, vneg, vzero)
+                     coordinates_in_span_many, flatten_matrix, is_zero_vec,
+                     nullspace, rank, span_basis, sparse_units, support_terms,
+                     table_from_raw, unit_vector, vadd, vneg, vzero)
 from .report import CheckReport, scan_item
 
 
 class LieAlgebra:
-    """A finite-dimensional Lie algebra over Q or F_p."""
+    """A finite-dimensional Lie algebra over Q or F_p.
 
-    __slots__ = ("field", "dim", "brackets", "name", "_validated", "_terms")
+    `_memo` holds invariants computed once on the validated table (see
+    `series`, `killing_is_semisimple` and `classify_low_dim`); the table
+    never changes after construction, so they stay valid.
+    """
+
+    __slots__ = ("field", "dim", "brackets", "name", "_validated", "_terms",
+                 "_memo")
 
     def __init__(self, field, dim, brackets=None, name=None):
         if dim < 0:
@@ -46,6 +52,7 @@ class LieAlgebra:
         self.name = name
         self._validated = False
         self._terms = None
+        self._memo = {}
 
     @classmethod
     def from_raw(cls, field, dim, brackets, name=None):
@@ -59,6 +66,7 @@ class LieAlgebra:
         out.name = name
         out._validated = False
         out._terms = None
+        out._memo = {}
         return out
 
     @property
@@ -234,6 +242,8 @@ def series(L, kind="derived"):
     _require_validated(L)
     if kind not in ("derived", "lower-central"):
         raise ValueError("kind must be 'derived' or 'lower-central'")
+    if kind in L._memo:
+        return L._memo[kind]
     full = Subspace.span(L.field, L.dim,
                          [unit_vector(L.field, L.dim, i) for i in range(L.dim)])
     chain = [full]
@@ -249,7 +259,8 @@ def series(L, kind="derived"):
         chain.append(nxt)
         if nxt.dim == 0:
             break
-    return tuple(chain)
+    L._memo[kind] = chain = tuple(chain)
+    return chain
 
 
 def is_solvable(L):
@@ -286,11 +297,14 @@ def killing_is_semisimple(L):
     if not L.field.is_rational:
         raise UnsupportedFieldError(
             "the Killing criterion is only conclusive over Q")
-    n = L.dim
-    ads = [L.adjoint_matrix(unit_vector(L.field, n, i)) for i in range(n)]
-    form = Matrix(L.field, [[(ads[i] * ads[j]).trace() for j in range(n)]
-                            for i in range(n)])
-    return form, rank(form) == n
+    if "killing" not in L._memo:
+        n = L.dim
+        ads = [L.adjoint_matrix(unit_vector(L.field, n, i))
+               for i in range(n)]
+        form = Matrix(L.field, [[(ads[i] * ads[j]).trace() for j in range(n)]
+                                for i in range(n)])
+        L._memo["killing"] = (form, rank(form) == n)
+    return L._memo["killing"]
 
 
 def is_derivation(L, D):
@@ -406,17 +420,18 @@ def semidirect_with_derivations(L, derivations, name=None):
             vec = vneg_tuple(D.apply(e_i))
             if not is_zero_vec(vec):
                 table[(i, n + t)] = vec + (L.field.zero,) * k
-    for s in range(k):
-        for t in range(s + 1, k):
-            C = commutator(derivations[s], derivations[t])
-            coords = coordinates_in_span(flats, flatten_matrix(C), L.field)
-            if coords is None:
-                raise StructureError(
-                    "derivation span is not closed under the commutator "
-                    "(entries %d, %d)" % (s, t))
-            vec = vzero(L.field, n) + tuple(coords)
-            if not is_zero_vec(vec):
-                table[(n + s, n + t)] = vec
+    pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
+    solved = coordinates_in_span_many(
+        flats, [flatten_matrix(commutator(derivations[s], derivations[t]))
+                for s, t in pairs], L.field)
+    for (s, t), coords in zip(pairs, solved):
+        if coords is None:
+            raise StructureError(
+                "derivation span is not closed under the commutator "
+                "(entries %d, %d)" % (s, t))
+        vec = vzero(L.field, n) + tuple(coords)
+        if not is_zero_vec(vec):
+            table[(n + s, n + t)] = vec
     out = LieAlgebra(L.field, dim, table,
                      name=name or "semidirect(%s, der%d)" % (L.name or "L", k))
     return out.validate()
@@ -510,6 +525,12 @@ def classify_low_dim(L):
         raise UnsupportedFieldError("classification is implemented over Q only")
     if L.dim > 3:
         raise DimensionError("classification supports dimension <= 3")
+    if "classification" not in L._memo:
+        L._memo["classification"] = _classify(L)
+    return L._memo["classification"]
+
+
+def _classify(L):
     n = L.dim
     # each series once; is_solvable, is_nilpotent and nilpotency_class
     # read the same ends

@@ -9,9 +9,19 @@ No floating point is used anywhere.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionError, FieldMismatchError
+
+
+def scalars(field, values):
+    """`values` coerced into a tuple of scalars of `field`.  A Fraction is
+    a scalar of Q already and is passed through; a residue still has its
+    modulus checked."""
+    kind = Fraction if field.p is None else None
+    scalar = field.scalar
+    return tuple([v if type(v) is kind else scalar(v) for v in values])
 
 
 def as_vector(field, dim, spec):
@@ -26,7 +36,7 @@ def as_vector(field, dim, spec):
                 raise DimensionError("component index %r outside 0..%d" % (k, dim - 1))
             out[k] = field.scalar(v)
         return tuple(out)
-    vec = tuple(field.scalar(v) for v in spec)
+    vec = scalars(field, spec)
     if len(vec) != dim:
         raise DimensionError("expected a vector of length %d, got %d" % (dim, len(vec)))
     return vec
@@ -57,34 +67,49 @@ def vzero(field, n):
     return (field.zero,) * n
 
 
+# Over Q the sparse forms below carry an integral rational as its int
+# numerator: int products and sums cost no gcd, an int mixed with a
+# Fraction gives the same Fraction, and every sum is read back through
+# `Field.from_raw`, `reduce_table` or `contract`, so no answer changes.
+
+
 def sparse(field, vec):
     """The nonzero coordinates of a vector of field scalars, as a list of
     (k, raw value) pairs (see `Field.raw`): the operand form of
-    `accumulate`.  A Fraction is its own raw value, so over Q only the
-    other coordinates go through `Field.raw`."""
+    `accumulate`.  Over Q an integral coordinate is its int numerator
+    and any other Fraction is itself, so only coordinates of other types
+    go through `Field.raw`."""
     raw = field.raw
     if field.p is None:
-        return [(k, c if type(c) is Fraction else raw(c))
-                for k, c in enumerate(vec) if c]
+        out = []
+        for k, c in enumerate(vec):
+            if c:
+                if type(c) is not Fraction:
+                    c = raw(c)
+                out.append((k, c.numerator if c.denominator == 1 else c))
+        return out
     return [(k, raw(c)) for k, c in enumerate(vec) if c]
 
 
 @lru_cache(maxsize=64)
 def sparse_units(field, dim):
     """The unit vectors e_k and their negatives -e_k in sparse form, as
-    two tuples indexed by k; built once per field and dimension."""
-    one = field.raw(field.one)
-    return (tuple(((k, one),) for k in range(dim)),
-            tuple(((k, -one),) for k in range(dim)))
+    two tuples indexed by k; built once per field and dimension.  The
+    coordinates are the ints 1 and -1, raw values in every field."""
+    del field
+    return (tuple(((k, 1),) for k in range(dim)),
+            tuple(((k, -1),) for k in range(dim)))
 
 
 def raw_terms(raw_table):
     """The sparse slot table of a table of raw vectors: each pair maps to
-    the (k, value) pairs of its nonzero coordinates, and pairs with none
-    are dropped."""
+    the (k, value) pairs of its nonzero coordinates, in operand form (see
+    `sparse`), and pairs with none are dropped."""
     out = {}
     for key, vec in raw_table.items():
-        terms = tuple([(k, v) for k, v in enumerate(vec) if v])
+        terms = tuple([(k, v.numerator if type(v) is Fraction
+                        and v.denominator == 1 else v)
+                       for k, v in enumerate(vec) if v])
         if terms:
             out[key] = terms
     return out
@@ -195,7 +220,7 @@ class Matrix:
         width = None
         count = 0
         for row in rows:
-            row = tuple(field.scalar(v) for v in row)
+            row = scalars(field, row)
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -231,11 +256,12 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols):
-        cols = [tuple(field.scalar(v) for v in c) for c in cols]
+        cols = [scalars(field, c) for c in cols]
         if cols and any(len(c) != len(cols[0]) for c in cols):
             raise DimensionError("columns of unequal height")
         height = len(cols[0]) if cols else 0
-        return cls(field, [[c[i] for c in cols] for i in range(height)])
+        return cls._from_scalars(field, height, len(cols),
+                                 [c[i] for i in range(height) for c in cols])
 
     @property
     def shape(self):
@@ -358,18 +384,29 @@ def _dot(u, v, field):
     return field.zero if acc is None else acc
 
 
+def cleared_denominators(values):
+    """Rationals (or ints) times the lcm of their denominators, as ints: a
+    positive integral multiple of the vector, zero where it is zero."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) if v else 0 for v in values]
+
+
 def rref(matrix):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
-    The elimination runs on raw values (see `Field.raw`): over GF(p) on
-    residue ints, reduced after every row operation, with one modular
-    inverse per pivot; over Q on the Fractions themselves.  The scalars
-    of R are built once, at the end."""
+    The elimination runs on plain values and builds the scalars of R once,
+    at the end.  Over GF(p) it runs on residue ints, reduced after every
+    row operation, with one modular inverse per pivot.  Over Q it runs
+    fraction-free on ints (see `_rref_integral`); the RREF is unique, so
+    R and the pivots are the same as a Gauss-Jordan on Fractions gives."""
     field = matrix.field
     p = field.p
     nrows, ncols = matrix.shape
     flat = matrix.raw_flat()
     rows = [list(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
+    if p is None:
+        entries, pivots = _rref_integral(rows, ncols, field)
+        return Matrix._from_scalars(field, nrows, ncols, entries), pivots
     pivots = []
     r = 0
     for c in range(ncols):
@@ -381,28 +418,68 @@ def rref(matrix):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        if p is None:
-            row = rows[r] = [v / piv if v else v for v in rows[r]]
-        else:
-            inv = pow(piv, -1, p)
-            row = rows[r] = [v * inv % p for v in rows[r]]
+        inv = pow(rows[r][c], -1, p)
+        row = rows[r] = [v * inv % p for v in rows[r]]
         for i in range(nrows):
             f = rows[i][c]
             if i != r and f:
-                if p is None:
-                    rows[i] = [v - f * w if w else v
-                               for v, w in zip(rows[i], row)]
-                else:
-                    rows[i] = [(v - f * w) % p for v, w in zip(rows[i], row)]
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], row)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    entries = [v for row in rows for v in row]
-    if p is not None:
-        entries = map(field.from_raw, entries)
+    entries = map(field.from_raw, [v for row in rows for v in row])
     return Matrix._from_scalars(field, nrows, ncols, entries), tuple(pivots)
+
+
+def _rref_integral(rows, ncols, field):
+    """The RREF of rational rows, as (row-major Fractions, pivots).
+
+    Each row is scaled to ints by the lcm of its denominators, which keeps
+    the row space.  Gauss-Jordan then runs fraction-free: a row is cleared
+    in the pivot column by a*row - b*pivot_row with a, b the cofactors of
+    gcd(pivot, entry), and every new row is divided by the gcd of its
+    entries.  Each row stays a nonzero multiple of the row that the same
+    elimination on Fractions holds, so the zero patterns, and with them
+    the pivot choices, are the same; at the end each pivot row is divided
+    by its pivot once, one Fraction per entry."""
+    nrows = len(rows)
+    rows = [cleared_denominators(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        row = rows[r]
+        piv = row[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                new = [a * v - b * w if w else a * v
+                       for v, w in zip(rows[i], row)]
+                g = gcd(*new)
+                # g is 0 when the row has become zero
+                rows[i] = new if g <= 1 else [v // g for v in new]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = field.zero
+    entries = []
+    for i, c in enumerate(pivots):
+        piv = rows[i][c]
+        entries += [Fraction(v, piv) if v else zero for v in rows[i]]
+    # the rows below the pivot rows are zero
+    entries += [zero] * ((nrows - len(pivots)) * ncols)
+    return entries, tuple(pivots)
 
 
 def rank(matrix):
@@ -451,11 +528,12 @@ def rref_solve(matrix, b):
         raise DimensionError("rhs length %d, matrix height %d" %
                              (len(b), matrix.nrows))
     field = matrix.field
-    b = tuple(field.scalar(v) for v in b)
-    aug = Matrix(field, [tuple(matrix.row(i)) + (b[i],)
-                         for i in range(matrix.nrows)])
-    R, pivots = rref(aug)
+    b = scalars(field, b)
     ncols = matrix.ncols
+    aug = Matrix._from_scalars(field, matrix.nrows, ncols + 1,
+                               [v for i in range(matrix.nrows)
+                                for v in matrix.row(i) + (b[i],)])
+    R, pivots = rref(aug)
     a_pivots = tuple(c for c in pivots if c < ncols)
     homogeneous = _nullspace_from_rref(R, a_pivots, ncols)
     if any(c == ncols for c in pivots):
@@ -471,17 +549,22 @@ def inverse(matrix):
     if matrix.nrows != matrix.ncols:
         raise DimensionError("inverse of a non-square matrix")
     n = matrix.nrows
-    field = matrix.field
-    one, zero = field.one, field.zero
-    aug = Matrix._from_scalars(
-        field, n, 2 * n,
-        [v for i in range(n) for v in matrix.row(i)
-         + tuple(one if j == i else zero for j in range(n))])
-    R, pivots = rref(aug)
+    R, pivots = rref(_with_identity(matrix))
     if tuple(range(n)) != pivots[:n] or len(pivots) != n:
         return None
-    return Matrix._from_scalars(field, n, n,
+    return Matrix._from_scalars(matrix.field, n, n,
                                 [v for i in range(n) for v in R.row(i)[n:]])
+
+
+def _with_identity(matrix):
+    """[A | I], the matrix with the identity of its height on its right."""
+    field = matrix.field
+    n, k = matrix.shape
+    one, zero = field.one, field.zero
+    return Matrix._from_scalars(
+        field, n, k + n,
+        [v for i in range(n) for v in matrix.row(i)
+         + tuple(one if j == i else zero for j in range(n))])
 
 
 def basis_change_table(field, dim, terms, T, Tinv=None):
@@ -536,11 +619,46 @@ def coordinates_in_span(vectors, target, field):
     Deterministic: free coefficients are zero.  An empty spanning list only
     matches the zero vector, giving the empty coefficient tuple.
     """
-    target = tuple(field.scalar(v) for v in target)
     if not vectors:
-        return () if is_zero_vec(target) else None
+        return () if is_zero_vec(scalars(field, target)) else None
     sol = rref_solve(Matrix.from_cols(field, vectors), target)
     return sol.particular
+
+
+def coordinates_in_span_many(vectors, targets, field):
+    """`coordinates_in_span` of each target in turn, from one elimination.
+
+    With A the matrix whose columns are `vectors`, [A | I] is reduced once
+    to [R | E], so that E A = R with E invertible.  A x = t then says
+    R x = E t: t lies in the span iff E t vanishes below the rank, and the
+    pivot coordinates of x are the entries of E t above it, with the free
+    coefficients zero as in `coordinates_in_span`.  Returns a list with a
+    tuple of coefficients, or None, per target.
+    """
+    targets = [scalars(field, t) for t in targets]
+    if not vectors:
+        return [() if is_zero_vec(t) else None for t in targets]
+    A = Matrix.from_cols(field, vectors)
+    height, k = A.shape
+    R, pivots = rref(_with_identity(A))
+    a_pivots = [c for c in pivots if c < k]
+    rank = len(a_pivots)
+    E = [R.row(i)[k:] for i in range(height)]
+    zero = field.zero
+    out = []
+    for t in targets:
+        if len(t) != height:
+            raise DimensionError("target length %d, span height %d"
+                                 % (len(t), height))
+        y = [_dot(row, t, field) for row in E]
+        if any(y[rank:]):
+            out.append(None)
+            continue
+        x = [zero] * k
+        for r, c in enumerate(a_pivots):
+            x[c] = y[r]
+        out.append(tuple(x))
+    return out
 
 
 def span_basis(field, ambient, vectors):
@@ -548,7 +666,8 @@ def span_basis(field, ambient, vectors):
     vectors = [as_vector(field, ambient, v) for v in vectors]
     if not vectors:
         return ()
-    R, pivots = rref(Matrix(field, vectors))
+    R, pivots = rref(Matrix._from_scalars(field, len(vectors), ambient,
+                                          [v for vec in vectors for v in vec]))
     return tuple(R.row(i) for i in range(len(pivots)))
 
 
@@ -562,6 +681,20 @@ def is_nilpotent_matrix(matrix):
             return True
         acc = acc * matrix
     return matrix.nrows == 0
+
+
+def is_nilpotent_int(flat, n):
+    """`is_nilpotent_matrix` of the n x n integer matrix whose row-major
+    entries are `flat`, on plain ints: some power up to n vanishes."""
+    cols = [flat[j::n] for j in range(n)]
+    acc = flat
+    for step in range(n):
+        if not any(acc):
+            return True
+        if step < n - 1:
+            acc = [sum(map(mul, acc[i * n:(i + 1) * n], col))
+                   for i in range(n) for col in cols]
+    return n == 0
 
 
 def commutator(a, b):

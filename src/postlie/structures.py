@@ -17,6 +17,7 @@ that is wrong with it at once.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
@@ -26,11 +27,12 @@ from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
                   is_perfect, killing_is_semisimple, nilpotency_class,
                   semidirect_with_derivations, classify_low_dim)
 from .linalg import (Matrix, accumulate, as_vector, basis_change_table,
-                     commutator, contract, coordinates_in_span,
-                     flatten_matrix, inverse, is_nilpotent_matrix,
-                     is_zero_vec, nullspace, raw_terms, raw_vector,
-                     reduce_table, sparse, sparse_units, unit_vector, vadd,
-                     vscale, vsub, vzero)
+                     cleared_denominators, commutator, contract,
+                     coordinates_in_span, coordinates_in_span_many,
+                     flatten_matrix, inverse, is_nilpotent_int,
+                     is_nilpotent_matrix, is_zero_vec, nullspace, raw_terms,
+                     raw_vector, reduce_table, sparse, sparse_units,
+                     unit_vector, vadd, vscale, vsub, vzero)
 from .report import CheckItem, CheckReport, scan_item
 
 
@@ -542,18 +544,35 @@ def all_right_multiplications_nilpotent(pair):
 
 def sampled_left_mult_nilpotency(pair, samples=50, seed=0):
     """Nilpotency of L(x) at pseudorandom x; a cross-check of the exact
-    completeness decision, not a substitute for it."""
+    completeness decision, not a substitute for it.
+
+    Over Q the x_t are drawn as n_t/d_t and the test runs on ints: a
+    nonzero multiple of L(x) is nilpotent exactly when L(x) is, so the
+    L(e_t) are scaled by the lcm of all their denominators and each x by
+    the lcm of its d_t (see `linalg.is_nilpotent_int`)."""
     rng = random.Random(seed)
-    field = pair.field
+    field, dim = pair.field, pair.dim
     mats = left_multiplications(pair)
+    if field.is_rational:
+        size = dim * dim
+        flat = cleared_denominators([v for M in mats for v in M.flat()])
+        scaled = [flat[t * size:(t + 1) * size] for t in range(dim)]
     for _ in range(samples):
         if field.is_rational:
-            x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(pair.dim))
+            draws = [(rng.randint(-9, 9), rng.randint(1, 9))
+                     for _ in range(dim)]
+            d = lcm(*[den for _, den in draws])
+            M = [0] * size
+            for (num, den), L in zip(draws, scaled):
+                if num:
+                    c = num * (d // den)
+                    M = [a + c * b for a, b in zip(M, L)]
+            nilpotent = is_nilpotent_int(M, dim)
         else:
             x = tuple(field.scalar(rng.randrange(field.characteristic))
-                      for _ in range(pair.dim))
-        if not is_nilpotent_matrix(_combination(field, pair.dim, mats, x)):
+                      for _ in range(dim))
+            nilpotent = is_nilpotent_matrix(_combination(field, dim, mats, x))
+        if not nilpotent:
             return False
     return True
 
@@ -769,14 +788,12 @@ def _inner_derivation_vectors(pair):
     field = pair.field
     ad_flats = [flatten_matrix(n.adjoint_matrix(unit_vector(field, dim, t)))
                 for t in range(dim)]
-    vs = []
-    for i in range(dim):
-        L_i = pair.product.left_matrix_basis(i)
-        coords = coordinates_in_span(ad_flats, flatten_matrix(L_i), field)
-        if coords is None:
-            raise StructureError("internal error: left multiplication is "
-                                 "not an inner derivation")
-        vs.append(coords)
+    vs = coordinates_in_span_many(
+        ad_flats, [flatten_matrix(pair.product.left_matrix_basis(i))
+                   for i in range(dim)], field)
+    if any(coords is None for coords in vs):
+        raise StructureError("internal error: left multiplication is "
+                             "not an inner derivation")
     return vs
 
 
@@ -814,14 +831,15 @@ def embed_semidirect(pair):
     field = pair.field
     ders = derivation_algebra(n)
     ambient = semidirect_with_derivations(n, ders.basis)
-    images = []
-    for i in range(dim):
-        L_i = pair.product.left_matrix_basis(i)
-        coords = ders.coordinates(L_i)
-        if coords is None:
-            raise StructureError("internal error: left multiplication is "
-                                 "not a derivation of n")
-        images.append(unit_vector(field, dim, i) + tuple(coords))
+    solved = coordinates_in_span_many(
+        [flatten_matrix(D) for D in ders.basis],
+        [flatten_matrix(pair.product.left_matrix_basis(i))
+         for i in range(dim)], field)
+    if any(coords is None for coords in solved):
+        raise StructureError("internal error: left multiplication is "
+                             "not a derivation of n")
+    images = [unit_vector(field, dim, i) + coords
+              for i, coords in enumerate(solved)]
     matrix = Matrix.from_cols(field, images)
 
     def hom(i, j):
@@ -862,18 +880,20 @@ def structure_from_graph_subalgebra(n, elements, name=None):
     if Xinv is None:
         raise StructureError("projection to n is not bijective on the span")
     flats = [tuple(x) + flatten_matrix(D) for x, D in elements]
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            x_a, D_a = elements[a]
-            x_b, D_b = elements[b]
-            first = vadd(n.bracket(x_a, x_b),
-                         vsub(D_a.apply(x_b), D_b.apply(x_a)))
-            second = commutator(D_a, D_b)
-            target = tuple(first) + flatten_matrix(second)
-            if coordinates_in_span(flats, target, field) is None:
-                raise StructureError("span is not closed under the "
-                                     "semidirect bracket (entries %d, %d)"
-                                     % (a, b))
+    pairs = _pairs(dim)
+    targets = []
+    for a, b in pairs:
+        x_a, D_a = elements[a]
+        x_b, D_b = elements[b]
+        first = vadd(n.bracket(x_a, x_b),
+                     vsub(D_a.apply(x_b), D_b.apply(x_a)))
+        targets.append(tuple(first) + flatten_matrix(commutator(D_a, D_b)))
+    for (a, b), coords in zip(pairs,
+                              coordinates_in_span_many(flats, targets, field)):
+        if coords is None:
+            raise StructureError("span is not closed under the "
+                                 "semidirect bracket (entries %d, %d)"
+                                 % (a, b))
     # L(e_i) = sum_t Xinv[t][i] D_t  (the derivation attached to e_i)
     left = [_combination(field, dim, [D for _, D in elements], Xinv.col(i))
             for i in range(dim)]

@@ -333,3 +333,30 @@ def test_change_basis_matches_the_slot_formula(field):
     n3 = builtin_algebra("n3", field=field)
     moved = n3.change_basis(Matrix.identity(field, 3))
     assert moved == n3 and moved.validated and moved.name == n3.name
+
+
+def test_invariants_are_computed_once_per_algebra(monkeypatch):
+    import postlie.lie as lie
+    spans = []
+    original = lie.span_basis
+    monkeypatch.setattr(lie, "span_basis",
+                        lambda *args: spans.append(1) or original(*args))
+    L = builtin_algebra("r3")
+    first = classify_low_dim(L)
+    computed = len(spans)
+    assert computed > 0
+    assert classify_low_dim(L) is first
+    assert series(L, "derived") is series(L, "derived")
+    assert nilpotency_class(L) is None and not is_nilpotent(L)
+    assert is_solvable(L)
+    assert len(spans) == computed
+    # a basis change is a new table: its invariants are computed afresh
+    T = Matrix(QQ, [[1, 1, 0], [0, 1, 0], [2, 0, 1]])
+    moved = L.change_basis(T)
+    assert classify_low_dim(moved) == first and len(spans) > computed
+    # nothing is kept for an algebra that has not been validated
+    raw = LieAlgebra(QQ, 2, {(0, 1): {0: 1}})
+    for _ in range(2):
+        with pytest.raises(NotValidatedError):
+            series(raw)
+    assert series(raw.validate(), "lower-central")[-1].dim == 1
