@@ -1,9 +1,9 @@
-"""Timing comparison of the sweep kernel backends.
+"""Timing of the finite-field sweep kernels.
 
-Runs the same exhaustive sweeps through every importable backend
-(compiled extension and vectorized fallback), checks that they return
-identical hit lists, and prints the wall times with the speedup of the
-fastest over the slowest.
+Runs exhaustive sweeps through `postlie.fpkernel`, prints the wall time
+and hit count of each, and checks each hit count against a closed form
+or a recorded count.  The exit status is the number of rows whose count
+differs.
 
     python3 benchmarks/bench_fpkernel.py          # full workload
     python3 benchmarks/bench_fpkernel.py --quick  # small sanity sizes
@@ -13,69 +13,82 @@ import argparse
 import sys
 import time
 
+from postlie import fpkernel
 from postlie.catalog import builtin_algebra
 from postlie.fields import GF
-from postlie.fpkernel import backends
 from postlie.search import flat_bracket_tensor
+
+# hit counts recorded from the sweeps, keyed by (row, p)
+RECORDED = {
+    # abelian/abelian in dimension 2, full mode
+    ("product", 3): 105, ("product", 5): 745,
+    ("phi sl2", 3): 86, ("phi sl2", 5): 392, ("phi sl2", 7): 1066,
+    ("phi n3", 3): 2187, ("phi n3", 5): 78125,
+}
+
+# automorphism group orders: Aut(sl2) = PGL2(F_p); Aut(n3) is GL2 of
+# V / Z(n3) times the p^2 maps of V / Z into Z(n3); Aut(abelian(3)) is
+# GL3(F_p)
+AUT_ORDERS = {
+    "sl2": lambda p: p * (p * p - 1),
+    "n3": lambda p: p ** 2 * (p ** 2 - 1) * (p ** 2 - p),
+    "abelian": lambda p: (p ** 3 - 1) * (p ** 3 - p) * (p ** 3 - p ** 2),
+}
+
+
+def _bracket(name, p):
+    return flat_bracket_tensor(builtin_algebra(name, field=GF(p), dim=3))
 
 
 def _workloads(quick):
-    pp, pd = (3, 2) if quick else (5, 2)
-    prod_field = GF(pp)
-    zero = [0] * (pd ** 3)
-    fp = 3 if quick else 5
+    """(label, sweep, expected hit count) rows."""
+    p = 3 if quick else 5
+    zero = [0] * 8
     # n3/n3 over GF(2), symmetric: 2^18 candidates, which derivation-action
-    # (every L(x) a derivation of n3) cuts to 2^9 in the fallback
-    n3 = flat_bracket_tensor(builtin_algebra("n3", field=GF(2)))
-    work = [("product_sweep GF(%d) dim %d full" % (pp, pd),
-             lambda kern: kern.product_sweep(pp, pd, zero, zero, False, 0,
-                                             pp ** (pd ** 3))),
+    # (every L(x) a derivation of n3) cuts to 2^9 solutions
+    n3 = _bracket("n3", 2)
+    rows = [("product_sweep GF(%d) dim 2 full" % p,
+             lambda: fpkernel.product_sweep(p, 2, zero, zero, False, 0,
+                                            p ** 8),
+             RECORDED["product", p]),
             ("product_sweep n3/n3 GF(2) symmetric",
-             lambda kern: kern.product_sweep(2, 3, n3, n3, True, 0, 2 ** 18))]
-    # sl2 has no centre and n3 has one; the fallback's phi test relies on
-    # n being a Lie algebra, not on a trivial centre, so both are compared
+             lambda: fpkernel.product_sweep(2, 3, n3, n3, True, 0, 2 ** 18),
+             44)]
+    # sl2 has no centre and n3 has one, which puts a coset of solutions
+    # behind each solved prefix of the phi sweep
     for name in ("sl2", "n3"):
-        cn = flat_bracket_tensor(builtin_algebra(name, field=GF(fp)))
-        work.append(("phi_sweep %s GF(%d)" % (name, fp),
-                     lambda kern, cn=cn: kern.phi_sweep(fp, 3, cn, 0,
-                                                        fp ** 9)))
+        cn = _bracket(name, p)
+        rows.append(("phi_sweep %s GF(%d)" % (name, p),
+                     lambda cn=cn: fpkernel.phi_sweep(p, 3, cn, 0, p ** 9),
+                     RECORDED["phi " + name, p]))
     if not quick:
-        # 1,066 hits; full mode only, because the compiled kernel scans
-        # the whole 7^9 box here, about 9 s
-        sl2 = flat_bracket_tensor(builtin_algebra("sl2", field=GF(7)))
-        work.append(("phi_sweep sl2 GF(7)",
-                     lambda kern: kern.phi_sweep(7, 3, sl2, 0, 7 ** 9)))
-    return work
+        sl2 = _bracket("sl2", 7)
+        rows.append(("phi_sweep sl2 GF(7)",
+                     lambda: fpkernel.phi_sweep(7, 3, sl2, 0, 7 ** 9),
+                     RECORDED["phi sl2", 7]))
+    # n3 and sl2 solve one column per prefix; abelian has no bracket to
+    # solve from and scans the whole box with the determinant alone
+    for name in ("n3", "sl2", "abelian"):
+        c = _bracket(name, p)
+        rows.append(("gl_invariance_sweep %s GF(%d)" % (name, p),
+                     lambda c=c: fpkernel.gl_invariance_sweep(p, 3, [c], 0,
+                                                              p ** 9),
+                     AUT_ORDERS[name](p)))
+    return rows
 
 
 def run(quick=False, out=sys.stdout):
-    mods = backends()
-    if len(mods) < 2:
-        print("only the %s backend is importable; timing it alone"
-              % mods[0].NAME, file=out)
+    print("backend: %s" % fpkernel.BACKEND, file=out)
     failures = 0
-    for label, work in _workloads(quick):
-        print(label, file=out)
-        results = {}
-        times = {}
-        for kern in mods:
-            begin = time.perf_counter()
-            hits = work(kern)
-            times[kern.NAME] = time.perf_counter() - begin
-            results[kern.NAME] = list(hits)
-            print("  %-10s %8.3fs   %d hits"
-                  % (kern.NAME, times[kern.NAME], len(hits)), file=out)
-        distinct = {tuple(v) for v in results.values()}
-        if len(distinct) != 1:
+    for label, sweep, expected in _workloads(quick):
+        begin = time.perf_counter()
+        hits = sweep()
+        elapsed = time.perf_counter() - begin
+        print("%-40s %8.3fs   %d hits" % (label, elapsed, len(hits)),
+              file=out)
+        if len(hits) != expected:
             failures += 1
-            print("  MISMATCH: backends disagree on the hit list", file=out)
-        elif len(times) > 1:
-            fastest = min(times, key=times.get)
-            slowest = max(times, key=times.get)
-            if times[fastest] > 0:
-                print("  %s is %.1fx faster than %s"
-                      % (fastest, times[slowest] / times[fastest], slowest),
-                      file=out)
+            print("  MISMATCH: expected %d hits" % expected, file=out)
     return failures
 
 

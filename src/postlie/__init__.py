@@ -4,8 +4,11 @@ The package works over Q and over prime fields GF(p), with one checker
 vocabulary throughout: a report lists one item per identity, each item
 carrying the first failing basis tuple and the difference of the two
 sides.  `catalog` holds the two-dimensional classification tables and
-the worked families, `search` runs exhaustive finite-field sweeps on the
-compiled or vectorized kernels, and `cli` wraps all of it for the shell.
+the worked families, `search` runs exhaustive sweeps over prime fields
+on the numpy kernels of `fpkernel` (which return no hits outside a
+sweep's index range and raise ValueError on a phi sweep over a bracket
+that is not a Lie bracket mod p), and `cli` wraps all of it for the
+shell.
 """
 
 from .errors import (DimensionError, DocumentError, FieldMismatchError,

@@ -1,23 +1,28 @@
-"""Vectorized fallback implementations of the finite-field sweep kernels.
+"""The finite-field sweep kernels, vectorized in numpy.
 
-Same contracts as the compiled module `_fpkernel`: candidates are indexed
-by base-p digit strings (big-endian over row-major entries), tensors are
-flat int lists of length n^3 with T[(i*n + j)*n + k] the k-th component of
-the (i, j) slot.  Each identity is stated once over a batch of tensors, on
-the same basis tuples the compiled kernel scans (i < j, and i < j < k for
-Jacobi): Jacobi and module-action as masks, skew-part and
-derivation-action as residuals that `_vanishes` turns into masks.  Those
-two residuals are affine in the product tensor, so `product_sweep` reads
-its linear system off the same statements and scans only the candidates
-that solve it; `phi_sweep` in dimension 3 likewise solves module-action
-on (e1, e2), which is affine in the last column of phi once the first
-two are fixed.  The sweeps apply the masks to chunks of candidates, and
-`jacobi_ok` and `verify_structure` to a batch of one.  Sweep hits are
-not checked again here: `search` re-verifies every hit in exact
-arithmetic, so the numpy layer is never the sole authority on a hit.
+Candidates are indexed by base-p digit strings (big-endian over
+row-major entries), and tensors are flat int lists of length n^3 with
+T[(i*n + j)*n + k] the k-th component of the (i, j) slot.  Dimensions
+are 1..3, and the sweeps take prime moduli only, since they solve their
+affine identities over GF(p).  Indices outside [0, p^k) name no
+candidate, so a sweep returns no hits there, and inside it returns the
+same sorted hits for any cut of the range into pieces.  `phi_sweep`
+raises ValueError when its bracket is not a Lie bracket mod p.
+
+Each identity is stated once over a batch of tensors, on the basis
+tuples i < j (and i < j < k for Jacobi): Jacobi and module-action as
+masks, skew-part and derivation-action as residuals that `_vanishes`
+turns into masks.  Those two residuals are affine in the product
+tensor, so `product_sweep` reads its linear system off the same
+statements and scans only the candidates that solve it.  In dimension 3
+`phi_sweep` and `gl_invariance_sweep` each solve one identity that is
+affine in one column of the candidate matrix once the other two are
+fixed (`_solved_sweep`).  Sweep hits are not checked again here:
+`search` re-verifies every hit in exact arithmetic, so the numpy layer
+is never the sole authority on a hit.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -128,12 +133,23 @@ def verify_structure(p, n, cg, cn, pr):
     return bool(_structure(p, cg, cn, pr[None])[0])
 
 
-def _phi_hits(p, cn, phi):
-    """Module-action of x.y = {phi x, y} against its induced bracket, per
-    matrix phi[m] (column i is phi e_i)."""
-    pr = np.einsum("mki,kjr->mijr", phi, cn) % p
-    br = (pr - pr.swapaxes(1, 2) + cn) % p
-    return _module_action(p, br, pr)
+def _phi_hits(p, cn, phi, pairs):
+    """Per matrix phi[m] (column i is phi e_i): the defect
+    D(x, y) = {phi x, phi y} - phi({phi x, y} + {x, phi y} + {x, y}) is
+    central on every basis pair (e_i, e_j) in pairs.
+
+    By Jacobi of n, module-action of x.y = {phi x, y} against its
+    induced bracket reads {z, D(x, y)} = 0 for all z, and D is
+    antisymmetric, so over all pairs i < j this is module-action."""
+    ok = np.ones(len(phi), dtype=bool)
+    for i, j in pairs:
+        f = phi[ok]
+        x, y = f[:, :, i], f[:, :, j]
+        w = (x @ cn[:, j] + y @ cn[i] + cn[i, j]) % p
+        d = (np.einsum("mk,ml,klr->mr", x, y, cn)
+             - np.einsum("mrk,mk->mr", f, w)) % p
+        ok[ok] = np.all(d @ cn.reshape(len(cn), -1) % p == 0, axis=1)
+    return ok
 
 
 def _centre(p, cn):
@@ -147,72 +163,86 @@ def _centre(p, cn):
     return _digits(0, p ** len(basis), p, len(basis)) @ basis % p
 
 
-def _solved_phi_sweep(p, cn, lo, hi):
-    """The dim-3 phi sweep, solving the (e1, e2) defect for phi e3.
+def _solved_sweep(p, lo, hi, t, solve, mask):
+    """The sorted hits in [lo, hi) of a dim-3 sweep that solves column t
+    of its candidate matrices from the other two.
 
-    Module-action for x.y = {phi x, y} says that the defect
-    {phi x, phi y} - phi({phi x, y} + {x, phi y} + {x, y}) is central
-    (by Jacobi of n, [x, y].z - x.(y.z) + y.(x.z) is {z, defect}).  Fix
-    the columns a = phi e1 and b = phi e2, a prefix of six digits, and
-    let w = {a, e2} + {e1, b} + {e1, e2}.  The (e1, e2) defect is
-    S - w_3 phi e3 with S = {a, b} - w_1 a - w_2 b, so it is central
-    exactly when phi e3 lies in S / w_3 + Z(n) (w_3 != 0), or when S is
-    central and phi e3 is anything (w_3 = 0).  Only those candidates are
-    built, and each one is decided by the same module-action mask as the
-    box scan.
+    Those two columns are a prefix of six digits, x the lower-numbered
+    column and y the other, each digit in place-value order, so prefix
+    order is index order with column t zero, and the prefixes that can
+    reach [lo, hi) form a range, found by bisection.  solve(x, y), on a
+    chunk of prefixes, returns triples (rows, base, choices): the
+    prefixes that rows selects have the candidates with column t equal
+    to base[m] + each row of choices.  mask decides a batch of
+    candidates.
     """
-    centre = _centre(p, cn)
-    anything = _digits(0, p ** 3, p, 3)
-    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)],
-                       dtype=np.int64)
-    # place[r, c]: the place value of the digit phi[r, c] in an index
+    # place[r, c]: the place value of the digit T[r, c] in an index
     place = p ** np.arange(8, -1, -1, dtype=np.int64).reshape(3, 3)
+    fixed = [c for c in range(3) if c != t]
 
     def columns(a, b):
-        """phi e1 and phi e2 of the prefixes in [a, b), as (m, 3, 2)."""
+        """Columns x and y of the prefixes in [a, b), as (m, 3, 2)."""
         return _digits(a, b, p, 6).reshape(b - a, 3, 2)
 
     def first_prefix(bound):
-        """The first prefix whose own digits place it at bound or above;
-        prefix order is index order with phi e3 = 0."""
+        """The first prefix whose own digits place it at bound or above."""
         a, b = 0, p ** 6
         while a < b:
             mid = (a + b) // 2
-            if np.sum(columns(mid, mid + 1)[0] * place[:, :2]) < bound:
+            if np.sum(columns(mid, mid + 1)[0] * place[:, fixed]) < bound:
                 a = mid + 1
             else:
                 b = mid
         return a
 
     hits = []
-
-    def test(cols, base, choices):
-        """Mask the candidates with phi e1, phi e2 from cols[m] and
-        phi e3 = base[m] + each row of choices, about _CHUNK at a time."""
-        step = max(1, _CHUNK // len(choices))
-        for t in range(0, len(cols), step):
-            last = (base[t:t + step, None] + choices) % p
-            m, c = last.shape[:2]
-            phi = np.concatenate([np.repeat(cols[t:t + step], c, axis=0),
-                                  last.reshape(m * c, 3, 1)], axis=2)
-            idx = np.einsum("mrc,rc->m", phi, place)
-            keep = (lo <= idx) & (idx < hi)
-            hits.extend(idx[keep][_phi_hits(p, cn, phi[keep])].tolist())
-
-    q_lo = first_prefix(lo - (p - 1) * place[:, 2].sum())
+    q_lo = first_prefix(lo - (p - 1) * place[:, t].sum())
     q_hi = first_prefix(hi)
     for a in range(q_lo, q_hi, _CHUNK):
         cols = columns(a, min(q_hi, a + _CHUNK))
-        x, y = cols[..., 0], cols[..., 1]
+        for rows, base, choices in solve(cols[..., 0], cols[..., 1]):
+            cols_rows = cols[rows]
+            # about _CHUNK candidates at a time
+            step = max(1, _CHUNK // len(choices))
+            for s in range(0, len(base), step):
+                last = (base[s:s + step, None] + choices) % p
+                m, c = last.shape[:2]
+                T = np.empty((m * c, 3, 3), dtype=np.int64)
+                T[:, :, fixed] = np.repeat(cols_rows[s:s + step], c, axis=0)
+                T[:, :, t] = last.reshape(m * c, 3)
+                idx = np.einsum("mrc,rc->m", T, place)
+                keep = (lo <= idx) & (idx < hi)
+                hits.extend(idx[keep][mask(T[keep])].tolist())
+    return sorted(hits)
+
+
+def _solved_phi_sweep(p, cn, lo, hi):
+    """The dim-3 phi sweep, solving the (e1, e2) defect for phi e3.
+
+    A hit is a phi whose defect D (see `_phi_hits`) is central.  Fix
+    the columns a = phi e1 and b = phi e2, a prefix of six digits, and
+    let w = {a, e2} + {e1, b} + {e1, e2}.  D(e1, e2) is
+    S - w_3 phi e3 with S = {a, b} - w_1 a - w_2 b, so it is central
+    exactly when phi e3 lies in S / w_3 + Z(n) (w_3 != 0), or when S is
+    central and phi e3 is anything (w_3 = 0).  Only those candidates are
+    built, and each one is decided by the defects D(e1, e3) and
+    D(e2, e3).
+    """
+    centre = _centre(p, cn)
+    anything = _digits(0, p ** 3, p, 3)
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)],
+                       dtype=np.int64)
+
+    def solve(x, y):
         w = (x @ cn[:, 1] + y @ cn[0] + cn[0, 1]) % p
         s = (np.einsum("mk,ml,klr->mr", x, y, cn)
              - w[:, :1] * x - w[:, 1:2] * y) % p
         solved = w[:, 2] != 0
-        free = ~solved & np.all(np.einsum("mk,kjr->mjr", s, cn) % p == 0,
-                                axis=(1, 2))
-        test(cols[solved], s[solved] * inverse[w[solved, 2]][:, None], centre)
-        test(cols[free], np.zeros_like(s[free]), anything)
-    return sorted(hits)
+        free = ~solved & np.all(s @ cn.reshape(3, -1) % p == 0, axis=1)
+        return [(solved, s[solved] * inverse[w[solved, 2]][:, None], centre),
+                (free, np.zeros_like(s[free]), anything)]
+    return _solved_sweep(p, lo, hi, 2, solve,
+                         lambda phi: _phi_hits(p, cn, phi, ((0, 2), (1, 2))))
 
 
 def phi_sweep(p, n, cn_flat, lo, hi):
@@ -221,17 +251,17 @@ def phi_sweep(p, n, cn_flat, lo, hi):
     The candidate with index m is the matrix phi with entries the base-p
     digits of m (row major); the product is x.y = {phi x, y} and the first
     bracket is the induced one x.y - y.x + {x, y}.  The hit test is
-    module-action alone, which is as strong as the compiled kernel's full
-    test as long as n is a Lie algebra: skew-part holds by construction,
-    derivation-action is the Jacobi identity of n, and once those hold,
-    module-action makes the induced bracket satisfy Jacobi.  So a `cn`
-    that is not alternating or fails Jacobi mod p is rejected with
-    ValueError; otherwise phi = 0 would count as a hit.
+    module-action alone, as central defects (`_phi_hits`), which decides
+    a structure as long as n is a Lie algebra: skew-part holds by
+    construction, derivation-action is the Jacobi identity of n, and once
+    those hold, module-action makes the induced bracket satisfy Jacobi.
+    So a `cn` that is not alternating or fails Jacobi mod p is rejected
+    with ValueError; otherwise phi = 0 would count as a hit.
 
-    In dimension 3, module-action on (e1, e2) is the weight-1 Rota-Baxter
-    equation modulo the centre Z(n); it is affine in phi e3 once phi e1
-    and phi e2 are fixed, so it is solved over GF(p) for each of those
-    p^6 prefixes and only its solutions are masked
+    In dimension 3, a central defect on (e1, e2) is the weight-1
+    Rota-Baxter equation modulo the centre Z(n); it is affine in phi e3
+    once phi e1 and phi e2 are fixed, so it is solved over GF(p) for each
+    of those p^6 prefixes and only its solutions are masked
     (`_solved_phi_sweep`).  Dimensions 1 and 2 scan the whole box, at
     most p^4 candidates.  Either way the hits are sorted, and a range
     [lo, hi) gives exactly the hits in it.  Indices outside [0, p^(n^2))
@@ -248,7 +278,8 @@ def phi_sweep(p, n, cn_flat, lo, hi):
     if n == 3:
         return _solved_phi_sweep(p, cn, lo, hi)
     return _scan(max(lo, 0), min(hi, p ** (n * n)), lambda a, b: _phi_hits(
-        p, cn, _digits(a, b, p, n * n).reshape(b - a, n, n)))
+        p, cn, _digits(a, b, p, n * n).reshape(b - a, n, n),
+        combinations(range(n), 2)))
 
 
 def _products_from_digits(p, n, digits, cg, cn, symmetric):
@@ -377,20 +408,48 @@ def _dets(T, n):
 
 
 def gl_invariance_sweep(p, n, tensors, lo, hi):
-    """Indices of invertible matrices T preserving every flat tensor C in
-    `tensors`: C(T x, T y) = T C(x, y) on all basis pairs."""
+    """Indices in [lo, hi) of the invertible matrices T preserving every
+    flat tensor C in `tensors`: C(T x, T y) = T C(x, y) on all basis
+    pairs.
+
+    Zero tensors are preserved by every T and are dropped.  In dimension
+    3, a slot with C(e_a, e_b)_t != 0 and t outside {a, b} makes
+    C(T e_a, T e_b) = sum_s C(e_a, e_b)_s T e_s affine in T e_t once
+    T e_a and T e_b are fixed: it is solved for T e_t, so each of the
+    p^6 prefixes has one candidate (`_solved_sweep`).  Without such a
+    slot, and in dimensions 1 and 2, the whole box is scanned.  Either
+    way each candidate is tested for det T != 0 and for invariance of
+    every tensor.  The modulus must be prime.
+    """
     _check_args(p, n)
     if len(tensors) > 8:
         raise ValueError("at most 8 tensors per sweep")
-    ts = [_tensor(t, n, p) for t in tensors]
+    if not is_prime(p):
+        raise ValueError("automorphism sweeps solve over GF(p); modulus %d "
+                         "is not prime" % p)
+    ts = [C for C in (_tensor(t, n, p) for t in tensors) if C.any()]
 
-    def preserved(a, b):
-        T = _digits(a, b, p, n * n).reshape(b - a, n, n)
+    def preserved(T):
         ok = _dets(T, n) % p != 0
         for C in ts:
-            lhs = np.einsum("mki,klr->milr", T, C) % p
-            lhs = np.einsum("milr,mlj->mijr", lhs, T) % p
-            rhs = np.einsum("mrs,ijs->mijr", T, C) % p
-            ok &= np.all((lhs - rhs) % p == 0, axis=(1, 2, 3))
+            S = T[ok]
+            lhs = np.einsum("mki,klr->milr", S, C) % p
+            lhs = np.einsum("milr,mlj->mijr", lhs, S) % p
+            rhs = np.einsum("mrs,ijs->mijr", S, C) % p
+            ok[ok] = np.all((lhs - rhs) % p == 0, axis=(1, 2, 3))
         return ok
-    return _scan(lo, hi, preserved)
+
+    slots = [(C, a, b, t) for C in ts if n == 3
+             for a, b, t in permutations(range(3)) if C[a, b, t]]
+    if not slots:
+        return _scan(max(lo, 0), min(hi, p ** (n * n)), lambda a, b:
+                     preserved(_digits(a, b, p, n * n).reshape(b - a, n, n)))
+    C, a, b, t = slots[0]
+    scale = pow(int(C[a, b, t]), -1, p)
+
+    def solve(x, y):
+        ua, ub = (x, y) if a < b else (y, x)
+        rhs = (np.einsum("mk,ml,klr->mr", ua, ub, C)
+               - C[a, b, a] * ua - C[a, b, b] * ub) % p
+        return [(slice(None), rhs * scale, np.zeros((1, 3), dtype=np.int64))]
+    return _solved_sweep(p, lo, hi, t, solve, preserved)

@@ -1,15 +1,15 @@
-"""Backend selector for the finite-field sweep kernels.
+"""The finite-field sweep kernels, as one API.
 
-Imports the compiled extension when it built, otherwise the vectorized
-fallback, and re-exports one uniform API.  `BACKEND` names the active
-implementation and `backends()` returns every importable one, which is
-what the benchmark script and the equivalence tests iterate over.
+The kernels are the numpy ones in `_fpkernel_py`.  They take dimensions
+1..3; the sweeps take prime moduli only and return no hits for indices
+outside the candidate range, and `phi_sweep` raises ValueError when its
+bracket is not a Lie bracket mod p.  `BACKEND` names the implementation
+that search results and reports record, and `backends()` lists every
+kernel module, which the benchmark script and the kernel tests iterate
+over.
 """
 
-try:
-    from . import _fpkernel as _impl
-except ImportError:
-    from . import _fpkernel_py as _impl
+from . import _fpkernel_py as _impl
 
 BACKEND = _impl.NAME
 
@@ -21,16 +21,8 @@ gl_invariance_sweep = _impl.gl_invariance_sweep
 
 
 def backends():
-    """All importable kernel implementations, compiled first."""
-    mods = []
-    try:
-        from . import _fpkernel
-        mods.append(_fpkernel)
-    except ImportError:
-        pass
-    from . import _fpkernel_py
-    mods.append(_fpkernel_py)
-    return mods
+    """Every kernel module; there is one."""
+    return [_impl]
 
 
 __all__ = [

@@ -1,7 +1,9 @@
 """Exhaustive finite-field searches for structure products.
 
 Everything here works over GF(p) for a small prime p and hands the inner
-loops to `fpkernel`, which picks the compiled extension when available.
+loops to the numpy kernels of `fpkernel`.  They take prime moduli only,
+return no hits outside a sweep's index range, and raise ValueError on a
+phi sweep whose bracket is not a Lie bracket mod p.
 Index conventions are the kernel's: a candidate is the big-endian base-p
 digit string of its index, read row-major into the object being swept.
 
@@ -260,10 +262,9 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     bracket.  n must be a Lie algebra (it is validated first): then
     skew-part holds by construction, derivation-action is the Jacobi
     identity of n, and module-action gives Jacobi of the induced bracket,
-    so module-action alone decides a hit.  That is all the numpy fallback
-    tests, and in dimension 3 it first solves module-action on (e1, e2)
-    for phi e3 modulo the centre of n, so it masks only the solutions;
-    the compiled kernel scans and tests everything.  Either way every
+    so module-action alone decides a hit.  That is all the kernel tests,
+    and in dimension 3 it first solves module-action on (e1, e2) for
+    phi e3 modulo the centre of n, so it masks only the solutions.  Every
     hit is re-verified here in exact arithmetic by building its pair
     with `pair_from_phi`.  `total` stays the whole box p^(n^2), which is
     also what the guard counts.  When the second table is complete

@@ -1,14 +1,18 @@
-"""Cross-backend tests for the finite-field sweep kernels.
+"""Tests for the finite-field sweep kernels.
 
-The compiled extension and the vectorized fallback must be
-interchangeable: same hits, same booleans, same argument errors.
-Expected answers come from the exact-arithmetic layer or from plain
-in-test loops, never from the kernel under test.
+The kernels raise ValueError on bad dimensions, moduli and tensor
+lengths, take prime moduli only in the sweeps, refuse a phi sweep over a
+bracket that is not a Lie bracket mod p, and return the same sorted hits
+for any cut of a sweep range, none outside it.  Expected answers come
+from the exact-arithmetic layer, from closed-form counts, or from the
+box scans kept here that the solved sweeps replaced, never from the
+sweep under test.
 """
 
 import importlib.util
 import io
 import random
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +27,8 @@ from postlie.linalg import Matrix, inverse
 from postlie.search import flat_bracket_tensor, flat_product_tensor
 from postlie.structures import BilinearProduct, check_structure
 
-try:
-    from postlie import _fpkernel as cykern
-except ImportError:
-    cykern = None
-
-KERNELS = [pykern] if cykern is None else [cykern, pykern]
+KERNELS = fpkernel.backends()
 KERNEL_IDS = [mod.NAME for mod in KERNELS]
-
-needs_compiled = pytest.mark.skipif(cykern is None,
-                                    reason="compiled kernel not built")
 
 
 def _flat(field, L):
@@ -63,23 +59,11 @@ def _random_bracket(rng, n, p):
 
 
 def test_backend_registry():
-    mods = fpkernel.backends()
-    names = [mod.NAME for mod in mods]
-    assert names[-1] == "python"
-    assert len(set(names)) == len(names)
-    assert fpkernel.BACKEND == names[0]
-    for mod in mods:
-        for fn in ("jacobi_ok", "verify_structure", "phi_sweep",
-                   "product_sweep", "gl_invariance_sweep"):
-            assert callable(getattr(mod, fn))
-
-
-@needs_compiled
-def test_compiled_backend_selected():
-    assert [mod.NAME for mod in fpkernel.backends()] == ["compiled", "python"]
-    assert fpkernel.BACKEND == "compiled"
-    assert fpkernel.jacobi_ok is cykern.jacobi_ok
-    assert fpkernel.product_sweep is cykern.product_sweep
+    assert fpkernel.backends() == [pykern]
+    assert fpkernel.BACKEND == pykern.NAME == "python"
+    for fn in ("jacobi_ok", "verify_structure", "phi_sweep",
+               "product_sweep", "gl_invariance_sweep"):
+        assert getattr(fpkernel, fn) is getattr(pykern, fn)
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
@@ -205,42 +189,10 @@ def test_verify_structure_catalog_members(kern):
             assert kern.verify_structure(7, dim, cg, cn, broken) is False
 
 
-@needs_compiled
-def test_product_sweep_backends_agree():
-    cases = [
-        (2, 2, _zero_flat(2), _zero_flat(2), False),
-        (2, 2, _zero_flat(2), _zero_flat(2), True),
-        (3, 2, _r2_flat(3), _zero_flat(2), True),
-        (3, 2, _r2_flat(3), _zero_flat(2), False),
-    ]
-    for p, n, cg, cn, symmetric in cases:
-        k = n * n * (n + 1) // 2 if symmetric else n ** 3
-        total = p ** k
-        got_c = cykern.product_sweep(p, n, cg, cn, symmetric, 0, total)
-        got_p = pykern.product_sweep(p, n, cg, cn, symmetric, 0, total)
-        assert got_c == got_p
-        assert got_c == sorted(set(got_c))
-
-
-@needs_compiled
-def test_phi_sweep_backends_agree():
-    cn = flat_bracket_tensor(builtin_algebra("sl2", field=GF(3)))
-    total = 3 ** 9  # crosses the fallback's chunk boundary
-    got_c = cykern.phi_sweep(3, 3, cn, 0, total)
-    got_p = pykern.phi_sweep(3, 3, cn, 0, total)
-    assert got_c == got_p
-    assert 0 in got_c  # phi = 0 always induces the trivial structure
-
-
-@needs_compiled
-def test_gl_sweep_backends_agree_and_match_direct_scan():
+def test_gl_sweep_matches_direct_scan():
     p, n = 3, 2
     cg = _r2_flat(p)
     total = p ** (n * n)
-    for tensors in ([_zero_flat(n)], [cg]):
-        got_c = cykern.gl_invariance_sweep(p, n, tensors, 0, total)
-        got_p = pykern.gl_invariance_sweep(p, n, tensors, 0, total)
-        assert got_c == got_p
 
     # direct double loop over all 81 matrices as the oracle
     def entry(idx, r, c):
@@ -265,15 +217,14 @@ def test_gl_sweep_backends_agree_and_match_direct_scan():
                         ok = False
         if ok:
             expect.append(idx)
-    assert cykern.gl_invariance_sweep(p, n, [cg], 0, total) == expect
-    zero_hits = cykern.gl_invariance_sweep(p, n, [_zero_flat(n)], 0, total)
+    assert pykern.gl_invariance_sweep(p, n, [cg], 0, total) == expect
+    zero_hits = pykern.gl_invariance_sweep(p, n, [_zero_flat(n)], 0, total)
     assert len(zero_hits) == 48  # |GL_2(F_3)|
 
 
 def test_backend_bench_quick_run_agrees():
-    # the timing script is the one place that runs every importable
-    # backend on the same sweeps; a nonzero return means a hit-list
-    # mismatch between them
+    # a nonzero return means that a row of the timing script found a hit
+    # count other than its closed-form or recorded one
     path = Path(__file__).resolve().parent.parent / "benchmarks" / \
         "bench_fpkernel.py"
     spec = importlib.util.spec_from_file_location("bench_fpkernel", path)
@@ -284,14 +235,15 @@ def test_backend_bench_quick_run_agrees():
 
 
 def _linear(p, cg, cn, pr):
-    """The affine identities the fallback solves instead of scanning."""
+    """The affine identities the product sweep solves instead of
+    scanning."""
     return (pykern._vanishes(p, pykern._skew(pr, cg, cn))
             & pykern._vanishes(p, pykern._derivation_action(cn, pr)))
 
 
 def _box_scan(p, n, cg, cn, symmetric):
     """Indices of the whole digit box where the affine identities hold,
-    and where the `_structure` mask holds: the scan the fallback's product
+    and where the `_structure` mask holds: the scan the kernel's product
     sweep replaced, kept here as the oracle for its solving.  The masks
     themselves are checked against the exact layer by
     `test_verify_structure_matches_exact_layer`."""
@@ -308,7 +260,7 @@ def _box_scan(p, n, cg, cn, symmetric):
 
 
 def _check_solved_sweep(rng, p, n, cg_flat, cn_flat, symmetric):
-    """Compare the fallback's product sweep with the box scan, whole and
+    """Compare the kernel's product sweep with the box scan, whole and
     in uneven pieces; returns the free-digit count, or None when the
     linear system has no solution."""
     k = n * n * (n + 1) // 2 if symmetric else n ** 3
@@ -418,6 +370,20 @@ def test_sweep_windows_compose(kern):
                 + kern.gl_invariance_sweep(3, 2, [cg], 40, total))
     assert stitched == full
 
+    # the solved dim-3 automorphism sweep on n3 with {e2, e3} = e1 and
+    # with {e1, e3} = e2: the solved column is the first, then the middle
+    # one, so its digits interleave with those of the prefix
+    total = 3 ** 9
+    cuts = [0, 5000, 5001, 12345, total]
+    for table in ({(1, 2): {0: 1}}, {(0, 2): {1: 1}}):
+        c3 = flat_bracket_tensor(LieAlgebra(GF(3), 3, table))
+        full = kern.gl_invariance_sweep(3, 3, [c3], 0, total)
+        stitched = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            stitched.extend(kern.gl_invariance_sweep(3, 3, [c3], lo, hi))
+        assert stitched == full
+        assert len(full) == 432  # |Aut n3| over GF(3)
+
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
 def test_kernel_argument_errors(kern):
@@ -439,23 +405,24 @@ def test_kernel_argument_errors(kern):
         kern.gl_invariance_sweep(0, 2, [[0] * 8], 0, 1)
     with pytest.raises(ValueError, match="tensors"):
         kern.gl_invariance_sweep(3, 2, [[0] * 8] * 9, 0, 1)
-    if kern is pykern:
-        # the fallback's phi test is module-action alone, which is exact
-        # only over a Lie bracket; anything else must be refused, or
-        # phi = 0 would count as a hit
-        bad = LieAlgebra(GF(5), 3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
-        with pytest.raises(ValueError, match="not a Lie bracket"):
-            kern.phi_sweep(5, 3, flat_bracket_tensor(bad), 0, 1)
-        with pytest.raises(ValueError, match="not a Lie bracket"):
-            kern.phi_sweep(5, 2, [0, 0, 1, 0, 1, 0, 0, 0], 0, 1)
-        # {e1, e1} = e1 is antisymmetric mod 2 but not alternating
-        with pytest.raises(ValueError, match="not a Lie bracket"):
-            kern.phi_sweep(2, 1, [1], 0, 1)
-        # both sweeps solve their affine identities over GF(p)
-        with pytest.raises(ValueError, match="not prime"):
-            kern.product_sweep(4, 2, [0] * 8, [0] * 8, True, 0, 1)
-        with pytest.raises(ValueError, match="not prime"):
-            kern.phi_sweep(4, 3, [0] * 27, 0, 1)
+    # the phi test is module-action alone, which is exact only over a
+    # Lie bracket; anything else must be refused, or phi = 0 would count
+    # as a hit
+    bad = LieAlgebra(GF(5), 3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+    with pytest.raises(ValueError, match="not a Lie bracket"):
+        kern.phi_sweep(5, 3, flat_bracket_tensor(bad), 0, 1)
+    with pytest.raises(ValueError, match="not a Lie bracket"):
+        kern.phi_sweep(5, 2, [0, 0, 1, 0, 1, 0, 0, 0], 0, 1)
+    # {e1, e1} = e1 is antisymmetric mod 2 but not alternating
+    with pytest.raises(ValueError, match="not a Lie bracket"):
+        kern.phi_sweep(2, 1, [1], 0, 1)
+    # the sweeps solve their affine identities over GF(p)
+    with pytest.raises(ValueError, match="not prime"):
+        kern.product_sweep(4, 2, [0] * 8, [0] * 8, True, 0, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        kern.phi_sweep(4, 3, [0] * 27, 0, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        kern.gl_invariance_sweep(4, 3, [[0] * 27], 0, 1)
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
@@ -468,7 +435,7 @@ def test_sweep_results_are_sorted_ints(kern):
 
 def _phi_box_scan(p, n, cn):
     """Indices of every phi in the box whose product x.y = {phi x, y}
-    passes the `_module_action` mask: the scan the fallback's dim-3 phi
+    passes the `_module_action` mask: the scan the kernel's dim-3 phi
     sweep replaced, kept here as the oracle for its solving."""
     total = p ** (n * n)
     hits = []
@@ -491,8 +458,7 @@ def _seeded_basis_change(rng, F, n):
 
 
 def test_phi_sweep_matches_box_scan():
-    # tier-1 has no compiled backend, so this oracle is the only check
-    # of the solved sweep against the box there
+    # this oracle is the check of the solved sweep against the box
     rng = random.Random(6173)
     cases = [(name, p, conj) for p in (2, 3)
              for name in ("abelian", "n3", "r3", "sl2")
@@ -533,3 +499,85 @@ def test_phi_sweep_matches_box_scan():
     # Z(n) != 0 puts a whole coset of candidates behind each solution
     # (sl2 mod 2 is n3)
     assert {"abelian", "n3"} <= with_centre
+
+
+def _gl_box_scan(p, n, tensors):
+    """Indices of every invertible T in the box that preserves each
+    tensor: the scan the dim-3 automorphism sweep replaced, kept here as
+    the oracle for its solving."""
+    ts = [pykern._tensor(t, n, p) for t in tensors]
+    total = p ** (n * n)
+    hits = []
+    for a in range(0, total, 1 << 15):
+        T = pykern._digits(a, min(total, a + (1 << 15)), p, n * n)
+        T = T.reshape(-1, n, n)
+        ok = pykern._dets(T, n) % p != 0
+        for C in ts:
+            lhs = np.einsum("mki,klr->milr", T, C) % p
+            lhs = np.einsum("milr,mlj->mijr", lhs, T) % p
+            rhs = np.einsum("mrs,ijs->mijr", T, C) % p
+            ok &= np.all((lhs - rhs) % p == 0, axis=(1, 2, 3))
+        hits.extend(a + int(m) for m in np.nonzero(ok)[0])
+    return hits
+
+
+def _has_solvable_slot(flat):
+    """Whether {e_a, e_b} has a nonzero e_t-coefficient, t outside {a, b}."""
+    return any(flat[(a * 3 + b) * 3 + t] for a, b, t in permutations(range(3)))
+
+
+def test_gl_sweep_matches_box_scan():
+    rng = random.Random(7411)
+    branches = set()
+    for p in (2, 3):
+        F = GF(p)
+        names = ("abelian", "n3", "r3", "sl2") if p == 3 else \
+            ("abelian", "n3", "r3")
+        algebras = [_named(name, F, 3) for name in names]
+        # [e1, e2] = e2 and [e1, e3] = -e3: no slot to solve from
+        algebras.append(builtin_algebra("r3_lambda", field=F, lam=p - 1))
+        std = [flat_bracket_tensor(L) for L in algebras]
+        conj = [flat_bracket_tensor(
+            L.change_basis(_seeded_basis_change(rng, F, 3)))
+            for L in algebras]
+        # (g, n) lists where one tensor alone has a slot to solve from
+        abelian, n3, r3_lambda = std[0], std[1], std[-1]
+        mixed = [[r3_lambda, n3], [n3, abelian], [abelian, conj[1]]]
+        for tensors in mixed:
+            assert list(map(_has_solvable_slot, tensors)).count(True) == 1
+        for tensors in [[flat] for flat in std + conj] + mixed:
+            branches.add(any(map(_has_solvable_slot, tensors)))
+            total = p ** 9
+            expect = _gl_box_scan(p, 3, tensors)
+            case = (p, tensors)
+            assert pykern.gl_invariance_sweep(p, 3, tensors, 0, total) \
+                == expect, case
+            # uneven pieces, one of them with lo == hi
+            cuts = sorted([0, total] + [rng.randrange(total + 1)
+                                        for _ in range(4)])
+            at = rng.randrange(len(cuts))
+            cuts.insert(at, cuts[at])
+            stitched = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                stitched.extend(pykern.gl_invariance_sweep(p, 3, tensors,
+                                                           lo, hi))
+            assert stitched == expect, (case, cuts)
+            assert pykern.gl_invariance_sweep(p, 3, tensors, total, 0) == []
+    assert branches == {True, False}
+
+
+def test_automorphism_group_orders():
+    # closed forms: Aut(sl2) = PGL2(F_p), Aut(n3) is the group of
+    # invertible maps of V / Z(n3) (order |GL2(F_p)|) times the p^2 maps
+    # of V / Z into Z(n3), and Aut(abelian(3)) is GL3(F_p)
+    def count(name, p):
+        L = _named(name, GF(p), 3)
+        return len(pykern.gl_invariance_sweep(p, 3, [flat_bracket_tensor(L)],
+                                              0, p ** 9))
+    for p in (3, 5, 7):
+        assert count("sl2", p) == p * (p * p - 1)
+    for p in (2, 3, 5, 7):
+        assert count("n3", p) == p ** 2 * (p ** 2 - 1) * (p ** 2 - p)
+    for p in (2, 3):
+        assert count("abelian", p) == \
+            (p ** 3 - 1) * (p ** 3 - p) * (p ** 3 - p ** 2)
