@@ -27,7 +27,7 @@ from .structures import (BilinearProduct, PostLiePair, associated_bracket,
                          check_structure, derived_identity_audit,
                          embed_semidirect, endomorphism_from_structure,
                          is_complete_structure, left_multiplications,
-                         prelie_from_two_step, product_from_endomorphism,
+                         prelie_from_two_step,
                          sampled_left_mult_nilpotency, special_case_detect,
                          split_semisimple, structure_from_graph_subalgebra,
                          theorem_audit,
@@ -63,7 +63,7 @@ __all__ = [
     "loads_pair", "nilpotency_class", "nonexistence_probe",
     "normalize_case4", "orbit_reduce", "pair_from_document",
     "pair_from_phi", "pair_to_document", "phi_ansatz_sweep",
-    "prelie_from_two_step", "product_from_endomorphism", "read_pair",
+    "prelie_from_two_step", "read_pair",
     "sampled_left_mult_nilpotency", "search", "semidirect_with_derivations",
     "series", "sl2_family", "special_case_detect", "split_semisimple",
     "structure_from_graph_subalgebra", "theorem_audit", "write_pair",

@@ -194,7 +194,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v):
-        return coordinates_in_span(list(self.basis), v, self.field) is not None
+        return self.coordinates(v) is not None
 
     def coordinates(self, v):
         return coordinates_in_span(list(self.basis), v, self.field)
@@ -334,9 +334,7 @@ class DerivationAlgebra:
         return len(self.basis)
 
     def contains(self, M):
-        flats = [flatten_matrix(D) for D in self.basis]
-        return coordinates_in_span(flats, flatten_matrix(M),
-                                   self.base.field) is not None
+        return self.coordinates(M) is not None
 
     def coordinates(self, M):
         flats = [flatten_matrix(D) for D in self.basis]
@@ -417,7 +415,7 @@ def semidirect_with_derivations(L, derivations, name=None):
         e_i = unit_vector(L.field, n, i)
         for t, D in enumerate(derivations):
             # [e_i, D] = -D(e_i) inside the L block
-            vec = vneg_tuple(D.apply(e_i))
+            vec = vneg(D.apply(e_i))
             if not is_zero_vec(vec):
                 table[(i, n + t)] = vec + (L.field.zero,) * k
     pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
@@ -437,10 +435,6 @@ def semidirect_with_derivations(L, derivations, name=None):
     return out.validate()
 
 
-def vneg_tuple(v):
-    return tuple(-a for a in v)
-
-
 def direct_sum(L1, L2, name=None):
     """Block-diagonal direct sum of two algebras over one field."""
     if L1.field != L2.field:
@@ -457,20 +451,6 @@ def direct_sum(L1, L2, name=None):
     out = LieAlgebra(L1.field, n1 + n2, table,
                      name=name or "sum(%s, %s)" % (L1.name or "a", L2.name or "b"))
     return out.validate()
-
-
-def homomorphism_defect(M, src, dst):
-    """First basis pair where M fails to be a Lie homomorphism, else None."""
-    if M.shape != (dst.dim, src.dim):
-        raise DimensionError("matrix shape %r does not map dim %d to dim %d" %
-                             (M.shape, src.dim, dst.dim))
-    for i in range(src.dim):
-        for j in range(i + 1, src.dim):
-            lhs = M.apply(src.bracket_basis(i, j))
-            rhs = dst.bracket(M.col(i), M.col(j))
-            if lhs != rhs:
-                return (i, j)
-    return None
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from .errors import (GuardError, ParameterError, StructureError,
 from .fields import GF
 from .lie import LieAlgebra, is_nilpotent, is_perfect, is_solvable
 from .linalg import Matrix, inverse
-from .structures import (BilinearProduct, PostLiePair, check_structure,
-                         induced_bracket, phi_product)
+from .structures import BilinearProduct, check_structure, pair_from_phi
 
 GUARD_ENV = "POSTLIE_GUARD"
 DEFAULT_GUARD = 10_000_000
@@ -293,14 +292,6 @@ def phi_ansatz_sweep(n_alg, kernel=None):
                           backend=getattr(kernel, "BACKEND",
                                           getattr(kernel, "NAME", "?")),
                           pairs=tuple(pairs))
-
-
-def pair_from_phi(n_alg, phi):
-    """The pair with product x.y = {phi x, y} and the induced first
-    bracket; raises through validation when phi is not a hit."""
-    product = phi_product(n_alg, phi)
-    return PostLiePair(induced_bracket(product, n_alg), n_alg,
-                       product).validate()
 
 
 def automorphism_indices(algebras, kernel=None):

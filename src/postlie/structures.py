@@ -358,6 +358,23 @@ def phi_product(n, phi):
     return BilinearProduct.from_raw(field, dim, table)
 
 
+def pair_from_phi(n, phi):
+    """The pair with product x.y = {phi x, y} and the induced first
+    bracket, validated.
+
+    When phi is not a hit, validation raises StructureError, and its
+    `report` is the Jacobi scan of the induced bracket when that fails,
+    else the pair identities with the first failing tuple of each.  On a
+    complete n every structure has this shape, and
+    `endomorphism_from_structure` is the inverse.
+    """
+    if phi.shape != (n.dim, n.dim):
+        raise DimensionError("endomorphism shape %r on dimension %d" %
+                             (phi.shape, n.dim))
+    product = phi_product(n, phi)
+    return PostLiePair(induced_bracket(product, n), n, product).validate()
+
+
 def associated_bracket(product, n, name=None):
     """The bracket x.y - y.x + {x,y}, as a validated Lie algebra.
 
@@ -705,64 +722,6 @@ def _scalar_ratio(g, product):
     return lam
 
 
-def product_from_endomorphism(n, phi):
-    """The candidate product x.y = {phi(x), y} on a centerless algebra n.
-
-    Returns the product plus a report with the two closure conditions:
-    `bracket-gap` ({phi x, y} + {x, phi y} = [x,y] - {x,y} for the induced
-    bracket, which holds by construction and is evaluated honestly), and
-    `automorphism-compat` (phi of the induced bracket equals {phi x, phi y}).
-    When the induced table satisfies Jacobi, the full structure scan is
-    appended; the report passes iff the pair (induced g, n, .) validates.
-    """
-    n.validate()
-    if center(n).dim != 0:
-        raise StructureError("the endomorphism ansatz needs a centerless "
-                             "algebra; this one has center of dimension %d"
-                             % center(n).dim)
-    if phi.shape != (n.dim, n.dim):
-        raise DimensionError("endomorphism shape %r on dimension %d" %
-                             (phi.shape, n.dim))
-    dim = n.dim
-    field = n.field
-    product = phi_product(n, phi)
-    g_candidate = induced_bracket(product, n, name="induced")
-
-    G, N = g_candidate.terms(), n.terms()
-    e, m = sparse_units(field, dim)
-    cols = [sparse(field, phi.col(i)) for i in range(dim)]
-
-    def gap(i, j):
-        # {phi x, y} + {x, phi y} - [x,y] + {x,y}
-        acc = [0] * dim
-        accumulate(acc, N, cols[i], e[j])
-        accumulate(acc, N, e[i], cols[j])
-        accumulate(acc, G, m[i], e[j])
-        accumulate(acc, N, e[i], e[j])
-        return acc
-
-    def compat(i, j):
-        lhs = phi.apply(g_candidate.bracket_basis(i, j))
-        rhs = n.bracket(phi.col(i), phi.col(j))
-        return raw_vector(field, vsub(lhs, rhs))
-
-    items = [
-        scan_item("bracket-gap", field, _pairs(dim), gap),
-        scan_item("automorphism-compat", field, _pairs(dim), compat),
-    ]
-    jacobi = check_lie_axioms(g_candidate).item("jacobi")
-    items.append(CheckItem("induced-jacobi", jacobi.passed, jacobi.witness,
-                           jacobi.discrepancy))
-    if jacobi.passed:
-        sub = check_structure(g_candidate, n, product)
-        fails = sub.failures()
-        items.append(CheckItem(
-            "structure", sub.passed,
-            fails[0].witness if fails else None,
-            fails[0].discrepancy if fails else None))
-    return product, CheckReport("endomorphism ansatz", tuple(items))
-
-
 def endomorphism_from_structure(pair):
     """Recover phi with x.y = {phi(x), y} from a structure on a complete n.
 
@@ -781,20 +740,25 @@ def endomorphism_from_structure(pair):
     return phi
 
 
+def _left_coordinates(pair, span, what):
+    """The coordinates of each L(e_i) in the span of the matrices `span`;
+    `what` names the span for the internal error raised on a miss."""
+    solved = coordinates_in_span_many(
+        [flatten_matrix(M) for M in span],
+        [flatten_matrix(pair.product.left_matrix_basis(i))
+         for i in range(pair.dim)], pair.field)
+    if any(coords is None for coords in solved):
+        raise StructureError("internal error: left multiplication is "
+                             "not " + what)
+    return solved
+
+
 def _inner_derivation_vectors(pair):
     """The vectors v_i with L(e_i) = ad(v_i) in n, one per basis index."""
     n = pair.n
-    dim = pair.dim
-    field = pair.field
-    ad_flats = [flatten_matrix(n.adjoint_matrix(unit_vector(field, dim, t)))
-                for t in range(dim)]
-    vs = coordinates_in_span_many(
-        ad_flats, [flatten_matrix(pair.product.left_matrix_basis(i))
-                   for i in range(dim)], field)
-    if any(coords is None for coords in vs):
-        raise StructureError("internal error: left multiplication is "
-                             "not an inner derivation")
-    return vs
+    ads = [n.adjoint_matrix(unit_vector(pair.field, pair.dim, t))
+           for t in range(pair.dim)]
+    return _left_coordinates(pair, ads, "an inner derivation")
 
 
 @dataclass(frozen=True)
@@ -831,13 +795,7 @@ def embed_semidirect(pair):
     field = pair.field
     ders = derivation_algebra(n)
     ambient = semidirect_with_derivations(n, ders.basis)
-    solved = coordinates_in_span_many(
-        [flatten_matrix(D) for D in ders.basis],
-        [flatten_matrix(pair.product.left_matrix_basis(i))
-         for i in range(dim)], field)
-    if any(coords is None for coords in solved):
-        raise StructureError("internal error: left multiplication is "
-                             "not a derivation of n")
+    solved = _left_coordinates(pair, ders.basis, "a derivation of n")
     images = [unit_vector(field, dim, i) + coords
               for i, coords in enumerate(solved)]
     matrix = Matrix.from_cols(field, images)

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postlie import _fpkernel_py as pykern
 from postlie import fpkernel
 from postlie.catalog import builtin_algebra, get_entry
 from postlie.fields import GF
@@ -59,11 +58,11 @@ def _random_bracket(rng, n, p):
 
 
 def test_backend_registry():
-    assert fpkernel.backends() == [pykern]
-    assert fpkernel.BACKEND == pykern.NAME == "python"
+    assert fpkernel.backends() == [fpkernel]
+    assert fpkernel.BACKEND == fpkernel.NAME == "python"
     for fn in ("jacobi_ok", "verify_structure", "phi_sweep",
                "product_sweep", "gl_invariance_sweep"):
-        assert getattr(fpkernel, fn) is getattr(pykern, fn)
+        assert callable(getattr(fpkernel, fn))
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
@@ -217,8 +216,8 @@ def test_gl_sweep_matches_direct_scan():
                         ok = False
         if ok:
             expect.append(idx)
-    assert pykern.gl_invariance_sweep(p, n, [cg], 0, total) == expect
-    zero_hits = pykern.gl_invariance_sweep(p, n, [_zero_flat(n)], 0, total)
+    assert fpkernel.gl_invariance_sweep(p, n, [cg], 0, total) == expect
+    zero_hits = fpkernel.gl_invariance_sweep(p, n, [_zero_flat(n)], 0, total)
     assert len(zero_hits) == 48  # |GL_2(F_3)|
 
 
@@ -237,8 +236,8 @@ def test_backend_bench_quick_run_agrees():
 def _linear(p, cg, cn, pr):
     """The affine identities the product sweep solves instead of
     scanning."""
-    return (pykern._vanishes(p, pykern._skew(pr, cg, cn))
-            & pykern._vanishes(p, pykern._derivation_action(cn, pr)))
+    return (fpkernel._vanishes(p, fpkernel._skew(pr, cg, cn))
+            & fpkernel._vanishes(p, fpkernel._derivation_action(cn, pr)))
 
 
 def _box_scan(p, n, cg, cn, symmetric):
@@ -251,9 +250,9 @@ def _box_scan(p, n, cg, cn, symmetric):
     total = p ** k
     linear, hits = [], []
     for a in range(0, total, 1 << 15):
-        digits = pykern._digits(a, min(total, a + (1 << 15)), p, k)
-        pr = pykern._products_from_digits(p, n, digits, cg, cn, symmetric)
-        for found, mask in ((linear, _linear), (hits, pykern._structure)):
+        digits = fpkernel._digits(a, min(total, a + (1 << 15)), p, k)
+        pr = fpkernel._products_from_digits(p, n, digits, cg, cn, symmetric)
+        for found, mask in ((linear, _linear), (hits, fpkernel._structure)):
             found.extend(a + int(m)
                          for m in np.nonzero(mask(p, cg, cn, pr))[0])
     return linear, hits
@@ -265,20 +264,20 @@ def _check_solved_sweep(rng, p, n, cg_flat, cn_flat, symmetric):
     linear system has no solution."""
     k = n * n * (n + 1) // 2 if symmetric else n ** 3
     total = p ** k
-    cg = pykern._tensor(cg_flat, n, p)
-    cn = pykern._tensor(cn_flat, n, p)
+    cg = fpkernel._tensor(cg_flat, n, p)
+    cn = fpkernel._tensor(cn_flat, n, p)
     case = (p, n, cg_flat, cn_flat, symmetric)
-    space = pykern._solution_space(p, n, cg, cn, symmetric)
+    space = fpkernel._solution_space(p, n, cg, cn, symmetric)
     solved = []
     if space is not None:
         # every solution, in rank order: exactly the box points where the
         # affine identities hold, and already sorted by index
-        digits = pykern._solution_digits(p, space, 0, p ** space[0].size)
+        digits = fpkernel._solution_digits(p, space, 0, p ** space[0].size)
         solved = [sum(d * p ** (k - 1 - t) for t, d in enumerate(row))
                   for row in digits.tolist()]
     linear, expect = _box_scan(p, n, cg, cn, symmetric)
     assert solved == linear, case
-    assert pykern.product_sweep(p, n, cg_flat, cn_flat, symmetric,
+    assert fpkernel.product_sweep(p, n, cg_flat, cn_flat, symmetric,
                                 0, total) == expect, case
     # uneven pieces, one of them with lo == hi
     cuts = sorted([0, total] + [rng.randrange(total + 1) for _ in range(4)])
@@ -286,10 +285,10 @@ def _check_solved_sweep(rng, p, n, cg_flat, cn_flat, symmetric):
     cuts.insert(at, cuts[at])
     stitched = []
     for lo, hi in zip(cuts, cuts[1:]):
-        stitched.extend(pykern.product_sweep(p, n, cg_flat, cn_flat,
+        stitched.extend(fpkernel.product_sweep(p, n, cg_flat, cn_flat,
                                              symmetric, lo, hi))
     assert stitched == expect, (case, cuts)
-    assert pykern.product_sweep(p, n, cg_flat, cn_flat, symmetric,
+    assert fpkernel.product_sweep(p, n, cg_flat, cn_flat, symmetric,
                                 total, 0) == []
     return None if space is None else space[0].size
 
@@ -440,12 +439,12 @@ def _phi_box_scan(p, n, cn):
     total = p ** (n * n)
     hits = []
     for a in range(0, total, 1 << 15):
-        phi = pykern._digits(a, min(total, a + (1 << 15)), p, n * n)
+        phi = fpkernel._digits(a, min(total, a + (1 << 15)), p, n * n)
         phi = phi.reshape(-1, n, n)
         pr = np.einsum("mki,kjr->mijr", phi, cn) % p
         br = (pr - pr.swapaxes(1, 2) + cn) % p
         hits.extend(a + int(m) for m in
-                    np.nonzero(pykern._module_action(p, br, pr))[0])
+                    np.nonzero(fpkernel._module_action(p, br, pr))[0])
     return hits
 
 
@@ -474,11 +473,11 @@ def test_phi_sweep_matches_box_scan():
         if center(L).dim:
             with_centre.add(name)
         flat = flat_bracket_tensor(L)
-        cn = pykern._tensor(flat, 3, p)
+        cn = fpkernel._tensor(flat, 3, p)
         total = p ** 9
         expect = _phi_box_scan(p, 3, cn)
         case = (name, p, conj)
-        assert pykern.phi_sweep(p, 3, flat, 0, total) == expect, case
+        assert fpkernel.phi_sweep(p, 3, flat, 0, total) == expect, case
         # uneven pieces, one of them with lo == hi
         cuts = sorted([0, total] + [rng.randrange(total + 1)
                                     for _ in range(4)])
@@ -486,12 +485,12 @@ def test_phi_sweep_matches_box_scan():
         cuts.insert(at, cuts[at])
         stitched = []
         for lo, hi in zip(cuts, cuts[1:]):
-            stitched.extend(pykern.phi_sweep(p, 3, flat, lo, hi))
+            stitched.extend(fpkernel.phi_sweep(p, 3, flat, lo, hi))
         assert stitched == expect, (case, cuts)
-        assert pykern.phi_sweep(p, 3, flat, total, 0) == []
+        assert fpkernel.phi_sweep(p, 3, flat, total, 0) == []
         # which branch of the solve each hit came from: w_3, the
         # e3-coefficient of {phi e1, e2} + {e1, phi e2} + {e1, e2}
-        phi = pykern._digits(0, total, p, 9)[expect].reshape(-1, 3, 3)
+        phi = fpkernel._digits(0, total, p, 9)[expect].reshape(-1, 3, 3)
         w3 = (phi[:, :, 0] @ cn[:, 1, 2] + phi[:, :, 1] @ cn[0, :, 2]
               + cn[0, 1, 2]) % p
         branches |= {"w3 != 0" if w else "w3 = 0" for w in w3.tolist()}
@@ -505,13 +504,13 @@ def _gl_box_scan(p, n, tensors):
     """Indices of every invertible T in the box that preserves each
     tensor: the scan the dim-3 automorphism sweep replaced, kept here as
     the oracle for its solving."""
-    ts = [pykern._tensor(t, n, p) for t in tensors]
+    ts = [fpkernel._tensor(t, n, p) for t in tensors]
     total = p ** (n * n)
     hits = []
     for a in range(0, total, 1 << 15):
-        T = pykern._digits(a, min(total, a + (1 << 15)), p, n * n)
+        T = fpkernel._digits(a, min(total, a + (1 << 15)), p, n * n)
         T = T.reshape(-1, n, n)
-        ok = pykern._dets(T, n) % p != 0
+        ok = fpkernel._dets(T, n) % p != 0
         for C in ts:
             lhs = np.einsum("mki,klr->milr", T, C) % p
             lhs = np.einsum("milr,mlj->mijr", lhs, T) % p
@@ -550,7 +549,7 @@ def test_gl_sweep_matches_box_scan():
             total = p ** 9
             expect = _gl_box_scan(p, 3, tensors)
             case = (p, tensors)
-            assert pykern.gl_invariance_sweep(p, 3, tensors, 0, total) \
+            assert fpkernel.gl_invariance_sweep(p, 3, tensors, 0, total) \
                 == expect, case
             # uneven pieces, one of them with lo == hi
             cuts = sorted([0, total] + [rng.randrange(total + 1)
@@ -559,10 +558,10 @@ def test_gl_sweep_matches_box_scan():
             cuts.insert(at, cuts[at])
             stitched = []
             for lo, hi in zip(cuts, cuts[1:]):
-                stitched.extend(pykern.gl_invariance_sweep(p, 3, tensors,
+                stitched.extend(fpkernel.gl_invariance_sweep(p, 3, tensors,
                                                            lo, hi))
             assert stitched == expect, (case, cuts)
-            assert pykern.gl_invariance_sweep(p, 3, tensors, total, 0) == []
+            assert fpkernel.gl_invariance_sweep(p, 3, tensors, total, 0) == []
     assert branches == {True, False}
 
 
@@ -572,7 +571,7 @@ def test_automorphism_group_orders():
     # of V / Z into Z(n3), and Aut(abelian(3)) is GL3(F_p)
     def count(name, p):
         L = _named(name, GF(p), 3)
-        return len(pykern.gl_invariance_sweep(p, 3, [flat_bracket_tensor(L)],
+        return len(fpkernel.gl_invariance_sweep(p, 3, [flat_bracket_tensor(L)],
                                               0, p ** 9))
     for p in (3, 5, 7):
         assert count("sl2", p) == p * (p * p - 1)

@@ -14,8 +14,8 @@ from postlie.errors import (DimensionError, FieldMismatchError,
 from postlie.fields import GF, QQ
 from postlie.lie import (LieAlgebra, Subspace, center, check_lie_axioms,
                          classify_low_dim, derivation_algebra, direct_sum,
-                         homomorphism_defect, is_complete_lie, is_derivation,
-                         is_nilpotent, is_perfect, is_solvable,
+                         is_complete_lie, is_derivation, is_nilpotent,
+                         is_perfect, is_solvable,
                          killing_is_semisimple, nilpotency_class,
                          semidirect_with_derivations, series)
 from postlie.linalg import (Matrix, flatten_matrix, inverse,
@@ -200,14 +200,6 @@ def test_direct_sum():
     with pytest.raises(FieldMismatchError):
         direct_sum(builtin_algebra("r2"),
                    builtin_algebra("r2", field=GF(5)))
-
-
-def test_homomorphism_defect():
-    sl2 = builtin_algebra("sl2")
-    assert homomorphism_defect(Matrix.identity(QQ, 3), sl2, sl2) is None
-    # doubling is not a homomorphism on a nonabelian algebra
-    bad = Matrix.identity(QQ, 3).scale(2)
-    assert homomorphism_defect(bad, sl2, sl2) == (0, 1)
 
 
 def test_classification_of_builtins():

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie import _fpkernel_py as pykern
 from postlie import fpkernel, search
 from postlie.catalog import builtin_algebra, get_entry
 from postlie.errors import (DimensionError, GuardError,
                             ParameterError, StructureError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ
-from postlie.lie import center
 from postlie.linalg import Matrix, inverse, unit_vector
 from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             automorphism_indices, check_guard, current_guard,
@@ -25,7 +23,7 @@ from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             nonexistence_probe, orbit_reduce, pair_from_phi,
                             phi_ansatz_sweep, transform_product)
 from postlie.structures import (BilinearProduct, check_structure,
-                                product_from_endomorphism)
+                                endomorphism_from_structure)
 
 
 def _abelian_spec(p, symmetric=True):
@@ -364,13 +362,13 @@ def test_orbit_count_matches_burnside(name, p, monkeypatch):
     L = builtin_algebra(name, field=GF(p),
                         **({"dim": 2} if name == "abelian" else {}))
     mats = [decode_matrix(L.field, L.dim, a)
-            for a in automorphism_indices((L, L), kernel=pykern)]
+            for a in automorphism_indices((L, L))]
     for symmetric in (True, False):
         spec = SearchSpec(L, L, symmetric=symmetric)
-        hits = enumerate_products(spec, kernel=pykern).indices
+        hits = enumerate_products(spec).indices
         fixed = sum(_fixed_counts(spec, hits, mats))
         assert fixed % len(mats) == 0
-        dec = orbit_reduce(spec, hits, kernel=pykern)
+        dec = orbit_reduce(spec, hits)
         assert dec.aut_order == len(mats)
         assert dec.count == fixed // len(mats)
 
@@ -383,7 +381,7 @@ class _IntruderKernel:
         self.intruder = intruder
 
     def gl_invariance_sweep(self, p, n, tensors, lo, hi):
-        found = pykern.gl_invariance_sweep(p, n, tensors, lo, hi)
+        found = fpkernel.gl_invariance_sweep(p, n, tensors, lo, hi)
         assert self.intruder not in found
         return sorted(set(found) | {self.intruder})
 
@@ -439,25 +437,12 @@ def test_phi_sweep_hits_validate_and_non_hits_fail(name):
     hits = fpkernel.phi_sweep(3, 3, flat_bracket_tensor(n), 0, 3 ** 9)
     hit_set = set(hits)
     assert 0 in hit_set  # the zero endomorphism always works
-    # on a centerless n, product_from_endomorphism applies and must agree
-    # with pair_from_phi on hits and non-hits alike
-    centerless = center(n).dim == 0
-    assert centerless == (name in ("r3", "sl2"))
     for index in hits[:20]:
-        phi = decode_matrix(GF(3), 3, index)
-        pair = pair_from_phi(n, phi)
-        assert pair.validated
-        if centerless:
-            product, report = product_from_endomorphism(n, phi)
-            assert report.passed
-            assert product == pair.product
+        assert pair_from_phi(n, decode_matrix(GF(3), 3, index)).validated
     non_hits = [index for index in range(3 ** 9) if index not in hit_set]
     for index in random.Random(5).sample(non_hits, min(400, len(non_hits))):
-        phi = decode_matrix(GF(3), 3, index)
         with pytest.raises(StructureError):
-            pair_from_phi(n, phi)
-        if centerless:
-            assert not product_from_endomorphism(n, phi)[1].passed
+            pair_from_phi(n, decode_matrix(GF(3), 3, index))
 
 
 def test_pair_from_phi_shapes():
@@ -467,6 +452,22 @@ def test_pair_from_phi_shapes():
     # x.y = {-x, y} makes the associated bracket the negated one
     assert pair.g.bracket_basis(0, 1) == \
         tuple(-a for a in n.bracket_basis(0, 1))
+    with pytest.raises(DimensionError):
+        pair_from_phi(n, Matrix.identity(GF(5), 2))
+
+
+@pytest.mark.parametrize("name, p, count", [("sl2", 5, 392), ("r2", 5, 70),
+                                            ("r2", 7, 140)])
+def test_phi_round_trip_over_gf_p(name, p, count):
+    # n is complete, so every structure is x.y = {phi x, y} for exactly
+    # one phi, and endomorphism_from_structure must give that phi back
+    n = builtin_algebra(name, field=GF(p))
+    k = n.dim * n.dim
+    hits = fpkernel.phi_sweep(p, n.dim, flat_bracket_tensor(n), 0, p ** k)
+    assert len(hits) == count
+    for index in random.Random(13).sample(hits, 40):
+        phi = decode_matrix(n.field, n.dim, index)
+        assert endomorphism_from_structure(pair_from_phi(n, phi)) == phi
 
 
 def test_probe_requires_known_classes():

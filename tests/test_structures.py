@@ -24,8 +24,8 @@ from postlie.structures import (TAG_COMMUTATIVE, TAG_CYCLIC, TAG_LR_IDENTITY,
                                 check_structure, derived_identity_audit,
                                 embed_semidirect, endomorphism_from_structure,
                                 is_complete_structure, left_mult_matrix,
-                                left_multiplications, prelie_from_two_step,
-                                product_from_endomorphism,
+                                left_multiplications, pair_from_phi,
+                                prelie_from_two_step,
                                 sampled_left_mult_nilpotency,
                                 special_case_detect, split_semisimple,
                                 structure_from_graph_subalgebra,
@@ -309,19 +309,18 @@ def test_prelie_deformation_guards():
 
 def test_endomorphism_ansatz_zero_and_negated_identity():
     sl2 = builtin_algebra("sl2")
-    zero_prod, zero_rep = product_from_endomorphism(sl2, Matrix.zeros(QQ, 3, 3))
-    assert zero_rep.passed and zero_prod.is_zero()
+    zero = pair_from_phi(sl2, Matrix.zeros(QQ, 3, 3))
+    assert zero.validated and zero.product.is_zero()
 
-    neg = Matrix.identity(QQ, 3).scale(-1)
-    product, report = product_from_endomorphism(sl2, neg)
-    assert report.passed
-    assert product.product_basis(0, 1) == tuple(-c for c in
-                                                sl2.bracket_basis(0, 1))
+    neg = pair_from_phi(sl2, Matrix.identity(QQ, 3).scale(-1))
+    assert neg.product.product_basis(0, 1) == tuple(-c for c in
+                                                    sl2.bracket_basis(0, 1))
 
     # phi = id is NOT a hit on a simple bracket: the induced first table
     # is 3{,} and the module identity picks up a factor of 2
-    _, id_report = product_from_endomorphism(sl2, Matrix.identity(QQ, 3))
-    item = id_report.item("structure")
+    with pytest.raises(StructureError) as info:
+        pair_from_phi(sl2, Matrix.identity(QQ, 3))
+    item = info.value.report.item("module-action")
     assert not item.passed
     assert item.witness == (0, 1, 0)
     assert item.discrepancy == (Fraction(4), Fraction(0), Fraction(0))
@@ -330,17 +329,24 @@ def test_endomorphism_ansatz_zero_and_negated_identity():
 def test_endomorphism_ansatz_failure_witness():
     sl2 = builtin_algebra("sl2")
     phi = Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    _, report = product_from_endomorphism(sl2, phi)
-    assert not report.passed
-    compat = report.item("automorphism-compat")
-    assert not compat.passed and compat.witness == (0, 2)
-    assert not report.item("induced-jacobi").passed
+    # the induced bracket is not a Lie bracket, so validation stops at
+    # its Jacobi scan
+    with pytest.raises(StructureError) as info:
+        pair_from_phi(sl2, phi)
+    jacobi = info.value.report.item("jacobi")
+    assert not jacobi.passed
+    assert jacobi.witness == (0, 1, 2)
+    assert jacobi.discrepancy == (Fraction(0), Fraction(0), Fraction(4))
 
 
-def test_endomorphism_ansatz_needs_centerless():
-    with pytest.raises(StructureError):
-        product_from_endomorphism(builtin_algebra("n3"),
-                                  Matrix.zeros(QQ, 3, 3))
+def test_endomorphism_ansatz_allows_center():
+    # phi is not determined by the product when n has a centre: phi = 0
+    # and a phi into the centre of n3 both give the zero product
+    n3 = builtin_algebra("n3")
+    for phi in (Matrix.zeros(QQ, 3, 3),
+                Matrix(QQ, [[0, 0, 0], [0, 0, 0], [1, 2, 3]])):
+        pair = pair_from_phi(n3, phi)
+        assert pair.validated and pair.product.is_zero()
 
 
 def test_endomorphism_recovery_round_trip():
@@ -352,9 +358,7 @@ def test_endomorphism_recovery_round_trip():
 
     fam = sl2_family(2, 1)
     phi = endomorphism_from_structure(fam)
-    product, report = product_from_endomorphism(fam.n, phi)
-    assert report.passed
-    assert product == fam.product
+    assert pair_from_phi(fam.n, phi).product == fam.product
 
 
 def test_endomorphism_recovery_needs_complete_n():
