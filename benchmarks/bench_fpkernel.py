@@ -3,7 +3,8 @@
 Runs exhaustive sweeps through `postlie.fpkernel`, prints the wall time
 and hit count of each, and checks each hit count against a closed form
 or a recorded count.  The exit status is the number of rows whose count
-differs.
+differs.  It imports the package from the `src` directory of its own
+checkout.
 
     python3 benchmarks/bench_fpkernel.py          # full workload
     python3 benchmarks/bench_fpkernel.py --quick  # small sanity sizes
@@ -12,11 +13,15 @@ differs.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from postlie import fpkernel
-from postlie.catalog import builtin_algebra
-from postlie.fields import GF
-from postlie.search import flat_bracket_tensor
+# the package from this checkout, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from postlie import fpkernel  # noqa: E402
+from postlie.catalog import builtin_algebra  # noqa: E402
+from postlie.fields import GF  # noqa: E402
+from postlie.search import flat_bracket_tensor  # noqa: E402
 
 # hit counts recorded from the sweeps, keyed by (row, p)
 RECORDED = {

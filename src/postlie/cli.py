@@ -37,6 +37,12 @@ def _parse_field(raw):
     raise ParameterError("unknown field %r; use Q or Fp:<prime>" % raw)
 
 
+def rational(text):
+    """A rational literal 'a' or 'a/b' of the command line; argparse
+    turns the ValueError of a bad one into a usage error."""
+    return QQ.parse(text)
+
+
 def _parse_params(pairs):
     out = {}
     for item in pairs or ():
@@ -244,8 +250,8 @@ def _cmd_catalog_export(args):
 
 def _cmd_search_products(args):
     field = GF(args.p)
-    g = builtin_algebra(args.g, field=field, dim=args.dim, lam=None)
-    n = builtin_algebra(args.n, field=field, dim=args.dim, lam=None)
+    g = builtin_algebra(args.g, field=field, dim=args.dim, lam=args.lam)
+    n = builtin_algebra(args.n, field=field, dim=args.dim, lam=args.lam)
     spec = SearchSpec(g, n, symmetric=not args.full)
     result = enumerate_products(spec)
     payload = {
@@ -283,7 +289,7 @@ def _cmd_search_products(args):
 
 def _cmd_search_phi(args):
     field = GF(args.p)
-    n_alg = builtin_algebra(args.n, field=field, dim=None, lam=None)
+    n_alg = builtin_algebra(args.n, field=field, dim=args.dim, lam=args.lam)
     result = phi_ansatz_sweep(n_alg)
     payload = {
         "command": "search-phi",
@@ -445,6 +451,9 @@ def build_parser():
     p_prod.add_argument("--n", required=True, choices=_BUILTIN_NAMES)
     p_prod.add_argument("--dim", type=int, default=None,
                         help="dimension for the abelian table")
+    p_prod.add_argument("--lam", type=rational, default=None,
+                        help="eigenvalue for the r3_lambda table, 'a' or "
+                             "'a/b', read mod p")
     p_prod.add_argument("--full", action="store_true",
                         help="sweep raw tensors instead of the skew-reduced "
                              "parametrization")
@@ -458,6 +467,11 @@ def build_parser():
                                        "x.y = {phi x, y}")
     p_phi.add_argument("--p", type=int, required=True)
     p_phi.add_argument("--n", default="sl2", choices=_BUILTIN_NAMES)
+    p_phi.add_argument("--dim", type=int, default=None,
+                       help="dimension for the abelian table")
+    p_phi.add_argument("--lam", type=rational, default=None,
+                       help="eigenvalue for the r3_lambda table, 'a' or "
+                            "'a/b', read mod p")
     p_phi.add_argument("--limit", type=int, default=25)
     p_phi.set_defaults(func=_cmd_search_phi)
     p_probe = search_sub.add_parser("probe", parents=[common],

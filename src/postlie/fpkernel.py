@@ -14,12 +14,15 @@ tuples i < j (and i < j < k for Jacobi): Jacobi and module-action as
 masks, skew-part and derivation-action as residuals that `_vanishes`
 turns into masks.  Those two residuals are affine in the product
 tensor, so `product_sweep` reads its linear system off the same
-statements and scans only the candidates that solve it.  In dimension 3
+statements, scans only the candidates that solve it and masks them with
+module-action alone; `verify_structure` tests all three.  In dimension 3
 `phi_sweep` and `gl_invariance_sweep` each solve one identity that is
 affine in one column of the candidate matrix once the other two are
 fixed (`_solved_sweep`).  Sweep hits are not checked again here:
 `search` re-verifies every hit in exact arithmetic, so the numpy layer
-is never the sole authority on a hit.
+is never the sole authority on a hit.  `inverse_matrices` inverts a
+batch of matrices over GF(p) by their adjugates, for the automorphisms
+that `search.orbit_reduce` conjugates by.
 
 `BACKEND` (equal to `NAME`) names the implementation that search results
 and reports record, and `backends()` lists every kernel module, which the
@@ -370,9 +373,10 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     the digits: they are solved over GF(p) (`_solution_space`), and only
     the solutions are scanned, in rank order, which is index order, so
     the hits come out sorted and a range [lo, hi) is a range of ranks,
-    found by bisection.  Module-action is quadratic and stays a mask; the
-    mask applied to each solution is the full `_structure` test.  Indices
-    outside [0, p^k) name no candidate.  The modulus must be prime.
+    found by bisection.  Module-action is quadratic and stays a mask, and
+    it is the only identity the mask tests: every solution satisfies the
+    other two already.  Indices outside [0, p^k) name no candidate.  The
+    modulus must be prime.
     """
     _check_args(p, n)
     if not is_prime(p):
@@ -404,7 +408,8 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     for a in range(r_lo, r_hi, _CHUNK):
         digits = _solution_digits(p, space, a, min(r_hi, a + _CHUNK))
         pr = _products_from_digits(p, n, digits, cg, cn, symmetric)
-        hits.extend((digits[_structure(p, cg, cn, pr)] @ place).tolist())
+        ok = _module_action(p, np.broadcast_to(cg, pr.shape), pr)
+        hits.extend((digits[ok] @ place).tolist())
     return hits
 
 
@@ -416,6 +421,45 @@ def _dets(T, n):
     return (T[:, 0, 0] * (T[:, 1, 1] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 1])
             - T[:, 0, 1] * (T[:, 1, 0] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 0])
             + T[:, 0, 2] * (T[:, 1, 0] * T[:, 2, 1] - T[:, 1, 1] * T[:, 2, 0]))
+
+
+def _adjugates(T, n):
+    """adj(T) of each matrix T[m], so that T adj(T) = det(T) I.  In
+    dimension 3 the columns of adj(T) are the cross products of the rows
+    of T taken in cyclic order."""
+    if n == 1:
+        return np.ones_like(T)
+    if n == 2:
+        return np.stack([np.stack([T[:, 1, 1], -T[:, 0, 1]], axis=1),
+                         np.stack([-T[:, 1, 0], T[:, 0, 0]], axis=1)], axis=1)
+    r0, r1, r2 = T[:, 0], T[:, 1], T[:, 2]
+    return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)],
+                    axis=2)
+
+
+def inverse_matrices(p, n, mats):
+    """The inverses mod p of n x n matrices, each given and returned as a
+    flat row-major int list: adj(T) / det(T) over GF(p), in one pass.
+
+    Every inverse is checked against T T^-1 = I mod p in the same pass; a
+    singular matrix raises ValueError, since it has no inverse to return.
+    The modulus must be prime.
+    """
+    _check_args(p, n)
+    if not is_prime(p):
+        raise ValueError("inverses over GF(p) need a prime modulus, got %d"
+                         % p)
+    T = np.array(mats, dtype=np.int64).reshape(-1, n, n) % p
+    dets = _dets(T, n) % p
+    if not dets.all():
+        raise ValueError("matrix %d of the batch is singular mod %d"
+                         % (int(np.argmin(dets != 0)), p))
+    reciprocal = np.array([0] + [pow(v, -1, p) for v in range(1, p)],
+                          dtype=np.int64)
+    inv = _adjugates(T, n) % p * reciprocal[dets][:, None, None] % p
+    if np.any(T @ inv % p != np.eye(n, dtype=np.int64)):
+        raise ValueError("adjugate inverse failed T T^-1 = I mod %d" % p)
+    return inv.reshape(-1, n * n).tolist()
 
 
 def gl_invariance_sweep(p, n, tensors, lo, hi):

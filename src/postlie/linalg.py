@@ -234,16 +234,17 @@ class Matrix:
         self._raw = None
 
     @classmethod
-    def _from_scalars(cls, field, nrows, ncols, entries):
+    def _from_scalars(cls, field, nrows, ncols, entries, raw=None):
         """A matrix from row-major entries that are already scalars of
-        `field`, without the constructor's coercion.  Like the
-        constructor, a matrix with no rows has no columns."""
+        `field`, without the constructor's coercion; `raw`, when given,
+        is the tuple of their raw values (see `raw_flat`), trusted.  Like
+        the constructor, a matrix with no rows has no columns."""
         out = object.__new__(cls)
         out.field = field
         out.nrows = nrows
         out.ncols = ncols if nrows else 0
         out._e = tuple(entries)
-        out._raw = None
+        out._raw = raw
         return out
 
     @classmethod
@@ -569,14 +570,15 @@ def _with_identity(matrix):
 
 def basis_change_table(field, dim, terms, T, Tinv=None):
     """The structure constants of a bilinear map B written in the basis
-    T e_1, ..., T e_n: {(i, j): T^-1 B(T e_i, T e_j)} for every index pair.
+    T e_1, ..., T e_n: {(i, j): T^-1 B(T e_i, T e_j)}, in the canonical
+    form of `reduce_table`.
 
     `terms` is the sparse slot table of B (see `support_terms`): index
     pairs (a, b) map to the nonzero coordinates of B(e_a, e_b), and absent
     pairs are zero.  For each (i, j) the contraction visits only the
-    support of the table, on raw values (see `Field.raw`), so the vectors
-    it returns are not reduced: the caller reduces each entry once, with
-    `reduce_table`.
+    support of the table, on raw values (see `Field.raw`).  The pairs
+    come out in key order, so each coordinate is reduced once where it is
+    produced, and a pair whose vector reduces to zero is left out.
     `Tinv` is the inverse of T when the caller already holds it; it is
     trusted, not checked.  Without it the inverse is computed here, and a
     singular T raises DimensionError.
@@ -591,6 +593,7 @@ def basis_change_table(field, dim, terms, T, Tinv=None):
         Tinv = inverse(T)
         if Tinv is None:
             raise DimensionError("basis change matrix is singular")
+    p = field.p
     n = range(dim)
     t = T.raw_flat()
     s = Tinv.raw_flat()
@@ -609,7 +612,13 @@ def basis_change_table(field, dim, terms, T, Tinv=None):
                 if c:
                     for k, v in vec:
                         w[k] += c * v
-            table[(i, j)] = [sum(map(mul, r, w)) for r in back]
+            if p is None:
+                # the entries of T^-1 are Fractions, so each sum is one
+                vec = tuple([sum(map(mul, r, w)) for r in back])
+            else:
+                vec = tuple([sum(map(mul, r, w)) % p for r in back])
+            if any(vec):
+                table[(i, j)] = vec
     return table
 
 

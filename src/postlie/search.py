@@ -21,7 +21,7 @@ from .errors import (GuardError, ParameterError, StructureError,
                      UnsupportedFieldError)
 from .fields import GF
 from .lie import LieAlgebra, is_nilpotent, is_perfect, is_solvable
-from .linalg import Matrix, inverse
+from .linalg import Matrix
 from .structures import BilinearProduct, check_structure, pair_from_phi
 
 GUARD_ENV = "POSTLIE_GUARD"
@@ -51,6 +51,12 @@ def check_guard(total):
             "sweep size %d exceeds the guard %d; raise the %s environment "
             "variable to allow it" % (total, limit, GUARD_ENV))
     return total
+
+
+def _require_sweep_dim(dim):
+    """The kernels sweep dimensions 1..3 only."""
+    if not 1 <= dim <= 3:
+        raise ParameterError("sweeps support dimensions 1..3, got %d" % dim)
 
 
 def _require_prime_field(field):
@@ -124,6 +130,26 @@ class SearchSpec:
         return tuple((i, j) for i in n for j in n)
 
     @cached_property
+    def slot_layout(self):
+        """(key, q, gap) for every slot (i, j), in key order: the slot's
+        digits start at digit q of an index, and gap is the bracket gap
+        that the symmetric parametrization adds to them, or None where it
+        adds nothing (every slot in full mode, and every gap that is
+        zero)."""
+        n = self.dim
+        start = {key: q * n for q, key in enumerate(self.digit_slots)}
+        layout = []
+        for i in range(n):
+            for j in range(n):
+                if self.symmetric and i < j:
+                    gap = self.bracket_gap[(i, j)]
+                    layout.append(((i, j), start[(j, i)],
+                                   gap if any(gap) else None))
+                else:
+                    layout.append(((i, j), start[(i, j)], None))
+        return tuple(layout)
+
+    @cached_property
     def bracket_gap(self):
         """{(i, j): residues of [e_i, e_j] - {e_i, e_j}} for i < j, each
         reduced, computed once per spec: the skew part that the symmetric
@@ -156,15 +182,21 @@ def _digits_index(digits, p):
 
 def decode_product(spec, index):
     """The candidate product of a sweep index, as an exact table; an index
-    outside 0..spec.total - 1 raises ParameterError."""
-    n = spec.dim
-    digits = _index_digits(index, spec.p, spec.digit_count)
-    table = {key: digits[q * n:(q + 1) * n]
-             for q, key in enumerate(spec.digit_slots)}
-    if spec.symmetric:
-        for (i, j), gap in spec.bracket_gap.items():
-            table[(i, j)] = [a + d for a, d in zip(table[(j, i)], gap)]
-    return BilinearProduct.from_raw(spec.g.field, n, table)
+    outside 0..spec.total - 1 raises ParameterError.
+
+    The digits are residues in 0..p-1 already, so the product's `raw` is
+    built from them directly, in key order (see `SearchSpec.slot_layout`);
+    only a slot shifted by a nonzero bracket gap is reduced."""
+    n, p = spec.dim, spec.p
+    digits = _index_digits(index, p, spec.digit_count)
+    raw = {}
+    for key, q, gap in spec.slot_layout:
+        vec = digits[q:q + n]
+        if gap is not None:
+            vec = [(a + d) % p for a, d in zip(vec, gap)]
+        if any(vec):
+            raw[key] = tuple(vec)
+    return BilinearProduct._from_canonical(spec.g.field, n, raw)
 
 
 def encode_product(spec, product):
@@ -214,6 +246,7 @@ def enumerate_products(spec, kernel=None):
     if kernel is None:
         from . import fpkernel as kernel
     total = check_guard(spec.total)
+    _require_sweep_dim(spec.dim)
     cg = flat_bracket_tensor(spec.g)
     cn = flat_bracket_tensor(spec.n)
     raw = kernel.product_sweep(spec.p, spec.dim, cg, cn, spec.symmetric,
@@ -232,11 +265,26 @@ def enumerate_products(spec, kernel=None):
                                              getattr(kernel, "NAME", "?")))
 
 
+def _residue_matrices(field, dim, rows):
+    """The dim x dim matrices over GF(p) whose row-major entries are the
+    given rows of reduced residues.  Each keeps its row as its raw values
+    (see `Matrix.raw_flat`), and equal residues share one field scalar."""
+    scalar = {}
+    out = []
+    for row in rows:
+        for v in row:
+            if v not in scalar:
+                scalar[v] = field.from_raw(v)
+        out.append(Matrix._from_scalars(field, dim, dim,
+                                        [scalar[v] for v in row], tuple(row)))
+    return out
+
+
 def decode_matrix(field, dim, index):
     """The matrix of a sweep index over GF(p); an index outside
     0..p^(dim^2) - 1 raises ParameterError."""
     digits = _index_digits(index, field.p, dim * dim)
-    return Matrix._from_scalars(field, dim, dim, map(field.from_raw, digits))
+    return _residue_matrices(field, dim, [digits])[0]
 
 
 def encode_matrix(mat):
@@ -277,6 +325,7 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     n_alg.validate()
     n = n_alg.dim
     total = check_guard(p ** (n * n))
+    _require_sweep_dim(n)
     cn = flat_bracket_tensor(n_alg)
     raw = kernel.phi_sweep(p, n, cn, 0, total)
     pairs = []
@@ -317,25 +366,6 @@ def transform_product(product, T, Tinv=None):
     return product.change_basis(T, Tinv)
 
 
-def _inverses(indices, mats):
-    """The inverse of each matrix in `mats` (decoded from `indices`), each
-    inverted once.  A group is closed under inverses, so an inverse found
-    in the list is that entry itself, and its own inverse is known without
-    a second inversion; None stands for a singular matrix."""
-    position = {index: k for k, index in enumerate(indices)}
-    invs = [None] * len(mats)
-    for k, T in enumerate(mats):
-        if invs[k] is not None:
-            continue
-        Tinv = inverse(T)
-        other = None if Tinv is None else position.get(encode_matrix(Tinv))
-        if other is None:
-            invs[k] = Tinv
-        else:
-            invs[k], invs[other] = mats[other], T
-    return invs
-
-
 @dataclass(frozen=True)
 class OrbitDecomposition:
     spec: SearchSpec
@@ -359,10 +389,15 @@ def orbit_reduce(spec, indices, kernel=None):
     The partition is checked: acting on a hit must land on a hit, and the
     orbit sizes must add up to the number of hits.
     """
+    from . import fpkernel
+    field, p, n = spec.g.field, spec.p, spec.dim
     hit_set = set(indices)
     auts = automorphism_indices([spec.g, spec.n], kernel=kernel)
-    mats = [decode_matrix(spec.g.field, spec.dim, a) for a in auts]
-    pairs = list(zip(mats, _inverses(auts, mats)))
+    # T^-1 of every T from one adjugate pass, which checks T T^-1 = I too
+    rows = [_index_digits(a, p, n * n) for a in auts]
+    pairs = list(zip(_residue_matrices(field, n, rows),
+                     _residue_matrices(field, n, fpkernel.inverse_matrices(
+                         p, n, rows))))
     seen = set()
     orbits = []
     for index in sorted(hit_set):

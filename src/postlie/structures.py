@@ -70,10 +70,17 @@ class BilinearProduct:
         """The product of a table of raw vectors (see `Field.raw`), each
         coordinate reduced once (see `reduce_table`); the keys are trusted
         to lie in range and the vectors to have length dim."""
+        return cls._from_canonical(field, dim, reduce_table(field, table))
+
+    @classmethod
+    def _from_canonical(cls, field, dim, raw):
+        """The product whose `raw` is the given table, which is trusted to
+        be in canonical form already (see `reduce_table`): stored as it
+        is, not reduced again."""
         out = cls.__new__(cls)
         out.field = field
         out.dim = dim
-        out.raw = reduce_table(field, table)
+        out.raw = raw
         out._table = None
         out._terms = None
         return out
@@ -123,11 +130,11 @@ class BilinearProduct:
     def change_basis(self, T, Tinv=None):
         """The same product in the basis T e_1, ..., T e_n.  `Tinv` is the
         inverse of T when the caller already holds it (see
-        `basis_change_table`); a singular T raises DimensionError."""
-        return BilinearProduct.from_raw(self.field, self.dim,
-                                        basis_change_table(
-                                            self.field, self.dim, self.terms(),
-                                            T, Tinv))
+        `basis_change_table`, whose table is canonical already); a
+        singular T raises DimensionError."""
+        return BilinearProduct._from_canonical(
+            self.field, self.dim,
+            basis_change_table(self.field, self.dim, self.terms(), T, Tinv))
 
     def __eq__(self, other):
         if not isinstance(other, BilinearProduct):

@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 
 from postlie import cli
-from postlie.catalog import all_entries
+from postlie.catalog import all_entries, builtin_algebra
 from postlie.cli import build_parser, main
 from postlie.document import read_pair
+from postlie.fields import GF
 from postlie.fpkernel import BACKEND
-from postlie.search import BANNER
+from postlie.search import (BANNER, SearchSpec, enumerate_products,
+                            orbit_reduce, phi_ansatz_sweep)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -232,6 +234,68 @@ def test_search_phi(capsys):
     assert payload["backend"] == BACKEND
     assert all(m["index"] in payload["indices"]
                for m in payload.get("matrices", []))
+
+
+def test_search_dim_and_lam_options(capsys):
+    # abelian takes its dimension from --dim and r3_lambda its eigenvalue
+    # from --lam, on both commands; the counts are the library's own
+    F = GF(3)
+    sweep = phi_ansatz_sweep(builtin_algebra("abelian", field=F, dim=2))
+    code, out, err = _run(capsys, ["search", "phi", "--p", "3",
+                                   "--n", "abelian", "--dim", "2"])
+    assert code == 0 and err == ""
+    assert "search phi: n=abelian over GF(3)" in out
+    assert "  hits: %d" % len(sweep.indices) in out
+    sweep = phi_ansatz_sweep(builtin_algebra("r3_lambda", field=F, lam=2))
+    code, out, err = _run(capsys, ["search", "phi", "--p", "3",
+                                   "--n", "r3_lambda", "--lam", "-1",
+                                   "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hits"] == len(sweep.indices) > 0
+    assert payload["indices"] == list(sweep.indices[:25])
+
+    F = GF(2)
+    L = builtin_algebra("r3_lambda", field=F, lam=1)
+    spec = SearchSpec(L, L)
+    hits = enumerate_products(spec).indices
+    orbits = orbit_reduce(spec, hits)
+    code, out, err = _run(capsys, ["search", "products", "--p", "2",
+                                   "--g", "r3_lambda", "--n", "r3_lambda",
+                                   "--lam", "3/5", "--orbits",
+                                   "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hits"] == len(hits) > 0
+    assert payload["orbit_count"] == orbits.count
+    assert payload["aut_order"] == orbits.aut_order
+
+
+def test_search_dim_and_lam_missing_or_bad(capsys):
+    for argv, message in (
+            (["phi", "--p", "3", "--n", "abelian"],
+             "abelian needs a dimension"),
+            (["phi", "--p", "3", "--n", "r3_lambda"],
+             "r3_lambda needs the eigenvalue lam"),
+            (["products", "--p", "2", "--g", "r3_lambda",
+              "--n", "r3_lambda"], "r3_lambda needs the eigenvalue lam"),
+            (["products", "--p", "2", "--g", "r3", "--n", "r3_lambda"],
+             "r3_lambda needs the eigenvalue lam"),
+            (["phi", "--p", "3", "--n", "r3_lambda", "--lam", "1/3"],
+             "denominator of 1/3 vanishes mod 3"),
+            (["phi", "--p", "2", "--n", "abelian", "--dim", "4"],
+             "sweeps support dimensions 1..3, got 4"),
+            (["products", "--p", "3", "--g", "abelian", "--n", "abelian",
+              "--dim", "0"], "sweeps support dimensions 1..3, got 0")):
+        code, out, err = _run(capsys, ["search"] + argv)
+        assert (code, out, err) == (2, "", "error: %s\n" % message), argv
+    for command in (["phi", "--p", "3", "--n", "r3_lambda"],
+                    ["products", "--p", "3", "--g", "r3_lambda",
+                     "--n", "r3_lambda"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["search"] + command + ["--lam", "half"])
+        assert exc.value.code == 2
+        assert "invalid rational value: 'half'" in capsys.readouterr().err
 
 
 def test_search_probe_frozen(capsys):

@@ -11,12 +11,17 @@ sweep under test.
 
 import importlib.util
 import io
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postlie import fpkernel
 from postlie.catalog import builtin_algebra, get_entry
@@ -221,16 +226,29 @@ def test_gl_sweep_matches_direct_scan():
     assert len(zero_hits) == 48  # |GL_2(F_3)|
 
 
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / \
+    "bench_fpkernel.py"
+
+
 def test_backend_bench_quick_run_agrees():
     # a nonzero return means that a row of the timing script found a hit
     # count other than its closed-form or recorded one
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / \
-        "bench_fpkernel.py"
-    spec = importlib.util.spec_from_file_location("bench_fpkernel", path)
+    spec = importlib.util.spec_from_file_location("bench_fpkernel", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     out = io.StringIO()
     assert bench.run(quick=True, out=out) == 0, out.getvalue()
+
+
+def test_bench_script_runs_from_a_bare_checkout(tmp_path):
+    # the command in its docstring, with no PYTHONPATH and run from another
+    # directory: the script finds the package of its own checkout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(BENCH), "--quick"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("backend: %s" % fpkernel.BACKEND)
 
 
 def _linear(p, cg, cn, pr):
@@ -580,3 +598,122 @@ def test_automorphism_group_orders():
     for p in (2, 3):
         assert count("abelian", p) == \
             (p ** 3 - 1) * (p ** 3 - p) * (p ** 3 - p ** 2)
+
+
+# named Lie brackets per dimension, for the property tests below
+LIE_NAMES = {1: ("abelian",), 2: ("abelian", "r2"),
+             3: ("abelian", "n3", "r3", "r3_lambda", "sl2")}
+
+
+@st.composite
+def bracket_tables(draw, p, n):
+    """A bracket over GF(p) of dimension n, as a LieAlgebra: a named Lie
+    algebra written in a random basis, or a random alternating table
+    (a Lie bracket in dimensions 1 and 2, mostly not in dimension 3)."""
+    F = GF(p)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        return LieAlgebra(F, n, _random_bracket(rng, n, p)[1])
+    name = draw(st.sampled_from(LIE_NAMES[n]))
+    L = builtin_algebra(name, field=F, dim=n, lam=rng.randrange(p))
+    return L.change_basis(_seeded_basis_change(rng, F, n))
+
+
+def _solution_points(p, n, cg, cn, symmetric, ranks):
+    """The products at the given ranks of `_solution_space`, as a batch,
+    or None when the affine system has no solution."""
+    space = fpkernel._solution_space(p, n, cg, cn, symmetric)
+    if space is None:
+        return None
+    count = p ** space[0].size
+    digits = np.vstack([fpkernel._solution_digits(p, space, r % count,
+                                                  r % count + 1)
+                        for r in ranks])
+    return fpkernel._products_from_digits(p, n, digits, cg, cn, symmetric)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_structure_agrees_with_check_structure_property(data):
+    # random tables over GF(2, 3, 5, 7) in dims 1-3: the numpy identities
+    # and the exact scans decide every product alike
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 3))
+    g = data.draw(bracket_tables(p, n))
+    h = data.draw(bracket_tables(p, n))
+    cg, cn = flat_bracket_tensor(g), flat_bracket_tensor(h)
+    kind = data.draw(st.sampled_from(["random", "solution", "perturbed"]))
+    flat = data.draw(st.lists(st.integers(0, p - 1), min_size=n ** 3,
+                              max_size=n ** 3))
+    if kind != "random":
+        # a point where skew-part and derivation-action hold, so that
+        # module-action decides, and then one entry of it changed
+        pr = _solution_points(p, n, fpkernel._tensor(cg, n, p),
+                              fpkernel._tensor(cn, n, p), False,
+                              [data.draw(st.integers(0, 2 ** 32))])
+        if pr is not None:
+            at = data.draw(st.integers(0, n ** 3 - 1))
+            shift = 0 if kind == "solution" else flat[at] or 1
+            flat = pr.reshape(-1).tolist()
+            flat[at] = (flat[at] + shift) % p
+    table = {(i, j): flat[(i * n + j) * n:(i * n + j + 1) * n]
+             for i in range(n) for j in range(n)}
+    expected = check_structure(g, h, BilinearProduct(GF(p), n, table)).passed
+    assert fpkernel.verify_structure(p, n, cg, cn, flat) is expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_module_action_mask_decides_solution_points_property(data):
+    # `product_sweep` masks its solutions with module-action alone: on
+    # every point of `_solution_space` the other two identities hold, so
+    # that mask agrees with the full `_structure` test.  Any tensors will
+    # do, Lie brackets or not, alternating or not.
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 3))
+    symmetric = data.draw(st.booleans())
+    cg, cn = (data.draw(st.one_of(
+        st.builds(flat_bracket_tensor, bracket_tables(p, n)),
+        st.lists(st.integers(0, p - 1), min_size=n ** 3, max_size=n ** 3)))
+        for _ in range(2))
+    if data.draw(st.booleans()):
+        cg = cn
+    cg, cn = fpkernel._tensor(cg, n, p), fpkernel._tensor(cn, n, p)
+    ranks = data.draw(st.lists(st.integers(0, 2 ** 32), min_size=1,
+                               max_size=64))
+    pr = _solution_points(p, n, cg, cn, symmetric, ranks)
+    if pr is None:
+        return
+    assert _linear(p, cg, cn, pr).all()
+    mask = fpkernel._module_action(p, np.broadcast_to(cg, pr.shape), pr)
+    assert np.array_equal(mask, fpkernel._structure(p, cg, cn, pr))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3),
+       st.lists(st.integers(-20, 20), min_size=9, max_size=9))
+def test_inverse_matrices_agree_with_exact_inverse(p, n, entries):
+    flat = entries[:n * n]
+    exact = inverse(Matrix(GF(p), [flat[r * n:(r + 1) * n]
+                                   for r in range(n)]))
+    identity = [int(r == c) for r in range(n) for c in range(n)]
+    if exact is None:
+        with pytest.raises(ValueError, match="singular"):
+            fpkernel.inverse_matrices(p, n, [identity, flat])
+    else:
+        assert fpkernel.inverse_matrices(p, n, [flat, identity]) == \
+            [list(exact.raw_flat()), identity]
+
+
+def test_inverse_matrices_arguments():
+    assert fpkernel.inverse_matrices(5, 2, []) == []
+    mats = [[1, 0, 0, 1], [0, 1, 1, 0], [2, 0, 0, 1], [1, 1, 0, 1]]
+    assert fpkernel.inverse_matrices(3, 2, mats) == \
+        [[1, 0, 0, 1], [0, 1, 1, 0], [2, 0, 0, 1], [1, 2, 0, 1]]
+    # a singular matrix is named by its place in the batch
+    with pytest.raises(ValueError, match="matrix 3 of the batch"):
+        fpkernel.inverse_matrices(3, 2, mats[:3] + [[1, 1, 1, 1]])
+    with pytest.raises(ValueError, match="prime"):
+        fpkernel.inverse_matrices(4, 2, [[1, 0, 0, 1]])
+    with pytest.raises(ValueError, match="dimensions"):
+        fpkernel.inverse_matrices(5, 4, [[1] * 16])

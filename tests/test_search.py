@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,6 +117,71 @@ def test_decode_encode_round_trip_property(case, data):
         old = product.raw.get((i, j), (0,) * n)[k]
         assert encode_product(spec, moved) == \
             index + ((old + shift) % p - old) * place
+
+
+def _assert_canonical(product):
+    """`raw` is in canonical form: key order, no zero slot, residue ints
+    in 0..p-1 over GF(p) and Fractions over Q."""
+    field = product.field
+    assert list(product.raw) == sorted(product.raw)
+    for vec in product.raw.values():
+        assert len(vec) == product.dim and any(vec)
+        for v in vec:
+            if field.is_rational:
+                assert type(v) is Fraction
+            else:
+                assert type(v) is int and 0 <= v < field.p
+
+
+def _assert_same_raw(product, other):
+    assert product.raw == other.raw
+    assert list(product.raw) == list(other.raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spec_and_index(), st.integers(0, 2 ** 32))
+def test_products_keep_canonical_residues(case, seed):
+    # decode and change of basis build `raw` directly, reducing only where
+    # a value can leave 0..p-1: it must equal what the coercing
+    # constructor makes of the same table, in the same key order
+    spec, index = case
+    field, n = spec.g.field, spec.dim
+    digits = search._index_digits(index, spec.p, spec.digit_count)
+    table = {key: [field.scalar(d) for d in digits[q * n:(q + 1) * n]]
+             for q, key in enumerate(spec.digit_slots)}
+    if spec.symmetric:
+        for i, j in itertools.combinations(range(n), 2):
+            table[(i, j)] = [a + b - c for a, b, c in zip(
+                table[(j, i)], spec.g.bracket_basis(i, j),
+                spec.n.bracket_basis(i, j))]
+    product = decode_product(spec, index)
+    _assert_canonical(product)
+    _assert_same_raw(product, BilinearProduct(field, n, table))
+    assert encode_product(spec, product) == index
+
+    rng = random.Random(seed)
+    while True:
+        T = Matrix(field, [[rng.randrange(spec.p) for _ in range(n)]
+                           for _ in range(n)])
+        Tinv = inverse(T)
+        if Tinv is not None:
+            break
+    moved = product.change_basis(T, Tinv)
+    # T^-1 (T e_i . T e_j), in field scalars
+    dense = {(i, j): Tinv.apply(product.product(T.col(i), T.col(j)))
+             for i in range(n) for j in range(n)}
+    _assert_canonical(moved)
+    _assert_same_raw(moved, BilinearProduct(field, n, dense))
+    _assert_same_raw(moved, product.change_basis(T))
+    # the same table and basis change over Q (T stays invertible there)
+    lifted = BilinearProduct(QQ, n, product.raw)
+    TQ = Matrix(QQ, [[e.a for e in T.row(r)] for r in range(n)])
+    TQinv = inverse(TQ)
+    moved_q = lifted.change_basis(TQ, TQinv)
+    _assert_canonical(moved_q)
+    _assert_same_raw(moved_q, BilinearProduct(QQ, n, {
+        (i, j): TQinv.apply(lifted.product(TQ.col(i), TQ.col(j)))
+        for i in range(n) for j in range(n)}))
 
 
 def test_decode_rejects_indices_outside_the_sweep():
@@ -326,6 +392,39 @@ def test_orbit_reduce_transforms_each_representative_once_per_automorphism(
     assert len(calls) == dec.count * dec.aut_order
     assert sorted({encode_product(spec, P) for P in calls}) == \
         sorted(dec.representatives())
+
+
+def test_orbit_reduce_inverts_the_automorphisms_in_one_kernel_pass(
+        monkeypatch):
+    # every T^-1 comes from one adjugate pass of the kernel, none from an
+    # exact inversion, and each is the exact inverse of its T
+    from postlie import linalg
+    L = builtin_algebra("r2", field=GF(5))
+    spec = SearchSpec(L, L)
+    hits = enumerate_products(spec).indices
+    passes, pairs = [], []
+
+    def no_inverse(matrix):
+        raise AssertionError("exact inversion in orbit_reduce")
+
+    def kernel_pass(p, n, mats):
+        passes.append(len(mats))
+        return inverse_matrices(p, n, mats)
+
+    def recorded(product, T, Tinv=None):
+        pairs.append((T, Tinv))
+        return transform_product(product, T, Tinv)
+
+    inverse_matrices = fpkernel.inverse_matrices
+    monkeypatch.setattr(linalg, "inverse", no_inverse)
+    monkeypatch.setattr(fpkernel, "inverse_matrices", kernel_pass)
+    monkeypatch.setattr(search, "transform_product", recorded)
+    dec = orbit_reduce(spec, hits)
+    monkeypatch.undo()
+    assert passes == [dec.aut_order]
+    assert len({T for T, _ in pairs}) == dec.aut_order
+    for T, Tinv in pairs:
+        assert type(Tinv) is Matrix and Tinv == inverse(T)
 
 
 def _fixed_counts(spec, hits, mats):
