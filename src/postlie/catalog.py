@@ -20,7 +20,7 @@ from .structures import (TAG_COMMUTATIVE, TAG_CYCLIC, TAG_LR_IDENTITY,
                          TAG_LR_PAIR, TAG_LSA, TAG_PRE_LIE, TAG_SCALAR,
                          TAG_ZERO, BilinearProduct, PostLiePair)
 
-_BUILTIN_NAMES = ("abelian", "r2", "n3", "r3", "r3_lambda", "sl2")
+BUILTIN_NAMES = ("abelian", "r2", "n3", "r3", "r3_lambda", "sl2")
 
 
 def builtin_algebra(name, field=QQ, dim=None, lam=None):
@@ -55,7 +55,7 @@ def builtin_algebra(name, field=QQ, dim=None, lam=None):
                           {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
                           name="sl2").validate()
     raise ParameterError("unknown builtin %r (have: %s)" %
-                         (name, ", ".join(_BUILTIN_NAMES)))
+                         (name, ", ".join(BUILTIN_NAMES)))
 
 
 def _pair(field, g_table, n_table, product_table, dim=2, name=None,

@@ -13,7 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import all_entries, builtin_algebra, get_entry
+from .catalog import (BUILTIN_NAMES, all_entries, builtin_algebra,
+                      get_entry)
 from .document import dumps_pair, read_pair
 from .errors import (DocumentError, GuardError, ParameterError,
                      PostLieError, StructureError, UnsupportedFieldError)
@@ -25,8 +26,6 @@ from .structures import (all_right_multiplications_nilpotent,
                          derived_identity_audit, embed_semidirect,
                          is_complete_structure, sampled_left_mult_nilpotency,
                          special_case_detect, theorem_audit)
-
-_BUILTIN_NAMES = ("abelian", "r2", "n3", "r3", "r3_lambda", "sl2")
 
 
 def _parse_field(raw):
@@ -447,8 +446,8 @@ def build_parser():
                                    help="enumerate structure products on a "
                                         "fixed bracket pair over GF(p)")
     p_prod.add_argument("--p", type=int, required=True, help="field size")
-    p_prod.add_argument("--g", required=True, choices=_BUILTIN_NAMES)
-    p_prod.add_argument("--n", required=True, choices=_BUILTIN_NAMES)
+    p_prod.add_argument("--g", required=True, choices=BUILTIN_NAMES)
+    p_prod.add_argument("--n", required=True, choices=BUILTIN_NAMES)
     p_prod.add_argument("--dim", type=int, default=None,
                         help="dimension for the abelian table")
     p_prod.add_argument("--lam", type=rational, default=None,
@@ -466,7 +465,7 @@ def build_parser():
                                   help="sweep endomorphism-induced products "
                                        "x.y = {phi x, y}")
     p_phi.add_argument("--p", type=int, required=True)
-    p_phi.add_argument("--n", default="sl2", choices=_BUILTIN_NAMES)
+    p_phi.add_argument("--n", default="sl2", choices=BUILTIN_NAMES)
     p_phi.add_argument("--dim", type=int, default=None,
                        help="dimension for the abelian table")
     p_phi.add_argument("--lam", type=rational, default=None,

@@ -3,8 +3,9 @@ structural toolkit: center, derived and lower central series, Killing
 form, derivation algebra, semidirect sums, and a small-dimension
 classifier.
 
-Brackets are stored sparsely for i < j only; [e_i, e_i] = 0 and the
-i > j values follow by antisymmetry, so they never appear in tables.
+Brackets are stored sparsely for i < j only, in a `linalg.SparseTable`
+as products are; [e_i, e_i] = 0 and the i > j values follow by
+antisymmetry, so they never appear in tables.
 Analysis routines insist on `validate()` having run, which scans the
 Jacobi identity over all basis triples and records the first failing
 triple when the table is not a Lie algebra at all.
@@ -16,58 +17,51 @@ from math import isqrt
 
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
-from .linalg import (Matrix, accumulate, as_vector, basis_change_table,
+from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      commutator, contract, coordinates_in_span,
                      coordinates_in_span_many, flatten_matrix, is_zero_vec,
-                     nullspace, rank, span_basis, sparse_units, support_terms,
-                     table_from_raw, unit_vector, vadd, vneg, vzero)
+                     nullspace, rank, raw_terms, reduce_raw, span_basis,
+                     sparse_units, unit_vector, vadd, vneg, vzero)
 from .report import CheckReport, scan_item
 
 
-class LieAlgebra:
+class LieAlgebra(SparseTable):
     """A finite-dimensional Lie algebra over Q or F_p.
 
+    A `SparseTable` on the keys i < j, whose `table` is `brackets`.
     `_memo` holds invariants computed once on the validated table (see
     `series`, `killing_is_semisimple` and `classify_low_dim`); the table
     never changes after construction, so they stay valid.
     """
 
-    __slots__ = ("field", "dim", "brackets", "name", "_validated", "_terms",
-                 "_memo")
+    __slots__ = ("name", "_validated", "_memo")
 
     def __init__(self, field, dim, brackets=None, name=None):
         if dim < 0:
             raise DimensionError("negative dimension")
-        table = {}
-        for (i, j), spec in sorted((brackets or {}).items()):
-            if not (0 <= i < j < dim):
-                raise DimensionError(
-                    "bracket key (%r, %r) must satisfy 0 <= i < j < %d" % (i, j, dim))
-            vec = as_vector(field, dim, spec)
-            if not is_zero_vec(vec):
-                table[(i, j)] = vec
-        self.field = field
-        self.dim = dim
-        self.brackets = table
-        self.name = name
-        self._validated = False
-        self._terms = None
-        self._memo = {}
+        super().__init__(field, dim, brackets)
+        self._named(name)
 
     @classmethod
-    def from_raw(cls, field, dim, brackets, name=None):
-        """The algebra of a table of raw vectors (see `Field.raw`), each
-        coordinate reduced once; the keys are trusted to satisfy
-        0 <= i < j < dim and the vectors to have length dim."""
-        out = cls.__new__(cls)
-        out.field = field
-        out.dim = dim
-        out.brackets = table_from_raw(field, brackets)
-        out.name = name
-        out._validated = False
-        out._terms = None
-        out._memo = {}
-        return out
+    def _from_canonical(cls, field, dim, raw, name=None):
+        return super()._from_canonical(field, dim, raw)._named(name)
+
+    def _named(self, name):
+        self.name = name
+        self._validated = False
+        self._memo = {}
+        return self
+
+    @staticmethod
+    def _check_key(i, j, dim):
+        if not (0 <= i < j < dim):
+            raise DimensionError(
+                "bracket key (%r, %r) must satisfy 0 <= i < j < %d" % (i, j, dim))
+
+    @property
+    def brackets(self):
+        """{(i, j): [e_i, e_j]} for i < j, as field scalars (`table`)."""
+        return self.table
 
     @property
     def validated(self):
@@ -78,18 +72,19 @@ class LieAlgebra:
         if i == j:
             return vzero(self.field, self.dim)
         if i < j:
-            return self.brackets.get((i, j), vzero(self.field, self.dim))
-        vec = self.brackets.get((j, i))
+            return self.table.get((i, j), vzero(self.field, self.dim))
+        vec = self.table.get((j, i))
         return vzero(self.field, self.dim) if vec is None else tuple(-a for a in vec)
 
     def terms(self):
         """The sparse slot table of the bracket, both orders (see
-        `linalg.support_terms`), built once."""
+        `linalg.support_terms`), read off `raw` once: the (j, i) slots are
+        the negated (i, j) ones, reduced."""
         if self._terms is None:
-            slots = dict(self.brackets)
-            for (i, j), vec in self.brackets.items():
-                slots[(j, i)] = vneg(vec)
-            self._terms = support_terms(self.field, slots)
+            slots = dict(self.raw)
+            for (i, j), vec in self.raw.items():
+                slots[(j, i)] = reduce_raw(self.field, [-v for v in vec])
+            self._terms = raw_terms(slots)
         return self._terms
 
     def bracket(self, x, y):
@@ -107,7 +102,7 @@ class LieAlgebra:
         return Matrix.from_cols(self.field, cols)
 
     def is_abelian(self):
-        return not self.brackets
+        return not self.raw
 
     def validate(self):
         """Scan the Jacobi identity once (tables never change after
@@ -126,22 +121,12 @@ class LieAlgebra:
         """The same algebra written in the basis T e_1, ..., T e_n; a
         singular T raises DimensionError."""
         moved = basis_change_table(self.field, self.dim, self.terms(), T)
-        out = LieAlgebra.from_raw(self.field, self.dim,
-                                  {(i, j): vec for (i, j), vec in moved.items()
-                                   if i < j}, name=self.name)
+        out = LieAlgebra._from_canonical(
+            self.field, self.dim,
+            {key: vec for key, vec in moved.items() if key[0] < key[1]},
+            name=self.name)
         out._validated = self._validated
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        return (self.field == other.field and self.dim == other.dim
-                and self.brackets == other.brackets)
-
-    def __hash__(self):
-        items = tuple((k, tuple(str(c) for c in v))
-                      for k, v in sorted(self.brackets.items()))
-        return hash((self.field, self.dim, items))
 
     def __repr__(self):
         label = self.name or "LieAlgebra"

@@ -176,13 +176,76 @@ def reduce_table(field, table):
     return out
 
 
-def table_from_raw(field, table):
-    """{key: vector of field scalars} of a table of raw vectors, in key
-    order, through `reduce_table` and without `Field.scalar`'s type
-    dispatch; keys whose vector reduces to zero are dropped."""
-    from_raw = field.from_raw
-    return {key: tuple(map(from_raw, vec))
-            for key, vec in reduce_table(field, table).items()}
+class SparseTable:
+    """The structure constants of a bilinear map V x V -> V: the storage
+    of bracket tables and products.
+
+    `raw` maps index pairs (i, j) to B(e_i, e_j) in the canonical form of
+    `reduce_table`; absent pairs are zero.  `table` holds the same vectors
+    as field scalars, built on first read.  A subclass names its keys
+    with `_check_key(i, j, dim)`, which raises DimensionError on others.
+    Equality (type-strict) and hashing read `raw`."""
+
+    __slots__ = ("field", "dim", "raw", "_table", "_terms")
+
+    def __init__(self, field, dim, table=None):
+        data = {}
+        for (i, j), spec in sorted((table or {}).items()):
+            self._check_key(i, j, dim)
+            vec = as_vector(field, dim, spec)
+            if not is_zero_vec(vec):
+                data[(i, j)] = vec
+        self.field = field
+        self.dim = dim
+        self.raw = {key: tuple(map(field.raw, vec))
+                    for key, vec in data.items()}
+        self._table = data
+        self._terms = None
+
+    @classmethod
+    def from_raw(cls, field, dim, table, **attrs):
+        """The table of raw vectors (see `Field.raw`), each coordinate
+        reduced once (see `reduce_table`); the keys are trusted to lie in
+        range and the vectors to have length dim."""
+        return cls._from_canonical(field, dim, reduce_table(field, table),
+                                   **attrs)
+
+    @classmethod
+    def _from_canonical(cls, field, dim, raw):
+        """The table whose `raw` is the given one, which is trusted to be
+        in canonical form already: stored as it is, not reduced again."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.dim = dim
+        out.raw = raw
+        out._table = None
+        out._terms = None
+        return out
+
+    @property
+    def table(self):
+        """{(i, j): vector of field scalars} of the nonzero slots, in key
+        order, built from `raw` once."""
+        if self._table is None:
+            from_raw = self.field.from_raw
+            self._table = {key: tuple(map(from_raw, vec))
+                           for key, vec in self.raw.items()}
+        return self._table
+
+    def terms(self):
+        """The sparse slot table (see `support_terms`), built once."""
+        if self._terms is None:
+            self._terms = raw_terms(self.raw)
+        return self._terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.field == other.field and self.dim == other.dim
+                and self.raw == other.raw)
+
+    def __hash__(self):
+        return hash((self.field, self.dim, tuple(self.raw.items())))
 
 
 def contract(field, dim, terms, x, y):
@@ -692,9 +755,12 @@ def is_nilpotent_matrix(matrix):
     return matrix.nrows == 0
 
 
-def is_nilpotent_int(flat, n):
+def is_nilpotent_int(flat, n, p=None):
     """`is_nilpotent_matrix` of the n x n integer matrix whose row-major
-    entries are `flat`, on plain ints: some power up to n vanishes."""
+    entries are `flat`, on plain ints: some power up to n vanishes.  With
+    a modulus p, over GF(p): the entries and each power are reduced."""
+    if p is not None:
+        flat = [v % p for v in flat]
     cols = [flat[j::n] for j in range(n)]
     acc = flat
     for step in range(n):
@@ -703,6 +769,8 @@ def is_nilpotent_int(flat, n):
         if step < n - 1:
             acc = [sum(map(mul, acc[i * n:(i + 1) * n], col))
                    for i in range(n) for col in cols]
+            if p is not None:
+                acc = [v % p for v in acc]
     return n == 0
 
 

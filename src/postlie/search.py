@@ -66,18 +66,19 @@ def _require_prime_field(field):
     return field.p
 
 
-def _flat_tensor(n, slot):
-    """Row-major n^3 int list of a bilinear table given by slot(i, j)."""
-    return [c.a for i in range(n) for j in range(n) for c in slot(i, j)]
+def flat_bracket_tensor(table):
+    """Row-major n^3 int list of a bracket table or product over GF(p),
+    read off the residues of its sparse slot table (see
+    `SparseTable.terms`)."""
+    n = table.dim
+    flat = [0] * n ** 3
+    for (i, j), vec in table.terms().items():
+        for k, v in vec:
+            flat[(i * n + j) * n + k] = v
+    return flat
 
 
-def flat_bracket_tensor(L):
-    """Row-major n^3 int list of a bracket table over GF(p)."""
-    return _flat_tensor(L.dim, L.bracket_basis)
-
-
-def flat_product_tensor(product):
-    return _flat_tensor(product.dim, product.product_basis)
+flat_product_tensor = flat_bracket_tensor
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,10 @@ class SearchSpec:
         reduced, computed once per spec: the skew part that the symmetric
         parametrization forces on the slot (i, j) over the slot (j, i)."""
         p, n = self.p, range(self.dim)
-        return {(i, j): tuple([(a.a - b.a) % p for a, b in
-                               zip(self.g.bracket_basis(i, j),
-                                   self.n.bracket_basis(i, j))])
+        zero = (0,) * self.dim
+        g, h = self.g.raw, self.n.raw
+        return {(i, j): tuple([(a - b) % p for a, b in
+                               zip(g.get((i, j), zero), h.get((i, j), zero))])
                 for i in n for j in n if i < j}
 
 
@@ -214,15 +216,22 @@ def encode_product(spec, product):
     raw = product.raw
     zero = (0,) * n
     if spec.symmetric:
-        for (i, j), gap in spec.bracket_gap.items():
-            low = raw.get((j, i), zero)
-            if raw.get((i, j), zero) != tuple([(a + d) % p for a, d
-                                               in zip(low, gap)]):
-                raise ParameterError(
-                    "product is outside the symmetric parametrization; its "
-                    "skew part does not match the bracket gap")
+        for (i, j), _, gap in spec.slot_layout:
+            if i < j:
+                low = raw.get((j, i), zero)
+                if gap is not None:
+                    low = tuple([(a + d) % p for a, d in zip(low, gap)])
+                if raw.get((i, j), zero) != low:
+                    raise ParameterError(
+                        "product is outside the symmetric parametrization; "
+                        "its skew part does not match the bracket gap")
     return _digits_index([a for key in spec.digit_slots
                           for a in raw.get(key, zero)], p)
+
+
+def _backend_name(kernel):
+    """A kernel's `BACKEND`, or the `NAME` of a bare backend object."""
+    return getattr(kernel, "BACKEND", getattr(kernel, "NAME", "?"))
 
 
 @dataclass(frozen=True)
@@ -261,8 +270,7 @@ def enumerate_products(spec, kernel=None):
                 "checker disagree" % index)
         hits.append(index)
     return EnumerationResult(spec=spec, indices=tuple(hits), total=total,
-                             backend=getattr(kernel, "BACKEND",
-                                             getattr(kernel, "NAME", "?")))
+                             backend=_backend_name(kernel))
 
 
 def _residue_matrices(field, dim, rows):
@@ -338,8 +346,7 @@ def phi_ansatz_sweep(n_alg, kernel=None):
                 "kernel hit %d failed exact re-verification; kernel and "
                 "checker disagree" % index) from exc
     return PhiSweepResult(n=n_alg, indices=tuple(raw), total=total,
-                          backend=getattr(kernel, "BACKEND",
-                                          getattr(kernel, "NAME", "?")),
+                          backend=_backend_name(kernel),
                           pairs=tuple(pairs))
 
 

@@ -8,7 +8,9 @@ bracket tables [,] (for g) and {,} (for n) satisfying three identities:
   derivation-action  x.{y,z} = {x.y, z} + {y, x.z}
 
 Equivalently, (V, ., {,}) is a post-Lie algebra whose associated bracket
-x.y - y.x + {x,y} recovers [,].  Checkers report one item per identity and
+x.y - y.x + {x,y} recovers [,].  All three maps are `linalg.SparseTable`s
+of structure constants on the one space: `LieAlgebra` on the slots i < j,
+`BilinearProduct` on every slot.  Checkers report one item per identity and
 the first failing basis tuple with the difference of the two sides; they
 never stop at the first broken identity, so a bad table shows everything
 that is wrong with it at once.
@@ -26,88 +28,32 @@ from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
                   is_complete_lie, is_derivation, is_nilpotent, is_solvable,
                   is_perfect, killing_is_semisimple, nilpotency_class,
                   semidirect_with_derivations, classify_low_dim)
-from .linalg import (Matrix, accumulate, as_vector, basis_change_table,
+from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      cleared_denominators, commutator, contract,
                      coordinates_in_span, coordinates_in_span_many,
-                     flatten_matrix, inverse, is_nilpotent_int,
-                     is_nilpotent_matrix, is_zero_vec, nullspace, raw_terms,
-                     raw_vector, reduce_table, sparse, sparse_units,
+                     flatten_matrix, inverse, is_nilpotent_int, is_zero_vec,
+                     nullspace, raw_vector, sparse, sparse_units,
                      unit_vector, vadd, vscale, vsub, vzero)
 from .report import CheckItem, CheckReport, scan_item
 
 
-class BilinearProduct:
-    """A bilinear product stored as sparse structure constants.
+class BilinearProduct(SparseTable):
+    """A bilinear product: a `SparseTable` on every slot (i, j), e_i . e_j."""
 
-    `raw` maps ordered index pairs (i, j) to the coefficient vector of
-    e_i . e_j as a tuple of reduced raw values (see `Field.raw`): residues
-    in 0..p-1 over GF(p), Fractions over Q.  Absent pairs multiply to
-    zero, and no stored vector is zero.  `table` holds the same vectors
-    as field scalars; it is built on first read, so a product that is
-    only contracted, conjugated or encoded never builds a scalar.
-    """
+    __slots__ = ()
 
-    __slots__ = ("field", "dim", "raw", "_table", "_terms")
-
-    def __init__(self, field, dim, table=None):
-        data = {}
-        raw = field.raw
-        for (i, j), spec in sorted((table or {}).items()):
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise DimensionError(
-                    "product key (%r, %r) outside 0..%d" % (i, j, dim - 1))
-            vec = as_vector(field, dim, spec)
-            if not is_zero_vec(vec):
-                data[(i, j)] = vec
-        self.field = field
-        self.dim = dim
-        self.raw = {key: tuple(map(raw, vec)) for key, vec in data.items()}
-        self._table = data
-        self._terms = None
-
-    @classmethod
-    def from_raw(cls, field, dim, table):
-        """The product of a table of raw vectors (see `Field.raw`), each
-        coordinate reduced once (see `reduce_table`); the keys are trusted
-        to lie in range and the vectors to have length dim."""
-        return cls._from_canonical(field, dim, reduce_table(field, table))
-
-    @classmethod
-    def _from_canonical(cls, field, dim, raw):
-        """The product whose `raw` is the given table, which is trusted to
-        be in canonical form already (see `reduce_table`): stored as it
-        is, not reduced again."""
-        out = cls.__new__(cls)
-        out.field = field
-        out.dim = dim
-        out.raw = raw
-        out._table = None
-        out._terms = None
-        return out
+    @staticmethod
+    def _check_key(i, j, dim):
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise DimensionError(
+                "product key (%r, %r) outside 0..%d" % (i, j, dim - 1))
 
     @classmethod
     def zero(cls, field, dim):
         return cls(field, dim, {})
 
-    @property
-    def table(self):
-        """{(i, j): vector of field scalars} of the nonzero slots, in key
-        order, built from `raw` once."""
-        if self._table is None:
-            from_raw = self.field.from_raw
-            self._table = {key: tuple(map(from_raw, vec))
-                           for key, vec in self.raw.items()}
-        return self._table
-
     def product_basis(self, i, j):
         return self.table.get((i, j), vzero(self.field, self.dim))
-
-    def terms(self):
-        """The sparse slot table of the product (see
-        `linalg.support_terms`), read off `raw` once."""
-        if self._terms is None:
-            self._terms = raw_terms(self.raw)
-        return self._terms
 
     def product(self, x, y):
         """Bilinear extension of the table, evaluated on the supports of x
@@ -135,15 +81,6 @@ class BilinearProduct:
         return BilinearProduct._from_canonical(
             self.field, self.dim,
             basis_change_table(self.field, self.dim, self.terms(), T, Tinv))
-
-    def __eq__(self, other):
-        if not isinstance(other, BilinearProduct):
-            return NotImplemented
-        return (self.field == other.field and self.dim == other.dim
-                and self.raw == other.raw)
-
-    def __hash__(self):
-        return hash((self.field, self.dim, tuple(sorted(self.raw.items()))))
 
     def __repr__(self):
         return "BilinearProduct(dim=%d, %s, %d nonzero pairs)" % (
@@ -570,33 +507,33 @@ def sampled_left_mult_nilpotency(pair, samples=50, seed=0):
     """Nilpotency of L(x) at pseudorandom x; a cross-check of the exact
     completeness decision, not a substitute for it.
 
-    Over Q the x_t are drawn as n_t/d_t and the test runs on ints: a
-    nonzero multiple of L(x) is nilpotent exactly when L(x) is, so the
-    L(e_t) are scaled by the lcm of all their denominators and each x by
-    the lcm of its d_t (see `linalg.is_nilpotent_int`)."""
+    The test runs on ints (see `linalg.is_nilpotent_int`).  Over GF(p)
+    the x_t are residues and the L(e_t) their residues, with every power
+    reduced mod p.  Over Q the x_t are drawn as n_t/d_t: a nonzero
+    multiple of L(x) is nilpotent exactly when L(x) is, so the L(e_t) are
+    scaled by the lcm of all their denominators and each x by the lcm of
+    its d_t."""
     rng = random.Random(seed)
-    field, dim = pair.field, pair.dim
-    mats = left_multiplications(pair)
-    if field.is_rational:
-        size = dim * dim
-        flat = cleared_denominators([v for M in mats for v in M.flat()])
-        scaled = [flat[t * size:(t + 1) * size] for t in range(dim)]
+    dim, p = pair.dim, pair.field.p
+    size = dim * dim
+    flat = [v for M in left_multiplications(pair) for v in M.raw_flat()]
+    if p is None:
+        flat = cleared_denominators(flat)
+    basis = [flat[t * size:(t + 1) * size] for t in range(dim)]
+    modulus = () if p is None else (p,)
     for _ in range(samples):
-        if field.is_rational:
+        if p is None:
             draws = [(rng.randint(-9, 9), rng.randint(1, 9))
                      for _ in range(dim)]
             d = lcm(*[den for _, den in draws])
-            M = [0] * size
-            for (num, den), L in zip(draws, scaled):
-                if num:
-                    c = num * (d // den)
-                    M = [a + c * b for a, b in zip(M, L)]
-            nilpotent = is_nilpotent_int(M, dim)
+            x = [num * (d // den) for num, den in draws]
         else:
-            x = tuple(field.scalar(rng.randrange(field.characteristic))
-                      for _ in range(dim))
-            nilpotent = is_nilpotent_matrix(_combination(field, dim, mats, x))
-        if not nilpotent:
+            x = [rng.randrange(p) for _ in range(dim)]
+        M = [0] * size
+        for c, L in zip(x, basis):
+            if c:
+                M = [a + c * b for a, b in zip(M, L)]
+        if not is_nilpotent_int(M, dim, *modulus):
             return False
     return True
 

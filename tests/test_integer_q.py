@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postlie.catalog import all_entries, builtin_algebra
-from postlie.errors import ParameterError, StructureError
+from postlie.errors import (ParameterError, StructureError,
+                            UnsupportedFieldError)
 from postlie.fields import GF, QQ
 from postlie.lie import LieAlgebra, semidirect_with_derivations
 from postlie.report import scan_item
@@ -222,6 +223,47 @@ def test_integer_sampled_nilpotency_matches_the_fraction_test():
     assert answers == {True, False}
 
 
+def _old_fp_sampled_left_mult_nilpotency(pair, samples=50, seed=0):
+    """The GF(p) branch of `sampled_left_mult_nilpotency` on `Mod`
+    matrices, as it ran before it moved to residue ints: the oracle."""
+    rng = random.Random(seed)
+    field, dim = pair.field, pair.dim
+    mats = left_multiplications(pair)
+    for _ in range(samples):
+        x = tuple(field.scalar(rng.randrange(field.characteristic))
+                  for _ in range(dim))
+        if not is_nilpotent_matrix(_combination(field, dim, mats, x)):
+            return False
+    return True
+
+
+def _fp_catalog_pairs(field):
+    """Every catalog sample that builds into a valid pair over `field`."""
+    pairs = []
+    for entry in all_entries():
+        for sample in entry.samples:
+            try:
+                pairs.append(entry.build_sample(sample, field=field))
+            except (ParameterError, StructureError, UnsupportedFieldError):
+                pass
+    return pairs
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_residue_sampled_nilpotency_matches_the_mod_test(p):
+    answers = set()
+    pairs = _fp_catalog_pairs(GF(p))
+    assert pairs
+    for pair in pairs:
+        for seed in range(3):
+            for samples in (1, 50):
+                got = sampled_left_mult_nilpotency(pair, samples, seed)
+                assert got is _old_fp_sampled_left_mult_nilpotency(
+                    pair, samples, seed), (pair, seed, samples)
+                answers.add(got)
+    assert answers == {True, False}
+
+
 def test_sampled_nilpotency_tests_multiples_of_the_drawn_points(monkeypatch):
     import postlie.structures as structures
     tested = []
@@ -287,6 +329,12 @@ def test_integer_nilpotency_needs_every_power():
     assert is_nilpotent_int(shift, 4)
     assert not is_nilpotent_int([1] + [0] * 15, 4)
     assert is_nilpotent_int([], 0)
+    # with a modulus the entries are read mod p: 5 is zero mod 5, and the
+    # shift plus 5 times the identity is nilpotent mod 5 only
+    assert is_nilpotent_int([5], 1, 5) and not is_nilpotent_int([5], 1)
+    shifted = [v + 5 * (k % 5 == 0) for k, v in enumerate(shift)]
+    assert is_nilpotent_int(shifted, 4, 5)
+    assert not is_nilpotent_int(shifted, 4)
 
 
 @st.composite

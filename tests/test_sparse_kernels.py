@@ -13,7 +13,7 @@ from postlie.errors import (DimensionError, FieldMismatchError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ, Mod
 from postlie.lie import LieAlgebra, check_lie_axioms
-from postlie.linalg import Matrix, support_terms
+from postlie.linalg import Matrix, inverse, support_terms
 from postlie.structures import (TAG_CYCLIC, TAG_LR_IDENTITY, TAG_LSA,
                                 TAG_NOVIKOV, BilinearProduct, PostLiePair,
                                 check_algebra, check_structure,
@@ -540,3 +540,74 @@ def test_from_raw_products_agree_with_the_coercing_constructor(case, data):
     for (i, j), vec in P.table.items():
         expected = [e + x[i] * y[j] * v for e, v in zip(expected, vec)]
     assert got == tuple(expected)
+
+
+# --- the one table class under both brackets and products -------------
+
+
+def _invertible(draw, field, dim):
+    """A random invertible matrix P L U: a permutation, a unit lower
+    triangular and an invertible upper triangular factor."""
+    perm = draw(st.permutations(range(dim)))
+
+    def entry():
+        return draw(_scalars(field)) if draw(st.booleans()) else field.zero
+
+    def matrix(value):
+        return Matrix(field, [[value(i, j) for j in range(dim)]
+                              for i in range(dim)])
+
+    P = matrix(lambda i, j: field.one if j == perm[i] else field.zero)
+    L = matrix(lambda i, j: field.one if i == j else
+               entry() if i > j else field.zero)
+    U = matrix(lambda i, j: draw(_scalars(field)) if i == j else
+               entry() if i < j else field.zero)
+    return P * L * U
+
+
+@st.composite
+def shared_tables(draw):
+    """A field, a dimension 1-3, LieAlgebra or BilinearProduct, a sparse
+    table of field scalars on that class's slots, and an invertible T."""
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(1, 3))
+    cls = draw(st.sampled_from([LieAlgebra, BilinearProduct]))
+    table = {(i, j): _sparse(draw, field, dim)
+             for i in range(dim) for j in range(dim)
+             if (i < j or cls is BilinearProduct) and draw(st.booleans())}
+    return field, dim, cls, table, _invertible(draw, field, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_tables())
+def test_brackets_and_products_share_one_table(case):
+    field, dim, cls, table, T = case
+    Tinv = inverse(T)
+    built = cls(field, dim, table)
+    from_raw = cls.from_raw(field, dim, {key: [field.raw(c) for c in vec]
+                                         for key, vec in table.items()})
+    moved = built.change_basis(T)
+    back = moved.change_basis(Tinv)
+    if cls is LieAlgebra:
+        basis, apply = built.bracket_basis, built.bracket
+    else:
+        basis, apply = built.product_basis, built.product
+    scalar_terms = support_terms(field, _slot_table(dim, basis))
+    for other in (from_raw, back):
+        assert other == built and hash(other) == hash(built)
+        assert other.raw == built.raw and list(other.raw) == list(built.raw)
+        assert other.table == built.table
+    for t in (built, from_raw, back):
+        assert t.terms() == scalar_terms
+        assert list(t.table) == list(t.raw) == sorted(t.raw)
+        if cls is LieAlgebra:
+            assert t.brackets == t.table
+    # the moved table from its definition, T^-1 B(T e_i, T e_j)
+    dense = {(i, j): Tinv.apply(apply(T.col(i), T.col(j)))
+             for i in range(dim) for j in range(dim)
+             if i < j or cls is BilinearProduct}
+    assert moved.raw == cls(field, dim, dense).raw
+    # the same slots in the other class are another object
+    upper = {key: vec for key, vec in table.items() if key[0] < key[1]}
+    assert LieAlgebra(field, dim, upper) != BilinearProduct(field, dim, upper)
+    assert BilinearProduct(field, dim, upper) != LieAlgebra(field, dim, upper)
