@@ -18,10 +18,11 @@ from math import isqrt
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
-                     commutator, contract, coordinates_in_span,
-                     coordinates_in_span_many, flatten_matrix, is_zero_vec,
+                     common_denominator, commutator, contract,
+                     coordinates_in_span, coordinates_in_span_many,
+                     flatten_matrix, is_zero_vec,
                      nullspace, rank, raw_terms, reduce_raw, span_basis,
-                     sparse_units, unit_vector, vadd, vneg, vzero)
+                     sparse_units, unit_vector, vneg, vzero)
 from .report import CheckReport, scan_item
 
 
@@ -81,10 +82,12 @@ class LieAlgebra(SparseTable):
         `linalg.support_terms`), read off `raw` once: the (j, i) slots are
         the negated (i, j) ones, reduced."""
         if self._terms is None:
-            slots = dict(self.raw)
-            for (i, j), vec in self.raw.items():
-                slots[(j, i)] = reduce_raw(self.field, [-v for v in vec])
-            self._terms = raw_terms(slots)
+            terms = raw_terms(self.raw)
+            p = self.field.p
+            for (i, j), vec in list(terms.items()):
+                terms[(j, i)] = tuple([(k, -v if p is None else p - v)
+                                       for k, v in vec])
+            self._terms = terms
         return self._terms
 
     def bracket(self, x, y):
@@ -144,9 +147,12 @@ def check_lie_axioms(L):
 
     Antisymmetry is structural (only i < j is stored), so the single
     computed item is the Jacobi scan; it carries the first failing triple.
+    The scan sums ints: the table is scaled by its denominator d, and the
+    identity, of degree 2, by d**2 (see `scan_item`).
     """
     n = L.dim
-    B = L.terms()
+    d = common_denominator(L)
+    B = L.scaled_terms(d)
     e, _ = sparse_units(L.field, n)
 
     def jacobi(i, j, k):
@@ -158,7 +164,7 @@ def check_lie_axioms(L):
 
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
                for k in range(j + 1, n)]
-    item = scan_item("jacobi", L.field, triples, jacobi)
+    item = scan_item("jacobi", L.field, triples, jacobi, d * d)
     return CheckReport("lie axioms (%s)" % (L.name or "bracket table"), (item,))
 
 
@@ -277,6 +283,11 @@ def killing_is_semisimple(L):
 
     kappa(x, y) = trace(ad x ad y).  Nondegeneracy of kappa characterizes
     semisimplicity in characteristic zero only, so this refuses F_p input.
+
+    No matrix product is formed: with [e_i, e_k] = sum_l c_ik^l e_l,
+    (ad e_i)_lk = c_ik^l, so kappa(e_i, e_j) = sum_{k,l} c_ik^l c_jl^k,
+    summed on the table scaled to ints by its denominator d and divided
+    by d**2 once per entry.
     """
     _require_validated(L)
     if not L.field.is_rational:
@@ -284,25 +295,52 @@ def killing_is_semisimple(L):
             "the Killing criterion is only conclusive over Q")
     if "killing" not in L._memo:
         n = L.dim
-        ads = [L.adjoint_matrix(unit_vector(L.field, n, i))
-               for i in range(n)]
-        form = Matrix(L.field, [[(ads[i] * ads[j]).trace() for j in range(n)]
-                                for i in range(n)])
+        d = L.denominator()
+        # ads[i][(l, k)] = d * c_ik^l, the nonzero entries of d * ad e_i
+        ads = [{} for _ in range(n)]
+        for (i, k), vec in L.scaled_terms(d).items():
+            for l, c in vec:
+                ads[i][(l, k)] = c
+        kappa = {}
+        for i in range(n):
+            for j in range(i, n):
+                get = ads[j].get
+                kappa[(i, j)] = kappa[(j, i)] = sum(
+                    [c * get((k, l), 0) for (l, k), c in ads[i].items()])
+        form = Matrix._from_ints(L.field, n, n, [kappa[(i, j)]
+                                                 for i in range(n)
+                                                 for j in range(n)], d * d)
         L._memo["killing"] = (form, rank(form) == n)
     return L._memo["killing"]
 
 
 def is_derivation(L, D):
-    """Does D satisfy D[x,y] = [Dx,y] + [x,Dy] on all basis pairs?"""
-    if D.shape != (L.dim, L.dim):
+    """Does D satisfy D[x,y] = [Dx,y] + [x,Dy] on all basis pairs?
+
+    Both sides are linear in D and in the bracket, so the test runs on
+    the integer form of D (see `Matrix.int_form`) and the bracket table
+    scaled to ints (see `SparseTable.scaled_terms`)."""
+    n = L.dim
+    if D.shape != (n, n):
         raise DimensionError("derivation candidate of shape %r on dim %d" %
-                             (D.shape, L.dim))
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = D.apply(L.bracket_basis(i, j))
-            rhs = vadd(L.bracket(D.col(i), unit_vector(L.field, L.dim, j)),
-                       L.bracket(unit_vector(L.field, L.dim, i), D.col(j)))
-            if lhs != rhs:
+                             (D.shape, n))
+    B = L.scaled_terms(L.denominator())
+    a, _ = D.int_form()
+    # the columns D e_k and -D e_k as sparse operands
+    cols = [[(r, a[r * n + k]) for r in range(n) if a[r * n + k]]
+            for k in range(n)]
+    neg = [[(r, -v) for r, v in col] for col in cols]
+    e, m = sparse_units(L.field, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
+            acc = [0] * n
+            for k, c in B.get((i, j), ()):
+                for r, v in cols[k]:
+                    acc[r] += c * v
+            accumulate(acc, B, neg[i], e[j])
+            accumulate(acc, B, m[i], cols[j])
+            if any(reduce_raw(L.field, acc)):
                 return False
     return True
 
@@ -378,13 +416,20 @@ def semidirect_with_derivations(L, derivations, name=None):
     Bracket: [(x, D), (x', D')] = ([x, x'] + D x' - D' x, [D, D']).
     The derivation list must be linearly independent and closed under the
     matrix commutator, and the result is validated before it is returned.
+    Each entry is checked with `is_derivation`, unless the list is the
+    `DerivationAlgebra` of L itself, whose basis `derivation_algebra` has
+    checked already.
     """
     _require_validated(L)
+    checked = False
+    if isinstance(derivations, DerivationAlgebra):
+        checked = derivations.base is L
+        derivations = derivations.basis
     derivations = list(derivations)
     n = L.dim
     k = len(derivations)
     for t, D in enumerate(derivations):
-        if not is_derivation(L, D):
+        if not checked and not is_derivation(L, D):
             raise StructureError("entry %d is not a derivation" % t)
     flats = [flatten_matrix(D) for D in derivations]
     if k and rank(Matrix(L.field, flats)) != k:
@@ -397,10 +442,9 @@ def semidirect_with_derivations(L, derivations, name=None):
             if not is_zero_vec(vec):
                 table[(i, j)] = vec + (L.field.zero,) * k
     for i in range(n):
-        e_i = unit_vector(L.field, n, i)
         for t, D in enumerate(derivations):
             # [e_i, D] = -D(e_i) inside the L block
-            vec = vneg(D.apply(e_i))
+            vec = vneg(D.col(i))
             if not is_zero_vec(vec):
                 table[(i, n + t)] = vec + (L.field.zero,) * k
     pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]

@@ -186,7 +186,7 @@ class SparseTable:
     with `_check_key(i, j, dim)`, which raises DimensionError on others.
     Equality (type-strict) and hashing read `raw`."""
 
-    __slots__ = ("field", "dim", "raw", "_table", "_terms")
+    __slots__ = ("field", "dim", "raw", "_table", "_terms", "_den", "_scaled")
 
     def __init__(self, field, dim, table=None):
         data = {}
@@ -200,7 +200,7 @@ class SparseTable:
         self.raw = {key: tuple(map(field.raw, vec))
                     for key, vec in data.items()}
         self._table = data
-        self._terms = None
+        self._terms = self._den = self._scaled = None
 
     @classmethod
     def from_raw(cls, field, dim, table, **attrs):
@@ -218,8 +218,7 @@ class SparseTable:
         out.field = field
         out.dim = dim
         out.raw = raw
-        out._table = None
-        out._terms = None
+        out._table = out._terms = out._den = out._scaled = None
         return out
 
     @property
@@ -238,6 +237,27 @@ class SparseTable:
             self._terms = raw_terms(self.raw)
         return self._terms
 
+    def denominator(self):
+        """The lcm of the denominators of the structure constants, built
+        once: 1 over GF(p), whose raw values are residues already."""
+        if self._den is None:
+            self._den = 1 if self.field.p is not None else lcm(
+                *[v.denominator for vec in self.raw.values() for v in vec])
+        return self._den
+
+    def scaled_terms(self, d):
+        """`terms()` with every value times d, a multiple of
+        `denominator()`, so that every value is an int; the table for the
+        last d asked for is kept."""
+        if d == 1:
+            return self.terms()
+        if self._scaled is None or self._scaled[0] != d:
+            self._scaled = (d, {key: tuple([
+                (k, v * d if type(v) is int
+                 else v.numerator * (d // v.denominator)) for k, v in vec])
+                for key, vec in self.terms().items()})
+        return self._scaled[1]
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -246,6 +266,16 @@ class SparseTable:
 
     def __hash__(self):
         return hash((self.field, self.dim, tuple(self.raw.items())))
+
+
+def common_denominator(*tables):
+    """The lcm of the `denominator()`s of the given tables, all over one
+    field: scaled by it (see `SparseTable.scaled_terms`) they all hold
+    ints, and an identity of degree k in the tables is scaled by its k-th
+    power.  Over GF(p) it is 1 at once."""
+    if tables[0].field.p is not None:
+        return 1
+    return lcm(*[t.denominator() for t in tables])
 
 
 def contract(field, dim, terms, x, y):
@@ -274,9 +304,12 @@ def unit_vector(field, n, i):
 
 
 class Matrix:
-    """Immutable dense matrix over one field, stored row major."""
+    """Immutable dense matrix over one field, stored row major.
 
-    __slots__ = ("field", "nrows", "ncols", "_e", "_raw")
+    Products, `apply` and `commutator` run on the integer form of the
+    entries (see `int_form`) and build one scalar per result entry."""
+
+    __slots__ = ("field", "nrows", "ncols", "_e", "_raw", "_int")
 
     def __init__(self, field, rows):
         data = []
@@ -294,7 +327,7 @@ class Matrix:
         self.nrows = count
         self.ncols = width if width is not None else 0
         self._e = tuple(data)
-        self._raw = None
+        self._raw = self._int = None
 
     @classmethod
     def _from_scalars(cls, field, nrows, ncols, entries, raw=None):
@@ -308,6 +341,16 @@ class Matrix:
         out.ncols = ncols if nrows else 0
         out._e = tuple(entries)
         out._raw = raw
+        out._int = None
+        return out
+
+    @classmethod
+    def _from_ints(cls, field, nrows, ncols, ints, d):
+        """The matrix whose row-major entries are ints[k] / d (see
+        `from_ints`); over Q the pair is kept as its `int_form`."""
+        out = cls._from_scalars(field, nrows, ncols, from_ints(field, ints, d))
+        if field.p is None:
+            out._int = (ints, d)
         return out
 
     @classmethod
@@ -354,6 +397,15 @@ class Matrix:
                          else tuple(raw_vector(self.field, self._e)))
         return self._raw
 
+    def int_form(self):
+        """(ints, d), built once: the row-major entries are ints[k] / d.
+        Over Q d > 0 clears every denominator (see `integral_form`); over
+        GF(p) the ints are the residues and d is 1."""
+        if self._int is None:
+            self._int = (integral_form(self._e) if self.field.p is None
+                         else (self.raw_flat(), 1))
+        return self._int
+
     def _check_compatible(self, other, need_shape):
         if not isinstance(other, Matrix):
             raise TypeError("expected a Matrix, got %r" % (other,))
@@ -382,22 +434,37 @@ class Matrix:
         return Matrix._from_scalars(self.field, self.nrows, self.ncols,
                                     vscale(c, self._e))
 
-    def __mul__(self, other):
+    def _int_product(self, other):
+        """(ints, d) of self * other: the products of the integer forms,
+        summed on ints, over the product of their d."""
         self._check_compatible(other, False)
         if self.ncols != other.nrows:
             raise DimensionError("cannot multiply %r by %r" % (self.shape, other.shape))
-        field = self.field
-        cols = [other.col(j) for j in range(other.ncols)]
-        return Matrix._from_scalars(
-            field, self.nrows, other.ncols,
-            [_dot(self.row(i), c, field)
-             for i in range(self.nrows) for c in cols])
+        a, da = self.int_form()
+        b, db = other.int_form()
+        m, c = self.ncols, other.ncols
+        cols = [b[j::c] for j in range(c)]
+        return ([sum(map(mul, a[i * m:(i + 1) * m], col))
+                 for i in range(self.nrows) for col in cols], da * db)
+
+    def __mul__(self, other):
+        ints, d = self._int_product(other)
+        return Matrix._from_ints(self.field, self.nrows, other.ncols, ints, d)
 
     def apply(self, v):
         if len(v) != self.ncols:
             raise DimensionError("vector length %d, matrix width %d" %
                                  (len(v), self.ncols))
-        return tuple(_dot(self.row(i), v, self.field) for i in range(self.nrows))
+        field = self.field
+        a, d = self.int_form()
+        if field.p is None:
+            w, dv = integral_form(v)
+            d *= dv
+        else:
+            w = raw_vector(field, v)
+        m = self.ncols
+        return tuple(from_ints(field, [sum(map(mul, a[i * m:(i + 1) * m], w))
+                                       for i in range(self.nrows)], d))
 
     def transpose(self):
         return Matrix(self.field, [self.col(j) for j in range(self.ncols)])
@@ -438,21 +505,32 @@ class Matrix:
         return "Matrix(%s, [%s])" % (self.field.name, body)
 
 
-def _dot(u, v, field):
-    """Sum of a*b over the coordinates where neither factor is zero; `u`
-    is a matrix row, so the sum is a field scalar."""
-    acc = None
-    for a, b in zip(u, v, strict=True):
-        if a and b:
-            acc = a * b if acc is None else acc + a * b
-    return field.zero if acc is None else acc
+def from_ints(field, ints, d=1):
+    """The scalars ints[k] / d, one built per value: over Q a Fraction
+    (the shared zero for 0), over GF(p) the residue of the int, reduced
+    once (d is 1 there)."""
+    if field.p is None:
+        zero = field.zero
+        if d == 1:
+            return [Fraction(v) if v else zero for v in ints]
+        return [Fraction(v, d) if v else zero for v in ints]
+    return list(map(field.from_raw, ints))
+
+
+def integral_form(values):
+    """(ints, d) for rationals (or ints): d > 0 is the lcm of their
+    denominators and ints the values times d, zero where they are zero."""
+    d = lcm(*[v.denominator for v in values])
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // v.denominator) if v else 0
+            for v in values], d
 
 
 def cleared_denominators(values):
     """Rationals (or ints) times the lcm of their denominators, as ints: a
     positive integral multiple of the vector, zero where it is zero."""
-    d = lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) if v else 0 for v in values]
+    return integral_form(values)[0]
 
 
 def rref(matrix):
@@ -715,14 +793,15 @@ def coordinates_in_span_many(vectors, targets, field):
     R, pivots = rref(_with_identity(A))
     a_pivots = [c for c in pivots if c < k]
     rank = len(a_pivots)
-    E = [R.row(i)[k:] for i in range(height)]
+    E = Matrix._from_scalars(field, height, height,
+                             [v for i in range(height) for v in R.row(i)[k:]])
     zero = field.zero
     out = []
     for t in targets:
         if len(t) != height:
             raise DimensionError("target length %d, span height %d"
                                  % (len(t), height))
-        y = [_dot(row, t, field) for row in E]
+        y = E.apply(t)
         if any(y[rank:]):
             out.append(None)
             continue
@@ -775,7 +854,14 @@ def is_nilpotent_int(flat, n, p=None):
 
 
 def commutator(a, b):
-    return a * b - b * a
+    """ab - ba, from the two integer products (see `Matrix.int_form`):
+    one scalar per entry."""
+    ab, d = a._int_product(b)
+    ba, _ = b._int_product(a)
+    if len(ab) != len(ba) or a.nrows != b.nrows:
+        raise DimensionError("shape mismatch %r vs %r" % (a.shape, b.shape))
+    return Matrix._from_ints(a.field, a.nrows, b.ncols,
+                             [u - v for u, v in zip(ab, ba)], d)
 
 
 def flatten_matrix(matrix):

@@ -72,19 +72,23 @@ class CheckReport:
         }
 
 
-def scan_item(name, field, tuples, delta):
+def scan_item(name, field, tuples, delta, scale=1):
     """Evaluate an identity over index tuples; the first nonzero difference
     is the witness.
 
-    `delta(*idx)` returns the difference of the two sides at one tuple as
-    raw values (see `Field.raw`), unreduced; each coordinate is reduced
-    once, when its tuple is decided.  The scan short-circuits inside one
-    identity, but callers always collect every identity, so reports list
-    all broken ones.
+    `delta(*idx)` returns `scale` times the difference of the two sides at
+    one tuple as raw values (see `Field.raw`), unreduced; each coordinate
+    is reduced once, when its tuple is decided, and only the witness's
+    discrepancy is divided back by `scale`.  Over Q the scans scale their
+    tables by a common denominator D (see `linalg.common_denominator`), so
+    that an identity of degree k sums ints and passes D**k; over GF(p)
+    `scale` is 1.  The scan short-circuits inside one identity, but
+    callers always collect every identity, so reports list all broken
+    ones.
     """
     for idx in tuples:
         diff = reduce_raw(field, delta(*idx))
         if any(diff):
-            return CheckItem(name, False, idx,
-                             tuple(map(field.from_raw, diff)))
+            return CheckItem(name, False, idx, tuple(
+                [field.from_raw(v) / scale for v in diff]))
     return CheckItem(name, True)

@@ -29,8 +29,8 @@ from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
                   is_perfect, killing_is_semisimple, nilpotency_class,
                   semidirect_with_derivations, classify_low_dim)
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
-                     cleared_denominators, commutator, contract,
-                     coordinates_in_span, coordinates_in_span_many,
+                     cleared_denominators, commutator, common_denominator,
+                     contract, coordinates_in_span, coordinates_in_span_many,
                      flatten_matrix, inverse, is_nilpotent_int, is_zero_vec,
                      nullspace, raw_vector, sparse, sparse_units,
                      unit_vector, vadd, vscale, vsub, vzero)
@@ -175,13 +175,21 @@ def _triples_all(n):
 # delta starts from int zeros and adds every term of the identity with
 # `accumulate`; in the comments x, y, z stand for basis vectors, P for
 # the product table and G, N for the bracket tables of g and n, and e and
-# m hold the unit vectors and their negatives.
+# m hold the unit vectors and their negatives.  Over Q the tables of one
+# scan are scaled to ints by their common denominator d (see
+# `linalg.common_denominator`), so every sum is an int sum; an identity
+# of degree k in the tables is then d**k times itself, and `scan_item`
+# divides the witness's discrepancy back by d**k.
 
 
-def _module_action(g, product):
-    """Delta of [x,y].z = x.(y.z) - y.(x.z) on basis triples."""
-    field, dim = product.field, product.dim
-    G, P = g.terms(), product.terms()
+def _scaled(d, *tables):
+    """The sparse slot tables of `tables`, each scaled by d."""
+    return [t.scaled_terms(d) for t in tables]
+
+
+def _module_action(field, dim, G, P):
+    """Delta of [x,y].z = x.(y.z) - y.(x.z) on basis triples, of degree 2
+    in the tables."""
     e, m = sparse_units(field, dim)
 
     def delta(i, j, k):
@@ -193,10 +201,9 @@ def _module_action(g, product):
     return delta
 
 
-def _derivation_action(n, product):
-    """Delta of x.{y,z} = {x.y, z} + {y, x.z} on basis triples."""
-    field, dim = product.field, product.dim
-    N, P = n.terms(), product.terms()
+def _derivation_action(field, dim, N, P):
+    """Delta of x.{y,z} = {x.y, z} + {y, x.z} on basis triples, of degree
+    2 in the tables."""
     e, m = sparse_units(field, dim)
 
     def delta(i, j, k):
@@ -208,10 +215,9 @@ def _derivation_action(n, product):
     return delta
 
 
-def _associator_skew(n, product):
-    """Delta of {x,y}.z = (y.x).z - y.(x.z) - (x.y).z + x.(y.z)."""
-    field, dim = product.field, product.dim
-    N, P = n.terms(), product.terms()
+def _associator_skew(field, dim, N, P):
+    """Delta of {x,y}.z = (y.x).z - y.(x.z) - (x.y).z + x.(y.z), of
+    degree 2 in the tables."""
     e, m = sparse_units(field, dim)
 
     def delta(i, j, k):
@@ -228,11 +234,12 @@ def _associator_skew(n, product):
 def check_structure(g, n, product):
     """Scan the three defining identities of a pair structure."""
     field, dim = g.field, g.dim
-    G, N, P = g.terms(), n.terms(), product.terms()
+    d = common_denominator(g, n, product)
+    G, N, P = _scaled(d, g, n, product)
     e, m = sparse_units(field, dim)
 
     def skew(i, j):
-        # x.y - y.x - [x,y] + {x,y}
+        # x.y - y.x - [x,y] + {x,y}, of degree 1
         acc = [0] * dim
         accumulate(acc, P, e[i], e[j])
         accumulate(acc, P, m[j], e[i])
@@ -241,11 +248,11 @@ def check_structure(g, n, product):
         return acc
 
     items = (
-        scan_item("skew-part", field, _pairs(dim), skew),
+        scan_item("skew-part", field, _pairs(dim), skew, d),
         scan_item("module-action", field, _triples_pair_any(dim),
-                  _module_action(g, product)),
+                  _module_action(field, dim, G, P), d * d),
         scan_item("derivation-action", field, _triples_any_pair(dim),
-                  _derivation_action(n, product)),
+                  _derivation_action(field, dim, N, P), d * d),
     )
     return CheckReport("post-Lie structure", items)
 
@@ -258,16 +265,18 @@ def check_algebra(product, n):
     antisymmetrized associator and that left multiplications are bracket
     derivations.
     """
-    dim = n.dim
+    field, dim = n.field, n.dim
     jacobi = check_lie_axioms(n).item("jacobi")
     jacobi = CheckItem("bracket-jacobi", jacobi.passed, jacobi.witness,
                        jacobi.discrepancy)
+    d = common_denominator(n, product)
+    N, P = _scaled(d, n, product)
     items = (
         jacobi,
-        scan_item("associator-skew", n.field, _triples_pair_any(dim),
-                  _associator_skew(n, product)),
-        scan_item("derivation-action", n.field, _triples_any_pair(dim),
-                  _derivation_action(n, product)),
+        scan_item("associator-skew", field, _triples_pair_any(dim),
+                  _associator_skew(field, dim, N, P), d * d),
+        scan_item("derivation-action", field, _triples_any_pair(dim),
+                  _derivation_action(field, dim, N, P), d * d),
     )
     return CheckReport("post-Lie algebra", items)
 
@@ -338,7 +347,8 @@ def derived_identity_audit(pair):
 
     All of these follow from the defining identities, so a validated pair
     can only fail the audit through an implementation fault; on raw pairs
-    the audit doubles as a fine-grained diagnostic.  Items:
+    the audit doubles as a fine-grained diagnostic.  Every item is of
+    degree 2 in the tables.  Items:
 
       module-action          [x,y].z = x.(y.z) - y.(x.z)
       associator-skew        {x,y}.z = (y.x).z - y.(x.z) - (x.y).z + x.(y.z)
@@ -355,7 +365,8 @@ def derived_identity_audit(pair):
     g, n, product = pair.g, pair.n, pair.product
     dim = pair.dim
     field = pair.field
-    G, N, P = g.terms(), n.terms(), product.terms()
+    d = common_denominator(g, n, product)
+    G, N, P = _scaled(d, g, n, product)
     e, m = sparse_units(field, dim)
 
     def right_slot(z, i, j):
@@ -409,18 +420,20 @@ def derived_identity_audit(pair):
         accumulate(acc, G, N.get((z, x), ()), m[y])
         return acc
 
+    dd = d * d
     items = (
         scan_item("module-action", field, _triples_pair_any(dim),
-                  _module_action(g, product)),
+                  _module_action(field, dim, G, P), dd),
         scan_item("associator-skew", field, _triples_pair_any(dim),
-                  _associator_skew(n, product)),
+                  _associator_skew(field, dim, N, P), dd),
         scan_item("right-slot-expansion", field, _triples_any_pair(dim),
-                  right_slot),
-        scan_item("mixed-rearrangement", field, _triples_all(dim), mixed),
+                  right_slot, dd),
+        scan_item("mixed-rearrangement", field, _triples_all(dim), mixed,
+                  dd),
         scan_item("cyclic-left-action", field, _triples_all(dim),
-                  cyclic_left),
+                  cyclic_left, dd),
         scan_item("cyclic-product-action", field, _triples_all(dim),
-                  cyclic_product),
+                  cyclic_product, dd),
     )
     return CheckReport("derived identities", items)
 
@@ -456,16 +469,17 @@ def _flag_reaches_space(field, dim, mats):
     every product of dim operators to vanish; downward, a common
     strictly triangular basis puts its first t vectors inside F_t.  No
     eigenvalue computations are involved, so this is exact over any field.
+    With A the annihilator rows of F_t stacked, F_{t+1} is the kernel of
+    the rows of every A M, one integer matrix product per operator.
     """
     flag = Subspace.span(field, dim, [])
     while True:
         if flag.dim == dim:
             return True
-        rows = []
-        for a in flag.annihilator_rows():
-            arow = Matrix(field, [a])
-            for M in mats:
-                rows.append((arow * M).row(0))
+        ann = flag.annihilator_rows()
+        A = Matrix._from_scalars(field, len(ann), dim,
+                                 [v for a in ann for v in a])
+        rows = [row for M in mats for row in (A * M).rows()]
         nxt_basis = nullspace(Matrix(field, rows)) if rows else \
             [unit_vector(field, dim, i) for i in range(dim)]
         nxt = Subspace.span(field, dim, list(nxt_basis))
@@ -582,7 +596,8 @@ def special_case_detect(pair):
         tags.add(TAG_SCALAR)
 
     field = pair.field
-    P = product.terms()
+    # only the pass flags are read, so the scaled table needs no divisor
+    P = product.scaled_terms(product.denominator())
     e, m = sparse_units(field, dim)
 
     def holds(tuples, delta):
@@ -738,18 +753,34 @@ def embed_semidirect(pair):
     dim = pair.dim
     field = pair.field
     ders = derivation_algebra(n)
-    ambient = semidirect_with_derivations(n, ders.basis)
+    # ders is n's own derivation algebra, checked once by its solver
+    ambient = semidirect_with_derivations(n, ders)
     solved = _left_coordinates(pair, ders.basis, "a derivation of n")
     images = [unit_vector(field, dim, i) + coords
               for i, coords in enumerate(solved)]
     matrix = Matrix.from_cols(field, images)
+    # on ints: the images (the columns of the matrix), the bracket of g
+    # and that of the ambient algebra all scaled by one d, so that the
+    # identity, of degree 2 on the left and 3 on the right, reads d**3
+    ints, dm = matrix.int_form()
+    d = lcm(dm, common_denominator(pair.g, ambient))
+    G, A = _scaled(d, pair.g, ambient)
+    size = ambient.dim
+    img = [[(t, ints[t * dim + i] * (d // dm)) for t in range(size)
+            if ints[t * dim + i]] for i in range(dim)]
+    neg = [[(t, -v) for t, v in vec] for vec in img]
 
     def hom(i, j):
-        lhs = matrix.apply(pair.g.bracket_basis(i, j))
-        rhs = ambient.bracket(images[i], images[j])
-        return raw_vector(field, vsub(lhs, rhs))
+        # M [e_i, e_j] - [M e_i, M e_j], with M e_k the k-th image
+        acc = [0] * size
+        for k, c in G.get((i, j), ()):
+            c *= d
+            for t, v in img[k]:
+                acc[t] += c * v
+        accumulate(acc, A, neg[i], img[j])
+        return acc
 
-    items = (scan_item("homomorphism", field, _pairs(dim), hom),)
+    items = (scan_item("homomorphism", field, _pairs(dim), hom, d ** 3),)
     report = CheckReport("semidirect embedding", items)
     return Embedding(ambient, ders, tuple(images), matrix, report)
 
@@ -889,7 +920,7 @@ def prelie_from_two_step(pair):
     dim = pair.dim
     field = pair.field
     half = field.raw(field.scalar(Fraction(1, 2)))
-    G, N, P = pair.g.terms(), n.terms(), pair.product.terms()
+    N, P = n.terms(), pair.product.terms()
     e, m = sparse_units(field, dim)
     table = {}
     for i in range(dim):
@@ -899,10 +930,11 @@ def prelie_from_two_step(pair):
             accumulate(acc, N, ((i, half),), e[j])
             table[(i, j)] = acc
     prelie = BilinearProduct.from_raw(field, dim, table)
-    O = prelie.terms()
+    d = common_denominator(pair.g, prelie)
+    G, O = _scaled(d, pair.g, prelie)
 
     def commutator_match(i, j):
-        # x o y - y o x - [x,y]
+        # x o y - y o x - [x,y], of degree 1
         acc = [0] * dim
         accumulate(acc, O, e[i], e[j])
         accumulate(acc, O, m[j], e[i])
@@ -912,9 +944,9 @@ def prelie_from_two_step(pair):
     # left-symmetry of o is module-action with o in place of the product
     items = (
         scan_item("commutator-matches-bracket", field, _pairs(dim),
-                  commutator_match),
+                  commutator_match, d),
         scan_item("left-symmetry", field, _triples_pair_any(dim),
-                  _module_action(pair.g, prelie)),
+                  _module_action(field, dim, G, O), d * d),
     )
     return prelie, CheckReport("pre-Lie deformation", items)
 

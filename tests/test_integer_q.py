@@ -1,27 +1,29 @@
 """The exact layer over Q on ints: fraction-free `rref`, integer sampled
-nilpotency and batched span coordinates agree with the Fraction forms,
-and every scalar handed back over Q is a Fraction, never an int or a
-float."""
+nilpotency, batched span coordinates, integer matrix products and the
+trace-form Killing matrix agree with the Fraction forms, and every scalar
+handed back over Q is a Fraction, never an int or a float."""
 
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from postlie.catalog import all_entries, builtin_algebra
-from postlie.errors import (ParameterError, StructureError,
+from postlie.errors import (DimensionError, ParameterError, StructureError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ
-from postlie.lie import LieAlgebra, semidirect_with_derivations
+from postlie.lie import (LieAlgebra, killing_is_semisimple,
+                         semidirect_with_derivations)
 from postlie.report import scan_item
-from postlie.linalg import (Matrix, cleared_denominators, contract,
-                            coordinates_in_span, coordinates_in_span_many,
-                            inverse, is_nilpotent_int, is_nilpotent_matrix,
-                            nullspace, rref, rref_solve, sparse, sparse_units,
-                            support_terms)
+from postlie.linalg import (Matrix, cleared_denominators, commutator,
+                            contract, coordinates_in_span,
+                            coordinates_in_span_many, inverse,
+                            is_nilpotent_int, is_nilpotent_matrix, nullspace,
+                            rref, rref_solve, sparse, sparse_units,
+                            support_terms, unit_vector)
 from postlie.structures import (BilinearProduct, PostLiePair, _combination,
                                 check_structure, derived_identity_audit,
                                 is_complete_structure, left_mult_matrix,
@@ -392,3 +394,90 @@ def test_semidirect_names_the_first_unclosed_pair():
         semidirect_with_derivations(L, [E11, E12, E21])
     with pytest.raises(StructureError, match=r"\(entries 0, 1\)"):
         semidirect_with_derivations(L, [E12, E21, E11])
+
+
+def _entrywise_product(field, A, B):
+    """(A B)_ij = sum_k A_ik B_kj, one scalar operation at a time: the
+    formula `Matrix.__mul__` used before it moved to ints, as the
+    oracle."""
+    return [[sum((A.entry(i, k) * B.entry(k, j) for k in range(A.ncols)),
+                 field.zero) for j in range(B.ncols)]
+            for i in range(A.nrows)]
+
+
+def _entrywise_difference(X, Y):
+    return [[x - y for x, y in zip(u, v)] for u, v in zip(X, Y)]
+
+
+@st.composite
+def matrices_over_one_field(draw):
+    """A (r x m), B (m x c), v (length m) and square S, T over Q, with
+    denominators up to 12 and about half the entries zero, or over
+    GF(3) or GF(7)."""
+    field = draw(st.sampled_from([QQ, QQ, GF(3), GF(7)]))
+    value = rational if field.is_rational else st.integers(0, field.p - 1)
+
+    def matrix(nrows, ncols):
+        return Matrix(field, [[draw(value) for _ in range(ncols)]
+                              for _ in range(nrows)])
+
+    r, m, c, n = (draw(st.integers(1, 4)) for _ in range(4))
+    v = tuple(field.scalar(draw(value)) for _ in range(m))
+    return field, matrix(r, m), matrix(m, c), v, matrix(n, n), matrix(n, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices_over_one_field())
+def test_integer_matrix_products_match_the_entrywise_formula(case):
+    field, A, B, v, S, T = case
+    AB = A * B
+    assert AB.rows() == [tuple(row) for row in _entrywise_product(field, A, B)]
+    assert A.apply(v) == tuple(
+        sum((A.entry(i, k) * v[k] for k in range(A.ncols)), field.zero)
+        for i in range(A.nrows))
+    ST, TS = _entrywise_product(field, S, T), _entrywise_product(field, T, S)
+    assert commutator(S, T).rows() == [
+        tuple(row) for row in _entrywise_difference(ST, TS)]
+    # a product's integer form carries the product of the two
+    # denominators, not their lcm: products of products still agree
+    STS = _entrywise_product(field, S * T, S)
+    assert ((S * T) * S).rows() == [tuple(row) for row in STS]
+    assert commutator(S * T, S).rows() == [tuple(row) for row in
+                                           _entrywise_difference(
+                                               STS, _entrywise_product(
+                                                   field, S, S * T))]
+    if field.is_rational:
+        for M in (AB, commutator(S, T), (S * T) * S):
+            assert _all_fractions(M.flat())
+        assert _all_fractions(A.apply(v))
+
+
+def test_commutator_of_unequal_shapes_raises():
+    A = Matrix(QQ, [[1, 2, 3], [4, 5, 6]])
+    B = Matrix(QQ, [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(DimensionError):
+        commutator(A, B)
+    with pytest.raises(DimensionError):
+        commutator(A, A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["sl2", "r3", "n3", "r3_lambda"]), st.data())
+def test_trace_form_killing_matrix_matches_explicit_products(name, data):
+    """kappa read off the structure constants equals
+    [[trace(ad e_i ad e_j)]] with the products formed entry by entry, in
+    a random rational basis of each algebra."""
+    lam = data.draw(rational.filter(bool)) if name == "r3_lambda" else None
+    T = Matrix(QQ, [[data.draw(rational) for _ in range(3)]
+                    for _ in range(3)])
+    assume(inverse(T) is not None)
+    L = builtin_algebra(name, lam=lam).change_basis(T)
+    form, semisimple = killing_is_semisimple(L)
+    ads = [L.adjoint_matrix(unit_vector(QQ, 3, i)) for i in range(3)]
+    want = [[sum((row[k] for k, row in enumerate(
+        _entrywise_product(QQ, ads[i], ads[j]))), Fraction(0))
+        for j in range(3)] for i in range(3)]
+    assert form.rows() == [tuple(row) for row in want]
+    assert _all_fractions(form.flat())
+    assert semisimple is (len(_fraction_rref(Matrix(QQ, want))[1]) == 3)
+    assert semisimple is (name == "sl2")

@@ -191,6 +191,28 @@ def test_semidirect_rejects_bad_derivation_lists():
         semidirect_with_derivations(n3, [D, D])
 
 
+def test_semidirect_checks_only_what_the_solver_did_not(monkeypatch):
+    """The DerivationAlgebra of L itself is taken as checked: no second
+    is_derivation pass, and the same algebra as from its plain basis.
+    Any other list, and the derivations of another algebra, are
+    checked."""
+    import postlie.lie as lie
+    n3 = builtin_algebra("n3")
+    ders = derivation_algebra(n3)
+    calls = []
+    original = lie.is_derivation
+    monkeypatch.setattr(lie, "is_derivation",
+                        lambda L, D: calls.append(D) or original(L, D))
+    amb = semidirect_with_derivations(n3, ders)
+    assert calls == []
+    assert amb == semidirect_with_derivations(n3, ders.basis)
+    assert calls == list(ders.basis)
+    # gl(3) is Der of abelian(3); handed to n3 it is checked and refused
+    with pytest.raises(StructureError, match="not a derivation"):
+        semidirect_with_derivations(
+            n3, derivation_algebra(builtin_algebra("abelian", dim=3)))
+
+
 def test_direct_sum():
     both = direct_sum(builtin_algebra("r2"), builtin_algebra("n3"))
     assert both.dim == 5

@@ -3,12 +3,14 @@ identity scans built on them, against dense reference formulas written
 out here, over Q and GF(p)."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie.catalog import builtin_algebra
+from postlie import lie, structures
+from postlie.catalog import all_entries, builtin_algebra
 from postlie.errors import (DimensionError, FieldMismatchError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ, Mod
@@ -17,9 +19,9 @@ from postlie.linalg import Matrix, inverse, support_terms
 from postlie.structures import (TAG_CYCLIC, TAG_LR_IDENTITY, TAG_LSA,
                                 TAG_NOVIKOV, BilinearProduct, PostLiePair,
                                 check_algebra, check_structure,
-                                derived_identity_audit, induced_bracket,
-                                phi_product, prelie_from_two_step,
-                                special_case_detect)
+                                derived_identity_audit, embed_semidirect,
+                                induced_bracket, phi_product,
+                                prelie_from_two_step, special_case_detect)
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
 
@@ -611,3 +613,138 @@ def test_brackets_and_products_share_one_table(case):
     upper = {key: vec for key, vec in table.items() if key[0] < key[1]}
     assert LieAlgebra(field, dim, upper) != BilinearProduct(field, dim, upper)
     assert BilinearProduct(field, dim, upper) != LieAlgebra(field, dim, upper)
+
+
+# --- scans on tables scaled to ints over Q -----------------------------
+
+
+def _non_integral():
+    return st.fractions(min_value=-4, max_value=4,
+                        max_denominator=12).filter(lambda q: q.denominator > 1)
+
+
+def _unscaled(scan, *args):
+    """`scan(*args)` with the common denominator read as 1: every scan
+    then sums the Fraction tables themselves, unscaled."""
+    def one(*tables):
+        return 1
+    with mock.patch.object(structures, "common_denominator", one), \
+            mock.patch.object(lie, "common_denominator", one):
+        return scan(*args)
+
+
+@st.composite
+def rational_pair_tables(draw):
+    """Over Q, a dimension 2-4 and non-integral tables: "random" (sparse
+    random tables, broken almost everywhere) or "corrupted" (a phi pair
+    on a two-step n, whose skew-part and derivation-action hold, with one
+    product coordinate moved by a non-integral rational, so that the
+    identities reading it have witnesses)."""
+    dim = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        def bracket():
+            return LieAlgebra(QQ, dim, {(i, j): _sparse(draw, QQ, dim)
+                                        for i, j in _pairs(dim)})
+        product = BilinearProduct(QQ, dim, {
+            (i, j): _sparse(draw, QQ, dim)
+            for i in range(dim) for j in range(dim)})
+        return "random", bracket(), bracket(), product
+    n = _two_step(draw, QQ, dim).validate()
+    phi = Matrix(QQ, [_sparse(draw, QQ, dim, 0.6) for _ in range(dim)])
+    product = phi_product(n, phi)
+    key = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+    vec = list(product.product_basis(*key))
+    vec[draw(st.integers(0, dim - 1))] += draw(_non_integral())
+    corrupted = BilinearProduct(QQ, dim, {**product.table, key: vec})
+    return "corrupted", induced_bracket(product, n), n, corrupted
+
+
+def _same_reports(got, want):
+    assert got == want
+    for item in got.items:
+        if not item.passed:
+            _assert_scalars(QQ, item.discrepancy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_pair_tables())
+def test_scaled_scans_match_the_unscaled_fraction_scans(case):
+    """Every scan on tables scaled by their common denominator D reports
+    what the scan on the Fractions reports: pass flags, witnesses and
+    discrepancies, divided back by D for skew-part and the commutator
+    item and by D**2 for the identities of degree 2."""
+    kind, g, n, product = case
+    pair = PostLiePair(g, n, product)
+    for scan, args in ((check_lie_axioms, (g,)), (check_lie_axioms, (n,)),
+                       (check_structure, (g, n, product)),
+                       (check_algebra, (product, n)),
+                       (derived_identity_audit, (pair,))):
+        _same_reports(scan(*args), _unscaled(scan, *args))
+    if kind == "corrupted":
+        pair._validated = True
+        prelie, report = prelie_from_two_step(pair)
+        again, unscaled = _unscaled(prelie_from_two_step, pair)
+        assert prelie == again
+        _same_reports(report, unscaled)
+
+
+def test_scaled_scans_divide_back_by_the_degree():
+    """One broken pair with denominator 6: skew-part (degree 1) and
+    module-action (degree 2) report the Fraction discrepancies."""
+    g = LieAlgebra(QQ, 2, {(0, 1): {0: Fraction(1, 2)}})
+    n = LieAlgebra(QQ, 2, {})
+    product = BilinearProduct(QQ, 2, {(0, 0): {0: Fraction(1, 3)},
+                                      (0, 1): {1: Fraction(1, 2)}})
+    assert structures.common_denominator(g, n, product) == 6
+    report = check_structure(g, n, product)
+    skew = report.item("skew-part")
+    assert skew.witness == (0, 1)
+    assert skew.discrepancy == (Fraction(-1, 2), Fraction(1, 2))
+    module = report.item("module-action")
+    # [e1,e2].e1 - e1.(e2.e1) + e2.(e1.e1) = (1/2)(1/3) e1
+    assert module.witness == (0, 1, 0)
+    assert module.discrepancy == (Fraction(1, 6), Fraction(0))
+    _same_reports(report, _unscaled(check_structure, g, n, product))
+
+
+def _rational_catalog_pairs():
+    pairs = []
+    for entry in all_entries():
+        pairs += [entry.build_sample(sample) for sample in entry.samples]
+    return [pair for pair in pairs if pair.dim == 3]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_scaled_homomorphism_scan_matches_the_fraction_formula(data):
+    """A catalog pair in a random rational basis, with its first bracket
+    moved by a non-integral rational in one coordinate (or not): the
+    homomorphism scan of `embed_semidirect`, on ints, reports the first
+    pair where M [e_i, e_j] - [M e_i, M e_j], summed on Fractions, is
+    nonzero, and that difference."""
+    pair = data.draw(st.sampled_from(_rational_catalog_pairs()))
+    T = _invertible(data.draw, QQ, 3)
+    g, n = pair.g.change_basis(T), pair.n.change_basis(T)
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(_pairs(3)))
+        vec = list(g.bracket_basis(*key))
+        vec[data.draw(st.integers(0, 2))] += data.draw(_non_integral())
+        g = LieAlgebra(QQ, 3, {**g.brackets, key: vec})
+    moved = PostLiePair(g, n, pair.product.change_basis(T))
+    moved._validated = True
+    emb = embed_semidirect(moved)
+    M, size = emb.matrix, emb.semidirect.dim
+    want = (True, None, None)
+    for i, j in _pairs(3):
+        gb = g.bracket_basis(i, j)
+        lhs = [sum((M.entry(r, t) * gb[t] for t in range(3)), Fraction(0))
+               for r in range(size)]
+        rhs = emb.semidirect.bracket(emb.images[i], emb.images[j])
+        diff = tuple(a - b for a, b in zip(lhs, rhs))
+        if any(diff):
+            want = (False, (i, j), diff)
+            break
+    item = emb.report.item("homomorphism")
+    assert (item.passed, item.witness, item.discrepancy) == want
+    if not item.passed:
+        _assert_scalars(QQ, item.discrepancy)
