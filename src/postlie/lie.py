@@ -324,6 +324,10 @@ def is_derivation(L, D):
     if D.shape != (n, n):
         raise DimensionError("derivation candidate of shape %r on dim %d" %
                              (D.shape, n))
+    if D.field != L.field:
+        raise FieldMismatchError("derivation candidate over %s for an "
+                                 "algebra over %s" % (D.field.name,
+                                                      L.field.name))
     B = L.scaled_terms(L.denominator())
     a, _ = D.int_form()
     # the columns D e_k and -D e_k as sparse operands

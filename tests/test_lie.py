@@ -116,6 +116,12 @@ def test_derivation_predicate():
     assert not is_derivation(sl2, Matrix.identity(QQ, 3))
 
 
+def test_derivation_predicate_refuses_another_field():
+    # the test runs on raw ints, so the fields are compared first
+    with pytest.raises(FieldMismatchError):
+        is_derivation(builtin_algebra("sl2"), Matrix.identity(GF(5), 3))
+
+
 def test_derivation_dimensions():
     assert derivation_algebra(builtin_algebra("sl2")).dim == 3
     assert derivation_algebra(builtin_algebra("abelian", dim=2)).dim == 4
