@@ -31,8 +31,11 @@ from .structures import (all_right_multiplications_nilpotent,
 def _parse_field(raw):
     if raw == "Q":
         return QQ
-    if raw.startswith("Fp:"):
-        return GF(int(raw[3:]))
+    try:
+        if raw.startswith("Fp:"):
+            return GF(int(raw[3:]))
+    except ValueError:
+        pass
     raise ParameterError("unknown field %r; use Q or Fp:<prime>" % raw)
 
 
@@ -40,6 +43,14 @@ def rational(text):
     """A rational literal 'a' or 'a/b' of the command line; argparse
     turns the ValueError of a bad one into a usage error."""
     return QQ.parse(text)
+
+
+def limit(text):
+    """A nonnegative count of the command line."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %s" % text)
+    return value
 
 
 def _parse_params(pairs):
@@ -458,7 +469,7 @@ def build_parser():
                              "parametrization")
     p_prod.add_argument("--orbits", action="store_true",
                         help="also group hits by joint bracket automorphisms")
-    p_prod.add_argument("--limit", type=int, default=25,
+    p_prod.add_argument("--limit", type=limit, default=25,
                         help="how many hit indices to print")
     p_prod.set_defaults(func=_cmd_search_products)
     p_phi = search_sub.add_parser("phi", parents=[common],
@@ -471,7 +482,7 @@ def build_parser():
     p_phi.add_argument("--lam", type=rational, default=None,
                        help="eigenvalue for the r3_lambda table, 'a' or "
                             "'a/b', read mod p")
-    p_phi.add_argument("--limit", type=int, default=25)
+    p_phi.add_argument("--limit", type=limit, default=25)
     p_phi.set_defaults(func=_cmd_search_phi)
     p_probe = search_sub.add_parser("probe", parents=[common],
                                     help="existence probe for a first-"

@@ -20,9 +20,8 @@ from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      common_denominator, commutator, contract,
                      coordinates_in_span, coordinates_in_span_many,
-                     flatten_matrix, is_zero_vec,
-                     nullspace, rank, raw_terms, reduce_raw, span_basis,
-                     sparse_units, unit_vector, vneg, vzero)
+                     flatten_matrix, is_zero_vec, nullspace, rank, raw_terms,
+                     span_basis, sparse_units, unit_vector, vneg, vzero)
 from .report import CheckReport, scan_item
 
 
@@ -142,6 +141,44 @@ def _require_validated(L):
             "run validate() before analysing %r" % (L,))
 
 
+def cyclic_sum(acc, outer, inner, u, x, y, z):
+    """Add outer(inner(x,y), u_z) + outer(inner(y,z), u_x) +
+    outer(inner(z,x), u_y) into `acc`: the cyclic sum of the Jacobi
+    identity, for the sparse slot tables `outer` and `inner` and the
+    basis operands `u` (the unit vectors or their negatives)."""
+    accumulate(acc, outer, inner.get((x, y), ()), u[z])
+    accumulate(acc, outer, inner.get((y, z), ()), u[x])
+    accumulate(acc, outer, inner.get((z, x), ()), u[y])
+
+
+def derivation_action(field, dim, N, P):
+    """Delta of x.{y,z} = {x.y, z} + {y, x.z} on basis triples, for the
+    bracket N and the product P, of degree 2 in the tables.
+
+    At x = e_0 of the one-slot table of a matrix D (see `operator_table`)
+    it is D{y,z} - {Dy, z} - {y, Dz}, the derivation condition on D."""
+    e, m = sparse_units(field, dim)
+
+    def delta(i, j, k):
+        acc = [0] * dim
+        accumulate(acc, P, e[i], N.get((j, k), ()))
+        accumulate(acc, N, P.get((i, j), ()), m[k])
+        accumulate(acc, N, m[j], P.get((i, k), ()))
+        return acc
+    return delta
+
+
+def operator_table(M, scale=1):
+    """The sparse slot table of the product x.v = x_0 (M v): slot (0, c)
+    holds column c of the integer form of M (see `Matrix.int_form`) times
+    `scale`.  So `accumulate` with the left operand e_0 applies M, scaled
+    by the form's denominator and `scale`."""
+    ints, _ = M.int_form()
+    cols = [ints[c::M.ncols] for c in range(M.ncols)]
+    return {(0, c): tuple([(r, v * scale) for r, v in enumerate(col) if v])
+            for c, col in enumerate(cols)}
+
+
 def check_lie_axioms(L):
     """Jacobi identity over all basis triples i < j < k.
 
@@ -157,9 +194,7 @@ def check_lie_axioms(L):
 
     def jacobi(i, j, k):
         acc = [0] * n
-        accumulate(acc, B, B.get((i, j), ()), e[k])
-        accumulate(acc, B, B.get((j, k), ()), e[i])
-        accumulate(acc, B, B.get((k, i), ()), e[j])
+        cyclic_sum(acc, B, B, e, i, j, k)
         return acc
 
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
@@ -310,16 +345,19 @@ def killing_is_semisimple(L):
         form = Matrix._from_ints(L.field, n, n, [kappa[(i, j)]
                                                  for i in range(n)
                                                  for j in range(n)], d * d)
-        L._memo["killing"] = (form, rank(form) == n)
-    return L._memo["killing"]
+        # the rank is kept for `classify_low_dim`
+        L._memo["killing"] = (form, rank(form))
+    form, r = L._memo["killing"]
+    return form, r == L.dim
 
 
 def is_derivation(L, D):
     """Does D satisfy D[x,y] = [Dx,y] + [x,Dy] on all basis pairs?
 
-    Both sides are linear in D and in the bracket, so the test runs on
-    the integer form of D (see `Matrix.int_form`) and the bracket table
-    scaled to ints (see `SparseTable.scaled_terms`)."""
+    That is derivation-action for the product x.y = x_0 D y (see
+    `operator_table`), at x = e_0.  Both sides are linear in D and in the
+    bracket, so the test runs on the integer form of D and the bracket
+    table scaled to ints (see `SparseTable.scaled_terms`)."""
     n = L.dim
     if D.shape != (n, n):
         raise DimensionError("derivation candidate of shape %r on dim %d" %
@@ -328,25 +366,14 @@ def is_derivation(L, D):
         raise FieldMismatchError("derivation candidate over %s for an "
                                  "algebra over %s" % (D.field.name,
                                                       L.field.name))
-    B = L.scaled_terms(L.denominator())
-    a, _ = D.int_form()
-    # the columns D e_k and -D e_k as sparse operands
-    cols = [[(r, a[r * n + k]) for r in range(n) if a[r * n + k]]
-            for k in range(n)]
-    neg = [[(r, -v) for r, v in col] for col in cols]
-    e, m = sparse_units(L.field, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
-            acc = [0] * n
-            for k, c in B.get((i, j), ()):
-                for r, v in cols[k]:
-                    acc[r] += c * v
-            accumulate(acc, B, neg[i], e[j])
-            accumulate(acc, B, m[i], cols[j])
-            if any(reduce_raw(L.field, acc)):
-                return False
-    return True
+    delta = derivation_action(L.field, n, L.scaled_terms(L.denominator()),
+                              operator_table(D))
+    return scan_item(None, L.field, _derivation_triples(n), delta).passed
+
+
+def _derivation_triples(n):
+    """The triples (0, j, k), j < k, on which `is_derivation` scans."""
+    return [(0, j, k) for j in range(n) for k in range(j + 1, n)]
 
 
 @dataclass(frozen=True)
@@ -371,30 +398,27 @@ class DerivationAlgebra:
 def derivation_algebra(L):
     """Solve the derivation equations exactly and return a basis.
 
-    Unknowns are the entries d[r][c] of D, flattened row major.  For each
-    stored bracket (i < j) and each output component k the linear relation
-      sum_l c(i,j)_l d[k][l] - sum_r B(r,j)_k d[r][i] - sum_r B(i,r)_k d[r][j] = 0
-    is imposed.  Every returned matrix is re-checked against the bracket.
+    Unknowns are the entries d[r][c] of D, flattened row major.  The
+    equations are the coordinates of the derivation residual (see
+    `is_derivation`), which is linear in D: column r * n + c of the system
+    is the residual at the unit matrix with d[r][c] = 1, one row per basis
+    pair and output component.  Every returned matrix is re-checked
+    against the bracket.
     """
     _require_validated(L)
     n = L.dim
     unknowns = n * n
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c_ij = L.bracket_basis(i, j)
-            for k in range(n):
-                row = [L.field.zero] * unknowns
-                for l in range(n):
-                    row[k * n + l] = row[k * n + l] + c_ij[l]
-                for r in range(n):
-                    row[r * n + i] = row[r * n + i] - L.bracket_basis(r, j)[k]
-                    row[r * n + j] = row[r * n + j] - L.bracket_basis(i, r)[k]
-                rows.append(tuple(row))
-    if not rows:
+    triples = _derivation_triples(n)
+    N = L.scaled_terms(L.denominator())
+    cols = []
+    for r in range(n):
+        for c in range(n):
+            delta = derivation_action(L.field, n, N, {(0, c): ((r, 1),)})
+            cols.append([v for idx in triples for v in delta(*idx)])
+    if not triples:
         kern = tuple(unit_vector(L.field, unknowns, t) for t in range(unknowns))
     else:
-        kern = nullspace(Matrix(L.field, rows))
+        kern = nullspace(Matrix(L.field, list(zip(*cols))))
     basis = []
     for flat in kern:
         D = Matrix(L.field, [flat[r * n:(r + 1) * n] for r in range(n)])
@@ -552,8 +576,8 @@ def _classify(L):
     # a length-one chain means [L, L] = L (the series repeats immediately)
     derived_dim = derived[1].dim if len(derived) > 1 else n
     cent = center(L)
-    killing = killing_is_semisimple(L)[0]
-    killing_rank = rank(killing)
+    killing_is_semisimple(L)
+    killing_rank = L._memo["killing"][1]
     solvable = derived[-1].dim == 0
     nilpotent = lower[-1].dim == 0
     nclass = len(lower) - 1 if nilpotent else None

@@ -362,6 +362,7 @@ def automorphism_indices(algebras, kernel=None):
         if other.field != first.field or other.dim != n:
             raise ParameterError("algebras must share a field and dimension")
     total = check_guard(p ** (n * n))
+    _require_sweep_dim(n)
     tensors = [flat_bracket_tensor(L) for L in algebras]
     return tuple(kernel.gl_invariance_sweep(p, n, tensors, 0, total))
 

@@ -19,14 +19,16 @@ that is wrong with it at once.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
 from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
-                  check_lie_axioms, derivation_algebra, direct_sum,
-                  is_complete_lie, is_derivation, is_nilpotent, is_solvable,
-                  is_perfect, killing_is_semisimple, nilpotency_class,
+                  check_lie_axioms, cyclic_sum, derivation_action,
+                  derivation_algebra, direct_sum, is_complete_lie,
+                  is_derivation, is_nilpotent, is_solvable, is_perfect,
+                  killing_is_semisimple, nilpotency_class, operator_table,
                   semidirect_with_derivations, classify_low_dim)
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      cleared_denominators, commutator, common_denominator,
@@ -153,22 +155,27 @@ def _require_validated_pair(pair):
         raise NotValidatedError("run validate() before analysing %r" % (pair,))
 
 
+@lru_cache(maxsize=64)
 def _pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+@lru_cache(maxsize=64)
 def _triples_pair_any(n):
-    return [(i, j, k) for i in range(n) for j in range(i + 1, n)
-            for k in range(n)]
+    return tuple((i, j, k) for i in range(n) for j in range(i + 1, n)
+                 for k in range(n))
 
 
+@lru_cache(maxsize=64)
 def _triples_any_pair(n):
-    return [(i, j, k) for i in range(n) for j in range(n)
-            for k in range(j + 1, n)]
+    return tuple((i, j, k) for i in range(n) for j in range(n)
+                 for k in range(j + 1, n))
 
 
+@lru_cache(maxsize=64)
 def _triples_all(n):
-    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    return tuple((i, j, k) for i in range(n) for j in range(n)
+                 for k in range(n))
 
 
 # The identity scans below work on raw values (see `Field.raw`).  Each
@@ -179,7 +186,9 @@ def _triples_all(n):
 # scan are scaled to ints by their common denominator d (see
 # `linalg.common_denominator`), so every sum is an int sum; an identity
 # of degree k in the tables is then d**k times itself, and `scan_item`
-# divides the witness's discrepancy back by d**k.
+# divides the witness's discrepancy back by d**k.  Derivation-action and
+# the Jacobi cyclic sum live in `lie` (`derivation_action`, `cyclic_sum`),
+# which reads them too.
 
 
 def _scaled(d, *tables):
@@ -201,16 +210,20 @@ def _module_action(field, dim, G, P):
     return delta
 
 
-def _derivation_action(field, dim, N, P):
-    """Delta of x.{y,z} = {x.y, z} + {y, x.z} on basis triples, of degree
-    2 in the tables."""
+def _skew_part(field, dim, G, N, P):
+    """Delta of x.y - y.x = [x,y] - {x,y} on basis pairs, of degree 1 in
+    the tables.  An empty G or N is skipped: with G empty the delta is
+    the induced bracket x.y - y.x + {x,y}."""
     e, m = sparse_units(field, dim)
 
-    def delta(i, j, k):
+    def delta(i, j):
         acc = [0] * dim
-        accumulate(acc, P, e[i], N.get((j, k), ()))
-        accumulate(acc, N, P.get((i, j), ()), m[k])
-        accumulate(acc, N, m[j], P.get((i, k), ()))
+        accumulate(acc, P, e[i], e[j])
+        accumulate(acc, P, m[j], e[i])
+        if G:
+            accumulate(acc, G, m[i], e[j])
+        if N:
+            accumulate(acc, N, e[i], e[j])
         return acc
     return delta
 
@@ -236,23 +249,13 @@ def check_structure(g, n, product):
     field, dim = g.field, g.dim
     d = common_denominator(g, n, product)
     G, N, P = _scaled(d, g, n, product)
-    e, m = sparse_units(field, dim)
-
-    def skew(i, j):
-        # x.y - y.x - [x,y] + {x,y}, of degree 1
-        acc = [0] * dim
-        accumulate(acc, P, e[i], e[j])
-        accumulate(acc, P, m[j], e[i])
-        accumulate(acc, G, m[i], e[j])
-        accumulate(acc, N, e[i], e[j])
-        return acc
-
     items = (
-        scan_item("skew-part", field, _pairs(dim), skew, d),
+        scan_item("skew-part", field, _pairs(dim),
+                  _skew_part(field, dim, G, N, P), d),
         scan_item("module-action", field, _triples_pair_any(dim),
                   _module_action(field, dim, G, P), d * d),
         scan_item("derivation-action", field, _triples_any_pair(dim),
-                  _derivation_action(field, dim, N, P), d * d),
+                  derivation_action(field, dim, N, P), d * d),
     )
     return CheckReport("post-Lie structure", items)
 
@@ -276,7 +279,7 @@ def check_algebra(product, n):
         scan_item("associator-skew", field, _triples_pair_any(dim),
                   _associator_skew(field, dim, N, P), d * d),
         scan_item("derivation-action", field, _triples_any_pair(dim),
-                  _derivation_action(field, dim, N, P), d * d),
+                  derivation_action(field, dim, N, P), d * d),
     )
     return CheckReport("post-Lie algebra", items)
 
@@ -284,16 +287,9 @@ def check_algebra(product, n):
 def induced_bracket(product, n, name=None):
     """The unvalidated bracket table x.y - y.x + {x,y}."""
     field, dim = n.field, n.dim
-    N, P = n.terms(), product.terms()
-    e, m = sparse_units(field, dim)
-    table = {}
-    for i, j in _pairs(dim):
-        acc = [0] * dim
-        accumulate(acc, P, e[i], e[j])
-        accumulate(acc, P, m[j], e[i])
-        accumulate(acc, N, e[i], e[j])
-        table[(i, j)] = acc
-    return LieAlgebra.from_raw(field, dim, table, name=name)
+    delta = _skew_part(field, dim, {}, n.terms(), product.terms())
+    return LieAlgebra.from_raw(
+        field, dim, {(i, j): delta(i, j) for i, j in _pairs(dim)}, name=name)
 
 
 def phi_product(n, phi):
@@ -395,29 +391,19 @@ def derived_identity_audit(pair):
         accumulate(acc, P, e[z], pxy)
         return acc
 
-    def minus_cyclic_brackets(acc, x, y, z):
-        # - {[x,y],z} - {[y,z],x} - {[z,x],y}
-        accumulate(acc, N, G.get((x, y), ()), m[z])
-        accumulate(acc, N, G.get((y, z), ()), m[x])
-        accumulate(acc, N, G.get((z, x), ()), m[y])
-
     def cyclic_left(x, y, z):
         acc = [0] * dim
         accumulate(acc, P, e[x], N.get((y, z), ()))
         accumulate(acc, P, e[y], N.get((z, x), ()))
         accumulate(acc, P, e[z], N.get((x, y), ()))
-        minus_cyclic_brackets(acc, x, y, z)
+        cyclic_sum(acc, N, G, m, x, y, z)
         return acc
 
     def cyclic_product(x, y, z):
         acc = [0] * dim
-        accumulate(acc, P, N.get((x, y), ()), e[z])
-        accumulate(acc, P, N.get((y, z), ()), e[x])
-        accumulate(acc, P, N.get((z, x), ()), e[y])
-        minus_cyclic_brackets(acc, x, y, z)
-        accumulate(acc, G, N.get((x, y), ()), m[z])
-        accumulate(acc, G, N.get((y, z), ()), m[x])
-        accumulate(acc, G, N.get((z, x), ()), m[y])
+        cyclic_sum(acc, P, N, e, x, y, z)
+        cyclic_sum(acc, N, G, m, x, y, z)
+        cyclic_sum(acc, G, N, m, x, y, z)
         return acc
 
     dd = d * d
@@ -603,22 +589,6 @@ def special_case_detect(pair):
     def holds(tuples, delta):
         return scan_item(None, field, tuples, delta).passed
 
-    def lsa_delta(i, j, k):
-        # (x.y).z - x.(y.z) - (y.x).z + y.(x.z)
-        acc = [0] * dim
-        accumulate(acc, P, P.get((i, j), ()), e[k])
-        accumulate(acc, P, m[i], P.get((j, k), ()))
-        accumulate(acc, P, P.get((j, i), ()), m[k])
-        accumulate(acc, P, e[j], P.get((i, k), ()))
-        return acc
-
-    def left_comm_delta(i, j, k):
-        # x.(y.z) - y.(x.z)
-        acc = [0] * dim
-        accumulate(acc, P, e[i], P.get((j, k), ()))
-        accumulate(acc, P, m[j], P.get((i, k), ()))
-        return acc
-
     def right_comm_delta(i, j, k):
         # (x.y).z - (x.z).y
         acc = [0] * dim
@@ -637,8 +607,11 @@ def special_case_detect(pair):
         accumulate(acc, P, P.get((x, y), ()), m[z])
         return acc
 
-    lsa = holds(_triples_pair_any(dim), lsa_delta)
-    left_comm = holds(_triples_pair_any(dim), left_comm_delta)
+    # left-symmetry and left-commutativity are associator-skew and
+    # module-action with the brackets set to zero
+    lsa = holds(_triples_pair_any(dim), _associator_skew(field, dim, {}, P))
+    left_comm = holds(_triples_pair_any(dim),
+                      _module_action(field, dim, {}, P))
     right_comm = holds(_triples_any_pair(dim), right_comm_delta)
     cyclic = holds(_triples_all(dim), cyclic_delta)
 
@@ -762,21 +735,19 @@ def embed_semidirect(pair):
     # on ints: the images (the columns of the matrix), the bracket of g
     # and that of the ambient algebra all scaled by one d, so that the
     # identity, of degree 2 on the left and 3 on the right, reads d**3
-    ints, dm = matrix.int_form()
+    _, dm = matrix.int_form()
     d = lcm(dm, common_denominator(pair.g, ambient))
     G, A = _scaled(d, pair.g, ambient)
     size = ambient.dim
-    img = [[(t, ints[t * dim + i] * (d // dm)) for t in range(size)
-            if ints[t * dim + i]] for i in range(dim)]
+    M = operator_table(matrix, d // dm)
+    img = [M[(0, i)] for i in range(dim)]
     neg = [[(t, -v) for t, v in vec] for vec in img]
+    x = ((0, d),)
 
     def hom(i, j):
         # M [e_i, e_j] - [M e_i, M e_j], with M e_k the k-th image
         acc = [0] * size
-        for k, c in G.get((i, j), ()):
-            c *= d
-            for t, v in img[k]:
-                acc[t] += c * v
+        accumulate(acc, M, x, G.get((i, j), ()))
         accumulate(acc, A, neg[i], img[j])
         return acc
 
@@ -921,7 +892,7 @@ def prelie_from_two_step(pair):
     field = pair.field
     half = field.raw(field.scalar(Fraction(1, 2)))
     N, P = n.terms(), pair.product.terms()
-    e, m = sparse_units(field, dim)
+    e, _ = sparse_units(field, dim)
     table = {}
     for i in range(dim):
         for j in range(dim):
@@ -932,19 +903,11 @@ def prelie_from_two_step(pair):
     prelie = BilinearProduct.from_raw(field, dim, table)
     d = common_denominator(pair.g, prelie)
     G, O = _scaled(d, pair.g, prelie)
-
-    def commutator_match(i, j):
-        # x o y - y o x - [x,y], of degree 1
-        acc = [0] * dim
-        accumulate(acc, O, e[i], e[j])
-        accumulate(acc, O, m[j], e[i])
-        accumulate(acc, G, m[i], e[j])
-        return acc
-
-    # left-symmetry of o is module-action with o in place of the product
+    # o is commutator-compatible with g when skew-part holds for o with
+    # no second bracket, and left-symmetric when module-action does
     items = (
         scan_item("commutator-matches-bracket", field, _pairs(dim),
-                  commutator_match, d),
+                  _skew_part(field, dim, G, {}, O), d),
         scan_item("left-symmetry", field, _triples_pair_any(dim),
                   _module_action(field, dim, G, O), d * d),
     )

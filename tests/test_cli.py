@@ -174,6 +174,25 @@ def test_catalog_export_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("field", ["Fp:abc", "Fp:"])
+def test_catalog_export_refuses_a_modulus_that_is_no_integer(capsys, field):
+    code, out, err = _run(capsys, ["catalog", "export", "V9",
+                                   "--field", field])
+    assert code == 2 and out == ""
+    assert err == ("error: unknown field %r; use Q or Fp:<prime>\n"
+                   % field)
+
+
+@pytest.mark.parametrize("command", [
+    ["products", "--p", "3", "--g", "r2", "--n", "r2"],
+    ["phi", "--p", "2", "--n", "n3"]])
+def test_search_refuses_a_negative_limit(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["search"] + command + ["--limit", "-1"])
+    assert exc.value.code == 2
+    assert "--limit: must be nonnegative" in capsys.readouterr().err
+
+
 def test_search_products_frozen_counts(capsys):
     argv = ["search", "products", "--p", "3", "--g", "abelian",
             "--n", "abelian", "--dim", "2", "--orbits"]

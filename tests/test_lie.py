@@ -2,12 +2,15 @@
 
 import json
 import random
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from postlie.catalog import builtin_algebra
+from postlie.catalog import BUILTIN_NAMES, builtin_algebra
 from postlie.errors import (DimensionError, FieldMismatchError,
                             NotValidatedError, ParameterError,
                             StructureError, UnsupportedFieldError)
@@ -19,9 +22,11 @@ from postlie.lie import (LieAlgebra, Subspace, center, check_lie_axioms,
                          killing_is_semisimple, nilpotency_class,
                          semidirect_with_derivations, series)
 from postlie.linalg import (Matrix, flatten_matrix, inverse,
-                            matrix_from_flat, rank, span_basis, unit_vector)
+                            matrix_from_flat, nullspace, rank, span_basis,
+                            unit_vector, vadd)
 
 GOLDEN = Path(__file__).parent / "golden"
+TOOLS = Path(__file__).parent.parent / "tools"
 
 
 def test_builtins_validate():
@@ -146,6 +151,88 @@ def test_derivations_of_n3_match_golden_solve():
     assert len(golden_span) == 6
     computed_span = span_basis(QQ, 9, [flatten_matrix(M) for M in ders.basis])
     assert golden_span == computed_span
+
+
+def test_golden_derivations_regenerate_byte_for_byte(capsys):
+    """The standalone generator, run in process, still writes the
+    committed file."""
+    runpy.run_path(str(TOOLS / "gen_golden_derivations.py"),
+                   run_name="__main__")
+    assert capsys.readouterr().out == \
+        (GOLDEN / "derivations_n3.json").read_text()
+
+
+def _hand_indexed_rows(L):
+    """The derivation equations written out entry by entry, in the
+    unknowns d[r][c] flattened row major: for each basis pair i < j and
+    output component k, with c(a,b) = [e_a, e_b],
+      sum_l c(i,j)_l d[k][l]
+        - sum_r c(r,j)_k d[r][i] - sum_r c(i,r)_k d[r][j] = 0."""
+    n = L.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            c_ij = L.bracket_basis(i, j)
+            for k in range(n):
+                row = [L.field.zero] * (n * n)
+                for l in range(n):
+                    row[k * n + l] += c_ij[l]
+                for r in range(n):
+                    row[r * n + i] -= L.bracket_basis(r, j)[k]
+                    row[r * n + j] -= L.bracket_basis(i, r)[k]
+                rows.append(tuple(row))
+    return rows
+
+
+def _dense_is_derivation(L, D):
+    """D[x,y] = [Dx,y] + [x,Dy] on every ordered basis pair, on field
+    scalars."""
+    e = [unit_vector(L.field, L.dim, i) for i in range(L.dim)]
+    return all(D.apply(L.bracket(x, y)) ==
+               vadd(L.bracket(D.apply(x), y), L.bracket(x, D.apply(y)))
+               for x in e for y in e)
+
+
+def _entries(field):
+    if field.is_rational:
+        return st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.integers(0, field.p - 1).map(field.scalar)
+
+
+@st.composite
+def builtins_in_a_random_basis(draw):
+    """Every builtin over Q, GF(5) or GF(7), written in a random basis."""
+    field = draw(st.sampled_from([QQ, GF(5), GF(7)]))
+    name = draw(st.sampled_from(BUILTIN_NAMES))
+    dim = draw(st.integers(1, 4)) if name == "abelian" else None
+    lam = draw(_entries(field)) if name == "r3_lambda" else None
+    L = builtin_algebra(name, field=field, dim=dim, lam=lam)
+    T = Matrix(field, [[draw(_entries(field)) for _ in range(L.dim)]
+                       for _ in range(L.dim)])
+    assume(inverse(T) is not None)
+    return L.change_basis(T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtins_in_a_random_basis(), st.data())
+def test_derivations_match_the_dense_formula_and_the_hand_indexed_rows(
+        L, data):
+    """derivation_algebra's basis is the nullspace of the hand-indexed
+    equations, entry for entry and in order, and is_derivation agrees
+    with the dense formula on derivations and on random matrices."""
+    F, n = L.field, L.dim
+    rows = _hand_indexed_rows(L)
+    want = (nullspace(Matrix(F, rows)) if rows else
+            tuple(unit_vector(F, n * n, t) for t in range(n * n)))
+    ders = derivation_algebra(L)
+    assert tuple(flatten_matrix(D) for D in ders.basis) == want
+    D = Matrix.zeros(F, n, n)
+    for M in ders.basis:
+        D = D + M.scale(data.draw(_entries(F)))
+    assert is_derivation(L, D) and _dense_is_derivation(L, D)
+    M = Matrix(F, [[data.draw(_entries(F)) for _ in range(n)]
+                   for _ in range(n)])
+    assert is_derivation(L, M) is _dense_is_derivation(L, M)
 
 
 def test_derivations_of_n3_entry_relations():

@@ -329,6 +329,13 @@ def test_automorphism_indices_on_abelian_plane():
         assert encode_matrix(T) == index
 
 
+def test_automorphism_sweep_refuses_dimensions_beyond_three():
+    # abelian(4) over GF(2) is a 2^16 box, inside the guard
+    A = builtin_algebra("abelian", field=GF(2), dim=4)
+    with pytest.raises(ParameterError, match="dimensions 1..3"):
+        automorphism_indices((A,))
+
+
 def test_automorphism_indices_respect_brackets():
     r2 = builtin_algebra("r2", field=GF(3))
     got = automorphism_indices((r2, r2))
