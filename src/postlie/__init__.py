@@ -8,7 +8,9 @@ the worked families, `search` runs exhaustive sweeps over prime fields
 on the numpy kernels of `fpkernel` (which return no hits outside a
 sweep's index range and raise ValueError on a phi sweep over a bracket
 that is not a Lie bracket mod p), and `cli` wraps all of it for the
-shell.
+shell.  Importing the package does not load numpy: `fpkernel` binds it
+lazily, so only a sweep does, and the exact work over Q and GF(p) never
+needs it.
 """
 
 from .errors import (DimensionError, DocumentError, FieldMismatchError,

@@ -28,15 +28,37 @@ that `search.orbit_reduce` conjugates by.
 and reports record, and `backends()` lists every kernel module, which the
 benchmark script and the kernel tests iterate over; this module is the
 only one.
+
+numpy is bound lazily (`_lazy_import`), so importing this module, or
+reading `NAME`, `BACKEND` and `backends()`, does not run numpy; the first
+kernel call that touches an array does.
 """
 
+import importlib.util
 import sys
 from itertools import combinations, permutations
 
-import numpy as np
-
 from .fields import GF, is_prime
 from .linalg import Matrix, nullspace, rref
+
+
+def _lazy_import(name):
+    """The module `name`, executed on the first read of one of its
+    attributes (the standard library's `importlib.util.LazyLoader`
+    recipe), or the module itself when it is imported already."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError("No module named %r" % name, name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 NAME = BACKEND = "python"
 
@@ -362,6 +384,25 @@ def _solution_digits(p, space, lo, hi):
     return digits
 
 
+def _product_space(p, n, cg_flat, cn_flat, symmetric):
+    """The bracket tensors of a product sweep and its `_solution_space`."""
+    _check_args(p, n)
+    if not is_prime(p):
+        raise ValueError("product sweeps solve over GF(p); modulus %d is "
+                         "not prime" % p)
+    cg = _tensor(cg_flat, n, p)
+    cn = _tensor(cn_flat, n, p)
+    return cg, cn, _solution_space(p, n, cg, cn, symmetric)
+
+
+def product_solution_count(p, n, cg_flat, cn_flat, symmetric):
+    """How many candidates `product_sweep` builds and masks over its
+    whole index range, found without sweeping: p^(free digits) of the
+    solved linear system, or 0 when it is inconsistent."""
+    space = _product_space(p, n, cg_flat, cn_flat, symmetric)[2]
+    return 0 if space is None else p ** space[0].size
+
+
 def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     """Indices in [lo, hi) whose product tensor satisfies the pair identities.
 
@@ -378,13 +419,7 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     other two already.  Indices outside [0, p^k) name no candidate.  The
     modulus must be prime.
     """
-    _check_args(p, n)
-    if not is_prime(p):
-        raise ValueError("product sweeps solve over GF(p); modulus %d is "
-                         "not prime" % p)
-    cg = _tensor(cg_flat, n, p)
-    cn = _tensor(cn_flat, n, p)
-    space = _solution_space(p, n, cg, cn, symmetric)
+    cg, cn, space = _product_space(p, n, cg_flat, cn_flat, symmetric)
     if space is None:
         return []
     k = space[0].size + space[1].size

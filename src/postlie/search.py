@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import fpkernel
 from .errors import (GuardError, ParameterError, StructureError,
                      UnsupportedFieldError)
 from .fields import GF
@@ -251,13 +252,20 @@ def enumerate_products(spec, kernel=None):
     Every kernel hit is decoded and re-verified through the exact
     field-arithmetic checker before being reported, so a kernel encoding
     bug cannot produce a silent false positive.
+
+    The guard counts the solutions of the sweep's linear system, the
+    candidates it masks (`fpkernel.product_solution_count`), and
+    `total` stays the whole box.  The count is read from `fpkernel`
+    itself, since a `kernel` passed in need only have the sweeps.
     """
     if kernel is None:
-        from . import fpkernel as kernel
-    total = check_guard(spec.total)
+        kernel = fpkernel
     _require_sweep_dim(spec.dim)
+    total = spec.total
     cg = flat_bracket_tensor(spec.g)
     cn = flat_bracket_tensor(spec.n)
+    check_guard(fpkernel.product_solution_count(spec.p, spec.dim, cg, cn,
+                                                spec.symmetric))
     raw = kernel.product_sweep(spec.p, spec.dim, cg, cn, spec.symmetric,
                                0, total)
     hits = []
@@ -328,7 +336,7 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     given n, not merely over an ansatz.
     """
     if kernel is None:
-        from . import fpkernel as kernel
+        kernel = fpkernel
     p = _require_prime_field(n_alg.field)
     n_alg.validate()
     n = n_alg.dim
@@ -354,7 +362,7 @@ def automorphism_indices(algebras, kernel=None):
     """Indices of the invertible matrices preserving every bracket table
     in `algebras` (their common automorphism group)."""
     if kernel is None:
-        from . import fpkernel as kernel
+        kernel = fpkernel
     first = algebras[0]
     p = _require_prime_field(first.field)
     n = first.dim
@@ -397,7 +405,6 @@ def orbit_reduce(spec, indices, kernel=None):
     The partition is checked: acting on a hit must land on a hit, and the
     orbit sizes must add up to the number of hits.
     """
-    from . import fpkernel
     field, p, n = spec.g.field, spec.p, spec.dim
     hit_set = set(indices)
     auts = automorphism_indices([spec.g, spec.n], kernel=kernel)

@@ -1,20 +1,23 @@
 """End-to-end command line tests, run in process through main(argv)."""
 
 import json
+import runpy
 from pathlib import Path
 
 import pytest
 
-from postlie import cli
+from postlie import cli, fpkernel
 from postlie.catalog import all_entries, builtin_algebra
 from postlie.cli import build_parser, main
 from postlie.document import read_pair
 from postlie.fields import GF
 from postlie.fpkernel import BACKEND
-from postlie.search import (BANNER, SearchSpec, enumerate_products,
-                            orbit_reduce, phi_ansatz_sweep)
+from postlie.search import (BANNER, GUARD_ENV, SearchSpec,
+                            enumerate_products, orbit_reduce,
+                            phi_ansatz_sweep)
 
 GOLDEN = Path(__file__).parent / "golden"
+TOOLS = Path(__file__).parent.parent / "tools"
 
 
 def _run(capsys, argv):
@@ -346,6 +349,32 @@ def test_guard_blocks_oversized_sweeps(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_guard_counts_the_product_solutions(capsys, monkeypatch):
+    """The product guard counts the solutions of the sweep's linear
+    system, the candidates it masks, and `candidates:` stays the box:
+    n3/n3 over GF(3) leaves 3^9 of 3^18 and runs under the default
+    guard, abelian/abelian in dimension 3 leaves all 3^18 and is refused
+    before any sweep starts."""
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    code, out, err = _run(capsys, ["search", "products", "--g", "n3",
+                                   "--n", "n3", "--p", "3", "--orbits"])
+    assert (code, err) == (0, "")
+    assert "  candidates: 387420489\n" in out
+    assert "  hits: 99\n" in out
+    assert "  orbits: 7 under 432 automorphisms" in out
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep started past the guard")
+    monkeypatch.setattr(fpkernel, "product_sweep", no_sweep)
+    code, out, err = _run(capsys, ["search", "products", "--g", "abelian",
+                                   "--n", "abelian", "--dim", "3",
+                                   "--p", "3"])
+    assert (code, out) == (2, "")
+    assert err == ("error: sweep size 387420489 exceeds the guard 10000000; "
+                   "raise the POSTLIE_GUARD environment variable to allow "
+                   "it\n")
+
+
 def test_embed_and_audit(capsys, v5_doc):
     code, out, err = _run(capsys, ["embed", str(v5_doc)])
     assert code == 0
@@ -438,3 +467,11 @@ def test_failure_reports_are_frozen(capsys, tmp_path, monkeypatch):
     assert failed >= {"skew-part", "module-action", "derivation-action",
                       "g.jacobi", "n.jacobi"}
     assert len(golden["runs"]) == 40
+
+
+def test_failure_report_tool_regenerates_byte_for_byte(capsys):
+    """The generator, run in process, still writes the committed file."""
+    runpy.run_path(str(TOOLS / "gen_golden_failure_reports.py"),
+                   run_name="__main__")
+    assert capsys.readouterr().out == \
+        (GOLDEN / "failure_reports.json").read_text()

@@ -362,6 +362,44 @@ def test_product_sweep_matches_box_scan_on_random_tables():
     assert seen == {"inconsistent", "d = 0", "d = k", "cut"}
 
 
+def test_product_solution_count_matches_box_scan():
+    # the count the product guard reads: the box points where the affine
+    # identities hold, 0 when there are none; on builtin pairs and on
+    # arbitrary tensors, one of them a system with no solution
+    rng = random.Random(2718)
+    cases = [(3, 2, [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0])]
+    for dim, names in BUILTINS.items():
+        for p in (2, 3, 5):
+            F = GF(p)
+            pairs = (DIM3_PAIRS if dim == 3 else
+                     [(g, n) for g in names for n in names])
+            cases += [(p, dim, flat_bracket_tensor(_named(g, F, dim)),
+                       flat_bracket_tensor(_named(n, F, dim)))
+                      for g, n in pairs]
+            cases += [(p, dim, [rng.randrange(p) for _ in range(dim ** 3)],
+                       [rng.randrange(p) for _ in range(dim ** 3)])
+                      for _ in range(2)]
+    seen = set()
+    for p, n, cg_flat, cn_flat in cases:
+        for symmetric in (True, False):
+            k = n * n * (n + 1) // 2 if symmetric else n ** 3
+            if p ** k > 50_000:
+                continue
+            cg = fpkernel._tensor(cg_flat, n, p)
+            cn = fpkernel._tensor(cn_flat, n, p)
+            count = len(_box_scan(p, n, cg, cn, symmetric)[0])
+            assert fpkernel.product_solution_count(
+                p, n, cg_flat, cn_flat, symmetric) == count, (
+                    p, n, cg_flat, cn_flat, symmetric)
+            seen.add("none" if count == 0 else
+                     "box" if count == p ** k else "cut")
+    assert seen == {"none", "box", "cut"}
+    with pytest.raises(ValueError):
+        fpkernel.product_solution_count(4, 2, _r2_flat(2), _r2_flat(2), True)
+    with pytest.raises(ValueError):
+        fpkernel.product_solution_count(3, 4, [0] * 64, [0] * 64, True)
+
+
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
 def test_sweep_windows_compose(kern):
     cg = _r2_flat(3)
