@@ -3,11 +3,12 @@
 Candidates are indexed by base-p digit strings (big-endian over
 row-major entries), and tensors are flat int lists of length n^3 with
 T[(i*n + j)*n + k] the k-th component of the (i, j) slot.  Dimensions
-are 1..3, and the sweeps take prime moduli only, since they solve their
-affine identities over GF(p).  Indices outside [0, p^k) name no
-candidate, so a sweep returns no hits there, and inside it returns the
-same sorted hits for any cut of the range into pieces.  `phi_sweep`
-raises ValueError when its bracket is not a Lie bracket mod p.
+are 1..3, and every kernel takes a prime modulus only, since the sweeps
+solve their affine identities over GF(p).  Indices outside [0, p^k)
+name no candidate, so a sweep returns no hits there, and inside it
+returns the same sorted hits for any cut of the range into pieces.
+`phi_sweep` raises ValueError when its bracket is not a Lie bracket
+mod p.
 
 Each identity is stated once over a batch of tensors, on the basis
 tuples i < j (and i < j < k for Jacobi): Jacobi and module-action as
@@ -15,14 +16,17 @@ masks, skew-part and derivation-action as residuals that `_vanishes`
 turns into masks.  Those two residuals are affine in the product
 tensor, so `product_sweep` reads its linear system off the same
 statements, scans only the candidates that solve it and masks them with
-module-action alone; `verify_structure` tests all three.  In dimension 3
-`phi_sweep` and `gl_invariance_sweep` each solve one identity that is
-affine in one column of the candidate matrix once the other two are
-fixed (`_solved_sweep`).  Sweep hits are not checked again here:
-`search` re-verifies every hit in exact arithmetic, so the numpy layer
-is never the sole authority on a hit.  `inverse_matrices` inverts a
-batch of matrices over GF(p) by their adjugates, for the automorphisms
-that `search.orbit_reduce` conjugates by.
+module-action alone; `verify_structure` tests all three.
+
+`phi_sweep` and `gl_invariance_sweep` run one column sweep over n x n
+matrices (`_column_sweep`): column t comes from a solve, and where
+nothing is solved it takes all p^n values, which scans the whole box.
+It shares one bisection (`_first`) with `product_sweep`.  Sweep hits
+are not checked again here: `search` re-verifies every hit in exact
+arithmetic, so the numpy layer is never the sole authority on a hit.
+`inverse_matrices` inverts a batch of matrices over GF(p) by their
+adjugates, for the automorphisms that `search.orbit_reduce` conjugates
+by.
 
 `BACKEND` (equal to `NAME`) names the implementation that search results
 and reports record, and `backends()` lists every kernel module, which the
@@ -36,6 +40,8 @@ kernel call that touches an array does.
 
 import importlib.util
 import sys
+from bisect import bisect_left
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 
 from .fields import GF, is_prime
@@ -73,14 +79,37 @@ def backends():
 def _check_args(p, n):
     if n < 1 or n > 3:
         raise ValueError("kernels support dimensions 1..3, got %d" % n)
-    if p < 2 or p >= 2 ** 16:
+    if p >= 2 ** 16:
         raise ValueError("modulus out of range: %d" % p)
+    if not is_prime(p):
+        raise ValueError("modulus %d is not prime" % p)
 
 
 def _digits(lo, hi, p, k):
     idx = np.arange(lo, hi, dtype=np.int64)
     shifts = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
     return (idx[:, None] // shifts) % p
+
+
+def _places(p, k):
+    """The place values of k base-p digits, most significant first, in
+    Python ints where int64 could overflow."""
+    return np.array([p ** (k - 1 - s) for s in range(k)],
+                    dtype=np.int64 if p ** k < 2 ** 63 else object)
+
+
+def _first(bound, count, digits, place):
+    """The first rank r < count whose digit row digits(r, r + 1) has an
+    index of at least bound, or count: the one bisection that turns a
+    sweep range into a range of ranks, where index grows with rank."""
+    return bisect_left(range(count), bound,
+                       key=lambda r: int(digits(r, r + 1)[0] @ place))
+
+
+def _reciprocals(p):
+    """1 / v mod p at index v, and 0 at index 0."""
+    return np.array([0] + [pow(v, -1, p) for v in range(1, p)],
+                    dtype=np.int64)
 
 
 def _tensor(flat, n, p):
@@ -146,16 +175,6 @@ def _structure(p, cg, cn, pr):
             & _vanishes(p, _derivation_action(cn, pr)))
 
 
-def _scan(lo, hi, mask):
-    """Indices in [lo, hi) where mask(a, b), a boolean array over the
-    chunk [a, b), holds."""
-    hits = []
-    for a in range(lo, hi, _CHUNK):
-        b = min(hi, a + _CHUNK)
-        hits.extend(a + int(off) for off in np.nonzero(mask(a, b))[0])
-    return hits
-
-
 def jacobi_ok(p, n, c):
     """Jacobi check of a flat bracket tensor."""
     _check_args(p, n)
@@ -199,86 +218,83 @@ def _centre(p, cn):
     return _digits(0, p ** len(basis), p, len(basis)) @ basis % p
 
 
-def _solved_sweep(p, lo, hi, t, solve, mask):
-    """The sorted hits in [lo, hi) of a dim-3 sweep that solves column t
-    of its candidate matrices from the other two.
+def _column_sweep(p, n, lo, hi, t, solve, mask):
+    """The sorted hits in [lo, hi) of a sweep over n x n matrices that
+    solves column t from the other columns.
 
-    Those two columns are a prefix of six digits, x the lower-numbered
-    column and y the other, each digit in place-value order, so prefix
-    order is index order with column t zero, and the prefixes that can
-    reach [lo, hi) form a range, found by bisection.  solve(x, y), on a
-    chunk of prefixes, returns triples (rows, base, choices): the
-    prefixes that rows selects have the candidates with column t equal
-    to base[m] + each row of choices.  mask decides a batch of
-    candidates.
+    Those columns are a prefix of n(n - 1) digits in place-value order,
+    so prefix order is index order with column t zero, and the prefixes
+    that can reach [lo, hi) are a range of ranks (`_first`).  solve(P),
+    on a chunk of prefixes P[m] with column t zero, returns triples
+    (rows, base, choices): the prefixes rows selects have the candidates
+    with column t equal to base[m] + each row of choices, mod p.  mask
+    decides a batch of candidates.
     """
-    # place[r, c]: the place value of the digit T[r, c] in an index
-    place = p ** np.arange(8, -1, -1, dtype=np.int64).reshape(3, 3)
-    fixed = [c for c in range(3) if c != t]
+    k = n * (n - 1)
+    place = _places(p, n * n)
+    fixed = [c for c in range(n) if c != t]
 
-    def columns(a, b):
-        """Columns x and y of the prefixes in [a, b), as (m, 3, 2)."""
-        return _digits(a, b, p, 6).reshape(b - a, 3, 2)
+    def prefixes(a, b):
+        P = np.zeros((b - a, n, n), dtype=np.int64)
+        P[:, :, fixed] = _digits(a, b, p, k).reshape(b - a, n, n - 1)
+        return P
 
-    def first_prefix(bound):
-        """The first prefix whose own digits place it at bound or above."""
-        a, b = 0, p ** 6
-        while a < b:
-            mid = (a + b) // 2
-            if np.sum(columns(mid, mid + 1)[0] * place[:, fixed]) < bound:
-                a = mid + 1
-            else:
-                b = mid
-        return a
+    def rank(bound):
+        return _first(bound, p ** k,
+                      lambda a, b: prefixes(a, b).reshape(b - a, -1), place)
 
-    hits = []
-    q_lo = first_prefix(lo - (p - 1) * place[:, t].sum())
-    q_hi = first_prefix(hi)
+    top = (p - 1) * int(place.reshape(n, n)[:, t].sum())
+    q_lo, q_hi = rank(lo - top), rank(hi)
+    hits = [np.zeros(0, dtype=place.dtype)]
     for a in range(q_lo, q_hi, _CHUNK):
-        cols = columns(a, min(q_hi, a + _CHUNK))
-        for rows, base, choices in solve(cols[..., 0], cols[..., 1]):
-            cols_rows = cols[rows]
+        P = prefixes(a, min(q_hi, a + _CHUNK))
+        for rows, base, choices in solve(P):
+            P_rows = P[rows]
             # about _CHUNK candidates at a time
             step = max(1, _CHUNK // len(choices))
             for s in range(0, len(base), step):
                 last = (base[s:s + step, None] + choices) % p
-                m, c = last.shape[:2]
-                T = np.empty((m * c, 3, 3), dtype=np.int64)
-                T[:, :, fixed] = np.repeat(cols_rows[s:s + step], c, axis=0)
-                T[:, :, t] = last.reshape(m * c, 3)
-                idx = np.einsum("mrc,rc->m", T, place)
+                T = np.repeat(P_rows[s:s + step], len(choices), axis=0)
+                T[:, :, t] = last.reshape(-1, n)
+                idx = T.reshape(len(T), -1) @ place
                 keep = (lo <= idx) & (idx < hi)
-                hits.extend(idx[keep][mask(T[keep])].tolist())
-    return sorted(hits)
+                hits.append(idx[keep][mask(T[keep])])
+    return np.sort(np.concatenate(hits)).tolist()
 
 
-def _solved_phi_sweep(p, cn, lo, hi):
-    """The dim-3 phi sweep, solving the (e1, e2) defect for phi e3.
+def _free(p, n):
+    """The solve that solves nothing: column t takes all p^n values, so
+    the column sweep scans the whole box."""
+    box = _digits(0, p ** n, p, n)
+    return lambda P: [(slice(None), np.zeros((len(P), n), dtype=np.int64),
+                       box)]
 
-    A hit is a phi whose defect D (see `_phi_hits`) is central.  Fix
-    the columns a = phi e1 and b = phi e2, a prefix of six digits, and
-    let w = {a, e2} + {e1, b} + {e1, e2}.  D(e1, e2) is
-    S - w_3 phi e3 with S = {a, b} - w_1 a - w_2 b, so it is central
-    exactly when phi e3 lies in S / w_3 + Z(n) (w_3 != 0), or when S is
-    central and phi e3 is anything (w_3 = 0).  Only those candidates are
-    built, and each one is decided by the defects D(e1, e3) and
-    D(e2, e3).
+
+def _defect_solve(p, cn):
+    """The phi sweep's solve for phi e_n, n >= 3, from the (e1, e2) defect.
+
+    A hit is a phi whose defect D (see `_phi_hits`) is central.  Let
+    a = phi e1, b = phi e2 and w = {a, e2} + {e1, b} + {e1, e2}.  Then
+    D(e1, e2) = S - w_n phi e_n with S = {a, b} - sum over k < n of
+    w_k phi e_k, which is central exactly when phi e_n lies in
+    S / w_n + Z(n) (w_n != 0), or when S is central (w_n = 0, and
+    phi e_n is anything).
     """
+    n = len(cn)
     centre = _centre(p, cn)
-    anything = _digits(0, p ** 3, p, 3)
-    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)],
-                       dtype=np.int64)
+    anything = _digits(0, p ** n, p, n)
+    inverse = _reciprocals(p)
 
-    def solve(x, y):
+    def solve(phi):
+        x, y = phi[:, :, 0], phi[:, :, 1]
         w = (x @ cn[:, 1] + y @ cn[0] + cn[0, 1]) % p
         s = (np.einsum("mk,ml,klr->mr", x, y, cn)
-             - w[:, :1] * x - w[:, 1:2] * y) % p
-        solved = w[:, 2] != 0
-        free = ~solved & np.all(s @ cn.reshape(3, -1) % p == 0, axis=1)
-        return [(solved, s[solved] * inverse[w[solved, 2]][:, None], centre),
+             - np.einsum("mrk,mk->mr", phi, w)) % p
+        solved = w[:, -1] != 0
+        free = ~solved & np.all(s @ cn.reshape(n, -1) % p == 0, axis=1)
+        return [(solved, s[solved] * inverse[w[solved, -1]][:, None], centre),
                 (free, np.zeros_like(s[free]), anything)]
-    return _solved_sweep(p, lo, hi, 2, solve,
-                         lambda phi: _phi_hits(p, cn, phi, ((0, 2), (1, 2))))
+    return solve
 
 
 def phi_sweep(p, n, cn_flat, lo, hi):
@@ -294,28 +310,27 @@ def phi_sweep(p, n, cn_flat, lo, hi):
     So a `cn` that is not alternating or fails Jacobi mod p is rejected
     with ValueError; otherwise phi = 0 would count as a hit.
 
-    In dimension 3, a central defect on (e1, e2) is the weight-1
-    Rota-Baxter equation modulo the centre Z(n); it is affine in phi e3
-    once phi e1 and phi e2 are fixed, so it is solved over GF(p) for each
-    of those p^6 prefixes and only its solutions are masked
-    (`_solved_phi_sweep`).  Dimensions 1 and 2 scan the whole box, at
-    most p^4 candidates.  Either way the hits are sorted, and a range
-    [lo, hi) gives exactly the hits in it.  Indices outside [0, p^(n^2))
-    name no candidate.  The modulus must be prime.
+    The sweep is a column sweep (`_column_sweep`) for phi e_n.  A central
+    defect on (e1, e2) is the weight-1 Rota-Baxter equation modulo the
+    centre Z(n); in dimension 3 it is affine in phi e3 once phi e1 and
+    phi e2 are fixed, so it is solved over GF(p) for each of those p^6
+    prefixes (`_defect_solve`), and the mask tests the other pairs.  In
+    dimensions 1 and 2 nothing is solved: phi e_n takes all p^n values
+    and the mask tests every pair, which scans the whole box.  Indices
+    outside [0, p^(n^2)) name no candidate.  The modulus must be prime.
     """
     _check_args(p, n)
-    if not is_prime(p):
-        raise ValueError("phi sweeps solve over GF(p); modulus %d is not "
-                         "prime" % p)
     cn = _tensor(cn_flat, n, p)
     if (np.any(cn.diagonal()) or np.any((cn + cn.swapaxes(0, 1)) % p)
             or not _jacobi(p, cn[None])[0]):
         raise ValueError("second bracket is not a Lie bracket mod %d" % p)
-    if n == 3:
-        return _solved_phi_sweep(p, cn, lo, hi)
-    return _scan(max(lo, 0), min(hi, p ** (n * n)), lambda a, b: _phi_hits(
-        p, cn, _digits(a, b, p, n * n).reshape(b - a, n, n),
-        combinations(range(n), 2)))
+    pairs = list(combinations(range(n), 2))
+    # once e_n is neither e1 nor e2, the solve settles the pair (e1, e2)
+    # and the mask tests the others; below that nothing is solved
+    solve, masked = ((_free(p, n), pairs) if n < 3
+                     else (_defect_solve(p, cn), pairs[1:]))
+    return _column_sweep(p, n, lo, hi, n - 1, solve,
+                         lambda phi: _phi_hits(p, cn, phi, masked))
 
 
 def _products_from_digits(p, n, digits, cg, cn, symmetric):
@@ -384,22 +399,26 @@ def _solution_digits(p, space, lo, hi):
     return digits
 
 
+@lru_cache(maxsize=8)
 def _product_space(p, n, cg_flat, cn_flat, symmetric):
-    """The bracket tensors of a product sweep and its `_solution_space`."""
+    """The bracket tensors of a product sweep and its `_solution_space`,
+    as read-only arrays.  Memoized on the flat tensors as tuples, so that
+    the guard's count and every window of one sweep share one solve."""
     _check_args(p, n)
-    if not is_prime(p):
-        raise ValueError("product sweeps solve over GF(p); modulus %d is "
-                         "not prime" % p)
     cg = _tensor(cg_flat, n, p)
     cn = _tensor(cn_flat, n, p)
-    return cg, cn, _solution_space(p, n, cg, cn, symmetric)
+    space = _solution_space(p, n, cg, cn, symmetric)
+    for array in (cg, cn) + (space or ()):
+        array.flags.writeable = False
+    return cg, cn, space
 
 
 def product_solution_count(p, n, cg_flat, cn_flat, symmetric):
     """How many candidates `product_sweep` builds and masks over its
     whole index range, found without sweeping: p^(free digits) of the
     solved linear system, or 0 when it is inconsistent."""
-    space = _product_space(p, n, cg_flat, cn_flat, symmetric)[2]
+    space = _product_space(p, n, tuple(cg_flat), tuple(cn_flat),
+                           symmetric)[2]
     return 0 if space is None else p ** space[0].size
 
 
@@ -414,37 +433,26 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     the digits: they are solved over GF(p) (`_solution_space`), and only
     the solutions are scanned, in rank order, which is index order, so
     the hits come out sorted and a range [lo, hi) is a range of ranks,
-    found by bisection.  Module-action is quadratic and stays a mask, and
-    it is the only identity the mask tests: every solution satisfies the
-    other two already.  Indices outside [0, p^k) name no candidate.  The
-    modulus must be prime.
+    found by bisection (`_first`).  Module-action is quadratic and stays
+    a mask, and it is the only identity the mask tests: every solution
+    satisfies the other two already.  An index is computed only for the
+    solutions that pass the mask.  Indices outside [0, p^k) name no
+    candidate.  The modulus must be prime.
     """
-    cg, cn, space = _product_space(p, n, cg_flat, cn_flat, symmetric)
+    cg, cn, space = _product_space(p, n, tuple(cg_flat), tuple(cn_flat),
+                                   symmetric)
     if space is None:
         return []
-    k = space[0].size + space[1].size
-    # index = digits @ place, in Python ints where int64 could overflow
-    place = np.array([p ** (k - 1 - t) for t in range(k)],
-                     dtype=np.int64 if p ** k < 2 ** 63 else object)
-
-    def first_rank(lo):
-        """The rank of the first solution with index at least lo."""
-        a, b = 0, p ** space[0].size
-        while a < b:
-            mid = (a + b) // 2
-            if _solution_digits(p, space, mid, mid + 1)[0] @ place < lo:
-                a = mid + 1
-            else:
-                b = mid
-        return a
-
+    place = _places(p, space[0].size + space[1].size)
+    digits = partial(_solution_digits, p, space)
     hits = []
-    r_lo, r_hi = first_rank(lo), first_rank(hi)
+    r_lo, r_hi = (_first(bound, p ** space[0].size, digits, place)
+                  for bound in (lo, hi))
     for a in range(r_lo, r_hi, _CHUNK):
-        digits = _solution_digits(p, space, a, min(r_hi, a + _CHUNK))
-        pr = _products_from_digits(p, n, digits, cg, cn, symmetric)
+        d = digits(a, min(r_hi, a + _CHUNK))
+        pr = _products_from_digits(p, n, d, cg, cn, symmetric)
         ok = _module_action(p, np.broadcast_to(cg, pr.shape), pr)
-        hits.extend((digits[ok] @ place).tolist())
+        hits.extend((d[ok] @ place).tolist())
     return hits
 
 
@@ -481,20 +489,29 @@ def inverse_matrices(p, n, mats):
     The modulus must be prime.
     """
     _check_args(p, n)
-    if not is_prime(p):
-        raise ValueError("inverses over GF(p) need a prime modulus, got %d"
-                         % p)
     T = np.array(mats, dtype=np.int64).reshape(-1, n, n) % p
     dets = _dets(T, n) % p
     if not dets.all():
         raise ValueError("matrix %d of the batch is singular mod %d"
                          % (int(np.argmin(dets != 0)), p))
-    reciprocal = np.array([0] + [pow(v, -1, p) for v in range(1, p)],
-                          dtype=np.int64)
-    inv = _adjugates(T, n) % p * reciprocal[dets][:, None, None] % p
+    inv = _adjugates(T, n) % p * _reciprocals(p)[dets][:, None, None] % p
     if np.any(T @ inv % p != np.eye(n, dtype=np.int64)):
         raise ValueError("adjugate inverse failed T T^-1 = I mod %d" % p)
     return inv.reshape(-1, n * n).tolist()
+
+
+def _slot_solve(p, C, a, b, t):
+    """The automorphism sweep's solve for T e_t, given C(e_a, e_b)_t != 0
+    with t outside {a, b}: C(T e_a, T e_b) = sum_s C(e_a, e_b)_s T e_s is
+    affine in T e_t once the other columns are fixed."""
+    scale = pow(int(C[a, b, t]), -1, p)
+
+    def solve(T):
+        rhs = (np.einsum("mk,ml,klr->mr", T[:, :, a], T[:, :, b], C)
+               - T @ C[a, b]) % p
+        return [(slice(None), rhs * scale, np.zeros((1, len(C)),
+                                                    dtype=np.int64))]
+    return solve
 
 
 def gl_invariance_sweep(p, n, tensors, lo, hi):
@@ -502,21 +519,17 @@ def gl_invariance_sweep(p, n, tensors, lo, hi):
     flat tensor C in `tensors`: C(T x, T y) = T C(x, y) on all basis
     pairs.
 
-    Zero tensors are preserved by every T and are dropped.  In dimension
-    3, a slot with C(e_a, e_b)_t != 0 and t outside {a, b} makes
-    C(T e_a, T e_b) = sum_s C(e_a, e_b)_s T e_s affine in T e_t once
-    T e_a and T e_b are fixed: it is solved for T e_t, so each of the
-    p^6 prefixes has one candidate (`_solved_sweep`).  Without such a
-    slot, and in dimensions 1 and 2, the whole box is scanned.  Either
-    way each candidate is tested for det T != 0 and for invariance of
-    every tensor.  The modulus must be prime.
+    Zero tensors are preserved by every T and are dropped.  The sweep is
+    a column sweep (`_column_sweep`): the first slot with
+    C(e_a, e_b)_t != 0 and t outside {a, b}, which needs dimension 3,
+    solves T e_t (`_slot_solve`), one candidate per prefix.  Without one,
+    T e_n takes all p^n values (`_free`), which scans the whole box.
+    Each candidate is tested for det T != 0 and for invariance of every
+    tensor.  The modulus must be prime.
     """
     _check_args(p, n)
     if len(tensors) > 8:
         raise ValueError("at most 8 tensors per sweep")
-    if not is_prime(p):
-        raise ValueError("automorphism sweeps solve over GF(p); modulus %d "
-                         "is not prime" % p)
     ts = [C for C in (_tensor(t, n, p) for t in tensors) if C.any()]
 
     def preserved(T):
@@ -529,17 +542,7 @@ def gl_invariance_sweep(p, n, tensors, lo, hi):
             ok[ok] = np.all((lhs - rhs) % p == 0, axis=(1, 2, 3))
         return ok
 
-    slots = [(C, a, b, t) for C in ts if n == 3
-             for a, b, t in permutations(range(3)) if C[a, b, t]]
-    if not slots:
-        return _scan(max(lo, 0), min(hi, p ** (n * n)), lambda a, b:
-                     preserved(_digits(a, b, p, n * n).reshape(b - a, n, n)))
-    C, a, b, t = slots[0]
-    scale = pow(int(C[a, b, t]), -1, p)
-
-    def solve(x, y):
-        ua, ub = (x, y) if a < b else (y, x)
-        rhs = (np.einsum("mk,ml,klr->mr", ua, ub, C)
-               - C[a, b, a] * ua - C[a, b, b] * ub) % p
-        return [(slice(None), rhs * scale, np.zeros((1, 3), dtype=np.int64))]
-    return _solved_sweep(p, lo, hi, t, solve, preserved)
+    t, solve = next(((t, _slot_solve(p, C, a, b, t)) for C in ts
+                     for a, b, t in permutations(range(n), 3) if C[a, b, t]),
+                    (n - 1, _free(p, n)))
+    return _column_sweep(p, n, lo, hi, t, solve, preserved)

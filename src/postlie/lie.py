@@ -444,9 +444,10 @@ def semidirect_with_derivations(L, derivations, name=None):
     Bracket: [(x, D), (x', D')] = ([x, x'] + D x' - D' x, [D, D']).
     The derivation list must be linearly independent and closed under the
     matrix commutator, and the result is validated before it is returned.
-    Each entry is checked with `is_derivation`, unless the list is the
-    `DerivationAlgebra` of L itself, whose basis `derivation_algebra` has
-    checked already.
+    Each entry is checked with `is_derivation`, and the list for
+    independence, unless the list is the `DerivationAlgebra` of L itself:
+    `derivation_algebra` has checked its basis already, and a nullspace
+    basis is independent by construction.
     """
     _require_validated(L)
     checked = False
@@ -460,7 +461,7 @@ def semidirect_with_derivations(L, derivations, name=None):
         if not checked and not is_derivation(L, D):
             raise StructureError("entry %d is not a derivation" % t)
     flats = [flatten_matrix(D) for D in derivations]
-    if k and rank(Matrix(L.field, flats)) != k:
+    if k and not checked and rank(Matrix(L.field, flats)) != k:
         raise StructureError("derivation list is linearly dependent")
     dim = n + k
     table = {}

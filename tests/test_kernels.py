@@ -251,6 +251,21 @@ def test_bench_script_runs_from_a_bare_checkout(tmp_path):
     assert proc.stdout.startswith("backend: %s" % fpkernel.BACKEND)
 
 
+def _check_pieces(rng, sweep, total, expect, case):
+    """sweep(lo, hi) gives expect over [0, total), and the same stitched
+    from uneven pieces, one of them with lo == hi, and nothing over the
+    empty range [total, 0)."""
+    assert sweep(0, total) == expect, case
+    cuts = sorted([0, total] + [rng.randrange(total + 1) for _ in range(4)])
+    at = rng.randrange(len(cuts))
+    cuts.insert(at, cuts[at])
+    stitched = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        stitched.extend(sweep(lo, hi))
+    assert stitched == expect, (case, cuts)
+    assert sweep(total, 0) == []
+
+
 def _linear(p, cg, cn, pr):
     """The affine identities the product sweep solves instead of
     scanning."""
@@ -295,19 +310,8 @@ def _check_solved_sweep(rng, p, n, cg_flat, cn_flat, symmetric):
                   for row in digits.tolist()]
     linear, expect = _box_scan(p, n, cg, cn, symmetric)
     assert solved == linear, case
-    assert fpkernel.product_sweep(p, n, cg_flat, cn_flat, symmetric,
-                                0, total) == expect, case
-    # uneven pieces, one of them with lo == hi
-    cuts = sorted([0, total] + [rng.randrange(total + 1) for _ in range(4)])
-    at = rng.randrange(len(cuts))
-    cuts.insert(at, cuts[at])
-    stitched = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        stitched.extend(fpkernel.product_sweep(p, n, cg_flat, cn_flat,
-                                             symmetric, lo, hi))
-    assert stitched == expect, (case, cuts)
-    assert fpkernel.product_sweep(p, n, cg_flat, cn_flat, symmetric,
-                                total, 0) == []
+    _check_pieces(rng, lambda lo, hi: fpkernel.product_sweep(
+        p, n, cg_flat, cn_flat, symmetric, lo, hi), total, expect, case)
     return None if space is None else space[0].size
 
 
@@ -440,6 +444,32 @@ def test_sweep_windows_compose(kern):
         assert len(full) == 432  # |Aut n3| over GF(3)
 
 
+def test_python_int_indices_give_the_same_hits(monkeypatch):
+    # a sweep whose indices could overflow int64 reads them in Python
+    # ints; forced here on small sweeps, whole and in pieces, it gives
+    # the same hits
+    n3 = flat_bracket_tensor(builtin_algebra("n3", field=GF(3)))
+    sl2 = flat_bracket_tensor(builtin_algebra("sl2", field=GF(3)))
+    r2 = _r2_flat(3)
+    sweeps = [
+        (lambda lo, hi: fpkernel.phi_sweep(3, 3, n3, lo, hi), 3 ** 9),
+        (lambda lo, hi: fpkernel.phi_sweep(3, 2, r2, lo, hi), 3 ** 4),
+        (lambda lo, hi: fpkernel.gl_invariance_sweep(3, 3, [sl2], lo, hi),
+         3 ** 9),
+        (lambda lo, hi: fpkernel.gl_invariance_sweep(3, 2, [r2], lo, hi),
+         3 ** 4),
+        (lambda lo, hi: fpkernel.product_sweep(3, 3, n3, n3, True, lo, hi),
+         3 ** 18)]
+    expect = [sweep(0, total) for sweep, total in sweeps]
+    places = fpkernel._places
+    monkeypatch.setattr(fpkernel, "_places", lambda p, k: places(
+        p, k).astype(object))
+    rng = random.Random(31)
+    for (sweep, total), hits in zip(sweeps, expect):
+        assert hits
+        _check_pieces(rng, sweep, total, hits, total)
+
+
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
 def test_kernel_argument_errors(kern):
     with pytest.raises(ValueError, match="dimensions"):
@@ -471,13 +501,18 @@ def test_kernel_argument_errors(kern):
     # {e1, e1} = e1 is antisymmetric mod 2 but not alternating
     with pytest.raises(ValueError, match="not a Lie bracket"):
         kern.phi_sweep(2, 1, [1], 0, 1)
-    # the sweeps solve their affine identities over GF(p)
-    with pytest.raises(ValueError, match="not prime"):
-        kern.product_sweep(4, 2, [0] * 8, [0] * 8, True, 0, 1)
-    with pytest.raises(ValueError, match="not prime"):
-        kern.phi_sweep(4, 3, [0] * 27, 0, 1)
-    with pytest.raises(ValueError, match="not prime"):
-        kern.gl_invariance_sweep(4, 3, [[0] * 27], 0, 1)
+    # the sweeps solve their affine identities over GF(p), and every
+    # kernel refuses a composite modulus in the same words
+    for call in (lambda: kern.product_sweep(4, 2, [0] * 8, [0] * 8, True,
+                                            0, 1),
+                 lambda: kern.phi_sweep(4, 3, [0] * 27, 0, 1),
+                 lambda: kern.gl_invariance_sweep(4, 3, [[0] * 27], 0, 1),
+                 lambda: kern.jacobi_ok(4, 2, [0] * 8),
+                 lambda: kern.verify_structure(9, 1, [0], [0], [0]),
+                 lambda: kern.inverse_matrices(6, 1, [[1]]),
+                 lambda: kern.product_solution_count(4, 1, [0], [0], True)):
+        with pytest.raises(ValueError, match="^modulus [0-9]+ is not prime$"):
+            call()
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
@@ -490,8 +525,9 @@ def test_sweep_results_are_sorted_ints(kern):
 
 def _phi_box_scan(p, n, cn):
     """Indices of every phi in the box whose product x.y = {phi x, y}
-    passes the `_module_action` mask: the scan the kernel's dim-3 phi
-    sweep replaced, kept here as the oracle for its solving."""
+    passes the `_module_action` mask: the scan that the kernel's column
+    sweep replaced, kept here as the oracle for its solve in dimension 3
+    and its free column in dimensions 1 and 2."""
     total = p ** (n * n)
     hits = []
     for a in range(0, total, 1 << 15):
@@ -513,37 +549,32 @@ def _seeded_basis_change(rng, F, n):
 
 
 def test_phi_sweep_matches_box_scan():
-    # this oracle is the check of the solved sweep against the box
+    # this oracle is the check of the column sweep against the box: its
+    # solve in dimension 3, its free column in dimensions 1 and 2
     rng = random.Random(6173)
-    cases = [(name, p, conj) for p in (2, 3)
+    cases = [(3, name, p, conj) for p in (2, 3)
              for name in ("abelian", "n3", "r3", "sl2")
              for conj in (False, True)]
-    cases += [("sl2", 5, False), ("r3", 5, False)]
+    cases += [(3, "sl2", 5, False), (3, "r3", 5, False)]
+    cases += [(n, name, p, conj) for n in (1, 2) for p in (2, 3, 5)
+              for name in LIE_NAMES[n] for conj in (False, True)]
     branches = set()
     with_centre = set()
-    for name, p, conj in cases:
+    for n, name, p, conj in cases:
         F = GF(p)
-        L = _named(name, F, 3)
+        L = _named(name, F, n)
         if conj:
-            L = L.change_basis(_seeded_basis_change(rng, F, 3))
-        if center(L).dim:
+            L = L.change_basis(_seeded_basis_change(rng, F, n))
+        if n == 3 and center(L).dim:
             with_centre.add(name)
         flat = flat_bracket_tensor(L)
-        cn = fpkernel._tensor(flat, 3, p)
-        total = p ** 9
-        expect = _phi_box_scan(p, 3, cn)
-        case = (name, p, conj)
-        assert fpkernel.phi_sweep(p, 3, flat, 0, total) == expect, case
-        # uneven pieces, one of them with lo == hi
-        cuts = sorted([0, total] + [rng.randrange(total + 1)
-                                    for _ in range(4)])
-        at = rng.randrange(len(cuts))
-        cuts.insert(at, cuts[at])
-        stitched = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            stitched.extend(fpkernel.phi_sweep(p, 3, flat, lo, hi))
-        assert stitched == expect, (case, cuts)
-        assert fpkernel.phi_sweep(p, 3, flat, total, 0) == []
+        cn = fpkernel._tensor(flat, n, p)
+        total = p ** (n * n)
+        expect = _phi_box_scan(p, n, cn)
+        _check_pieces(rng, lambda lo, hi: fpkernel.phi_sweep(
+            p, n, flat, lo, hi), total, expect, (n, name, p, conj))
+        if n < 3:
+            continue
         # which branch of the solve each hit came from: w_3, the
         # e3-coefficient of {phi e1, e2} + {e1, phi e2} + {e1, e2}
         phi = fpkernel._digits(0, total, p, 9)[expect].reshape(-1, 3, 3)
@@ -558,8 +589,8 @@ def test_phi_sweep_matches_box_scan():
 
 def _gl_box_scan(p, n, tensors):
     """Indices of every invertible T in the box that preserves each
-    tensor: the scan the dim-3 automorphism sweep replaced, kept here as
-    the oracle for its solving."""
+    tensor: the scan that the kernel's column sweep replaced, kept here
+    as the oracle for its slot solve and its free column."""
     ts = [fpkernel._tensor(t, n, p) for t in tensors]
     total = p ** (n * n)
     hits = []
@@ -602,23 +633,26 @@ def test_gl_sweep_matches_box_scan():
             assert list(map(_has_solvable_slot, tensors)).count(True) == 1
         for tensors in [[flat] for flat in std + conj] + mixed:
             branches.add(any(map(_has_solvable_slot, tensors)))
-            total = p ** 9
-            expect = _gl_box_scan(p, 3, tensors)
-            case = (p, tensors)
-            assert fpkernel.gl_invariance_sweep(p, 3, tensors, 0, total) \
-                == expect, case
-            # uneven pieces, one of them with lo == hi
-            cuts = sorted([0, total] + [rng.randrange(total + 1)
-                                        for _ in range(4)])
-            at = rng.randrange(len(cuts))
-            cuts.insert(at, cuts[at])
-            stitched = []
-            for lo, hi in zip(cuts, cuts[1:]):
-                stitched.extend(fpkernel.gl_invariance_sweep(p, 3, tensors,
-                                                           lo, hi))
-            assert stitched == expect, (case, cuts)
-            assert fpkernel.gl_invariance_sweep(p, 3, tensors, total, 0) == []
+            _check_pieces(rng, lambda lo, hi: fpkernel.gl_invariance_sweep(
+                p, 3, tensors, lo, hi), p ** 9, _gl_box_scan(p, 3, tensors),
+                (p, tensors))
     assert branches == {True, False}
+    # dimensions 1 and 2 have no slot to solve from: the free column, on
+    # each bracket, written in the standard and in a random basis, and on
+    # all of them at once
+    for n in (1, 2):
+        for p in (2, 3, 5):
+            F = GF(p)
+            algebras = [_named(name, F, n) for name in LIE_NAMES[n]]
+            flats = [flat_bracket_tensor(L) for L in algebras]
+            flats += [flat_bracket_tensor(
+                L.change_basis(_seeded_basis_change(rng, F, n)))
+                for L in algebras]
+            for tensors in [[flat] for flat in flats] + [flats]:
+                _check_pieces(
+                    rng, lambda lo, hi: fpkernel.gl_invariance_sweep(
+                        p, n, tensors, lo, hi), p ** (n * n),
+                    _gl_box_scan(p, n, tensors), (n, p, tensors))
 
 
 def test_automorphism_group_orders():

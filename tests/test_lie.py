@@ -282,24 +282,28 @@ def test_semidirect_rejects_bad_derivation_lists():
         semidirect_with_derivations(n3, [Matrix.identity(QQ, 3)])
     with pytest.raises(StructureError):
         semidirect_with_derivations(n3, [D, D])
+    with pytest.raises(StructureError, match="linearly dependent"):
+        semidirect_with_derivations(n3, [D, D.scale(2)])
 
 
 def test_semidirect_checks_only_what_the_solver_did_not(monkeypatch):
     """The DerivationAlgebra of L itself is taken as checked: no second
-    is_derivation pass, and the same algebra as from its plain basis.
-    Any other list, and the derivations of another algebra, are
-    checked."""
+    is_derivation pass, no rank check of its nullspace basis, and the
+    same algebra as from its plain basis.  Any other list, and the
+    derivations of another algebra, are checked."""
     import postlie.lie as lie
     n3 = builtin_algebra("n3")
     ders = derivation_algebra(n3)
-    calls = []
-    original = lie.is_derivation
+    calls, ranks = [], []
+    original, original_rank = lie.is_derivation, lie.rank
     monkeypatch.setattr(lie, "is_derivation",
                         lambda L, D: calls.append(D) or original(L, D))
+    monkeypatch.setattr(lie, "rank",
+                        lambda M: ranks.append(M) or original_rank(M))
     amb = semidirect_with_derivations(n3, ders)
-    assert calls == []
+    assert calls == [] and ranks == []
     assert amb == semidirect_with_derivations(n3, ders.basis)
-    assert calls == list(ders.basis)
+    assert calls == list(ders.basis) and len(ranks) == 1
     # gl(3) is Der of abelian(3); handed to n3 it is checked and refused
     with pytest.raises(StructureError, match="not a derivation"):
         semidirect_with_derivations(

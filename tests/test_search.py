@@ -280,6 +280,36 @@ def test_enumeration_symmetric_matches_full_tables():
     assert sym_tables == full_tables
 
 
+def test_enumerate_products_solves_each_system_once(monkeypatch):
+    # the guard's count and every window of a sweep cut into pieces share
+    # one solve of the product sweep's linear system per spec
+    solves = []
+    original = fpkernel._solution_space
+    monkeypatch.setattr(fpkernel, "_solution_space",
+                        lambda *args: solves.append(args) or original(*args))
+    fpkernel._product_space.cache_clear()
+
+    class Windowed:
+        BACKEND = NAME = fpkernel.BACKEND
+
+        @staticmethod
+        def product_sweep(*args):
+            *head, lo, hi = args
+            step = (hi - lo) // 7 + 1
+            return [h for a in range(lo, hi, step) for h in
+                    fpkernel.product_sweep(*head, a, min(hi, a + step))]
+
+    n3 = builtin_algebra("n3", field=GF(2))
+    r2 = builtin_algebra("r2", field=GF(5))
+    specs = [_abelian_spec(3), _abelian_spec(3, symmetric=False),
+             SearchSpec(n3, n3), SearchSpec(r2, r2)]
+    for count, spec in enumerate(specs, 1):
+        windowed = enumerate_products(spec, kernel=Windowed)
+        assert len(solves) == count
+        assert windowed.indices == enumerate_products(spec).indices
+        assert len(solves) == count
+
+
 def test_catalog_members_appear_in_the_sweep():
     spec = _abelian_spec(3)
     hits = set(enumerate_products(spec).indices)
