@@ -40,7 +40,6 @@ kernel call that touches an array does.
 
 import importlib.util
 import sys
-from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import combinations, permutations
 
@@ -86,9 +85,14 @@ def _check_args(p, n):
 
 
 def _digits(lo, hi, p, k):
-    idx = np.arange(lo, hi, dtype=np.int64)
-    shifts = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // shifts) % p
+    """The k base-p digits of each index in [lo, hi), most significant
+    first, as int64 rows; the indices are Python ints where int64 could
+    overflow."""
+    if p ** k < 2 ** 63:
+        idx = np.arange(lo, hi, dtype=np.int64)
+    else:
+        idx = np.array(range(lo, hi), dtype=object)
+    return (idx[:, None] // _places(p, k) % p).astype(np.int64)
 
 
 def _places(p, k):
@@ -101,9 +105,16 @@ def _places(p, k):
 def _first(bound, count, digits, place):
     """The first rank r < count whose digit row digits(r, r + 1) has an
     index of at least bound, or count: the one bisection that turns a
-    sweep range into a range of ranks, where index grows with rank."""
-    return bisect_left(range(count), bound,
-                       key=lambda r: int(digits(r, r + 1)[0] @ place))
+    sweep range into a range of ranks, where index grows with rank.  It
+    bisects on Python ints, so count may pass 2^63."""
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if int(digits(mid, mid + 1)[0] @ place) < bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _reciprocals(p):
@@ -188,21 +199,26 @@ def verify_structure(p, n, cg, cn, pr):
     return bool(_structure(p, cg, cn, pr[None])[0])
 
 
+def _defect(p, cn, phi, i, j):
+    """(w, D) per matrix phi[m] (column i is phi e_i) on the basis pair
+    (x, y) = (e_i, e_j): w = {phi x, y} + {x, phi y} + {x, y} and the
+    defect D(x, y) = {phi x, phi y} - phi w, both mod p."""
+    x, y = phi[:, :, i], phi[:, :, j]
+    w = (x @ cn[:, j] + y @ cn[i] + cn[i, j]) % p
+    return w, (np.einsum("mk,ml,klr->mr", x, y, cn)
+               - np.einsum("mrk,mk->mr", phi, w)) % p
+
+
 def _phi_hits(p, cn, phi, pairs):
-    """Per matrix phi[m] (column i is phi e_i): the defect
-    D(x, y) = {phi x, phi y} - phi({phi x, y} + {x, phi y} + {x, y}) is
-    central on every basis pair (e_i, e_j) in pairs.
+    """Per matrix phi[m]: the defect D (see `_defect`) is central on
+    every basis pair (e_i, e_j) in pairs.
 
     By Jacobi of n, module-action of x.y = {phi x, y} against its
     induced bracket reads {z, D(x, y)} = 0 for all z, and D is
     antisymmetric, so over all pairs i < j this is module-action."""
     ok = np.ones(len(phi), dtype=bool)
     for i, j in pairs:
-        f = phi[ok]
-        x, y = f[:, :, i], f[:, :, j]
-        w = (x @ cn[:, j] + y @ cn[i] + cn[i, j]) % p
-        d = (np.einsum("mk,ml,klr->mr", x, y, cn)
-             - np.einsum("mrk,mk->mr", f, w)) % p
+        d = _defect(p, cn, phi[ok], i, j)[1]
         ok[ok] = np.all(d @ cn.reshape(len(cn), -1) % p == 0, axis=1)
     return ok
 
@@ -273,12 +289,11 @@ def _free(p, n):
 def _defect_solve(p, cn):
     """The phi sweep's solve for phi e_n, n >= 3, from the (e1, e2) defect.
 
-    A hit is a phi whose defect D (see `_phi_hits`) is central.  Let
-    a = phi e1, b = phi e2 and w = {a, e2} + {e1, b} + {e1, e2}.  Then
-    D(e1, e2) = S - w_n phi e_n with S = {a, b} - sum over k < n of
-    w_k phi e_k, which is central exactly when phi e_n lies in
-    S / w_n + Z(n) (w_n != 0), or when S is central (w_n = 0, and
-    phi e_n is anything).
+    A hit is a phi whose defect D (see `_defect`) is central.  With w
+    as there, on (e1, e2), D(e1, e2) = S - w_n phi e_n, where S is the
+    defect of the prefix, whose phi e_n is zero.  That is central
+    exactly when phi e_n lies in S / w_n + Z(n) (w_n != 0), or when S
+    is central (w_n = 0, and phi e_n is anything).
     """
     n = len(cn)
     centre = _centre(p, cn)
@@ -286,10 +301,7 @@ def _defect_solve(p, cn):
     inverse = _reciprocals(p)
 
     def solve(phi):
-        x, y = phi[:, :, 0], phi[:, :, 1]
-        w = (x @ cn[:, 1] + y @ cn[0] + cn[0, 1]) % p
-        s = (np.einsum("mk,ml,klr->mr", x, y, cn)
-             - np.einsum("mrk,mk->mr", phi, w)) % p
+        w, s = _defect(p, cn, phi, 0, 1)
         solved = w[:, -1] != 0
         free = ~solved & np.all(s @ cn.reshape(n, -1) % p == 0, axis=1)
         return [(solved, s[solved] * inverse[w[solved, -1]][:, None], centre),

@@ -6,7 +6,6 @@ solution vectors, and nullspace bases are identical from run to run.
 No floating point is used anywhere.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -507,13 +506,17 @@ class Matrix:
 
 def from_ints(field, ints, d=1):
     """The scalars ints[k] / d, one built per value: over Q a Fraction
-    (the shared zero for 0), over GF(p) the residue of the int, reduced
-    once (d is 1 there)."""
-    if field.p is None:
+    (the shared zero for 0), over GF(p) the residue of the int times the
+    inverse of d, reduced once."""
+    p = field.p
+    if p is None:
         zero = field.zero
         if d == 1:
             return [Fraction(v) if v else zero for v in ints]
         return [Fraction(v, d) if v else zero for v in ints]
+    if d != 1:
+        inv = pow(d, -1, p)
+        ints = [v * inv for v in ints]
     return list(map(field.from_raw, ints))
 
 
@@ -527,66 +530,34 @@ def integral_form(values):
             for v in values], d
 
 
-def cleared_denominators(values):
-    """Rationals (or ints) times the lcm of their denominators, as ints: a
-    positive integral multiple of the vector, zero where it is zero."""
-    return integral_form(values)[0]
-
-
 def rref(matrix):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
-    The elimination runs on plain values and builds the scalars of R once,
-    at the end.  Over GF(p) it runs on residue ints, reduced after every
-    row operation, with one modular inverse per pivot.  Over Q it runs
-    fraction-free on ints (see `_rref_integral`); the RREF is unique, so
-    R and the pivots are the same as a Gauss-Jordan on Fractions gives."""
+    One fraction-free Gauss-Jordan on plain ints serves both fields: the
+    rows start as residues over GF(p) and as `integral_form` rows over Q,
+    which keeps the row space.  A row is cleared in the pivot column by
+    a*row - b*pivot_row, with a, b the cofactors of gcd(pivot, entry);
+    the new row is then reduced mod p over GF(p), and divided by the gcd
+    of its entries over Q.  Each row stays a nonzero multiple of the row
+    that the same elimination on field scalars holds, so the zero
+    patterns, and with them the pivot choices, are the same, and as the
+    RREF is unique so is R.  At the end each pivot row is divided by its
+    pivot once (see `from_ints`), which builds the scalars of R."""
     field = matrix.field
     p = field.p
     nrows, ncols = matrix.shape
     flat = matrix.raw_flat()
-    rows = [list(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
+    rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     if p is None:
-        entries, pivots = _rref_integral(rows, ncols, field)
-        return Matrix._from_scalars(field, nrows, ncols, entries), pivots
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        row = rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], row)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    entries = map(field.from_raw, [v for row in rows for v in row])
-    return Matrix._from_scalars(field, nrows, ncols, entries), tuple(pivots)
+        rows = [integral_form(row)[0] for row in rows]
 
-
-def _rref_integral(rows, ncols, field):
-    """The RREF of rational rows, as (row-major Fractions, pivots).
-
-    Each row is scaled to ints by the lcm of its denominators, which keeps
-    the row space.  Gauss-Jordan then runs fraction-free: a row is cleared
-    in the pivot column by a*row - b*pivot_row with a, b the cofactors of
-    gcd(pivot, entry), and every new row is divided by the gcd of its
-    entries.  Each row stays a nonzero multiple of the row that the same
-    elimination on Fractions holds, so the zero patterns, and with them
-    the pivot choices, are the same; at the end each pivot row is divided
-    by its pivot once, one Fraction per entry."""
-    nrows = len(rows)
-    rows = [cleared_denominators(row) for row in rows]
+        def tidy(row):
+            g = gcd(*row)
+            # g is 0 when the row has become zero
+            return row if g <= 1 else [v // g for v in row]
+    else:
+        def tidy(row):
+            return [v % p for v in row]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -605,23 +576,18 @@ def _rref_integral(rows, ncols, field):
             if i != r and f:
                 g = gcd(piv, f)
                 a, b = piv // g, f // g
-                new = [a * v - b * w if w else a * v
-                       for v, w in zip(rows[i], row)]
-                g = gcd(*new)
-                # g is 0 when the row has become zero
-                rows[i] = new if g <= 1 else [v // g for v in new]
+                rows[i] = tidy([a * v - b * w if w else a * v
+                                for v, w in zip(rows[i], row)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    zero = field.zero
     entries = []
     for i, c in enumerate(pivots):
-        piv = rows[i][c]
-        entries += [Fraction(v, piv) if v else zero for v in rows[i]]
+        entries += from_ints(field, rows[i], rows[i][c])
     # the rows below the pivot rows are zero
-    entries += [zero] * ((nrows - len(pivots)) * ncols)
-    return entries, tuple(pivots)
+    entries += [field.zero] * ((nrows - len(pivots)) * ncols)
+    return Matrix._from_scalars(field, nrows, ncols, entries), tuple(pivots)
 
 
 def rank(matrix):
@@ -648,42 +614,6 @@ def nullspace(matrix):
     """Deterministic basis of the right kernel."""
     R, pivots = rref(matrix)
     return _nullspace_from_rref(R, pivots, matrix.ncols)
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Solution set of A x = b: one particular solution (None when empty)
-    plus a basis of the homogeneous kernel."""
-
-    particular: tuple | None
-    homogeneous: tuple
-
-    @property
-    def solvable(self):
-        return self.particular is not None
-
-
-def rref_solve(matrix, b):
-    """Solve A x = b exactly.  Free variables are set to zero in the
-    particular solution, so the output is deterministic."""
-    if len(b) != matrix.nrows:
-        raise DimensionError("rhs length %d, matrix height %d" %
-                             (len(b), matrix.nrows))
-    field = matrix.field
-    b = scalars(field, b)
-    ncols = matrix.ncols
-    aug = Matrix._from_scalars(field, matrix.nrows, ncols + 1,
-                               [v for i in range(matrix.nrows)
-                                for v in matrix.row(i) + (b[i],)])
-    R, pivots = rref(aug)
-    a_pivots = tuple(c for c in pivots if c < ncols)
-    homogeneous = _nullspace_from_rref(R, a_pivots, ncols)
-    if any(c == ncols for c in pivots):
-        return LinearSolution(None, homogeneous)
-    x = [field.zero] * ncols
-    for r, c in enumerate(a_pivots):
-        x[c] = R.entry(r, ncols)
-    return LinearSolution(tuple(x), homogeneous)
 
 
 def inverse(matrix):
@@ -764,15 +694,13 @@ def basis_change_table(field, dim, terms, T, Tinv=None):
 
 
 def coordinates_in_span(vectors, target, field):
-    """Coefficients expressing `target` in the given spanning list, or None.
+    """Coefficients expressing `target` in the given spanning list, or None:
+    `coordinates_in_span_many` of the one target.
 
     Deterministic: free coefficients are zero.  An empty spanning list only
     matches the zero vector, giving the empty coefficient tuple.
     """
-    if not vectors:
-        return () if is_zero_vec(scalars(field, target)) else None
-    sol = rref_solve(Matrix.from_cols(field, vectors), target)
-    return sol.particular
+    return coordinates_in_span_many(vectors, [target], field)[0]
 
 
 def coordinates_in_span_many(vectors, targets, field):
@@ -781,9 +709,9 @@ def coordinates_in_span_many(vectors, targets, field):
     With A the matrix whose columns are `vectors`, [A | I] is reduced once
     to [R | E], so that E A = R with E invertible.  A x = t then says
     R x = E t: t lies in the span iff E t vanishes below the rank, and the
-    pivot coordinates of x are the entries of E t above it, with the free
-    coefficients zero as in `coordinates_in_span`.  Returns a list with a
-    tuple of coefficients, or None, per target.
+    pivot coordinates of x are the entries of E t above it, and the free
+    coefficients are zero.  Returns a list with a tuple of coefficients,
+    or None, per target.
     """
     targets = [scalars(field, t) for t in targets]
     if not vectors:

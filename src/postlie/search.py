@@ -340,8 +340,8 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     p = _require_prime_field(n_alg.field)
     n_alg.validate()
     n = n_alg.dim
-    total = check_guard(p ** (n * n))
     _require_sweep_dim(n)
+    total = check_guard(p ** (n * n))
     cn = flat_bracket_tensor(n_alg)
     raw = kernel.phi_sweep(p, n, cn, 0, total)
     pairs = []
@@ -369,8 +369,8 @@ def automorphism_indices(algebras, kernel=None):
     for other in algebras[1:]:
         if other.field != first.field or other.dim != n:
             raise ParameterError("algebras must share a field and dimension")
-    total = check_guard(p ** (n * n))
     _require_sweep_dim(n)
+    total = check_guard(p ** (n * n))
     tensors = [flat_bracket_tensor(L) for L in algebras]
     return tuple(kernel.gl_invariance_sweep(p, n, tensors, 0, total))
 

@@ -31,11 +31,12 @@ from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
                   killing_is_semisimple, nilpotency_class, operator_table,
                   semidirect_with_derivations, classify_low_dim)
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
-                     cleared_denominators, commutator, common_denominator,
-                     contract, coordinates_in_span, coordinates_in_span_many,
-                     flatten_matrix, inverse, is_nilpotent_int, is_zero_vec,
-                     nullspace, raw_vector, sparse, sparse_units,
-                     unit_vector, vadd, vscale, vsub, vzero)
+                     commutator, common_denominator, contract,
+                     coordinates_in_span, coordinates_in_span_many,
+                     flatten_matrix, integral_form, inverse,
+                     is_nilpotent_int, is_zero_vec, nullspace, raw_vector,
+                     sparse, sparse_units, unit_vector, vadd, vscale, vsub,
+                     vzero)
 from .report import CheckItem, CheckReport, scan_item
 
 
@@ -518,7 +519,7 @@ def sampled_left_mult_nilpotency(pair, samples=50, seed=0):
     size = dim * dim
     flat = [v for M in left_multiplications(pair) for v in M.raw_flat()]
     if p is None:
-        flat = cleared_denominators(flat)
+        flat = integral_form(flat)[0]
     basis = [flat[t * size:(t + 1) * size] for t in range(dim)]
     modulus = () if p is None else (p,)
     for _ in range(samples):

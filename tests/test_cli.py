@@ -307,6 +307,10 @@ def test_search_dim_and_lam_missing_or_bad(capsys):
              "denominator of 1/3 vanishes mod 3"),
             (["phi", "--p", "2", "--n", "abelian", "--dim", "4"],
              "sweeps support dimensions 1..3, got 4"),
+            # a 3^16 box, past the default guard: the dimension is refused
+            # first
+            (["phi", "--p", "3", "--n", "abelian", "--dim", "4"],
+             "sweeps support dimensions 1..3, got 4"),
             (["products", "--p", "3", "--g", "abelian", "--n", "abelian",
               "--dim", "0"], "sweeps support dimensions 1..3, got 0")):
         code, out, err = _run(capsys, ["search"] + argv)

@@ -18,12 +18,11 @@ from postlie.fields import GF, QQ
 from postlie.lie import (LieAlgebra, killing_is_semisimple,
                          semidirect_with_derivations)
 from postlie.report import scan_item
-from postlie.linalg import (Matrix, cleared_denominators, commutator,
-                            contract, coordinates_in_span,
-                            coordinates_in_span_many, inverse,
-                            is_nilpotent_int, is_nilpotent_matrix, nullspace,
-                            rref, rref_solve, sparse, sparse_units,
-                            support_terms, unit_vector)
+from postlie.linalg import (Matrix, commutator, contract,
+                            coordinates_in_span, coordinates_in_span_many,
+                            integral_form, inverse, is_nilpotent_int,
+                            is_nilpotent_matrix, nullspace, rref, sparse,
+                            sparse_units, support_terms, unit_vector)
 from postlie.structures import (BilinearProduct, PostLiePair, _combination,
                                 check_structure, derived_identity_audit,
                                 is_complete_structure, left_mult_matrix,
@@ -125,10 +124,9 @@ def test_solvers_hand_back_fractions(A, b):
     elimination may leak an int or a float into a scalar over Q."""
     for v in nullspace(A):
         assert _all_fractions(v)
-    sol = rref_solve(A, b[:A.nrows])
-    assert _all_fractions(sol.particular or ())
-    for h in sol.homogeneous:
-        assert _all_fractions(h)
+    x = coordinates_in_span([A.col(j) for j in range(A.ncols)],
+                            b[:A.nrows], QQ)
+    assert _all_fractions(x or ())
     if A.nrows == A.ncols:
         inv = inverse(A)
         if inv is not None:
@@ -314,14 +312,14 @@ def test_integer_nilpotency_matches_is_nilpotent_matrix(case):
     # the scaling of sampled_left_mult_nilpotency: one lcm for all the
     # operators, one for the draws
     size = dim * dim
-    flat = cleared_denominators([v for M in mats for v in M.flat()])
+    flat = integral_form([v for M in mats for v in M.flat()])[0]
     d = lcm(*[den for _, den in draws])
     M = [0] * size
     for t, (num, den) in enumerate(draws):
         c = num * (d // den)
         M = [a + c * b for a, b in zip(M, flat[t * size:(t + 1) * size])]
     assert is_nilpotent_int(M, dim) is want
-    assert is_nilpotent_int(cleared_denominators(mats[0].flat()),
+    assert is_nilpotent_int(integral_form(mats[0].flat())[0],
                             dim) is is_nilpotent_matrix(mats[0])
 
 

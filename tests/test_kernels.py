@@ -470,6 +470,35 @@ def test_python_int_indices_give_the_same_hits(monkeypatch):
         _check_pieces(rng, sweep, total, hits, total)
 
 
+def test_product_ranks_pass_int64():
+    # abelian g and n in dimension 3 over GF(13) leave all 18 digits of
+    # the symmetric product sweep free: 13^18 solutions, past 2^63
+    p, n, k = 13, 3, 18
+    zero = _zero_flat(n)
+    total = p ** k
+    assert total > 2 ** 63
+    cg = fpkernel._tensor(zero, n, p)
+
+    def box(lo, hi):
+        # each index decoded on Python ints and checked on its own
+        digits = np.array([[i // p ** (k - 1 - s) % p for s in range(k)]
+                           for i in range(lo, hi)], dtype=np.int64)
+        pr = fpkernel._products_from_digits(p, n, digits, cg, cg, True)
+        return [i for i, t in zip(range(lo, hi), pr)
+                if fpkernel.verify_structure(p, n, zero, zero,
+                                             t.ravel().tolist())]
+
+    def sweep(lo, hi):
+        return fpkernel.product_sweep(p, n, zero, zero, True, lo, hi)
+
+    assert sweep(0, 10) == box(0, 10) == list(range(10))
+    lo, cut = total - 30, total - 7
+    expect = box(lo, total)
+    assert expect and expect != list(range(lo, total))
+    assert sweep(lo, cut) + sweep(cut, total) == expect
+    assert sweep(lo, total) == expect
+
+
 @pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
 def test_kernel_argument_errors(kern):
     with pytest.raises(ValueError, match="dimensions"):

@@ -11,8 +11,8 @@ from postlie.fields import GF, QQ
 from postlie.linalg import (Matrix, commutator, coordinates_in_span,
                             flatten_matrix, inverse, is_nilpotent_matrix,
                             matrix_from_flat, nullspace, rank, rref,
-                            rref_solve, span_basis, unit_vector, vadd,
-                            vscale, vsub, vzero)
+                            span_basis, unit_vector, vadd, vscale, vsub,
+                            vzero)
 
 small_fraction = st.fractions(min_value=-4, max_value=4,
                               max_denominator=3)
@@ -64,20 +64,18 @@ def test_vector_helpers():
     assert unit_vector(GF(5), 3, 1) == (GF(5).zero, GF(5).one, GF(5).zero)
 
 
-def test_rref_solve_frozen_example():
-    # one dependent equation: x + 2y = 1 stated twice
-    A = Matrix(QQ, [[1, 2], [2, 4]])
-    sol = rref_solve(A, (1, 2))
-    assert sol.solvable
-    assert sol.particular == (1, 0)
-    assert sol.homogeneous == ((-2, 1),)
+def test_coordinates_in_span_frozen_example():
+    # one dependent equation: x + 2y = 1 stated twice, with the columns
+    # (1, 2) and (2, 4) as the spanning list
+    for field in (QQ, GF(5)):
+        coords = coordinates_in_span([(1, 2), (2, 4)], (1, 2), field)
+        # the free coefficient on the dependent column is zero
+        assert coords == (1, 0)
 
 
-def test_rref_solve_inconsistent():
-    A = Matrix(QQ, [[1, 2], [2, 4]])
-    sol = rref_solve(A, (1, 3))
-    assert not sol.solvable and sol.particular is None
-    assert sol.homogeneous == ((-2, 1),)
+def test_coordinates_in_span_inconsistent():
+    for field in (QQ, GF(5)):
+        assert coordinates_in_span([(1, 2), (2, 4)], (1, 3), field) is None
 
 
 def test_rref_frozen_pivots():
@@ -189,17 +187,22 @@ def test_matrix_multiplication_associative(A, B, C):
 
 
 @settings(max_examples=60, deadline=None)
-@given(q_matrix(3, 3), st.lists(small_fraction, min_size=3, max_size=3))
-def test_rref_solve_agrees_with_matrix_action(A, b):
-    sol = rref_solve(A, tuple(b))
-    if sol.solvable:
-        assert list(A.apply(sol.particular)) == [QQ.scalar(x) for x in b]
-        for h in sol.homogeneous:
-            assert all(x == 0 for x in A.apply(h))
-    else:
-        # b is outside the column span
-        assert coordinates_in_span(
-            [A.col(j) for j in range(3)], tuple(b), QQ) is None
+@given(st.one_of(
+    st.tuples(q_matrix(3, 3),
+              st.lists(small_fraction, min_size=3, max_size=3)),
+    st.tuples(gf5_matrix(3, 3),
+              st.lists(st.integers(0, 4), min_size=3, max_size=3))))
+def test_coordinates_in_span_agrees_with_matrix_action(case):
+    A, b = case
+    field = A.field
+    t = tuple(field.scalar(v) for v in b)
+    x = coordinates_in_span([A.col(j) for j in range(3)], t, field)
+    augmented = Matrix(field, [A.row(i) + (t[i],) for i in range(3)])
+    # None exactly when t lies outside the column span
+    assert (x is None) is (rank(augmented) > rank(A))
+    if x is not None:
+        # sum over j of x_j A_j is t
+        assert A.apply(x) == t
 
 
 def test_coordinates_in_span_deterministic():

@@ -360,10 +360,12 @@ def test_automorphism_indices_on_abelian_plane():
 
 
 def test_automorphism_sweep_refuses_dimensions_beyond_three():
-    # abelian(4) over GF(2) is a 2^16 box, inside the guard
-    A = builtin_algebra("abelian", field=GF(2), dim=4)
-    with pytest.raises(ParameterError, match="dimensions 1..3"):
-        automorphism_indices((A,))
+    # abelian(4) over GF(2) is a 2^16 box, inside the guard; over GF(3)
+    # it is a 3^16 box, past the guard, and the dimension is refused first
+    for p in (2, 3):
+        A = builtin_algebra("abelian", field=GF(p), dim=4)
+        with pytest.raises(ParameterError, match="dimensions 1..3"):
+            automorphism_indices((A,))
 
 
 def test_automorphism_indices_respect_brackets():
