@@ -3,15 +3,16 @@
 Exit codes: 0 when the requested verification passed (or the command is
 informational), 1 when tables were well-formed but an identity or an
 expectation failed, 2 for unusable input (bad documents, bad parameters,
-oversized sweeps).  Output is deterministic for fixed inputs: tables,
+oversized sweeps), 141 when stdout was closed before the output was
+written.  Output is deterministic for fixed inputs: tables,
 reports, and JSON payloads are always emitted in sorted order.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
-from fractions import Fraction
 
 from .catalog import (BUILTIN_NAMES, all_entries, builtin_algebra,
                       get_entry)
@@ -60,8 +61,8 @@ def _parse_params(pairs):
             raise ParameterError("parameter %r is not of the form k=v" % item)
         key, _, val = item.partition("=")
         try:
-            out[key.strip()] = Fraction(val.strip())
-        except (ValueError, ZeroDivisionError):
+            out[key.strip()] = rational(val)
+        except ValueError:
             raise ParameterError("parameter %r has a non-rational value"
                                  % item)
     return out
@@ -530,7 +531,16 @@ def main(argv=None):
 
 
 def run():
-    sys.exit(main())
+    """`main` as a process.  A reader that closes stdout early ends it
+    with exit 141, as SIGPIPE would (128 + 13), and no traceback: stdout
+    is pointed at devnull so that the flush at exit stays silent."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

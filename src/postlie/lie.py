@@ -21,7 +21,8 @@ from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      common_denominator, commutator, contract,
                      coordinates_in_span, coordinates_in_span_many,
                      flatten_matrix, is_zero_vec, nullspace, rank, raw_terms,
-                     span_basis, sparse_units, unit_vector, vneg, vzero)
+                     reduce_raw, span_basis, sparse, sparse_units,
+                     unit_vector, vneg, vzero)
 from .report import CheckReport, scan_item
 
 
@@ -249,44 +250,54 @@ def center(L):
     return Subspace.span(L.field, n, list(kern))
 
 
-def _bracket_span(L, left_vectors, right_vectors):
-    prods = []
-    for u in left_vectors:
-        for v in right_vectors:
-            w = L.bracket(u, v)
-            if not is_zero_vec(w):
-                prods.append(w)
-    return prods
+def image_chain(field, dim, terms, inner=False):
+    """The descending chain W_0 = field^dim, W_{t+1} = span{B(x, w)}, as
+    subspaces, for the bilinear map B whose sparse slot table is `terms`
+    (see `linalg.support_terms`): w runs over the basis of W_t, and x over
+    the unit vectors, or over the basis of W_t as well when `inner` is set.
 
+    The chain stops at its first repeat, and a zero term is included when
+    reached.  Each W_{t+1} lies in W_t (by induction from W_1 in W_0), so
+    the dimensions fall strictly until then.  On a bracket table this is
+    the lower central series, and with `inner` the derived series.
 
-def series(L, kind="derived"):
-    """Derived or lower central series, as subspaces, until stabilization.
-
-    The chain starts at the whole algebra and stops at the first repeat;
-    a terminating zero term is included when reached.
+    With unit vectors, W_t is the span of the images of all words of
+    length t in the operators B(e_i, .).  So the chain reaches 0 exactly
+    when every product of dim such operators vanishes.
     """
-    _require_validated(L)
-    if kind not in ("derived", "lower-central"):
-        raise ValueError("kind must be 'derived' or 'lower-central'")
-    if kind in L._memo:
-        return L._memo[kind]
-    full = Subspace.span(L.field, L.dim,
-                         [unit_vector(L.field, L.dim, i) for i in range(L.dim)])
-    chain = [full]
-    while True:
-        current = chain[-1]
-        if kind == "derived":
-            prods = _bracket_span(L, current.basis, current.basis)
-        else:
-            prods = _bracket_span(L, full.basis, current.basis)
-        nxt = Subspace.span(L.field, L.dim, prods)
+    current = Subspace.span(field, dim,
+                            [unit_vector(field, dim, i) for i in range(dim)])
+    chain = [current]
+    units = sparse_units(field, dim)[0]
+    while current.dim:
+        basis = [sparse(field, w) for w in current.basis]
+        images = []
+        for x in basis if inner else units:
+            for w in basis:
+                acc = [0] * dim
+                accumulate(acc, terms, x, w)
+                image = reduce_raw(field, acc)
+                if any(image):
+                    images.append(image)
+        nxt = Subspace.span(field, dim, images)
         if nxt.dim == current.dim:
             break
         chain.append(nxt)
-        if nxt.dim == 0:
-            break
-    L._memo[kind] = chain = tuple(chain)
-    return chain
+        current = nxt
+    return tuple(chain)
+
+
+def series(L, kind="derived"):
+    """Derived or lower central series, as subspaces, until stabilization:
+    the `image_chain` of the bracket, whose `inner` form is the derived
+    series.  Kept in the algebra's memo."""
+    _require_validated(L)
+    if kind not in ("derived", "lower-central"):
+        raise ValueError("kind must be 'derived' or 'lower-central'")
+    if kind not in L._memo:
+        L._memo[kind] = image_chain(L.field, L.dim, L.terms(),
+                                    inner=kind == "derived")
+    return L._memo[kind]
 
 
 def is_solvable(L):
@@ -306,11 +317,8 @@ def nilpotency_class(L):
 
 
 def is_perfect(L):
-    _require_validated(L)
-    derived = Subspace.span(
-        L.field, L.dim,
-        [vec for vec in L.brackets.values()])
-    return derived.dim == L.dim
+    """[L, L] = L: the derived series repeats at once."""
+    return len(series(L, "derived")) == 1
 
 
 def killing_is_semisimple(L):

@@ -24,17 +24,16 @@ from math import lcm
 
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
-from .lie import (DerivationAlgebra, LieAlgebra, Subspace, center,
-                  check_lie_axioms, cyclic_sum, derivation_action,
-                  derivation_algebra, direct_sum, is_complete_lie,
-                  is_derivation, is_nilpotent, is_solvable, is_perfect,
+from .lie import (DerivationAlgebra, LieAlgebra, center, check_lie_axioms,
+                  cyclic_sum, derivation_action, derivation_algebra,
+                  direct_sum, image_chain, is_complete_lie, is_derivation,
+                  is_nilpotent, is_solvable, is_perfect,
                   killing_is_semisimple, nilpotency_class, operator_table,
                   semidirect_with_derivations, classify_low_dim)
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      commutator, common_denominator, contract,
-                     coordinates_in_span, coordinates_in_span_many,
-                     flatten_matrix, integral_form, inverse,
-                     is_nilpotent_int, is_zero_vec, nullspace, raw_vector,
+                     coordinates_in_span_many, flatten_matrix, integral_form,
+                     inverse, is_nilpotent_int, is_zero_vec, raw_vector,
                      sparse, sparse_units, unit_vector, vadd, vscale, vsub,
                      vzero)
 from .report import CheckItem, CheckReport, scan_item
@@ -67,11 +66,6 @@ class BilinearProduct(SparseTable):
         """The operator L(e_i): v -> e_i . v."""
         return Matrix.from_cols(self.field,
                                 [self.product_basis(i, j) for j in range(self.dim)])
-
-    def right_matrix_basis(self, j):
-        """The operator R(e_j): v -> v . e_j."""
-        return Matrix.from_cols(self.field,
-                                [self.product_basis(i, j) for i in range(self.dim)])
 
     def is_zero(self):
         return not self.raw
@@ -447,51 +441,29 @@ def left_multiplications(pair):
     return tuple(pair.product.left_matrix_basis(i) for i in range(pair.dim))
 
 
-def _flag_reaches_space(field, dim, mats):
-    """Does the flag F_0 = 0, F_{t+1} = {v : M v in F_t for all M in mats}
-    reach the whole space?
-
-    It does iff the operators are simultaneously strictly triangular in
-    some basis: upward, each M maps F_{t+1} into F_t, so reaching V forces
-    every product of dim operators to vanish; downward, a common
-    strictly triangular basis puts its first t vectors inside F_t.  No
-    eigenvalue computations are involved, so this is exact over any field.
-    With A the annihilator rows of F_t stacked, F_{t+1} is the kernel of
-    the rows of every A M, one integer matrix product per operator.
-    """
-    flag = Subspace.span(field, dim, [])
-    while True:
-        if flag.dim == dim:
-            return True
-        ann = flag.annihilator_rows()
-        A = Matrix._from_scalars(field, len(ann), dim,
-                                 [v for a in ann for v in a])
-        rows = [row for M in mats for row in (A * M).rows()]
-        nxt_basis = nullspace(Matrix(field, rows)) if rows else \
-            [unit_vector(field, dim, i) for i in range(dim)]
-        nxt = Subspace.span(field, dim, list(nxt_basis))
-        if nxt.dim == flag.dim:
-            return False
-        flag = nxt
-
-
 def is_complete_structure(pair):
     """Are all left multiplications L(x) nilpotent?
 
-    Decided exactly over any field by the flag of the basis operators
-    L(e_i) (see `_flag_reaches_space`).  Reaching V forces L(x)^dim = 0
-    for every x; conversely, module-action makes {L(x)} a Lie algebra of
-    linear maps, so when all L(x) are nilpotent Engel's theorem makes them
-    simultaneously strictly triangular and the flag reaches V.
+    Decided exactly over any field by the `image_chain` of the basis
+    operators L(e_i): its term W_t is the span of the images of all words
+    of length t in the L(e_i), so it reaches 0 exactly when every product
+    of dim of them vanishes.  That forces L(x)^dim = 0 for every x, by
+    multilinearity.  Conversely, module-action makes {L(x)} a Lie algebra
+    of linear maps, so when all L(x) are nilpotent Engel's theorem makes
+    them simultaneously strictly triangular, and every word of length dim
+    vanishes.  No eigenvalues are involved, so this holds in any
+    characteristic.
     """
-    return _flag_reaches_space(pair.field, pair.dim,
-                               left_multiplications(pair))
+    _require_validated_pair(pair)
+    return image_chain(pair.field, pair.dim,
+                       pair.product.terms())[-1].dim == 0
 
 
 def all_right_multiplications_nilpotent(pair):
     """Are all right multiplications R(x) nilpotent?
 
-    The mirror image of `is_complete_structure`, run on the R(e_j);
+    The mirror image of `is_complete_structure`: the same chain on the
+    transposed slots, whose operators B(e_j, .) are the R(e_j);
     informational, not the structure completeness.  A True answer forces
     R(x)^dim = 0 for every x; {R(x)} need not be a Lie algebra, so the
     Engel converse of the left case is not available.  When n is abelian the
@@ -499,9 +471,8 @@ def all_right_multiplications_nilpotent(pair):
     algebra.  V9 at alpha = 0 is complete in this sense only.
     """
     _require_validated_pair(pair)
-    return _flag_reaches_space(
-        pair.field, pair.dim,
-        [pair.product.right_matrix_basis(j) for j in range(pair.dim)])
+    right = {(j, i): vec for (i, j), vec in pair.product.terms().items()}
+    return image_chain(pair.field, pair.dim, right)[-1].dim == 0
 
 
 def sampled_left_mult_nilpotency(pair, samples=50, seed=0):
@@ -850,13 +821,18 @@ def split_semisimple(pair):
         e_i = unit_vector(field, dim, i)
         basis.append(vadd(e_i, vs[i]) + vs[i])
 
+    # every bracket of the basis, placed in its span by one elimination
+    got = {key: ambient.bracket(basis[key[0]], basis[key[1]])
+           for key in _pairs(dim)}
+    coords = dict(zip(got, coordinates_in_span_many(basis, list(got.values()),
+                                                    field)))
+
     def closure(i, j):
-        got = ambient.bracket(basis[i], basis[j])
-        coords = coordinates_in_span(basis, got, field)
-        if coords is None:
+        if coords[(i, j)] is None:
             # not even inside the span: report the full vector
-            return raw_vector(field, got)
-        return raw_vector(field, vsub(coords, pair.g.bracket_basis(i, j)))
+            return raw_vector(field, got[(i, j)])
+        return raw_vector(field, vsub(coords[(i, j)],
+                                      pair.g.bracket_basis(i, j)))
 
     def difference_map(i, j):
         # (p1 - p2) w_i = e_i by construction; verified honestly

@@ -21,8 +21,8 @@ from postlie.fields import GF, QQ
 from postlie.lie import (check_lie_axioms, classify_low_dim,
                          derivation_algebra, is_complete_lie, is_derivation,
                          is_nilpotent, is_perfect, is_solvable)
-from postlie.linalg import (Matrix, flatten_matrix, matrix_from_flat,
-                            span_basis, unit_vector)
+from postlie.linalg import (flatten_matrix, matrix_from_flat, span_basis,
+                            unit_vector)
 from postlie.search import (BANNER, SearchSpec, decode_matrix,
                             enumerate_products, flat_product_tensor,
                             orbit_reduce, pair_from_phi, phi_ansatz_sweep)

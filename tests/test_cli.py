@@ -1,7 +1,10 @@
 """End-to-end command line tests, run in process through main(argv)."""
 
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,9 +172,11 @@ def test_catalog_export_errors(capsys):
     code, out, err = _run(capsys, ["catalog", "export", "V9",
                                    "--param", "beta=1"])
     assert code == 2 and "error:" in err
-    code, out, err = _run(capsys, ["catalog", "export", "V9",
-                                   "--param", "alpha=two"])
-    assert code == 2 and "error:" in err
+    # the grammar of --lam and of documents: 'a' or 'a/b', no decimals
+    for value in ("two", "0.5", "1e1"):
+        code, out, err = _run(capsys, ["catalog", "export", "V9",
+                                       "--param", "alpha=" + value])
+        assert code == 2 and "error:" in err
     code, out, err = _run(capsys, ["catalog", "export", "V5",
                                    "--field", "Fp:6"])
     assert code == 2 and "error:" in err
@@ -479,3 +484,25 @@ def test_failure_report_tool_regenerates_byte_for_byte(capsys):
                    run_name="__main__")
     assert capsys.readouterr().out == \
         (GOLDEN / "failure_reports.json").read_text()
+
+
+@pytest.mark.parametrize("command", [
+    ["catalog", "list"],
+    ["search", "probe", "--g-class", "solvable", "--p", "5"]])
+def test_a_closed_stdout_exits_141_without_a_traceback(command):
+    """stdout is a pipe whose read end is closed before the spawn, so the
+    first write fails whatever the buffering: the process exits as
+    SIGPIPE would, and says nothing on stderr."""
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "postlie"] + command,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=300, check=False)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

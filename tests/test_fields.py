@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postlie.errors import FieldMismatchError, UnsupportedFieldError
-from postlie.fields import GF, QQ, Field, Mod, is_prime
+from postlie.fields import GF, QQ, Mod, is_prime
 
 
 def test_is_prime_small_values():

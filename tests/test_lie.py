@@ -17,13 +17,13 @@ from postlie.errors import (DimensionError, FieldMismatchError,
 from postlie.fields import GF, QQ
 from postlie.lie import (LieAlgebra, Subspace, center, check_lie_axioms,
                          classify_low_dim, derivation_algebra, direct_sum,
-                         is_complete_lie, is_derivation, is_nilpotent,
-                         is_perfect, is_solvable,
+                         image_chain, is_complete_lie, is_derivation,
+                         is_nilpotent, is_perfect, is_solvable,
                          killing_is_semisimple, nilpotency_class,
                          semidirect_with_derivations, series)
 from postlie.linalg import (Matrix, flatten_matrix, inverse,
                             matrix_from_flat, nullspace, rank, span_basis,
-                            unit_vector, vadd)
+                            support_terms, unit_vector, vadd, vzero)
 
 GOLDEN = Path(__file__).parent / "golden"
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -394,6 +394,96 @@ def test_classification_guards():
         classify_low_dim(builtin_algebra("sl2", field=GF(5)))
     with pytest.raises(DimensionError):
         classify_low_dim(builtin_algebra("abelian", dim=4))
+
+
+def _word_spans(field, dim, ops):
+    """The spans of the images of all words of length t = 0, 1, ... in
+    the operators `ops`, listed as a chain is: up to the first repeat,
+    with a zero span included.  Words are multiplied out as matrices, one
+    per distinct product."""
+    words = {tuple(Matrix.identity(field, dim).flat())}
+    spans = [span_basis(field, dim, [unit_vector(field, dim, i)
+                                     for i in range(dim)])]
+    while spans[-1]:
+        words = {tuple((M * matrix_from_flat(field, dim, w)).flat())
+                 for M in ops for w in words}
+        cols = [matrix_from_flat(field, dim, w).col(j)
+                for w in words for j in range(dim)]
+        nxt = span_basis(field, dim, cols)
+        if len(nxt) == len(spans[-1]):
+            break
+        spans.append(nxt)
+    return spans
+
+
+@st.composite
+def sparse_bilinear_tables(draw):
+    """A field, a dimension 1-4 and a sparse table {(i, j): B(e_i, e_j)}.
+    Half of the tables put B(e_i, e_j) in the span of e_0, ..., e_{j-1},
+    so that every B(e_i, .) is strictly triangular and the chains reach
+    zero."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    dim = draw(st.integers(1, 4))
+    triangular = draw(st.booleans())
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            if draw(st.integers(0, 2)):
+                continue
+            top = j if triangular else dim
+            vec = [draw(_entries(field)) if k < top else field.zero
+                   for k in range(dim)]
+            if any(vec):
+                table[(i, j)] = vec
+    return field, dim, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_bilinear_tables())
+def test_image_chain_spans_the_words_of_the_operators(case):
+    """On the slots, W_t is the span of all words of length t in the
+    operators B(e_i, .); on the transposed slots, in the B(., e_j)."""
+    field, dim, table = case
+    terms = support_terms(field, table)
+    zero = vzero(field, dim)
+
+    def operator(i, left):
+        return Matrix.from_cols(field, [
+            table.get((i, j) if left else (j, i), zero) for j in range(dim)])
+
+    transposed = {(j, i): vec for (i, j), vec in terms.items()}
+    for slots, left in ((terms, True), (transposed, False)):
+        chain = image_chain(field, dim, slots)
+        ops = [operator(i, left) for i in range(dim)]
+        assert [W.basis for W in chain] == _word_spans(field, dim, ops)
+    assert [W.dim for W in image_chain(field, 0, {})] == [0]
+
+
+def _series_by_brackets(L, kind):
+    """The series through `L.bracket` on field scalars, bracket by
+    bracket: [W_t, W_t] for the derived series, [L, W_t] for the lower
+    central one."""
+    whole = Subspace.span(L.field, L.dim, [unit_vector(L.field, L.dim, i)
+                                           for i in range(L.dim)])
+    chain = [whole]
+    while chain[-1].dim:
+        current = chain[-1].basis
+        left = current if kind == "derived" else whole.basis
+        nxt = Subspace.span(L.field, L.dim,
+                            [L.bracket(u, v) for u in left for v in current])
+        if nxt.dim == chain[-1].dim:
+            break
+        chain.append(nxt)
+    return tuple(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtins_in_a_random_basis())
+def test_series_match_the_bracket_recomputation(L):
+    for kind in ("derived", "lower-central"):
+        assert series(L, kind) == _series_by_brackets(L, kind)
+    brackets = Subspace.span(L.field, L.dim, list(L.brackets.values()))
+    assert is_perfect(L) is (brackets.dim == L.dim)
 
 
 def test_subspace_membership():

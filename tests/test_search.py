@@ -22,7 +22,7 @@ from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             encode_product, enumerate_products,
                             flat_bracket_tensor, flat_product_tensor,
                             nonexistence_probe, orbit_reduce, pair_from_phi,
-                            phi_ansatz_sweep, transform_product)
+                            transform_product)
 from postlie.structures import (BilinearProduct, check_structure,
                                 endomorphism_from_structure)
 

@@ -13,7 +13,7 @@ from postlie.errors import (DimensionError, FieldMismatchError,
                             StructureError, UnsupportedFieldError)
 from postlie.fields import GF, QQ
 from postlie.lie import check_lie_axioms, is_nilpotent, is_perfect
-from postlie.linalg import Matrix, inverse, unit_vector, vadd, vscale, vsub
+from postlie.linalg import Matrix, inverse, unit_vector, vadd, vscale
 from postlie.search import SearchSpec, enumerate_products
 from postlie.structures import (TAG_COMMUTATIVE, TAG_CYCLIC, TAG_LR_IDENTITY,
                                 TAG_LR_PAIR, TAG_LSA, TAG_NOVIKOV,
@@ -425,6 +425,9 @@ def test_split_semisimple():
     assert split.ambient.dim == 6
     zero = get_entry("zero_sl2").build_sample({})
     assert split_semisimple(zero).passed
+    family = get_entry("sl2_family")
+    for sample in family.samples:
+        assert split_semisimple(family.build_sample(sample)).passed
     with pytest.raises(StructureError):
         split_semisimple(get_entry("zero_n3").build_sample({}))
     with pytest.raises(UnsupportedFieldError):
