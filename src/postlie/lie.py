@@ -13,15 +13,16 @@ triple when the table is not a Lie algebra at all.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
                      StructureError, UnsupportedFieldError)
-from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
-                     common_denominator, commutator, contract,
-                     coordinates_in_span, coordinates_in_span_many,
-                     flatten_matrix, is_zero_vec, nullspace, rank, raw_terms,
-                     reduce_raw, span_basis, sparse, sparse_units,
+from .linalg import (Matrix, SparseTable, accumulate, as_vector,
+                     basis_change_table, common_denominator, commutator,
+                     contract, coordinates_in_span, coordinates_in_span_many,
+                     echelon, flatten_matrix, from_ints, is_zero_vec,
+                     kernel_rows, rank, raw_terms, raw_vector, sparse_units,
                      unit_vector, vneg, vzero)
 from .report import CheckReport, scan_item
 
@@ -206,19 +207,28 @@ def check_lie_axioms(L):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of field^ambient with a canonical RREF basis."""
+    """A subspace of field^ambient, kept as the int rows and pivots of its
+    `linalg.echelon`, which are unique to it.  `basis`, the canonical RREF
+    basis of field scalars, is built from them when it is first read."""
 
     field: object
     ambient: int
-    basis: tuple
+    rows: tuple
+    pivots: tuple
 
     @classmethod
     def span(cls, field, ambient, vectors):
-        return cls(field, ambient, span_basis(field, ambient, vectors))
+        return cls(field, ambient, *echelon(field.p, [
+            raw_vector(field, as_vector(field, ambient, v)) for v in vectors]))
+
+    @cached_property
+    def basis(self):
+        return tuple(tuple(from_ints(self.field, row, row[c]))
+                     for row, c in zip(self.rows, self.pivots))
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v):
         return self.coordinates(v) is not None
@@ -228,33 +238,30 @@ class Subspace:
 
     def annihilator_rows(self):
         """Rows spanning the solutions of <row, b> = 0 for all basis b."""
-        if not self.basis:
-            return tuple(unit_vector(self.field, self.ambient, i)
-                         for i in range(self.ambient))
-        return nullspace(Matrix(self.field, list(self.basis)))
+        vectors, l = kernel_rows(self.field.p, list(self.rows), self.ambient)
+        return tuple(tuple(from_ints(self.field, v, l)) for v in vectors)
 
 
 def center(L):
-    """Elements bracketing to zero with the whole algebra."""
+    """Elements bracketing to zero with the whole algebra: the kernel of
+    x -> ([x, e_j])_j on the table scaled to ints, spanned on int rows."""
     _require_validated(L)
-    n = L.dim
-    if n == 0:
-        return Subspace.span(L.field, 0, [])
-    rows = []
-    for j in range(n):
-        # row block: x -> [x, e_j], one row per output component
-        cols = [L.bracket_basis(i, j) for i in range(n)]
-        for k in range(n):
-            rows.append(tuple(cols[i][k] for i in range(n)))
-    kern = nullspace(Matrix(L.field, rows))
-    return Subspace.span(L.field, n, list(kern))
+    n, p = L.dim, L.field.p
+    # row j * n + k: x -> [x, e_j]_k, one column per basis vector e_i
+    rows = [[0] * n for _ in range(n * n)]
+    for (i, j), vec in L.scaled_terms().items():
+        for k, v in vec:
+            rows[j * n + k][i] = v
+    return Subspace(L.field, n, *echelon(p, kernel_rows(p, rows, n)[0]))
 
 
 def image_chain(field, dim, terms, inner=False):
     """The descending chain W_0 = field^dim, W_{t+1} = span{B(x, w)}, as
     subspaces, for the bilinear map B whose sparse slot table is `terms`
     (see `linalg.support_terms`): w runs over the basis of W_t, and x over
-    the unit vectors, or over the basis of W_t as well when `inner` is set.
+    the unit vectors, or with `inner` over the basis vectors before w.
+    `inner` is valid for antisymmetric tables only, such as a bracket's,
+    where B(w, x) = -B(x, w) and B(w, w) = 0.
 
     The chain stops at its first repeat, and a zero term is included when
     reached.  Each W_{t+1} lies in W_t (by induction from W_1 in W_0), so
@@ -263,23 +270,24 @@ def image_chain(field, dim, terms, inner=False):
 
     With unit vectors, W_t is the span of the images of all words of
     length t in the operators B(e_i, .).  So the chain reaches 0 exactly
-    when every product of dim such operators vanishes.
+    when every product of dim such operators vanishes.  The terms are
+    kept on the int rows of `Subspace`, multiples of their basis.
     """
-    current = Subspace.span(field, dim,
-                            [unit_vector(field, dim, i) for i in range(dim)])
-    chain = [current]
     units = sparse_units(field, dim)[0]
+    eye = tuple(tuple([int(k == i) for k in range(dim)]) for i in range(dim))
+    current = Subspace(field, dim, eye, tuple(range(dim)))
+    chain = [current]
     while current.dim:
-        basis = [sparse(field, w) for w in current.basis]
+        basis = [[(k, v) for k, v in enumerate(row) if v]
+                 for row in current.rows]
         images = []
-        for x in basis if inner else units:
-            for w in basis:
+        for a, x in enumerate(basis if inner else units):
+            for w in basis[a + 1:] if inner else basis:
                 acc = [0] * dim
                 accumulate(acc, terms, x, w)
-                image = reduce_raw(field, acc)
-                if any(image):
-                    images.append(image)
-        nxt = Subspace.span(field, dim, images)
+                if any(acc):
+                    images.append(acc)
+        nxt = Subspace(field, dim, *echelon(field.p, images))
         if nxt.dim == current.dim:
             break
         chain.append(nxt)
@@ -289,13 +297,13 @@ def image_chain(field, dim, terms, inner=False):
 
 def series(L, kind="derived"):
     """Derived or lower central series, as subspaces, until stabilization:
-    the `image_chain` of the bracket, whose `inner` form is the derived
-    series.  Kept in the algebra's memo."""
+    the `image_chain` of the bracket scaled to ints (which changes no
+    span), whose `inner` form is the derived series.  Kept in the memo."""
     _require_validated(L)
     if kind not in ("derived", "lower-central"):
         raise ValueError("kind must be 'derived' or 'lower-central'")
     if kind not in L._memo:
-        L._memo[kind] = image_chain(L.field, L.dim, L.terms(),
+        L._memo[kind] = image_chain(L.field, L.dim, L.scaled_terms(),
                                     inner=kind == "derived")
     return L._memo[kind]
 
@@ -374,8 +382,7 @@ def is_derivation(L, D):
         raise FieldMismatchError("derivation candidate over %s for an "
                                  "algebra over %s" % (D.field.name,
                                                       L.field.name))
-    delta = derivation_action(L.field, n, L.scaled_terms(L.denominator()),
-                              operator_table(D))
+    delta = derivation_action(L.field, n, L.scaled_terms(), operator_table(D))
     return scan_item(None, L.field, _derivation_triples(n), delta).passed
 
 
@@ -415,20 +422,17 @@ def derivation_algebra(L):
     """
     _require_validated(L)
     n = L.dim
-    unknowns = n * n
     triples = _derivation_triples(n)
-    N = L.scaled_terms(L.denominator())
+    N = L.scaled_terms()
     cols = []
     for r in range(n):
         for c in range(n):
             delta = derivation_action(L.field, n, N, {(0, c): ((r, 1),)})
             cols.append([v for idx in triples for v in delta(*idx)])
-    if not triples:
-        kern = tuple(unit_vector(L.field, unknowns, t) for t in range(unknowns))
-    else:
-        kern = nullspace(Matrix(L.field, list(zip(*cols))))
+    kern, l = kernel_rows(L.field.p, list(zip(*cols)), n * n)
     basis = []
     for flat in kern:
+        flat = from_ints(L.field, flat, l)
         D = Matrix(L.field, [flat[r * n:(r + 1) * n] for r in range(n)])
         if not is_derivation(L, D):
             raise StructureError("internal error: derivation solver produced "
@@ -451,11 +455,11 @@ def semidirect_with_derivations(L, derivations, name=None):
     Basis: the n basis vectors of L followed by the given derivations.
     Bracket: [(x, D), (x', D')] = ([x, x'] + D x' - D' x, [D, D']).
     The derivation list must be linearly independent and closed under the
-    matrix commutator, and the result is validated before it is returned.
-    Each entry is checked with `is_derivation`, and the list for
-    independence, unless the list is the `DerivationAlgebra` of L itself:
-    `derivation_algebra` has checked its basis already, and a nullspace
-    basis is independent by construction.
+    matrix commutator.  Each entry is checked with `is_derivation`, the
+    list for independence and the sum by its Jacobi scan, unless the list
+    is the `DerivationAlgebra` of L itself: `derivation_algebra` has
+    checked its basis already, a nullspace basis is independent by
+    construction, and the closure solved here makes the sum Lie.
     """
     _require_validated(L)
     checked = False
@@ -498,6 +502,7 @@ def semidirect_with_derivations(L, derivations, name=None):
             table[(n + s, n + t)] = vec
     out = LieAlgebra(L.field, dim, table,
                      name=name or "semidirect(%s, der%d)" % (L.name or "L", k))
+    out._validated = checked
     return out.validate()
 
 

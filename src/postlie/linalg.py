@@ -244,10 +244,11 @@ class SparseTable:
                 *[v.denominator for vec in self.raw.values() for v in vec])
         return self._den
 
-    def scaled_terms(self, d):
+    def scaled_terms(self, d=None):
         """`terms()` with every value times d, a multiple of
-        `denominator()`, so that every value is an int; the table for the
-        last d asked for is kept."""
+        `denominator()` (by default that), so that every value is an int;
+        the table for the last d asked for is kept."""
+        d = self.denominator() if d is None else d
         if d == 1:
             return self.terms()
         if self._scaled is None or self._scaled[0] != d:
@@ -530,26 +531,27 @@ def integral_form(values):
             for v in values], d
 
 
-def rref(matrix):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
+def _rows(matrix):
+    n, flat = matrix.ncols, matrix.int_form()[0]
+    return [flat[i * n:(i + 1) * n] for i in range(matrix.nrows)]
 
-    One fraction-free Gauss-Jordan on plain ints serves both fields: the
-    rows start as residues over GF(p) and as `integral_form` rows over Q,
-    which keeps the row space.  A row is cleared in the pivot column by
-    a*row - b*pivot_row, with a, b the cofactors of gcd(pivot, entry);
-    the new row is then reduced mod p over GF(p), and divided by the gcd
-    of its entries over Q.  Each row stays a nonzero multiple of the row
-    that the same elimination on field scalars holds, so the zero
-    patterns, and with them the pivot choices, are the same, and as the
-    RREF is unique so is R.  At the end each pivot row is divided by its
-    pivot once (see `from_ints`), which builds the scalars of R."""
-    field = matrix.field
-    p = field.p
-    nrows, ncols = matrix.shape
-    flat = matrix.raw_flat()
-    rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+
+def echelon(p, rows):
+    """The reduced echelon form of a list of rows of raw values (see
+    `Field.raw`) over GF(p), or over Q when p is None: (rows, pivots) of
+    its nonzero rows, as tuples of ints, residues with pivot 1 over GF(p)
+    and content-free with a positive pivot over Q, so unique to the row
+    space; row / row[pivot] is the row of the RREF.
+
+    The one elimination loop: fraction-free Gauss-Jordan on residues over
+    GF(p) and `integral_form` rows over Q.  A row is cleared by
+    a*row - b*pivot_row, with a, b the cofactors of gcd(pivot, entry),
+    then reduced mod p, or divided by its gcd over Q.  So each row stays a
+    nonzero multiple of the row that elimination on field scalars holds,
+    with the same zero patterns and pivots."""
     if p is None:
-        rows = [integral_form(row)[0] for row in rows]
+        rows = [row if all(type(v) is int for v in row)
+                else integral_form(row)[0] for row in rows]
 
         def tidy(row):
             g = gcd(*row)
@@ -558,9 +560,11 @@ def rref(matrix):
     else:
         def tidy(row):
             return [v % p for v in row]
+        rows = list(map(tidy, rows))
+    nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
         pivot_row = None
         for i in range(r, nrows):
             if rows[i][c]:
@@ -568,8 +572,10 @@ def rref(matrix):
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        row = rows[r]
+        row, rows[pivot_row] = rows[pivot_row], rows[r]
+        # normalized as returned; the eliminations scale rows by a > 0
+        g = pow(row[c], -1, p) if p else gcd(*row) * (1 if row[c] > 0 else -1)
+        rows[r] = row = [v * g % p if p else v // g for v in row]
         piv = row[c]
         for i in range(nrows):
             f = rows[i][c]
@@ -582,38 +588,48 @@ def rref(matrix):
         r += 1
         if r == nrows:
             break
-    entries = []
-    for i, c in enumerate(pivots):
-        entries += from_ints(field, rows[i], rows[i][c])
+    return tuple(map(tuple, rows[:r])), tuple(pivots)
+
+
+def rref(matrix):
+    """Reduced row echelon form.  Returns (R, pivot_columns): the
+    `echelon` of the rows, each divided by its pivot once (see
+    `from_ints`), which builds the scalars of R."""
+    field = matrix.field
+    nrows, ncols = matrix.shape
+    rows, pivots = echelon(field.p, _rows(matrix))
+    entries = [v for row, c in zip(rows, pivots)
+               for v in from_ints(field, row, row[c])]
     # the rows below the pivot rows are zero
     entries += [field.zero] * ((nrows - len(pivots)) * ncols)
-    return Matrix._from_scalars(field, nrows, ncols, entries), tuple(pivots)
+    return Matrix._from_scalars(field, nrows, ncols, entries), pivots
 
 
 def rank(matrix):
-    return len(rref(matrix)[1])
+    return len(echelon(matrix.field.p, _rows(matrix))[1])
 
 
-def _nullspace_from_rref(R, pivots, ncols):
-    """Basis vectors ordered by ascending free column; free entry set to 1."""
-    field = R.field
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for r, c in enumerate(pivots):
-            v[c] = -R.entry(r, f)
-        basis.append(tuple(v))
-    return tuple(basis)
+def kernel_rows(p, rows, ncols):
+    """(vectors, l): the `nullspace` basis of rows of length ncols (as
+    `echelon` reads them), each times l, the lcm of the pivots, as ints."""
+    rows, pivots = echelon(p, rows)
+    l = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    out = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = l
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] % p if p else -row[f] * (l // row[c])
+        out.append(v)
+    return out, l
 
 
 def nullspace(matrix):
-    """Deterministic basis of the right kernel."""
-    R, pivots = rref(matrix)
-    return _nullspace_from_rref(R, pivots, matrix.ncols)
+    """Deterministic basis of the right kernel: one vector per free column,
+    ascending, with free entry 1."""
+    field = matrix.field
+    vectors, l = kernel_rows(field.p, _rows(matrix), matrix.ncols)
+    return tuple(tuple(from_ints(field, v, l)) for v in vectors)
 
 
 def inverse(matrix):
@@ -743,8 +759,6 @@ def coordinates_in_span_many(vectors, targets, field):
 def span_basis(field, ambient, vectors):
     """Canonical (RREF row) basis of the span of `vectors` in field^ambient."""
     vectors = [as_vector(field, ambient, v) for v in vectors]
-    if not vectors:
-        return ()
     R, pivots = rref(Matrix._from_scalars(field, len(vectors), ambient,
                                           [v for vec in vectors for v in vec]))
     return tuple(R.row(i) for i in range(len(pivots)))

@@ -456,7 +456,7 @@ def is_complete_structure(pair):
     """
     _require_validated_pair(pair)
     return image_chain(pair.field, pair.dim,
-                       pair.product.terms())[-1].dim == 0
+                       pair.product.scaled_terms())[-1].dim == 0
 
 
 def all_right_multiplications_nilpotent(pair):
@@ -471,7 +471,8 @@ def all_right_multiplications_nilpotent(pair):
     algebra.  V9 at alpha = 0 is complete in this sense only.
     """
     _require_validated_pair(pair)
-    right = {(j, i): vec for (i, j), vec in pair.product.terms().items()}
+    right = {(j, i): vec
+             for (i, j), vec in pair.product.scaled_terms().items()}
     return image_chain(pair.field, pair.dim, right)[-1].dim == 0
 
 
@@ -555,7 +556,7 @@ def special_case_detect(pair):
 
     field = pair.field
     # only the pass flags are read, so the scaled table needs no divisor
-    P = product.scaled_terms(product.denominator())
+    P = product.scaled_terms()
     e, m = sparse_units(field, dim)
 
     def holds(tuples, delta):

@@ -1,6 +1,7 @@
 """Bracket tables, structure theory, derivations, classification."""
 
 import json
+import math
 import random
 import runpy
 from fractions import Fraction
@@ -23,7 +24,8 @@ from postlie.lie import (LieAlgebra, Subspace, center, check_lie_axioms,
                          semidirect_with_derivations, series)
 from postlie.linalg import (Matrix, flatten_matrix, inverse,
                             matrix_from_flat, nullspace, rank, span_basis,
-                            support_terms, unit_vector, vadd, vzero)
+                            support_terms, unit_vector, vadd, vneg, vscale,
+                            vzero)
 
 GOLDEN = Path(__file__).parent / "golden"
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -288,22 +290,28 @@ def test_semidirect_rejects_bad_derivation_lists():
 
 def test_semidirect_checks_only_what_the_solver_did_not(monkeypatch):
     """The DerivationAlgebra of L itself is taken as checked: no second
-    is_derivation pass, no rank check of its nullspace basis, and the
-    same algebra as from its plain basis.  Any other list, and the
-    derivations of another algebra, are checked."""
+    is_derivation pass, no rank check of its nullspace basis, no Jacobi
+    scan of the sum, which comes back validated, and the same algebra as
+    from its plain basis.  Any other list, and the derivations of another
+    algebra, are checked, and the sum is scanned."""
     import postlie.lie as lie
     n3 = builtin_algebra("n3")
     ders = derivation_algebra(n3)
-    calls, ranks = [], []
+    calls, ranks, scans = [], [], []
     original, original_rank = lie.is_derivation, lie.rank
+    original_scan = lie.check_lie_axioms
     monkeypatch.setattr(lie, "is_derivation",
                         lambda L, D: calls.append(D) or original(L, D))
     monkeypatch.setattr(lie, "rank",
                         lambda M: ranks.append(M) or original_rank(M))
+    monkeypatch.setattr(lie, "check_lie_axioms",
+                        lambda L: scans.append(L) or original_scan(L))
     amb = semidirect_with_derivations(n3, ders)
-    assert calls == [] and ranks == []
+    assert calls == [] and ranks == [] and scans == []
+    assert amb.validated and amb.dim == 3 + ders.dim
     assert amb == semidirect_with_derivations(n3, ders.basis)
     assert calls == list(ders.basis) and len(ranks) == 1
+    assert len(scans) == 1 and scans[0] == amb
     # gl(3) is Der of abelian(3); handed to n3 it is checked and refused
     with pytest.raises(StructureError, match="not a derivation"):
         semidirect_with_derivations(
@@ -486,6 +494,151 @@ def test_series_match_the_bracket_recomputation(L):
     assert is_perfect(L) is (brackets.dim == L.dim)
 
 
+@st.composite
+def vector_lists(draw):
+    """A field, an ambient dimension 0-5 and a list of 0-6 vectors: random
+    (over Q with non-integral entries), all zero, or random vectors
+    followed by combinations of them."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]))
+    ambient = draw(st.integers(0, 5))
+    entries = (st.fractions(min_value=-5, max_value=5, max_denominator=7)
+               if field.is_rational else _entries(field))
+    kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+    count = draw(st.integers(0, 6))
+    if kind == "zero":
+        return field, ambient, [vzero(field, ambient)] * count
+    vectors = [tuple(draw(entries) for _ in range(ambient))
+               for _ in range(count)]
+    if kind == "dependent" and vectors:
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = [draw(entries) for _ in vectors]
+            vectors.append(tuple(sum((c * v[k] for c, v in
+                                      zip(coeffs, vectors)), field.zero)
+                                 for k in range(ambient)))
+    return field, ambient, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists(), st.randoms(use_true_random=False))
+def test_subspace_rows_match_span_basis(case, rng):
+    """The integer rows of a Subspace give span_basis's dimension, basis
+    and pivots; they are canonical (residues with pivot 1 over GF(p),
+    content-free with a positive pivot over Q), so any spanning list of
+    the same space gives an equal Subspace."""
+    field, ambient, vectors = case
+    W = Subspace.span(field, ambient, vectors)
+    want = span_basis(field, ambient, vectors)
+    assert W.dim == len(want) == len(W.rows)
+    assert W.basis == want
+    assert W.pivots == tuple(next(k for k, v in enumerate(row) if v)
+                             for row in want)
+    kind = Fraction if field.is_rational else type(field.one)
+    assert all(type(v) is kind for row in W.basis for v in row)
+    for row, c in zip(W.rows, W.pivots):
+        assert all(type(v) is int for v in row)
+        if field.p is None:
+            assert row[c] > 0 and math.gcd(*row) == 1
+        else:
+            assert row[c] == 1 and all(0 <= v < field.p for v in row)
+    scales = ([Fraction(-2, 3), -1, 1, 2] if field.is_rational
+              else range(1, field.p))
+    shuffled = [vscale(field.scalar(rng.choice(scales)), vec)
+                for vec in want]
+    rng.shuffle(shuffled)
+    assert Subspace.span(field, ambient, shuffled) == W
+
+
+def _dense_image(field, dim, table, x, y):
+    """B(x, y) = sum of x_i y_j B(e_i, e_j) on field scalars."""
+    out = vzero(field, dim)
+    for (i, j), vec in table.items():
+        out = vadd(out, tuple(x[i] * y[j] * v for v in vec))
+    return out
+
+
+def _reference_chain(field, dim, table, inner):
+    """The chain of image_chain through span_basis on field scalars, with
+    B(x, w) for every ordered pair, both orders and x = w included."""
+    units = [unit_vector(field, dim, i) for i in range(dim)]
+    spans = [span_basis(field, dim, units)]
+    while spans[-1]:
+        left = spans[-1] if inner else units
+        nxt = span_basis(field, dim, [_dense_image(field, dim, table, x, w)
+                                      for x in left for w in spans[-1]])
+        if len(nxt) == len(spans[-1]):
+            break
+        spans.append(nxt)
+    return spans
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5)]), st.integers(1, 4),
+       st.data())
+def test_inner_image_chain_matches_a_span_basis_reference(field, dim, data):
+    """The inner chain takes the pairs u < w only; on random antisymmetric
+    tables it is the chain over every ordered pair.  Half of the tables
+    put [e_i, e_j], i < j, in the span of e_0, ..., e_{i-1}, so that the
+    chain falls in several steps.  (The plain chain has its span_basis
+    reference in the words test above.)"""
+    triangular = data.draw(st.booleans())
+    skew = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            top = i if triangular else dim
+            vec = tuple(data.draw(_entries(field)) if k < top
+                        else field.zero for k in range(dim))
+            skew[(i, j)], skew[(j, i)] = vec, vneg(vec)
+    chain = image_chain(field, dim, support_terms(field, skew), inner=True)
+    assert [W.basis for W in chain] == _reference_chain(field, dim, skew,
+                                                        True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtins_in_a_random_basis())
+def test_series_and_center_match_a_span_basis_reference(L):
+    """series against the reference chain on the bracket table, and the
+    centre: canonical, central, and of dimension n - rank(x -> ad x)."""
+    n, field = L.dim, L.field
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            table[(i, j)] = L.bracket_basis(i, j)
+    for kind, inner in (("derived", True), ("lower-central", False)):
+        assert ([W.basis for W in series(L, kind)]
+                == _reference_chain(field, n, table, inner))
+    _assert_center_matches_a_span_basis_reference(L)
+
+
+def _assert_center_matches_a_span_basis_reference(L):
+    n, field = L.dim, L.field
+    Z = center(L)
+    assert Z.basis == span_basis(field, n, Z.basis)
+    units = [unit_vector(field, n, j) for j in range(n)]
+    assert all(not any(L.bracket(z, e)) for z in Z.basis for e in units)
+    ads = [sum((L.bracket_basis(i, j) for j in range(n)), ())
+           for i in range(n)]
+    assert Z.dim == n - len(span_basis(field, n * n, ads))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+def test_center_in_random_bases_of_algebras_with_a_centre(field):
+    """Centres that are no coordinate subspace: n3, r2 + abelian(1) and
+    n3 + abelian(1) in seeded random bases."""
+    rng = random.Random(7)
+    algebras = [builtin_algebra("n3", field=field),
+                direct_sum(builtin_algebra("r2", field=field),
+                           builtin_algebra("abelian", field=field, dim=1)),
+                direct_sum(builtin_algebra("n3", field=field),
+                           builtin_algebra("abelian", field=field, dim=1))]
+    for L in algebras:
+        for _ in range(5):
+            T = Matrix(field, [[rng.randrange(-3, 4) for _ in range(L.dim)]
+                               for _ in range(L.dim)])
+            if inverse(T) is not None:
+                _assert_center_matches_a_span_basis_reference(
+                    L.change_basis(T))
+
+
 def test_subspace_membership():
     span = Subspace.span(QQ, 3, [(1, 1, 0), (0, 0, 1)])
     assert span.dim == 2
@@ -539,8 +692,8 @@ def test_change_basis_matches_the_slot_formula(field):
 def test_invariants_are_computed_once_per_algebra(monkeypatch):
     import postlie.lie as lie
     spans = []
-    original = lie.span_basis
-    monkeypatch.setattr(lie, "span_basis",
+    original = lie.echelon
+    monkeypatch.setattr(lie, "echelon",
                         lambda *args: spans.append(1) or original(*args))
     L = builtin_algebra("r3")
     first = classify_low_dim(L)

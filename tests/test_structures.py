@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie.catalog import (builtin_algebra, get_entry, heis_commutative,
-                             lambda_product, sl2_family)
+from postlie.catalog import (all_entries, builtin_algebra, get_entry,
+                             heis_commutative, lambda_product, sl2_family)
 from postlie.errors import (DimensionError, FieldMismatchError,
                             StructureError, UnsupportedFieldError)
 from postlie.fields import GF, QQ
@@ -168,17 +168,17 @@ def test_v9_zero_left_versus_right_completeness():
 
 
 def test_completeness_over_finite_fields_is_exact():
-    # x -> 5x on a one-dimensional slot is nilpotent mod 5 and the flag
-    # test must see that without eigenvalues
+    # x -> 5x on a one-dimensional slot is nilpotent mod 5, and the image
+    # chain must see that without eigenvalues
     pair = get_entry("V9").build_sample({"alpha": 0}, field=GF(5))
     assert is_complete_structure(pair) is False
     assert all_right_multiplications_nilpotent(pair) is True
 
     # every structure on (r2, abelian) and (abelian, r2) over GF(3): the
-    # left flag equals "L(x)^dim = 0 for every x", which is exact because
-    # module-action makes {L(x)} a Lie algebra and Engel's theorem applies;
-    # the right flag (simultaneous strict triangularity) implies that
-    # R(x)^dim = 0 for every x
+    # image chain of the L(e_i) reaches 0 exactly when L(x)^dim = 0 for
+    # every x, because module-action makes {L(x)} a Lie algebra and
+    # Engel's theorem applies; the chain of the R(e_i) reaching 0 implies
+    # that R(x)^dim = 0 for every x
     F = GF(3)
     dim = 2
     basis = [unit_vector(F, dim, i) for i in range(dim)]
@@ -364,6 +364,16 @@ def test_endomorphism_recovery_round_trip():
 def test_endomorphism_recovery_needs_complete_n():
     with pytest.raises(StructureError):
         endomorphism_from_structure(get_entry("zero_n3").build_sample({}))
+
+
+def test_embedding_ambient_is_lie_on_every_catalog_sample():
+    """embed takes the semidirect sum with n's own derivation algebra as
+    Lie without a Jacobi scan; the scan passes on every catalog sample."""
+    for entry in all_entries():
+        for sample in entry.samples:
+            emb = embed_semidirect(entry.build_sample(sample))
+            assert emb.passed and emb.semidirect.validated, entry.entry_id
+            assert check_lie_axioms(emb.semidirect).passed, entry.entry_id
 
 
 def test_embedding_structure():
