@@ -138,26 +138,21 @@ def _V10_products(field, beta):
 def _build_V14(field=QQ, alpha1=None):
     a1 = field.scalar(alpha1)
     _check_nonzero(a1, "alpha1", "V14")
-    return _pair(field, {(0, 1): {0: a1}}, {(0, 1): {0: 1}},
-                 {(1, 0): {0: 1 - a1}}, g_name="r2", n_name="r2")
+    return case4_raw_family("first", a1, 0, field=field)
 
 
 def _build_V15(field=QQ):
-    return _pair(field, {(0, 1): {0: 1}}, {(0, 1): {0: 1}},
-                 {(1, 1): {0: 1}}, g_name="r2", n_name="r2")
+    return case4_raw_family("first", 1, 1, field=field)
 
 
 def _build_V16(field=QQ, alpha1=None):
     a1 = field.scalar(alpha1)
     _check_nonzero(a1, "alpha1", "V16")
-    return _pair(field, {(0, 1): {0: a1}}, {(0, 1): {0: 1}},
-                 {(0, 1): {0: -1}, (1, 0): {0: -a1}}, g_name="r2", n_name="r2")
+    return case4_raw_family("second", a1, 0, field=field)
 
 
 def _build_V17(field=QQ):
-    return _pair(field, {(0, 1): {0: -1}}, {(0, 1): {0: 1}},
-                 {(0, 1): {0: -1}, (1, 0): {0: 1}, (1, 1): {0: 1}},
-                 g_name="r2", n_name="r2")
+    return case4_raw_family("second", -1, 1, field=field)
 
 
 def heis_commutative(alpha, beta, gamma, field=QQ):

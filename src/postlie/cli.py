@@ -19,7 +19,7 @@ from .catalog import (BUILTIN_NAMES, all_entries, builtin_algebra,
 from .document import dumps_pair, read_pair
 from .errors import (DocumentError, GuardError, ParameterError,
                      PostLieError, StructureError, UnsupportedFieldError)
-from .fields import GF, QQ
+from .fields import GF, QQ, field_from_name
 from .lie import classify_low_dim
 from .search import (SearchSpec, enumerate_products, nonexistence_probe,
                      orbit_reduce, phi_ansatz_sweep, decode_matrix)
@@ -30,14 +30,10 @@ from .structures import (all_right_multiplications_nilpotent,
 
 
 def _parse_field(raw):
-    if raw == "Q":
-        return QQ
     try:
-        if raw.startswith("Fp:"):
-            return GF(int(raw[3:]))
+        return field_from_name(raw)
     except ValueError:
-        pass
-    raise ParameterError("unknown field %r; use Q or Fp:<prime>" % raw)
+        raise ParameterError("unknown field %r; use Q or Fp:<prime>" % raw)
 
 
 def rational(text):
@@ -317,8 +313,9 @@ def _cmd_search_phi(args):
     if len(result.indices) <= args.limit:
         mats = []
         for index in result.indices:
-            phi = decode_matrix(field, n_alg.dim, index)
-            rows = [[v.a for v in phi.row(r)] for r in range(n_alg.dim)]
+            flat = decode_matrix(field, n_alg.dim, index).raw_flat()
+            rows = [list(flat[r * n_alg.dim:(r + 1) * n_alg.dim])
+                    for r in range(n_alg.dim)]
             mats.append({"index": index, "phi": rows})
             lines.append("  phi #%d: %s" % (index, rows))
         payload["matrices"] = mats

@@ -25,7 +25,7 @@ indent, so equal pairs serialize to byte-identical documents.
 import json
 
 from .errors import DocumentError, UnsupportedFieldError
-from .fields import Field, QQ
+from .fields import field_from_name
 from .lie import LieAlgebra
 from .structures import BilinearProduct, PostLiePair
 
@@ -35,19 +35,15 @@ _MAX_DIM = 16
 def _parse_field(raw, where):
     if not isinstance(raw, str):
         raise DocumentError("field must be a string", where)
-    if raw == "Q":
-        return QQ
-    if raw.startswith("Fp:"):
-        try:
-            p = int(raw[3:])
-        except ValueError:
+    try:
+        return field_from_name(raw)
+    except UnsupportedFieldError as exc:
+        raise DocumentError(str(exc), where)
+    except ValueError:
+        if raw.startswith("Fp:"):
             raise DocumentError("malformed prime in %r" % raw, where)
-        try:
-            return Field(p)
-        except Exception as exc:
-            raise DocumentError(str(exc), where)
-    raise DocumentError("unknown field %r; use \"Q\" or \"Fp:<prime>\"" % raw,
-                        where)
+        raise DocumentError("unknown field %r; use \"Q\" or \"Fp:<prime>\""
+                            % raw, where)
 
 
 def _parse_index(raw, dim, where):

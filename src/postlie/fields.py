@@ -14,6 +14,7 @@ from .errors import FieldMismatchError, UnsupportedFieldError
 MAX_PRIME = 2 ** 16
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_FIELD_NAME_RE = re.compile(r"Q|Fp:(0|-?[1-9][0-9]*)")
 
 
 def is_prime(p):
@@ -244,7 +245,16 @@ class Field:
 
 QQ = Field()
 
-Scalar = Fraction | Mod
+
+def field_from_name(text):
+    """The field whose `Field.name` is `text`, the inverse of `name`.
+    Raises ValueError when `text` is neither "Q" nor "Fp:" and an int
+    written as `str` writes it, and UnsupportedFieldError (from `Field`)
+    when that int is no prime below 2**16."""
+    m = _FIELD_NAME_RE.fullmatch(text)
+    if not m:
+        raise ValueError("not a field name: %r" % (text,))
+    return QQ if m.group(1) is None else Field(int(m.group(1)))
 
 
 def GF(p):

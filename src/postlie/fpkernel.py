@@ -43,8 +43,8 @@ import sys
 from functools import lru_cache, partial
 from itertools import combinations, permutations
 
-from .fields import GF, is_prime
-from .linalg import Matrix, nullspace, rref
+from .fields import is_prime
+from .linalg import echelon, kernel_rows
 
 
 def _lazy_import(name):
@@ -228,8 +228,7 @@ def _centre(p, cn):
     exactly over GF(p): z is central when {z, e_j} = 0 for every j."""
     n = cn.shape[0]
     rows = cn.transpose(1, 2, 0).reshape(n * n, n).tolist()
-    basis = np.array([[v.a for v in z]
-                      for z in nullspace(Matrix(GF(p), rows))],
+    basis = np.array(kernel_rows(p, rows, n)[0],
                      dtype=np.int64).reshape(-1, n)
     return _digits(0, p ** len(basis), p, len(basis)) @ basis % p
 
@@ -391,11 +390,10 @@ def _solution_space(p, n, cg, cn, symmetric):
     # first (column c is digit k - 1 - c), then the right-hand side
     system = np.unique(np.column_stack([(res[:0:-1] - res[0]).T, -res[0]])
                        % p, axis=0)
-    R, pivots = rref(Matrix(GF(p), system[system.any(axis=1)].tolist()))
+    rows, pivots = echelon(p, system[system.any(axis=1)].tolist())
     if k in pivots:
         return None
-    rows = np.array([[v.a for v in R.row(r)] for r in range(len(pivots))],
-                    dtype=np.int64).reshape(len(pivots), k + 1)
+    rows = np.array(rows, dtype=np.int64).reshape(len(pivots), k + 1)
     free = np.array([c for c in range(k - 1, -1, -1) if c not in pivots],
                     dtype=np.intp)
     piv = np.array(pivots, dtype=np.intp)

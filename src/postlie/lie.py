@@ -21,9 +21,9 @@ from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
 from .linalg import (Matrix, SparseTable, accumulate, as_vector,
                      basis_change_table, common_denominator, commutator,
                      contract, coordinates_in_span, coordinates_in_span_many,
-                     echelon, flatten_matrix, from_ints, is_zero_vec,
-                     kernel_rows, rank, raw_terms, raw_vector, sparse_units,
-                     unit_vector, vneg, vzero)
+                     echelon, from_ints, is_zero_vec, kernel_rows, rank,
+                     raw_terms, raw_vector, sparse_units, unit_vector, vneg,
+                     vzero)
 from .report import CheckReport, scan_item
 
 
@@ -406,8 +406,8 @@ class DerivationAlgebra:
         return self.coordinates(M) is not None
 
     def coordinates(self, M):
-        flats = [flatten_matrix(D) for D in self.basis]
-        return coordinates_in_span(flats, flatten_matrix(M), self.base.field)
+        flats = [D.flat() for D in self.basis]
+        return coordinates_in_span(flats, M.flat(), self.base.field)
 
 
 def derivation_algebra(L):
@@ -472,7 +472,7 @@ def semidirect_with_derivations(L, derivations, name=None):
     for t, D in enumerate(derivations):
         if not checked and not is_derivation(L, D):
             raise StructureError("entry %d is not a derivation" % t)
-    flats = [flatten_matrix(D) for D in derivations]
+    flats = [D.flat() for D in derivations]
     if k and not checked and rank(Matrix(L.field, flats)) != k:
         raise StructureError("derivation list is linearly dependent")
     dim = n + k
@@ -490,7 +490,7 @@ def semidirect_with_derivations(L, derivations, name=None):
                 table[(i, n + t)] = vec + (L.field.zero,) * k
     pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
     solved = coordinates_in_span_many(
-        flats, [flatten_matrix(commutator(derivations[s], derivations[t]))
+        flats, [commutator(derivations[s], derivations[t]).flat()
                 for s, t in pairs], L.field)
     for (s, t), coords in zip(pairs, solved):
         if coords is None:

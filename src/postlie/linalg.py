@@ -633,26 +633,19 @@ def nullspace(matrix):
 
 
 def inverse(matrix):
-    """Exact inverse, or None when the matrix is singular."""
+    """Exact inverse, or None when the matrix is singular: column j is
+    the coordinates of e_j in the span of the columns, and some e_j
+    misses that span exactly when they are dependent."""
     if matrix.nrows != matrix.ncols:
         raise DimensionError("inverse of a non-square matrix")
-    n = matrix.nrows
-    R, pivots = rref(_with_identity(matrix))
-    if tuple(range(n)) != pivots[:n] or len(pivots) != n:
+    field, n = matrix.field, matrix.nrows
+    cols = coordinates_in_span_many(
+        [matrix.col(j) for j in range(n)],
+        [unit_vector(field, n, j) for j in range(n)], field)
+    if None in cols:
         return None
-    return Matrix._from_scalars(matrix.field, n, n,
-                                [v for i in range(n) for v in R.row(i)[n:]])
-
-
-def _with_identity(matrix):
-    """[A | I], the matrix with the identity of its height on its right."""
-    field = matrix.field
-    n, k = matrix.shape
-    one, zero = field.one, field.zero
-    return Matrix._from_scalars(
-        field, n, k + n,
-        [v for i in range(n) for v in matrix.row(i)
-         + tuple(one if j == i else zero for j in range(n))])
+    return Matrix._from_scalars(field, n, n,
+                                [c[i] for i in range(n) for c in cols])
 
 
 def basis_change_table(field, dim, terms, T, Tinv=None):
@@ -722,37 +715,49 @@ def coordinates_in_span(vectors, target, field):
 def coordinates_in_span_many(vectors, targets, field):
     """`coordinates_in_span` of each target in turn, from one elimination.
 
-    With A the matrix whose columns are `vectors`, [A | I] is reduced once
-    to [R | E], so that E A = R with E invertible.  A x = t then says
-    R x = E t: t lies in the span iff E t vanishes below the rank, and the
-    pivot coordinates of x are the entries of E t above it, and the free
-    coefficients are zero.  Returns a list with a tuple of coefficients,
-    or None, per target.
+    With A the matrix whose columns are `vectors`, the raw rows of
+    [A | I] go through `echelon` once, over Q times the lcm d of A's
+    denominators, so that they are ints.  Each reduced row [r | e] has
+    e A = r, so A x = t gives r x = e t.  A row whose pivot lies in the
+    identity block has r = 0, and t lies in the span iff e t = 0 on every
+    such row.  A row with pivot c < k gives x[c] = e t / r[c], and the
+    free coefficients are zero.  Over Q the target enters as its
+    `integral_form` (ints, dt), so x[c] is one Fraction (e ints) /
+    (r[c] dt); over GF(p) r[c] is 1.  Returns a list with a tuple of
+    coefficients, or None, per target.
     """
-    targets = [scalars(field, t) for t in targets]
+    p, zero = field.p, field.zero
+    vectors = [raw_vector(field, v) for v in vectors]
+    targets = [raw_vector(field, t) for t in targets]
     if not vectors:
-        return [() if is_zero_vec(t) else None for t in targets]
-    A = Matrix.from_cols(field, vectors)
-    height, k = A.shape
-    R, pivots = rref(_with_identity(A))
-    a_pivots = [c for c in pivots if c < k]
-    rank = len(a_pivots)
-    E = Matrix._from_scalars(field, height, height,
-                             [v for i in range(height) for v in R.row(i)[k:]])
-    zero = field.zero
+        return [None if any(t) else () for t in targets]
+    height, k = len(vectors[0]), len(vectors)
+    if any(len(v) != height for v in vectors):
+        raise DimensionError("columns of unequal height")
+    # I is scaled too: d [A | I] has the row space, so the `echelon`
+    # rows, of [A | I]
+    d = 1 if p else lcm(*[v.denominator for vec in vectors for v in vec])
+    rows, pivots = echelon(p, [
+        [v[i].numerator * (d // v[i].denominator) for v in vectors]
+        + [d if j == i else 0 for j in range(height)] for i in range(height)])
     out = []
     for t in targets:
         if len(t) != height:
             raise DimensionError("target length %d, span height %d"
                                  % (len(t), height))
-        y = E.apply(t)
-        if any(y[rank:]):
-            out.append(None)
-            continue
+        t, dt = (t, 1) if p else integral_form(t)
         x = [zero] * k
-        for r, c in enumerate(a_pivots):
-            x[c] = y[r]
-        out.append(tuple(x))
+        for row, c in zip(rows, pivots):
+            s = sum(map(mul, row[k:], t))
+            if p:
+                s %= p
+            if c >= k:
+                if s:
+                    x = None
+                    break
+            elif s:
+                x[c] = field.from_raw(s) if p else Fraction(s, row[c] * dt)
+        out.append(x if x is None else tuple(x))
     return out
 
 
@@ -804,11 +809,6 @@ def commutator(a, b):
         raise DimensionError("shape mismatch %r vs %r" % (a.shape, b.shape))
     return Matrix._from_ints(a.field, a.nrows, b.ncols,
                              [u - v for u, v in zip(ab, ba)], d)
-
-
-def flatten_matrix(matrix):
-    """Row-major flattening, for treating operators as vectors."""
-    return matrix.flat()
 
 
 def matrix_from_flat(field, n, flat):

@@ -79,9 +79,6 @@ def flat_bracket_tensor(table):
     return flat
 
 
-flat_product_tensor = flat_bracket_tensor
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     """A fixed bracket pair to sweep products over.

@@ -32,10 +32,9 @@ from .lie import (DerivationAlgebra, LieAlgebra, center, check_lie_axioms,
                   semidirect_with_derivations, classify_low_dim)
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      commutator, common_denominator, contract,
-                     coordinates_in_span_many, flatten_matrix, integral_form,
-                     inverse, is_nilpotent_int, is_zero_vec, raw_vector,
-                     sparse, sparse_units, unit_vector, vadd, vscale, vsub,
-                     vzero)
+                     coordinates_in_span_many, integral_form, inverse,
+                     is_nilpotent_int, is_zero_vec, raw_vector, sparse,
+                     sparse_units, unit_vector, vadd, vscale, vsub, vzero)
 from .report import CheckItem, CheckReport, scan_item
 
 
@@ -649,8 +648,8 @@ def _left_coordinates(pair, span, what):
     """The coordinates of each L(e_i) in the span of the matrices `span`;
     `what` names the span for the internal error raised on a miss."""
     solved = coordinates_in_span_many(
-        [flatten_matrix(M) for M in span],
-        [flatten_matrix(pair.product.left_matrix_basis(i))
+        [M.flat() for M in span],
+        [pair.product.left_matrix_basis(i).flat()
          for i in range(pair.dim)], pair.field)
     if any(coords is None for coords in solved):
         raise StructureError("internal error: left multiplication is "
@@ -756,7 +755,7 @@ def structure_from_graph_subalgebra(n, elements, name=None):
     Xinv = inverse(X)
     if Xinv is None:
         raise StructureError("projection to n is not bijective on the span")
-    flats = [tuple(x) + flatten_matrix(D) for x, D in elements]
+    flats = [tuple(x) + D.flat() for x, D in elements]
     pairs = _pairs(dim)
     targets = []
     for a, b in pairs:
@@ -764,7 +763,7 @@ def structure_from_graph_subalgebra(n, elements, name=None):
         x_b, D_b = elements[b]
         first = vadd(n.bracket(x_a, x_b),
                      vsub(D_a.apply(x_b), D_b.apply(x_a)))
-        targets.append(tuple(first) + flatten_matrix(commutator(D_a, D_b)))
+        targets.append(tuple(first) + commutator(D_a, D_b).flat())
     for (a, b), coords in zip(pairs,
                               coordinates_in_span_many(flats, targets, field)):
         if coords is None:

@@ -21,10 +21,9 @@ from postlie.fields import GF, QQ
 from postlie.lie import (check_lie_axioms, classify_low_dim,
                          derivation_algebra, is_complete_lie, is_derivation,
                          is_nilpotent, is_perfect, is_solvable)
-from postlie.linalg import (flatten_matrix, matrix_from_flat, span_basis,
-                            unit_vector)
+from postlie.linalg import matrix_from_flat, span_basis, unit_vector
 from postlie.search import (BANNER, SearchSpec, decode_matrix,
-                            enumerate_products, flat_product_tensor,
+                            enumerate_products, flat_bracket_tensor,
                             orbit_reduce, pair_from_phi, phi_ansatz_sweep)
 from postlie.structures import (all_right_multiplications_nilpotent,
                                 associated_bracket, check_structure,
@@ -125,8 +124,8 @@ def test_criterion_05_derivation_algebras():
     for M in ad:
         assert is_derivation(sl2, M)
         assert ders.contains(M)
-    assert (span_basis(QQ, 9, [flatten_matrix(M) for M in ad])
-            == span_basis(QQ, 9, [flatten_matrix(D) for D in ders.basis]))
+    assert (span_basis(QQ, 9, [M.flat() for M in ad])
+            == span_basis(QQ, 9, [D.flat() for D in ders.basis]))
     assert is_complete_lie(sl2)
 
     assert derivation_algebra(builtin_algebra("abelian", dim=2)).dim == 4
@@ -137,8 +136,8 @@ def test_criterion_05_derivation_algebras():
     n3 = builtin_algebra("n3")
     computed = derivation_algebra(n3)
     assert len(golden) == 6 == computed.dim
-    assert (span_basis(QQ, 9, [flatten_matrix(M) for M in golden])
-            == span_basis(QQ, 9, [flatten_matrix(D)
+    assert (span_basis(QQ, 9, [M.flat() for M in golden])
+            == span_basis(QQ, 9, [D.flat()
                                   for D in computed.basis]))
 
 
@@ -217,7 +216,7 @@ def test_criterion_09_gf3_enumeration_vs_brute_force():
     spec = SearchSpec(g, n, symmetric=True)
     sym = enumerate_products(spec)
     assert len(sym.indices) == 105
-    sym_tables = {tuple(flat_product_tensor(pr)) for pr in sym.products()}
+    sym_tables = {tuple(flat_bracket_tensor(pr)) for pr in sym.products()}
     assert sym_tables == {tuple(tensor(idx)) for idx in oracle}
 
     # orbit oracle: union-find under all 48 invertible 2x2 matrices

@@ -9,9 +9,11 @@ from postlie.catalog import (all_entries, builtin_algebra, case4_raw_family,
                              lambda_product, normalize_case4, sl2_family)
 from postlie.errors import ParameterError, UnsupportedFieldError
 from postlie.fields import GF, QQ
-from postlie.lie import classify_low_dim, is_nilpotent, is_solvable
+from postlie.lie import (LieAlgebra, classify_low_dim, is_nilpotent,
+                         is_solvable)
 from postlie.linalg import Matrix
-from postlie.structures import is_complete_structure, special_case_detect
+from postlie.structures import (BilinearProduct, is_complete_structure,
+                                special_case_detect)
 
 
 def test_entry_ids_are_unique_and_resolvable():
@@ -132,6 +134,38 @@ def test_case4_raw_families_validate():
         case4_raw_family("third", 1, 0)
     with pytest.raises(ParameterError):
         case4_raw_family("first", 0, 1)
+
+
+# the Case 4 entries as their tables: (g, n, product) of each sample,
+# and the family member it is
+CASE4_TABLES = {
+    "V14": lambda a: ({(0, 1): {0: a}}, {(0, 1): {0: 1}},
+                      {(1, 0): {0: 1 - a}}),
+    "V15": lambda a: ({(0, 1): {0: 1}}, {(0, 1): {0: 1}}, {(1, 1): {0: 1}}),
+    "V16": lambda a: ({(0, 1): {0: a}}, {(0, 1): {0: 1}},
+                      {(0, 1): {0: -1}, (1, 0): {0: -a}}),
+    "V17": lambda a: ({(0, 1): {0: -1}}, {(0, 1): {0: 1}},
+                      {(0, 1): {0: -1}, (1, 0): {0: 1}, (1, 1): {0: 1}}),
+}
+CASE4_MEMBERS = {"V14": lambda a: ("first", a, 0),
+                 "V15": lambda a: ("first", 1, 1),
+                 "V16": lambda a: ("second", a, 0),
+                 "V17": lambda a: ("second", -1, 1)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("entry_id", sorted(CASE4_TABLES))
+def test_case4_entries_are_their_family_members(entry_id, field):
+    entry = get_entry(entry_id)
+    for sample in entry.samples or ({},):
+        a = sample.get("alpha1")
+        pair = entry.build_sample(sample, field=field)
+        member = case4_raw_family(*CASE4_MEMBERS[entry_id](a), field=field)
+        g, n, product = CASE4_TABLES[entry_id](a)
+        want = (LieAlgebra(field, 2, g), LieAlgebra(field, 2, n),
+                BilinearProduct(field, 2, product))
+        assert (pair.g, pair.n, pair.product) == want
+        assert (member.g, member.n, member.product) == want
 
 
 @pytest.mark.parametrize("which,alpha1,coeff,entry_id,params", [

@@ -191,6 +191,38 @@ def test_catalog_export_refuses_a_modulus_that_is_no_integer(capsys, field):
                    % field)
 
 
+@pytest.mark.parametrize("field", ["Fp:0_5", "Fp:05", "Fp:+5", "Fp: 5",
+                                   "Fp:5 "])
+def test_catalog_export_refuses_a_field_name_that_is_not_canonical(capsys,
+                                                                   field):
+    # a field is named only as `Field.name` writes it, so a document
+    # written with --field reads back byte-identical
+    code, out, err = _run(capsys, ["catalog", "export", "V9",
+                                   "--field", field])
+    assert code == 2 and out == ""
+    assert err == ("error: unknown field %r; use Q or Fp:<prime>\n"
+                   % field)
+
+
+def test_catalog_export_field_names_that_stay(capsys):
+    for field in ("Q", "Fp:5"):
+        code, out, _ = _run(capsys, ["catalog", "export", "V5",
+                                     "--field", field])
+        assert code == 0 and json.loads(out)["field"] == field
+    code, out, err = _run(capsys, ["catalog", "export", "V5",
+                                   "--field", "Fp:6"])
+    assert code == 2 and out == ""
+    assert err == "error: modulus must be a prime below 2**16, got 6\n"
+
+
+def test_catalog_export_refuses_a_zero_alpha1(capsys):
+    for entry in ("V14", "V16"):
+        code, out, err = _run(capsys, ["catalog", "export", entry,
+                                       "--param", "alpha1=0"])
+        assert code == 2 and out == ""
+        assert err == "error: %s requires alpha1 nonzero\n" % entry
+
+
 @pytest.mark.parametrize("command", [
     ["products", "--p", "3", "--g", "r2", "--n", "r2"],
     ["phi", "--p", "2", "--n", "n3"]])

@@ -106,6 +106,24 @@ def test_errors_carry_the_offending_path(mutate, where):
     assert str(err.value).startswith(where + ":")
 
 
+@pytest.mark.parametrize("field,message", [
+    ("Fp:0_5", "malformed prime in 'Fp:0_5'"),
+    ("Fp:05", "malformed prime in 'Fp:05'"),
+    ("Fp:+5", "malformed prime in 'Fp:+5'"),
+    ("Fp: 5", "malformed prime in 'Fp: 5'"),
+    ("Fp:5 ", "malformed prime in 'Fp:5 '"),
+    ("Fp:abc", "malformed prime in 'Fp:abc'"),
+    ("Fp:6", "modulus must be a prime below 2**16, got 6"),
+    ("q", "unknown field 'q'; use \"Q\" or \"Fp:<prime>\""),
+])
+def test_field_is_named_as_the_field_writes_its_name(field, message):
+    # any other spelling of Fp:5 would not read back byte-identical
+    doc = dict(MINIMAL, field=field)
+    with pytest.raises(DocumentError) as err:
+        pair_from_document(doc)
+    assert str(err.value) == "field: " + message
+
+
 def test_prime_field_coefficient_guard():
     doc = {"field": "Fp:5", "dim": 2, "g": [], "n": [],
            "product": [{"i": 1, "j": 1, "coeffs": {"1": "1/5"}}]}

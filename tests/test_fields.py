@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postlie.errors import FieldMismatchError, UnsupportedFieldError
-from postlie.fields import GF, QQ, Mod, is_prime
+from postlie.fields import GF, QQ, Mod, field_from_name, is_prime
 
 
 def test_is_prime_small_values():
@@ -102,6 +102,19 @@ def test_field_identity_and_names():
     assert QQ.name == "Q"
     assert GF(13).name == "Fp:13"
     assert len({QQ, GF(5), GF(5), GF(7)}) == 3
+
+
+def test_field_from_name_inverts_name():
+    for field in (QQ, GF(2), GF(5), GF(65521)):
+        assert field_from_name(field.name) == field
+    for text in ("Fp:0_5", "Fp:05", "Fp:+5", "Fp: 5", "Fp:5 ", "Fp:5\n",
+                 "Fp:-0", "Fp:\u0665", "Fp:", "Fp:abc", "q", " Q", "GF(5)"):
+        with pytest.raises(ValueError):
+            field_from_name(text)
+    # an int in canonical form that is no prime names no field either
+    for text in ("Fp:6", "Fp:0", "Fp:-5", "Fp:65537"):
+        with pytest.raises(UnsupportedFieldError):
+            field_from_name(text)
 
 
 def test_field_axioms_sampled():

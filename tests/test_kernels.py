@@ -28,7 +28,7 @@ from postlie.catalog import builtin_algebra, get_entry
 from postlie.fields import GF
 from postlie.lie import LieAlgebra, center, check_lie_axioms
 from postlie.linalg import Matrix, inverse
-from postlie.search import flat_bracket_tensor, flat_product_tensor
+from postlie.search import flat_bracket_tensor
 from postlie.structures import BilinearProduct, check_structure
 
 KERNELS = fpkernel.backends()
@@ -183,7 +183,7 @@ def test_verify_structure_catalog_members(kern):
             pair = entry.build_sample(sample, field=F)
             cg = flat_bracket_tensor(pair.g)
             cn = flat_bracket_tensor(pair.n)
-            pr = flat_product_tensor(pair.product)
+            pr = flat_bracket_tensor(pair.product)
             assert kern.verify_structure(7, pair.g.dim, cg, cn, pr) is True
             # shifting one off-diagonal slot breaks skew-part for sure
             dim = pair.g.dim

@@ -22,10 +22,9 @@ from postlie.lie import (LieAlgebra, Subspace, center, check_lie_axioms,
                          is_nilpotent, is_perfect, is_solvable,
                          killing_is_semisimple, nilpotency_class,
                          semidirect_with_derivations, series)
-from postlie.linalg import (Matrix, flatten_matrix, inverse,
-                            matrix_from_flat, nullspace, rank, span_basis,
-                            support_terms, unit_vector, vadd, vneg, vscale,
-                            vzero)
+from postlie.linalg import (Matrix, inverse, matrix_from_flat, nullspace,
+                            rank, span_basis, support_terms, unit_vector,
+                            vadd, vneg, vscale, vzero)
 
 GOLDEN = Path(__file__).parent / "golden"
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -149,9 +148,9 @@ def test_derivations_of_n3_match_golden_solve():
         assert is_derivation(n3, M)
         assert ders.contains(M)
     # equal spans, both directions
-    golden_span = span_basis(QQ, 9, [flatten_matrix(M) for M in golden])
+    golden_span = span_basis(QQ, 9, [M.flat() for M in golden])
     assert len(golden_span) == 6
-    computed_span = span_basis(QQ, 9, [flatten_matrix(M) for M in ders.basis])
+    computed_span = span_basis(QQ, 9, [M.flat() for M in ders.basis])
     assert golden_span == computed_span
 
 
@@ -227,7 +226,7 @@ def test_derivations_match_the_dense_formula_and_the_hand_indexed_rows(
     want = (nullspace(Matrix(F, rows)) if rows else
             tuple(unit_vector(F, n * n, t) for t in range(n * n)))
     ders = derivation_algebra(L)
-    assert tuple(flatten_matrix(D) for D in ders.basis) == want
+    assert tuple(D.flat() for D in ders.basis) == want
     D = Matrix.zeros(F, n, n)
     for M in ders.basis:
         D = D + M.scale(data.draw(_entries(F)))
@@ -250,8 +249,8 @@ def test_derivations_of_sl2_are_inner():
     ders = derivation_algebra(sl2)
     ad = [sl2.adjoint_matrix(unit_vector(QQ, 3, i)) for i in range(3)]
     assert all(ders.contains(M) for M in ad)
-    assert span_basis(QQ, 9, [flatten_matrix(M) for M in ad]) == \
-        span_basis(QQ, 9, [flatten_matrix(M) for M in ders.basis])
+    assert span_basis(QQ, 9, [M.flat() for M in ad]) == \
+        span_basis(QQ, 9, [M.flat() for M in ders.basis])
     assert ders.coordinates(ad[0]) is not None
 
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie.errors import DimensionError
+from postlie.errors import DimensionError, FieldMismatchError
 from postlie.fields import GF, QQ
 from postlie.linalg import (Matrix, commutator, coordinates_in_span,
-                            flatten_matrix, inverse, is_nilpotent_matrix,
-                            matrix_from_flat, nullspace, rank, rref,
-                            span_basis, unit_vector, vadd, vscale, vsub,
-                            vzero)
+                            coordinates_in_span_many, inverse,
+                            is_nilpotent_matrix, matrix_from_flat, nullspace,
+                            rank, rref, span_basis, unit_vector, vadd, vscale,
+                            vsub, vzero)
 
 small_fraction = st.fractions(min_value=-4, max_value=4,
                               max_denominator=3)
@@ -169,15 +169,48 @@ def test_rank_bounds_and_transpose(A):
     assert r == rank(A.transpose())
 
 
-@settings(max_examples=60, deadline=None)
-@given(q_matrix(3, 3))
-def test_inverse_round_trip(A):
+SOLVE_FIELDS = (QQ, GF(2), GF(3), GF(5), GF(7))
+
+
+@st.composite
+def spans(draw, square=False):
+    """(field, height, vectors, entry): height 1..4 and 0..5 vectors
+    (height of them when square), a quarter of them combinations of the
+    ones before, so that dependent lists are common, over Q or GF(p) for
+    p up to 7.  `entry` draws a coordinate: over Q with denominators up
+    to 6, so that each row mixes them."""
+    field = draw(st.sampled_from(SOLVE_FIELDS))
+    height = draw(st.integers(1, 4))
+    k = height if square else draw(st.integers(0, 5))
+    entry = (st.fractions(min_value=-3, max_value=3, max_denominator=6)
+             if field.p is None else st.integers(0, field.p - 1))
+    vectors = []
+    for _ in range(k):
+        if vectors and draw(st.integers(0, 3)) == 0:
+            coeffs = [field.scalar(draw(entry)) for _ in vectors]
+            vectors.append(_combination(field, height, coeffs, vectors))
+        else:
+            vectors.append(tuple(field.scalar(draw(entry))
+                                 for _ in range(height)))
+    return field, height, vectors, entry
+
+
+def _combination(field, height, coeffs, vectors):
+    """sum over j of coeffs[j] vectors[j], on field scalars."""
+    return tuple(sum((c * v[i] for c, v in zip(coeffs, vectors)), field.zero)
+                 for i in range(height))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans(square=True))
+def test_inverse_round_trip(span):
+    field, n, cols, _ = span
+    A = Matrix.from_cols(field, cols)
     inv = inverse(A)
-    if inv is None:
-        assert rank(A) < 3
-    else:
-        assert A * inv == Matrix.identity(QQ, 3)
-        assert inv * A == Matrix.identity(QQ, 3)
+    assert (inv is None) is (rank(A) < n)
+    if inv is not None:
+        ident = Matrix.identity(field, n)
+        assert A * inv == ident and inv * A == ident
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,23 +219,49 @@ def test_matrix_multiplication_associative(A, B, C):
     assert (A * B) * C == A * (B * C)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(
-    st.tuples(q_matrix(3, 3),
-              st.lists(small_fraction, min_size=3, max_size=3)),
-    st.tuples(gf5_matrix(3, 3),
-              st.lists(st.integers(0, 4), min_size=3, max_size=3))))
-def test_coordinates_in_span_agrees_with_matrix_action(case):
-    A, b = case
-    field = A.field
-    t = tuple(field.scalar(v) for v in b)
-    x = coordinates_in_span([A.col(j) for j in range(3)], t, field)
-    augmented = Matrix(field, [A.row(i) + (t[i],) for i in range(3)])
-    # None exactly when t lies outside the column span
-    assert (x is None) is (rank(augmented) > rank(A))
-    if x is not None:
-        # sum over j of x_j A_j is t
-        assert A.apply(x) == t
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coordinates_in_span_agrees_with_matrix_action(data):
+    field, height, vectors, entry = data.draw(spans())
+    targets = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if vectors and data.draw(st.booleans()):
+            coeffs = [field.scalar(data.draw(entry)) for _ in vectors]
+            targets.append(_combination(field, height, coeffs, vectors))
+        else:
+            targets.append(tuple(field.scalar(data.draw(entry))
+                                 for _ in range(height)))
+    k = len(vectors)
+    free = set(range(k))
+    if vectors:
+        free -= set(rref(Matrix.from_cols(field, vectors))[1])
+    for t, x in zip(targets, coordinates_in_span_many(vectors, targets,
+                                                      field)):
+        # None exactly when t lies outside the span
+        assert (x is None) is (rank(Matrix.from_cols(field, vectors + [t]))
+                               > rank(Matrix.from_cols(field, vectors)))
+        if x is not None:
+            assert len(x) == k
+            assert _combination(field, height, x, vectors) == t
+            assert all(x[j] == 0 for j in free)
+            assert all(type(v) is type(field.one) for v in x)
+
+
+def test_the_solve_refuses_bad_input_and_handles_empty_spans():
+    with pytest.raises(DimensionError):
+        coordinates_in_span_many([(1, 2), (1, 2, 3)], [(0, 0)], QQ)
+    with pytest.raises(DimensionError):
+        coordinates_in_span_many([(1, 2), (3, 4)], [(0, 0, 0)], QQ)
+    with pytest.raises(FieldMismatchError):
+        coordinates_in_span_many([(GF(5).one, 0)], [(1, 0)], GF(7))
+    with pytest.raises(FieldMismatchError):
+        coordinates_in_span_many([(1, 0)], [(GF(5).one, 0)], QQ)
+    assert inverse(Matrix(QQ, [])) == Matrix(QQ, [])
+    # two vectors of height 0 span only the empty vector, with two
+    # coefficients
+    assert coordinates_in_span_many([(), ()], [()], QQ) == [(0, 0)]
+    assert coordinates_in_span_many([], [(0, 0), (0, 1)], GF(3)) == \
+        [(), None]
 
 
 def test_coordinates_in_span_deterministic():
@@ -233,7 +292,7 @@ def test_commutator_and_flatten_round_trip():
     A = Matrix(QQ, [[0, 1], [0, 0]])
     B = Matrix(QQ, [[1, 0], [0, -1]])
     assert commutator(A, B) == Matrix(QQ, [[0, -2], [0, 0]])
-    assert matrix_from_flat(QQ, 2, flatten_matrix(A)) == A
+    assert matrix_from_flat(QQ, 2, A.flat()) == A
 
 
 def test_mixed_field_operations_rejected():

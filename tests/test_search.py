@@ -20,9 +20,8 @@ from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             automorphism_indices, check_guard, current_guard,
                             decode_matrix, decode_product, encode_matrix,
                             encode_product, enumerate_products,
-                            flat_bracket_tensor, flat_product_tensor,
-                            nonexistence_probe, orbit_reduce, pair_from_phi,
-                            transform_product)
+                            flat_bracket_tensor, nonexistence_probe,
+                            orbit_reduce, pair_from_phi, transform_product)
 from postlie.structures import (BilinearProduct, check_structure,
                                 endomorphism_from_structure)
 
@@ -474,13 +473,13 @@ def _fixed_counts(spec, hits, mats):
     field, n, p = spec.g.field, spec.dim, spec.p
     units = [BilinearProduct(field, n, {(a, b): unit_vector(field, n, c)})
              for a in range(n) for b in range(n) for c in range(n)]
-    tensors = np.array([flat_product_tensor(decode_product(spec, i))
+    tensors = np.array([flat_bracket_tensor(decode_product(spec, i))
                         for i in hits], dtype=np.int64)
     counts = []
     for T in mats:
         Tinv = inverse(T)
         cols = [T.col(i) for i in range(n)]
-        images = [flat_product_tensor(BilinearProduct(field, n, {
+        images = [flat_bracket_tensor(BilinearProduct(field, n, {
             (i, j): Tinv.apply(unit.product(cols[i], cols[j]))
             for i in range(n) for j in range(n)})) for unit in units]
         moved = tensors @ np.array(images, dtype=np.int64) % p
