@@ -18,7 +18,8 @@ from .lie import LieAlgebra
 from .linalg import Matrix
 from .structures import (TAG_COMMUTATIVE, TAG_CYCLIC, TAG_LR_IDENTITY,
                          TAG_LR_PAIR, TAG_LSA, TAG_PRE_LIE, TAG_SCALAR,
-                         TAG_ZERO, BilinearProduct, PostLiePair)
+                         TAG_ZERO, BilinearProduct, PostLiePair,
+                         scalar_multiple)
 
 BUILTIN_NAMES = ("abelian", "r2", "n3", "r3", "r3_lambda", "sl2")
 
@@ -225,11 +226,7 @@ def lambda_product(L, lam):
     L.validate()
     field = L.field
     lam = field.scalar(lam)
-    table = {}
-    for (i, j), vec in L.brackets.items():
-        table[(i, j)] = tuple(lam * a for a in vec)
-        table[(j, i)] = tuple(-lam * a for a in vec)
-    product = BilinearProduct(field, L.dim, table)
+    product = scalar_multiple(L, lam)
     factor = 1 - 2 * lam
     n_table = {k: tuple(factor * a for a in vec)
                for k, vec in L.brackets.items()}
@@ -238,10 +235,6 @@ def lambda_product(L, lam):
     g = LieAlgebra(field, L.dim, dict(L.brackets), name=L.name)
     return PostLiePair(g, n, product,
                        name="lambda_product(%s, %s)" % (L.name or "L", lam))
-
-
-def _fr(a, b=1):
-    return Fraction(a, b)
 
 
 def _entry(entry_id, summary, g_label, n_label, build, parameters=(),
@@ -349,30 +342,25 @@ def classification_dim2_entries():
 
 def example_entries():
     """The worked higher-dimensional families and scalar products."""
-
-    def build_heis(field=QQ, alpha=0, beta=1, gamma=0):
-        return heis_commutative(alpha, beta, gamma, field)
-
-    def build_sl2_family(field=QQ, alpha=0, beta=1):
-        return sl2_family(alpha, beta, field)
-
     return (
         _entry("heis_commutative",
                "commutative products on the Heisenberg pair",
-               "n3", "n3", build_heis, parameters=("alpha", "beta", "gamma"),
+               "n3", "n3", heis_commutative,
+               parameters=("alpha", "beta", "gamma"),
                samples=({"alpha": 0, "beta": 1, "gamma": 0},
                         {"alpha": 1, "beta": 2, "gamma": 3},
-                        {"alpha": -1, "beta": _fr(1, 2), "gamma": 5}),
+                        {"alpha": -1, "beta": Fraction(1, 2), "gamma": 5}),
                expect_tags=(TAG_COMMUTATIVE,), expect_complete=True),
         _entry("sl2_family", "two-parameter family acting on sl2",
-               None, "sl2", build_sl2_family, parameters=("alpha", "beta"),
+               None, "sl2", sl2_family, parameters=("alpha", "beta"),
                samples=({"alpha": 2, "beta": 1}, {"alpha": 1, "beta": -1},
                         {"alpha": 3, "beta": 0}),
                expect_complete=None,
                note="completeness varies: beta = 0 leaves only L(e2), "
                     "which is nilpotent, while beta != 0 makes L(e3) "
                     "scale e1 by 2*beta/(alpha-beta)"),
-        _lambda_entry("lambda_n3", "n3", (2, -1, _fr(1, 3), _fr(1, 2)),
+        _lambda_entry("lambda_n3", "n3",
+                      (2, -1, Fraction(1, 3), Fraction(1, 2)),
                       "scalar products lam[,] on the Heisenberg algebra",
                       expect_tags=(TAG_SCALAR,), expect_complete=True),
         _entry("zero_n3", "zero product on the Heisenberg pair", "n3", "n3",
@@ -402,17 +390,6 @@ def get_entry(entry_id):
         if entry.entry_id == entry_id:
             return entry
     raise ParameterError("no catalog entry %r" % (entry_id,))
-
-
-def example_structures(entry_id, field=QQ, **params):
-    """Build one of the worked example structures by id."""
-    if entry_id == "lambda_product":
-        base = params.pop("L", None)
-        lam = params.pop("lam", None)
-        if base is None or lam is None:
-            raise ParameterError("lambda_product needs L and lam")
-        return lambda_product(base, lam)
-    return get_entry(entry_id).build(field=field, **params)
 
 
 def case4_raw_family(which, alpha1, coeff, field=QQ):

@@ -178,15 +178,14 @@ def _cmd_catalog_list(args):
 
 
 def _verify_entry_sample(entry, sample):
-    problems = []
-    pair = entry.build_sample(sample)
     try:
-        pair.validate()
+        pair = entry.build_sample(sample)
     except StructureError as exc:
-        report = getattr(exc, "report", None)
-        failing = ([item.name for item in report.failures()]
-                   if report is not None else [str(exc)])
-        return ["identities fail: %s" % ", ".join(failing)]
+        # every builder returns a validated pair, and `validate` attaches
+        # its report to the error it raises
+        return ["identities fail: %s" % ", ".join(
+            item.name for item in exc.report.failures())]
+    problems = []
     cases = special_case_detect(pair)
     missing = set(entry.expect_tags) - cases.tags
     if missing:
@@ -229,11 +228,7 @@ def _cmd_catalog_verify(args):
 
 
 def _cmd_catalog_export(args):
-    try:
-        entry = get_entry(args.id)
-    except KeyError:
-        raise ParameterError("unknown catalog id %r; run `catalog list`"
-                             % args.id)
+    entry = get_entry(args.id)
     params = _parse_params(args.param)
     wanted = set(entry.parameters)
     if set(params) != wanted:
@@ -244,9 +239,7 @@ def _cmd_catalog_export(args):
                 "entry %s takes parameters %s; got %s"
                 % (entry.entry_id, sorted(wanted), sorted(params)))
     field = _parse_field(args.field)
-    pair = entry.build(field=field, **params)
-    pair.name = entry.sample_name(params)
-    text = dumps_pair(pair)
+    text = dumps_pair(entry.build_sample(params, field=field))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

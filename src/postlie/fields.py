@@ -49,13 +49,7 @@ class Mod:
             return x
         return None
 
-    # + - * first take the common case, a Mod with the same modulus;
-    # everything else goes through _other, which folds in ints and raises
-    # on a foreign modulus.
-
     def __add__(self, x):
-        if type(x) is Mod and x.p == self.p:
-            return Mod(self.a + x.a, self.p)
         b = self._other(x)
         if b is None:
             return NotImplemented
@@ -64,8 +58,6 @@ class Mod:
     __radd__ = __add__
 
     def __sub__(self, x):
-        if type(x) is Mod and x.p == self.p:
-            return Mod(self.a - x.a, self.p)
         b = self._other(x)
         if b is None:
             return NotImplemented
@@ -78,8 +70,6 @@ class Mod:
         return Mod(b - self.a, self.p)
 
     def __mul__(self, x):
-        if type(x) is Mod and x.p == self.p:
-            return Mod(self.a * x.a, self.p)
         b = self._other(x)
         if b is None:
             return NotImplemented

@@ -524,6 +524,30 @@ def _slot_solve(p, C, a, b, t):
     return solve
 
 
+def _invariance_slot(p, n, tensors):
+    """The nonzero tensors of an automorphism sweep, as (n, n, n) arrays
+    (zero tensors are preserved by every T), and the first slot
+    (C, a, b, t) with C(e_a, e_b)_t != 0 and t outside {a, b}, which
+    `_slot_solve` solves for T e_t, or None when there is none."""
+    _check_args(p, n)
+    if len(tensors) > 8:
+        raise ValueError("at most 8 tensors per sweep")
+    ts = [C for C in (_tensor(t, n, p) for t in tensors) if C.any()]
+    slot = next(((C, a, b, t) for C in ts
+                 for a, b, t in permutations(range(n), 3) if C[a, b, t]),
+                None)
+    return ts, slot
+
+
+def automorphism_candidate_count(p, n, tensors):
+    """How many candidates `gl_invariance_sweep` builds and masks over
+    its whole index range, found without sweeping: one per prefix of the
+    other n(n - 1) entries when a slot solves a column, else the whole
+    p^(n^2) box."""
+    slot = _invariance_slot(p, n, tensors)[1]
+    return p ** (n * (n - 1) if slot is not None else n * n)
+
+
 def gl_invariance_sweep(p, n, tensors, lo, hi):
     """Indices in [lo, hi) of the invertible matrices T preserving every
     flat tensor C in `tensors`: C(T x, T y) = T C(x, y) on all basis
@@ -533,14 +557,12 @@ def gl_invariance_sweep(p, n, tensors, lo, hi):
     a column sweep (`_column_sweep`): the first slot with
     C(e_a, e_b)_t != 0 and t outside {a, b}, which needs dimension 3,
     solves T e_t (`_slot_solve`), one candidate per prefix.  Without one,
-    T e_n takes all p^n values (`_free`), which scans the whole box.
-    Each candidate is tested for det T != 0 and for invariance of every
-    tensor.  The modulus must be prime.
+    T e_n takes all p^n values (`_free`), which scans the whole box
+    (`automorphism_candidate_count` counts either).  Each candidate is
+    tested for det T != 0 and for invariance of every tensor.  The
+    modulus must be prime.
     """
-    _check_args(p, n)
-    if len(tensors) > 8:
-        raise ValueError("at most 8 tensors per sweep")
-    ts = [C for C in (_tensor(t, n, p) for t in tensors) if C.any()]
+    ts, slot = _invariance_slot(p, n, tensors)
 
     def preserved(T):
         ok = _dets(T, n) % p != 0
@@ -552,7 +574,8 @@ def gl_invariance_sweep(p, n, tensors, lo, hi):
             ok[ok] = np.all((lhs - rhs) % p == 0, axis=(1, 2, 3))
         return ok
 
-    t, solve = next(((t, _slot_solve(p, C, a, b, t)) for C in ts
-                     for a, b, t in permutations(range(n), 3) if C[a, b, t]),
-                    (n - 1, _free(p, n)))
+    if slot is None:
+        t, solve = n - 1, _free(p, n)
+    else:
+        t, solve = slot[3], _slot_solve(p, *slot)
     return _column_sweep(p, n, lo, hi, t, solve, preserved)

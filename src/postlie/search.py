@@ -357,7 +357,12 @@ def phi_ansatz_sweep(n_alg, kernel=None):
 
 def automorphism_indices(algebras, kernel=None):
     """Indices of the invertible matrices preserving every bracket table
-    in `algebras` (their common automorphism group)."""
+    in `algebras` (their common automorphism group).
+
+    The guard counts the candidates the sweep tests
+    (`fpkernel.automorphism_candidate_count`), read from `fpkernel`
+    itself as in `enumerate_products`, and the sweep range stays the
+    whole box."""
     if kernel is None:
         kernel = fpkernel
     first = algebras[0]
@@ -367,9 +372,9 @@ def automorphism_indices(algebras, kernel=None):
         if other.field != first.field or other.dim != n:
             raise ParameterError("algebras must share a field and dimension")
     _require_sweep_dim(n)
-    total = check_guard(p ** (n * n))
     tensors = [flat_bracket_tensor(L) for L in algebras]
-    return tuple(kernel.gl_invariance_sweep(p, n, tensors, 0, total))
+    check_guard(fpkernel.automorphism_candidate_count(p, n, tensors))
+    return tuple(kernel.gl_invariance_sweep(p, n, tensors, 0, p ** (n * n)))
 
 
 def transform_product(product, T, Tinv=None):

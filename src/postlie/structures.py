@@ -33,8 +33,8 @@ from .lie import (DerivationAlgebra, LieAlgebra, center, check_lie_axioms,
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      commutator, common_denominator, contract,
                      coordinates_in_span_many, integral_form, inverse,
-                     is_nilpotent_int, is_zero_vec, raw_vector, sparse,
-                     sparse_units, unit_vector, vadd, vscale, vsub, vzero)
+                     is_nilpotent_int, raw_vector, sparse, sparse_units,
+                     unit_vector, vadd, vsub, vzero)
 from .report import CheckItem, CheckReport, scan_item
 
 
@@ -81,6 +81,18 @@ class BilinearProduct(SparseTable):
     def __repr__(self):
         return "BilinearProduct(dim=%d, %s, %d nonzero pairs)" % (
             self.dim, self.field.name, len(self.raw))
+
+
+def scalar_multiple(L, lam):
+    """The product x.y = lam [x,y] on the space of L: lam [e_i, e_j] on
+    the slot (i, j) and -lam [e_i, e_j] on (j, i), for i < j."""
+    field = L.field
+    lam = field.raw(lam)
+    table = {}
+    for (i, j), vec in L.raw.items():
+        table[(i, j)] = [lam * a for a in vec]
+        table[(j, i)] = [-lam * a for a in vec]
+    return BilinearProduct.from_raw(field, L.dim, table)
 
 
 class PostLiePair:
@@ -599,31 +611,17 @@ def special_case_detect(pair):
 
 
 def _scalar_ratio(g, product):
-    """The scalar lam with x.y = lam [x,y] everywhere, or None."""
-    dim = g.dim
-    field = g.field
-    lam = None
-    for i, j in _pairs(dim):
-        vec = g.bracket_basis(i, j)
-        for k in range(dim):
-            if vec[k] != 0:
-                lam = product.product_basis(i, j)[k] / vec[k]
-                break
-        if lam is not None:
-            break
-    if lam is None:
-        # abelian g: only the zero product is a scalar multiple
-        return field.zero if product.is_zero() else None
-    for i in range(dim):
-        if not is_zero_vec(product.product_basis(i, i)):
-            return None
-    for i, j in _pairs(dim):
-        vec = g.bracket_basis(i, j)
-        if product.product_basis(i, j) != vscale(lam, vec):
-            return None
-        if product.product_basis(j, i) != vscale(-lam, vec):
-            return None
-    return lam
+    """The scalar lam with x.y = lam [x,y] everywhere, or None.
+
+    lam is read off the first nonzero structure constant of g, and is 0
+    when g is abelian, where only the zero product is a scalar multiple;
+    any other nonzero constant gives the same lam on a scalar multiple."""
+    lam = g.field.zero
+    if g.raw:
+        (i, j), vec = next(iter(g.table.items()))
+        k = next(k for k, a in enumerate(vec) if a)
+        lam = product.product_basis(i, j)[k] / vec[k]
+    return lam if scalar_multiple(g, lam) == product else None
 
 
 def endomorphism_from_structure(pair):
@@ -991,8 +989,7 @@ def theorem_audit(pair):
         findings.append(_verdict("simple-g-gives-simple-n",
                                  g_simple, n_simple, proxy))
         trivial = pair.product.is_zero() or (
-            all(pair.product.product_basis(i, j) == g.bracket_basis(i, j)
-                for i in range(3) for j in range(3))
+            pair.product == scalar_multiple(g, 1)
             and all(n.bracket_basis(i, j) ==
                     tuple(-a for a in g.bracket_basis(i, j))
                     for i, j in _pairs(3)))

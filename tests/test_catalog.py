@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from postlie.catalog import (all_entries, builtin_algebra, case4_raw_family,
-                             example_structures, get_entry, heis_commutative,
-                             lambda_product, normalize_case4, sl2_family)
+                             get_entry, heis_commutative, lambda_product,
+                             normalize_case4, sl2_family)
 from postlie.errors import ParameterError, UnsupportedFieldError
 from postlie.fields import GF, QQ
 from postlie.lie import (LieAlgebra, classify_low_dim, is_nilpotent,
@@ -59,7 +59,7 @@ def test_sample_names():
 
 def test_v9_parameter_family():
     for alpha in (0, 1, 2, -3, Fraction(5, 2)):
-        pair = example_structures("V9", alpha=alpha)
+        pair = get_entry("V9").build_sample({"alpha": alpha})
         assert pair.product.product_basis(1, 1) == (0, QQ.scalar(alpha))
         assert pair.product.product_basis(1, 0) == (-1, 0)
 
@@ -117,14 +117,6 @@ def test_lambda_product_bracket_scaling():
 def test_lambda_product_fraction_guard():
     with pytest.raises(UnsupportedFieldError):
         lambda_product(builtin_algebra("n3", field=GF(3)), Fraction(1, 3))
-
-
-def test_example_structures_dispatch():
-    pair = example_structures("lambda_product",
-                              L=builtin_algebra("n3"), lam=2)
-    assert pair.product.product_basis(0, 1) == (0, 0, 2)
-    with pytest.raises(ParameterError):
-        example_structures("lambda_product", lam=2)
 
 
 def test_case4_raw_families_validate():

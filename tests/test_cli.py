@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main(argv)."""
 
+import dataclasses
 import json
 import os
 import runpy
@@ -9,15 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from postlie import cli, fpkernel
+from postlie import cli, fpkernel, structures
 from postlie.catalog import all_entries, builtin_algebra
 from postlie.cli import build_parser, main
 from postlie.document import read_pair
-from postlie.fields import GF
+from postlie.fields import GF, QQ
 from postlie.fpkernel import BACKEND
+from postlie.lie import LieAlgebra
 from postlie.search import (BANNER, GUARD_ENV, SearchSpec,
                             enumerate_products, orbit_reduce,
                             phi_ansatz_sweep)
+from postlie.structures import BilinearProduct, PostLiePair
 
 GOLDEN = Path(__file__).parent / "golden"
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -132,6 +135,53 @@ def test_catalog_verify_deterministic(capsys):
     code, second, _ = _run(capsys, ["catalog", "verify", "V1", "V9"])
     assert first == second
     assert first.splitlines()[-1].endswith("0 mismatches")
+
+
+def _broken_v2(field=QQ):
+    # e1.e1 = e2 and e2.e2 = e1 on abelian g and n: L(e1) and L(e2) do
+    # not commute, so module-action alone fails
+    zero = LieAlgebra(field, 2, {})
+    product = BilinearProduct(field, 2, {(0, 0): {1: 1}, (1, 1): {0: 1}})
+    return PostLiePair(zero, zero, product).validate()
+
+
+def test_catalog_verify_lists_an_entry_that_fails_to_build(capsys,
+                                                          monkeypatch):
+    entries = tuple(dataclasses.replace(e, build=_broken_v2)
+                    if e.entry_id == "V2" else e for e in all_entries())
+    monkeypatch.setattr(cli, "all_entries", lambda: entries)
+    code, out, err = _run(capsys, ["catalog", "verify"])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["%-18s ok" % "V1", "%-18s MISMATCH: identities "
+                         "fail: module-action" % "V2"]
+    assert sum(line.endswith(" ok") for line in lines) == 36
+    assert lines[-1] == "catalog: 37 samples, 1 mismatches"
+    code, out, err = _run(capsys, ["catalog", "verify", "--format", "json"])
+    payload = json.loads(out)
+    assert (code, payload["mismatches"]) == (1, 1)
+    assert payload["samples"][1] == {
+        "sample": "V2", "ok": False,
+        "problems": ["identities fail: module-action"]}
+
+
+def test_catalog_verify_checks_each_sample_once(capsys, monkeypatch):
+    calls = []
+    check = structures.check_structure
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+    monkeypatch.setattr(structures, "check_structure", counted)
+    code, out, err = _run(capsys, ["catalog", "verify"])
+    assert code == 0
+    assert len(calls) == sum(len(e.samples) for e in all_entries()) == 37
+
+
+@pytest.mark.parametrize("command", ["export", "verify"])
+def test_catalog_refuses_an_unknown_id(capsys, command):
+    code, out, err = _run(capsys, ["catalog", command, "NOPE"])
+    assert (code, out, err) == (2, "", "error: no catalog entry 'NOPE'\n")
 
 
 def test_catalog_export_param_round_trip(tmp_path, capsys):
@@ -414,6 +464,32 @@ def test_guard_counts_the_product_solutions(capsys, monkeypatch):
     assert err == ("error: sweep size 387420489 exceeds the guard 10000000; "
                    "raise the POSTLIE_GUARD environment variable to allow "
                    "it\n")
+
+
+def test_guard_counts_the_automorphism_candidates(capsys, monkeypatch):
+    """The automorphism guard counts the candidates its sweep tests: on
+    sl2 over GF(7) one per prefix, 7^6 of the 7^9 box, so `--orbits`
+    runs under the default guard."""
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    code, out, err = _run(capsys, ["search", "products", "--g", "sl2",
+                                   "--n", "sl2", "--p", "7", "--orbits"])
+    assert (code, err) == (0, "")
+    assert "  orbits: 1 under 336 automorphisms (sizes 1)\n" in out
+
+
+def test_cli_bytes_tool_agrees_with_itself():
+    """Two runs of tools/cli_bytes.py on this tree print the same
+    fingerprints, the temporary directory named in a message included."""
+    tool = runpy.run_path(str(TOOLS / "cli_bytes.py"))
+    argvs = [["catalog", "export", "V5"], ["check", "<tmp>/missing.json"]]
+    first, second = (tool["fingerprints"](TOOLS.parent, argvs)
+                     for _ in range(2))
+    assert [row[:2] for row in first] == [("catalog export V5", 0),
+                                          ("check <tmp>/missing.json", 2)]
+    assert tool["differences"](first, second) == []
+    changed = [first[0], first[1][:3] + ("0" * 64,)]
+    assert tool["differences"](first, changed) == [
+        ("check <tmp>/missing.json", first[1], changed[1])]
 
 
 def test_embed_and_audit(capsys, v5_doc):

@@ -367,6 +367,30 @@ def test_automorphism_sweep_refuses_dimensions_beyond_three():
             automorphism_indices((A,))
 
 
+def test_automorphism_guard_counts_the_candidates_the_sweep_tests(
+        monkeypatch):
+    """A slot C(e_a, e_b)_t != 0 with t outside {a, b} solves T e_t, so
+    the sweep tests one candidate per prefix: 7^6 on sl2 over GF(7), under
+    the default guard.  Abelian(3) has no such slot: its sweep scans the
+    7^9 box, past the guard, and is refused before it starts."""
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    F = GF(7)
+    sl2 = builtin_algebra("sl2", field=F)
+    abelian = builtin_algebra("abelian", field=F, dim=3)
+    count = fpkernel.automorphism_candidate_count
+    assert count(7, 3, [flat_bracket_tensor(sl2)]) == 7 ** 6
+    assert count(7, 3, [flat_bracket_tensor(abelian)]) == 7 ** 9
+    assert count(7, 3, [flat_bracket_tensor(abelian),
+                        flat_bracket_tensor(sl2)]) == 7 ** 6
+    assert len(automorphism_indices([sl2])) == 336  # PGL_2(F_7)
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep started past the guard")
+    monkeypatch.setattr(fpkernel, "gl_invariance_sweep", no_sweep)
+    with pytest.raises(GuardError, match="sweep size 40353607 exceeds"):
+        automorphism_indices([abelian])
+
+
 def test_automorphism_indices_respect_brackets():
     r2 = builtin_algebra("r2", field=GF(3))
     got = automorphism_indices((r2, r2))

@@ -13,12 +13,13 @@ from postlie.errors import (DimensionError, FieldMismatchError,
                             StructureError, UnsupportedFieldError)
 from postlie.fields import GF, QQ
 from postlie.lie import check_lie_axioms, is_nilpotent, is_perfect
-from postlie.linalg import Matrix, inverse, unit_vector, vadd, vscale
+from postlie.linalg import (Matrix, inverse, is_zero_vec, unit_vector, vadd,
+                            vscale)
 from postlie.search import SearchSpec, enumerate_products
 from postlie.structures import (TAG_COMMUTATIVE, TAG_CYCLIC, TAG_LR_IDENTITY,
                                 TAG_LR_PAIR, TAG_LSA, TAG_NOVIKOV,
                                 TAG_PRE_LIE, TAG_SCALAR, TAG_ZERO,
-                                BilinearProduct, PostLiePair,
+                                BilinearProduct, PostLiePair, _scalar_ratio,
                                 all_right_multiplications_nilpotent,
                                 associated_bracket, check_algebra,
                                 check_structure, derived_identity_audit,
@@ -231,6 +232,69 @@ def test_special_cases_scalar_ratio():
 
     adj = get_entry("adjoint_sl2").build_sample({})
     assert special_case_detect(adj).scalar_ratio == 1
+
+
+def _slotwise_scalar_ratio(g, product):
+    """The scalar lam with x.y = lam [x,y], by the slot-by-slot checks
+    that `_scalar_ratio` replaced: the oracle it is tested against."""
+    dim = g.dim
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    lam = None
+    for i, j in pairs:
+        vec = g.bracket_basis(i, j)
+        for k in range(dim):
+            if vec[k] != 0:
+                lam = product.product_basis(i, j)[k] / vec[k]
+                break
+        if lam is not None:
+            break
+    if lam is None:
+        return g.field.zero if product.is_zero() else None
+    for i in range(dim):
+        if not is_zero_vec(product.product_basis(i, i)):
+            return None
+    for i, j in pairs:
+        vec = g.bracket_basis(i, j)
+        if product.product_basis(i, j) != vscale(lam, vec):
+            return None
+        if product.product_basis(j, i) != vscale(-lam, vec):
+            return None
+    return lam
+
+
+@st.composite
+def scalar_ratio_cases(draw):
+    """A builtin g over Q or GF(p), p in {2, 3, 5, 7}, abelian of
+    dimension 1 to 3 or in a random basis, with the product lam [,]
+    written slot by slot, and one slot perturbed half of the time."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]))
+    scalar = (st.fractions(min_value=-3, max_value=3, max_denominator=3)
+              if field.is_rational else st.integers(0, field.p - 1))
+    name = draw(st.sampled_from(["abelian", "r2", "n3", "r3", "r3_lambda",
+                                 "sl2"]))
+    g = builtin_algebra(name, field, dim=draw(st.integers(1, 3)),
+                        lam=draw(scalar))
+    dim = g.dim
+    T = Matrix(field, [[draw(scalar) for _ in range(dim)]
+                       for _ in range(dim)])
+    if inverse(T) is not None:
+        g = g.change_basis(T)
+    lam = field.scalar(draw(scalar))
+    table = {(i, j): [lam * a for a in g.bracket_basis(i, j)]
+             for i in range(dim) for j in range(dim)}
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, dim - 1)) for _ in range(3))
+        table[(i, j)][k] += draw(scalar.filter(bool))
+    return g, BilinearProduct(field, dim, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_ratio_cases())
+def test_scalar_ratio_matches_the_slotwise_checks(case):
+    g, product = case
+    got, want = _scalar_ratio(g, product), _slotwise_scalar_ratio(g, product)
+    assert (got is None) == (want is None)
+    assert got == want
 
 
 def test_special_cases_lr_pair_tags():
