@@ -57,15 +57,21 @@ def _workloads(quick):
     p = 3 if quick else 5
     zero = [0] * 8
     # n3/n3 over GF(2), symmetric: 2^18 candidates, which derivation-action
-    # (every L(x) a derivation of n3) cuts to 2^9 solutions
+    # (every L(x) a derivation of n3) cuts to 2^9 solutions; abelian(3)
+    # cuts nothing, so the module-action mask decides all 2^18
     n3 = _bracket("n3", 2)
+    zero3 = [0] * 27
     rows = [("product_sweep GF(%d) dim 2 full" % p,
              lambda: fpkernel.product_sweep(p, 2, zero, zero, False, 0,
                                             p ** 8),
              RECORDED["product", p]),
             ("product_sweep n3/n3 GF(2) symmetric",
              lambda: fpkernel.product_sweep(2, 3, n3, n3, True, 0, 2 ** 18),
-             44)]
+             44),
+            ("product_sweep abelian(3) GF(2) symmetric",
+             lambda: fpkernel.product_sweep(2, 3, zero3, zero3, True, 0,
+                                            2 ** 18),
+             988)]
     # sl2 has no centre and n3 has one, which puts a coset of solutions
     # behind each solved prefix of the phi sweep; in dimension 2 nothing
     # is solved, and phi e2 takes all p^2 values

@@ -209,8 +209,7 @@ def _cmd_catalog_verify(args):
     lines = []
     failures = 0
     for entry in entries:
-        samples = entry.samples or ({},)
-        for sample in samples:
+        for sample in entry.samples:
             label = entry.sample_name(sample)
             problems = _verify_entry_sample(entry, sample)
             rows.append({"sample": label, "ok": not problems,

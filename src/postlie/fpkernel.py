@@ -18,6 +18,12 @@ tensor, so `product_sweep` reads its linear system off the same
 statements, scans only the candidates that solve it and masks them with
 module-action alone; `verify_structure` tests all three.
 
+Every sweep runs in batches of `_CHUNK` (2^12) solutions, prefixes or
+candidates, so that a batch's int64 tensors stay cache-sized.  The masks
+work in place: module-action builds one (m, n, n) residual per basis
+pair, reduces it in place and ANDs it into the mask, and `_vanishes`
+reduces its residual in place.
+
 `phi_sweep` and `gl_invariance_sweep` run one column sweep over n x n
 matrices (`_column_sweep`): column t comes from a solve, and where
 nothing is solved it takes all p^n values, which scans the whole box.
@@ -67,7 +73,7 @@ np = _lazy_import("numpy")
 
 NAME = BACKEND = "python"
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 12
 
 
 def backends():
@@ -92,7 +98,7 @@ def _digits(lo, hi, p, k):
         idx = np.arange(lo, hi, dtype=np.int64)
     else:
         idx = np.array(range(lo, hi), dtype=object)
-    return (idx[:, None] // _places(p, k) % p).astype(np.int64)
+    return (idx[:, None] // _places(p, k) % p).astype(np.int64, copy=False)
 
 
 def _places(p, k):
@@ -136,8 +142,10 @@ def _increasing(n, r):
 
 
 def _vanishes(p, delta):
-    """Per candidate m: every entry of delta[m] is 0 mod p."""
-    return np.all(delta % p == 0, axis=tuple(range(1, delta.ndim)))
+    """Per candidate m: every entry of delta[m] is 0 mod p.  delta is
+    reduced in place."""
+    delta %= p
+    return ~np.any(delta, axis=tuple(range(1, delta.ndim)))
 
 
 # The identities.  Batched tensors have shape (m, n, n, n); `cg` and `cn`
@@ -163,11 +171,18 @@ def _skew(pr, cg, cn):
 
 def _module_action(p, br, pr):
     """Module-action: [x, y].z = x.(y.z) - y.(x.z) on x = e_i, y = e_j,
-    i < j, where br[m] is the first bracket [,] of candidate m.  The
-    matrix pr[m, i] is the transpose of L(e_i): v -> e_i . v."""
-    i, j = _increasing(pr.shape[-1], 2)
-    return _vanishes(p, np.einsum("mqt,mtkr->mqkr", br[:, i, j], pr)
-                     - pr[:, j] @ pr[:, i] + pr[:, i] @ pr[:, j])
+    i < j, where br is the first bracket [,]: one (n, n, n) table shared
+    by the batch, or br[m] per candidate m.  The matrix pr[m, i] is the
+    transpose of L(e_i): v -> e_i . v.  One basis pair at a time, into
+    one (m, n, n) residual reduced in place."""
+    ok = np.ones(len(pr), dtype=bool)
+    for i, j in combinations(range(pr.shape[-1]), 2):
+        res = np.einsum("...t,...tkr->...kr", br[..., i, j, :], pr)
+        res -= pr[:, j] @ pr[:, i]
+        res += pr[:, i] @ pr[:, j]
+        res %= p
+        ok &= ~res.any(axis=(1, 2))
+    return ok
 
 
 def _derivation_action(cn, pr):
@@ -182,7 +197,7 @@ def _derivation_action(cn, pr):
 def _structure(p, cg, cn, pr):
     """The three pair identities of products pr[m] on (cg, cn)."""
     return (_vanishes(p, _skew(pr, cg, cn))
-            & _module_action(p, np.broadcast_to(cg, pr.shape), pr)
+            & _module_action(p, cg, pr)
             & _vanishes(p, _derivation_action(cn, pr)))
 
 
@@ -233,6 +248,16 @@ def _centre(p, cn):
     return _digits(0, p ** len(basis), p, len(basis)) @ basis % p
 
 
+def _prefixes(p, n, t, a, b):
+    """The n x n matrices of prefix ranks [a, b) of a column sweep for
+    column t: the other columns hold the n(n - 1) digits of the rank in
+    place-value order, and column t is zero."""
+    P = np.zeros((b - a, n, n), dtype=np.int64)
+    P[:, :, [c for c in range(n) if c != t]] = _digits(
+        a, b, p, n * (n - 1)).reshape(b - a, n, n - 1)
+    return P
+
+
 def _column_sweep(p, n, lo, hi, t, solve, mask):
     """The sorted hits in [lo, hi) of a sweep over n x n matrices that
     solves column t from the other columns.
@@ -245,24 +270,17 @@ def _column_sweep(p, n, lo, hi, t, solve, mask):
     with column t equal to base[m] + each row of choices, mod p.  mask
     decides a batch of candidates.
     """
-    k = n * (n - 1)
     place = _places(p, n * n)
-    fixed = [c for c in range(n) if c != t]
-
-    def prefixes(a, b):
-        P = np.zeros((b - a, n, n), dtype=np.int64)
-        P[:, :, fixed] = _digits(a, b, p, k).reshape(b - a, n, n - 1)
-        return P
 
     def rank(bound):
-        return _first(bound, p ** k,
-                      lambda a, b: prefixes(a, b).reshape(b - a, -1), place)
+        return _first(bound, p ** (n * (n - 1)), lambda a, b: _prefixes(
+            p, n, t, a, b).reshape(b - a, -1), place)
 
     top = (p - 1) * int(place.reshape(n, n)[:, t].sum())
     q_lo, q_hi = rank(lo - top), rank(hi)
     hits = [np.zeros(0, dtype=place.dtype)]
     for a in range(q_lo, q_hi, _CHUNK):
-        P = prefixes(a, min(q_hi, a + _CHUNK))
+        P = _prefixes(p, n, t, a, min(q_hi, a + _CHUNK))
         for rows, base, choices in solve(P):
             P_rows = P[rows]
             # about _CHUNK candidates at a time
@@ -342,6 +360,24 @@ def phi_sweep(p, n, cn_flat, lo, hi):
                      else (_defect_solve(p, cn), pairs[1:]))
     return _column_sweep(p, n, lo, hi, n - 1, solve,
                          lambda phi: _phi_hits(p, cn, phi, masked))
+
+
+def phi_candidate_count(p, n, cn_flat):
+    """How many candidates `phi_sweep` builds and masks over its whole
+    index range, found by running its solve on every prefix without
+    masking: in dimension 3, |Z(n)| for each prefix whose defect the
+    solve solves for phi e3, and p^3 for each unsolved prefix with a
+    central defect (`_defect_solve`); in dimensions 1 and 2 the whole
+    p^(n^2) box."""
+    _check_args(p, n)
+    if n < 3:
+        return p ** (n * n)
+    solve = _defect_solve(p, _tensor(cn_flat, n, p))
+    count = p ** (n * (n - 1))
+    return sum(len(base) * len(choices)
+               for a in range(0, count, _CHUNK)
+               for _, base, choices in solve(
+                   _prefixes(p, n, n - 1, a, min(count, a + _CHUNK))))
 
 
 def _products_from_digits(p, n, digits, cg, cn, symmetric):
@@ -461,7 +497,7 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     for a in range(r_lo, r_hi, _CHUNK):
         d = digits(a, min(r_hi, a + _CHUNK))
         pr = _products_from_digits(p, n, d, cg, cn, symmetric)
-        ok = _module_action(p, np.broadcast_to(cg, pr.shape), pr)
+        ok = _module_action(p, cg, pr)
         hits.extend((d[ok] @ place).tolist())
     return hits
 
@@ -570,8 +606,10 @@ def gl_invariance_sweep(p, n, tensors, lo, hi):
             S = T[ok]
             lhs = np.einsum("mki,klr->milr", S, C) % p
             lhs = np.einsum("milr,mlj->mijr", lhs, S) % p
-            rhs = np.einsum("mrs,ijs->mijr", S, C) % p
-            ok[ok] = np.all((lhs - rhs) % p == 0, axis=(1, 2, 3))
+            # both sides are reduced: the difference is 0 mod p only
+            # where it is 0
+            lhs -= np.einsum("mrs,ijs->mijr", S, C) % p
+            ok[ok] = ~lhs.any(axis=(1, 2, 3))
         return ok
 
     if slot is None:

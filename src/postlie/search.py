@@ -326,8 +326,12 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     and in dimension 3 it first solves module-action on (e1, e2) for
     phi e3 modulo the centre of n, so it masks only the solutions.  Every
     hit is re-verified here in exact arithmetic by building its pair
-    with `pair_from_phi`.  `total` stays the whole box p^(n^2), which is
-    also what the guard counts.  When the second table is complete
+    with `pair_from_phi`.  `total` stays the whole box p^(n^2).  The
+    guard checks that box first.  Only when the box is over it, and in
+    dimension 3, it checks the p^(n(n-1)) prefixes, which refuses fast,
+    and then the candidates the solve builds
+    (`fpkernel.phi_candidate_count`), read from `fpkernel` itself as in
+    `enumerate_products`.  When the second table is complete
     (all derivations inner, trivial center) every structure product has
     this shape, so the sweep is exhaustive over all structures with the
     given n, not merely over an ansatz.
@@ -338,8 +342,13 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     n_alg.validate()
     n = n_alg.dim
     _require_sweep_dim(n)
-    total = check_guard(p ** (n * n))
+    total = p ** (n * n)
     cn = flat_bracket_tensor(n_alg)
+    if n == 3 and total > current_guard():
+        check_guard(p ** (n * (n - 1)))
+        check_guard(fpkernel.phi_candidate_count(p, n, cn))
+    else:
+        check_guard(total)
     raw = kernel.phi_sweep(p, n, cn, 0, total)
     pairs = []
     for index in raw:

@@ -149,7 +149,7 @@ CASE4_MEMBERS = {"V14": lambda a: ("first", a, 0),
 @pytest.mark.parametrize("entry_id", sorted(CASE4_TABLES))
 def test_case4_entries_are_their_family_members(entry_id, field):
     entry = get_entry(entry_id)
-    for sample in entry.samples or ({},):
+    for sample in entry.samples:
         a = sample.get("alpha1")
         pair = entry.build_sample(sample, field=field)
         member = case4_raw_family(*CASE4_MEMBERS[entry_id](a), field=field)

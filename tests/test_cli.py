@@ -125,8 +125,10 @@ def test_catalog_verify_all(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["mismatches"] == 0
-    expected = sum(max(len(e.samples), 1) for e in all_entries())
-    assert len(payload["samples"]) == expected
+    # every entry has a sample: one without parameters has the empty one
+    assert all(e.samples for e in all_entries())
+    assert len(payload["samples"]) == sum(len(e.samples)
+                                          for e in all_entries())
 
 
 def test_catalog_verify_deterministic(capsys):
@@ -475,6 +477,46 @@ def test_guard_counts_the_automorphism_candidates(capsys, monkeypatch):
                                    "--n", "sl2", "--p", "7", "--orbits"])
     assert (code, err) == (0, "")
     assert "  orbits: 1 under 336 automorphisms (sizes 1)\n" in out
+
+
+def test_guard_counts_the_phi_candidates(capsys, monkeypatch):
+    """Past the box, the phi guard counts the candidates the defect solve
+    builds: on sl2 over GF(7), 187,964 of the 7^9 box.  So the sweep runs
+    under a guard of 200,000, and `candidates:` stays the box; under
+    150,000 it is refused with that count; under 100,000 it is refused
+    on the 7^6 prefixes alone, before the solve runs."""
+    command = ["search", "phi", "--n", "sl2", "--p", "7"]
+    monkeypatch.setenv(GUARD_ENV, "200000")
+    code, out, err = _run(capsys, command)
+    assert (code, err) == (0, "")
+    assert "  candidates: 40353607\n" in out
+    assert "  hits: 1066\n" in out
+    monkeypatch.setenv(GUARD_ENV, "150000")
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep started past the guard")
+    monkeypatch.setattr(fpkernel, "phi_sweep", no_sweep)
+    code, out, err = _run(capsys, command)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sweep size 187964 exceeds the guard "
+                          "150000;")
+
+    def no_count(*args):
+        raise AssertionError("the solve ran past the prefix guard")
+    monkeypatch.setattr(fpkernel, "phi_candidate_count", no_count)
+    monkeypatch.setenv(GUARD_ENV, "100000")
+    code, out, err = _run(capsys, command)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sweep size 117649 exceeds the guard "
+                          "100000;")
+
+
+def test_probe_runs_under_the_default_guard(capsys, monkeypatch):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    code, out, err = _run(capsys, ["search", "probe", "--g-class",
+                                   "solvable", "--p", "7"])
+    assert (code, err) == (0, "")
+    assert "  matching the requested class: 1064\n" in out
 
 
 def test_cli_bytes_tool_agrees_with_itself():

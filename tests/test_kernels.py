@@ -470,6 +470,44 @@ def test_python_int_indices_give_the_same_hits(monkeypatch):
         _check_pieces(rng, sweep, total, hits, total)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_hits_do_not_depend_on_the_batch_size(chunk, monkeypatch):
+    # every sweep cuts its range into batches of `_CHUNK` solutions or
+    # prefixes; any batch size gives the same hits, on the whole range
+    # and on one odd window, each through both branches of each sweep
+    def bracket(name, p, dim=3, lam=0):
+        return flat_bracket_tensor(builtin_algebra(name, field=GF(p),
+                                                   dim=dim, lam=lam))
+    n3_2, r2_3 = bracket("n3", 2), _r2_flat(3)
+    n3_3, sl2_3 = bracket("n3", 3), bracket("sl2", 3)
+    r3_lambda = bracket("r3_lambda", 2, lam=1)
+    sweeps = [
+        # dim 2 full, and dim 3 symmetric
+        (lambda lo, hi: fpkernel.product_sweep(3, 2, r2_3, _zero_flat(2),
+                                               False, lo, hi), 3 ** 8),
+        (lambda lo, hi: fpkernel.product_sweep(2, 3, n3_2, n3_2, True,
+                                               lo, hi), 2 ** 18),
+        # dim 3 solved, and dim 2 free
+        (lambda lo, hi: fpkernel.phi_sweep(3, 3, n3_3, lo, hi), 3 ** 9),
+        (lambda lo, hi: fpkernel.phi_sweep(3, 2, r2_3, lo, hi), 3 ** 4),
+        # slot-solved, and box
+        (lambda lo, hi: fpkernel.gl_invariance_sweep(3, 3, [sl2_3], lo, hi),
+         3 ** 9),
+        (lambda lo, hi: fpkernel.gl_invariance_sweep(2, 3, [r3_lambda],
+                                                     lo, hi), 2 ** 9)]
+    expect = []
+    for sweep, total in sweeps:
+        hits = sweep(0, total)
+        # a window that starts just past one hit and ends on another
+        window = (hits[len(hits) // 3] + 1, hits[2 * len(hits) // 3])
+        expect.append((window, total, hits, sweep(*window)))
+        assert 0 < len(expect[-1][3]) < len(hits) - 1
+    monkeypatch.setattr(fpkernel, "_CHUNK", chunk)
+    for (sweep, _), (window, total, hits, part) in zip(sweeps, expect):
+        assert sweep(0, total) == hits
+        assert sweep(*window) == part
+
+
 def test_product_ranks_pass_int64():
     # abelian g and n in dimension 3 over GF(13) leave all 18 digits of
     # the symmetric product sweep free: 13^18 solutions, past 2^63
@@ -614,6 +652,36 @@ def test_phi_sweep_matches_box_scan():
     # Z(n) != 0 puts a whole coset of candidates behind each solution
     # (sl2 mod 2 is n3)
     assert {"abelian", "n3"} <= with_centre
+
+
+def test_phi_candidate_count_counts_the_masked_candidates(monkeypatch):
+    # the count the phi guard reads: the candidates the sweep hands its
+    # mask over the whole box, on centreless and central n in dimension
+    # 3 and the box in dimensions 1 and 2
+    masked = []
+    phi_hits = fpkernel._phi_hits
+
+    def counting(p, cn, phi, pairs):
+        masked.append(len(phi))
+        return phi_hits(p, cn, phi, pairs)
+    monkeypatch.setattr(fpkernel, "_phi_hits", counting)
+    cases = [(3, name, p) for p in (2, 3)
+             for name in ("abelian", "n3", "r3", "sl2")]
+    cases += [(n, name, p) for n in (1, 2) for p in (2, 3)
+              for name in LIE_NAMES[n]]
+    for n, name, p in cases:
+        flat = flat_bracket_tensor(_named(name, GF(p), n))
+        masked.clear()
+        fpkernel.phi_sweep(p, n, flat, 0, p ** (n * n))
+        count = fpkernel.phi_candidate_count(p, n, flat)
+        assert count == sum(masked), (n, name, p)
+        assert (count < p ** (n * n)) == (n == 3 and name != "abelian")
+    # the counts the README quotes
+    for name, p, count in (("sl2", 7, 187_964), ("n3", 5, 453_125)):
+        flat = flat_bracket_tensor(builtin_algebra(name, field=GF(p)))
+        assert fpkernel.phi_candidate_count(p, 3, flat) == count
+    with pytest.raises(ValueError):
+        fpkernel.phi_candidate_count(4, 3, _zero_flat(3))
 
 
 def _gl_box_scan(p, n, tensors):
