@@ -143,29 +143,36 @@ def _require_validated(L):
             "run validate() before analysing %r" % (L,))
 
 
-def cyclic_sum(acc, outer, inner, u, x, y, z):
-    """Add outer(inner(x,y), u_z) + outer(inner(y,z), u_x) +
-    outer(inner(z,x), u_y) into `acc`: the cyclic sum of the Jacobi
-    identity, for the sparse slot tables `outer` and `inner` and the
-    basis operands `u` (the unit vectors or their negatives)."""
-    accumulate(acc, outer, inner.get((x, y), ()), u[z])
-    accumulate(acc, outer, inner.get((y, z), ()), u[x])
-    accumulate(acc, outer, inner.get((z, x), ()), u[y])
+def cyclic_sum(acc, outer, inner, sign, x, y, z):
+    """Add sign times outer(inner(x,y), e_z) + outer(inner(y,z), e_x) +
+    outer(inner(z,x), e_y) into `acc`: the cyclic sum of the Jacobi
+    identity, for the sparse slot tables `outer` and `inner` and a sign
+    of 1 or -1."""
+    for i, j, k in ((x, y, z), (y, z, x), (z, x, y)):
+        for s, a in inner.get((i, j), ()):
+            a *= sign
+            for t, v in outer.get((s, k), ()):
+                acc[t] += a * v
 
 
-def derivation_action(field, dim, N, P):
+def derivation_action(dim, N, P):
     """Delta of x.{y,z} = {x.y, z} + {y, x.z} on basis triples, for the
     bracket N and the product P, of degree 2 in the tables.
 
     At x = e_0 of the one-slot table of a matrix D (see `operator_table`)
     it is D{y,z} - {Dy, z} - {y, Dz}, the derivation condition on D."""
-    e, m = sparse_units(field, dim)
 
     def delta(i, j, k):
         acc = [0] * dim
-        accumulate(acc, P, e[i], N.get((j, k), ()))
-        accumulate(acc, N, P.get((i, j), ()), m[k])
-        accumulate(acc, N, m[j], P.get((i, k), ()))
+        for s, a in N.get((j, k), ()):
+            for t, v in P.get((i, s), ()):
+                acc[t] += a * v
+        for s, a in P.get((i, j), ()):
+            for t, v in N.get((s, k), ()):
+                acc[t] -= a * v
+        for s, a in P.get((i, k), ()):
+            for t, v in N.get((j, s), ()):
+                acc[t] -= a * v
         return acc
     return delta
 
@@ -192,11 +199,10 @@ def check_lie_axioms(L):
     n = L.dim
     d = common_denominator(L)
     B = L.scaled_terms(d)
-    e, _ = sparse_units(L.field, n)
 
     def jacobi(i, j, k):
         acc = [0] * n
-        cyclic_sum(acc, B, B, e, i, j, k)
+        cyclic_sum(acc, B, B, 1, i, j, k)
         return acc
 
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
@@ -382,7 +388,7 @@ def is_derivation(L, D):
         raise FieldMismatchError("derivation candidate over %s for an "
                                  "algebra over %s" % (D.field.name,
                                                       L.field.name))
-    delta = derivation_action(L.field, n, L.scaled_terms(), operator_table(D))
+    delta = derivation_action(n, L.scaled_terms(), operator_table(D))
     return scan_item(None, L.field, _derivation_triples(n), delta).passed
 
 
@@ -427,7 +433,7 @@ def derivation_algebra(L):
     cols = []
     for r in range(n):
         for c in range(n):
-            delta = derivation_action(L.field, n, N, {(0, c): ((r, 1),)})
+            delta = derivation_action(n, N, {(0, c): ((r, 1),)})
             cols.append([v for idx in triples for v in delta(*idx)])
     kern, l = kernel_rows(L.field.p, list(zip(*cols)), n * n)
     basis = []

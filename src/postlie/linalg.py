@@ -127,11 +127,14 @@ def accumulate(acc, terms, x, y):
     int zeros, for the bilinear map whose sparse slot table is `terms`
     (see `support_terms`); x and y are sparse operands (see `sparse`).
 
-    This is the one bilinear kernel.  Only supp(x) x supp(y) is visited,
-    and each slot contributes only its nonzero coordinates, so the cost
-    follows the nonzero coordinates of the operands and of the table, not
-    dim**3.  Nothing is reduced: `reduce_raw`, `reduce_table` or
-    `Field.from_raw` does that once per coordinate, when the sum is read.
+    This is the general bilinear kernel, for operands that are not unit
+    vectors; a contraction with a unit vector e_k is read off the slots
+    directly instead (see the identity scans of `structures`).  Only
+    supp(x) x supp(y) is visited, and each slot contributes only its
+    nonzero coordinates, so the cost follows the nonzero coordinates of
+    the operands and of the table, not dim**3.  Nothing is reduced:
+    `reduce_table`, `Field.from_raw` or `report.scan_item` does that once
+    per coordinate, when the sum is read.
     """
     get = terms.get
     for i, a in x:
@@ -148,13 +151,6 @@ def accumulate(acc, terms, x, y):
 def raw_vector(field, vec):
     """The raw values of a vector of field scalars, every coordinate."""
     return [field.raw(c) for c in vec]
-
-
-def reduce_raw(field, values):
-    """Raw values in canonical form: residues in 0..p-1 over GF(p); over Q
-    the values themselves, which are exact already."""
-    p = field.p
-    return values if p is None else [v % p for v in values]
 
 
 def reduce_table(field, table):

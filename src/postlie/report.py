@@ -6,8 +6,7 @@ first broke, plus the nonzero difference of its two sides.  Indices are
 """
 
 from dataclasses import dataclass
-
-from .linalg import reduce_raw
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -72,23 +71,31 @@ class CheckReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _passing(name):
+    """The one passing item of an identity; items are frozen, so every
+    scan that passes shares it."""
+    return CheckItem(name, True)
+
+
 def scan_item(name, field, tuples, delta, scale=1):
     """Evaluate an identity over index tuples; the first nonzero difference
     is the witness.
 
     `delta(*idx)` returns `scale` times the difference of the two sides at
     one tuple as raw values (see `Field.raw`), unreduced; each coordinate
-    is reduced once, when its tuple is decided, and only the witness's
-    discrepancy is divided back by `scale`.  Over Q the scans scale their
-    tables by a common denominator D (see `linalg.common_denominator`), so
-    that an identity of degree k sums ints and passes D**k; over GF(p)
-    `scale` is 1.  The scan short-circuits inside one identity, but
-    callers always collect every identity, so reports list all broken
-    ones.
+    is tested in place, as its residue mod p over GF(p), and only the
+    witness's discrepancy is read back as field scalars and divided by
+    `scale`.  Over Q the scans scale their tables by a common denominator
+    D (see `linalg.common_denominator`), so that an identity of degree k
+    sums ints and passes D**k; over GF(p) `scale` is 1.  The scan
+    short-circuits inside one identity, but callers always collect every
+    identity, so reports list all broken ones.
     """
+    p = field.p
     for idx in tuples:
-        diff = reduce_raw(field, delta(*idx))
-        if any(diff):
+        diff = delta(*idx)
+        if any(diff) if p is None else any([v % p for v in diff]):
             return CheckItem(name, False, idx, tuple(
                 [field.from_raw(v) / scale for v in diff]))
-    return CheckItem(name, True)
+    return _passing(name)

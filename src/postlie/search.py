@@ -21,7 +21,8 @@ from . import fpkernel
 from .errors import (GuardError, ParameterError, StructureError,
                      UnsupportedFieldError)
 from .fields import GF
-from .lie import LieAlgebra, is_nilpotent, is_perfect, is_solvable
+from .lie import (LieAlgebra, center, is_complete_lie, is_nilpotent,
+                  is_perfect, is_solvable)
 from .linalg import Matrix
 from .structures import BilinearProduct, check_structure, pair_from_phi
 
@@ -326,12 +327,13 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     and in dimension 3 it first solves module-action on (e1, e2) for
     phi e3 modulo the centre of n, so it masks only the solutions.  Every
     hit is re-verified here in exact arithmetic by building its pair
-    with `pair_from_phi`.  `total` stays the whole box p^(n^2).  The
-    guard checks that box first.  Only when the box is over it, and in
-    dimension 3, it checks the p^(n(n-1)) prefixes, which refuses fast,
-    and then the candidates the solve builds
-    (`fpkernel.phi_candidate_count`), read from `fpkernel` itself as in
-    `enumerate_products`.  When the second table is complete
+    with `pair_from_phi`, once for each coset of Hom(V, Z(n)): the hits
+    of one coset share one product and one pair.  `total` stays the
+    whole box p^(n^2).  The guard checks that box first.  Only when the
+    box is over it, and in dimension 3, it checks the p^(n(n-1))
+    prefixes, which refuses fast, and then the candidates the solve
+    builds (`fpkernel.phi_candidate_count`), read from `fpkernel` itself
+    as in `enumerate_products`.  When the second table is complete
     (all derivations inner, trivial center) every structure product has
     this shape, so the sweep is exhaustive over all structures with the
     given n, not merely over an ansatz.
@@ -350,15 +352,30 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     else:
         check_guard(total)
     raw = kernel.phi_sweep(p, n, cn, 0, total)
+    # phi and phi + psi give one product when psi maps V into Z(n), since
+    # {psi x, y} = 0; psi does exactly when A psi = 0 for the annihilator
+    # rows A of Z(n).  So the hits are keyed by A phi, and one pair is
+    # validated per key.  With no centre every hit is its own key.
+    centre = center(n_alg)
+    ann = [[n_alg.field.raw(c) for c in row]
+           for row in centre.annihilator_rows()] if centre.dim else None
+    cosets = {}
     pairs = []
     for index in raw:
-        try:
-            pairs.append(pair_from_phi(n_alg,
-                                       decode_matrix(n_alg.field, n, index)))
-        except StructureError as exc:
-            raise GuardError(
-                "kernel hit %d failed exact re-verification; kernel and "
-                "checker disagree" % index) from exc
+        key = index
+        if ann is not None:
+            phi = _index_digits(index, p, n * n)
+            key = tuple([sum([a * phi[r * n + i] for r, a in enumerate(row)])
+                         % p for row in ann for i in range(n)])
+        if key not in cosets:
+            try:
+                cosets[key] = pair_from_phi(
+                    n_alg, decode_matrix(n_alg.field, n, index))
+            except StructureError as exc:
+                raise GuardError(
+                    "kernel hit %d failed exact re-verification; kernel and "
+                    "checker disagree" % index) from exc
+        pairs.append(cosets[key])
     return PhiSweepResult(n=n_alg, indices=tuple(raw), total=total,
                           backend=_backend_name(kernel),
                           pairs=tuple(pairs))
@@ -491,11 +508,13 @@ def nonexistence_probe(g_class, n_class="sl2", p=5, kernel=None):
     second bracket is the named simple table and whose induced first
     bracket falls in the named class?
 
-    Since the swept n is complete, the endomorphism parametrization covers
-    every structure product (see phi_ansatz_sweep), so an empty `matching`
-    is a genuine nonexistence statement for GF(p).  It is evidence, not a
-    proof, for characteristic zero; the banner says so and callers must
-    keep it attached to any reported conclusion.
+    The swept n must be complete over GF(p) (`is_complete_lie`; builtin
+    sl2 is not mod 2, and a ParameterError says so).  Then the
+    endomorphism parametrization covers every structure product (see
+    phi_ansatz_sweep), so an empty `matching` is a genuine nonexistence
+    statement for GF(p).  It is evidence, not a proof, for characteristic
+    zero; the banner says so and callers must keep it attached to any
+    reported conclusion.
     """
     if n_class != "sl2":
         raise ParameterError(
@@ -505,11 +524,12 @@ def nonexistence_probe(g_class, n_class="sl2", p=5, kernel=None):
     if g_class not in _PROBE_TARGETS:
         raise ParameterError("unknown first-bracket class %r; expected one "
                              "of %s" % (g_class, sorted(_PROBE_TARGETS)))
-    if p in (2, 3):
-        raise ParameterError(
-            "the simple table degenerates mod %d; use p >= 5" % p)
     from .catalog import builtin_algebra
     n_alg = builtin_algebra("sl2", field=GF(p))
+    if not is_complete_lie(n_alg):
+        raise ParameterError(
+            "the simple table is not complete over GF(%d), so the "
+            "endomorphism sweep is not exhaustive" % p)
     sweep = phi_ansatz_sweep(n_alg, kernel=kernel)
     target = _PROBE_TARGETS[g_class]
     counts = {}

@@ -185,16 +185,20 @@ def _triples_all(n):
 
 
 # The identity scans below work on raw values (see `Field.raw`).  Each
-# delta starts from int zeros and adds every term of the identity with
-# `accumulate`; in the comments x, y, z stand for basis vectors, P for
-# the product table and G, N for the bracket tables of g and n, and e and
-# m hold the unit vectors and their negatives.  Over Q the tables of one
-# scan are scaled to ints by their common denominator d (see
-# `linalg.common_denominator`), so every sum is an int sum; an identity
-# of degree k in the tables is then d**k times itself, and `scan_item`
-# divides the witness's discrepancy back by d**k.  Derivation-action and
-# the Jacobi cyclic sum live in `lie` (`derivation_action`, `cyclic_sum`),
-# which reads them too.
+# delta starts from int zeros and adds every term of the identity; in the
+# comments x, y, z stand for basis vectors, P for the product table and
+# G, N for the bracket tables of g and n.  In the deltas of the defining
+# identities every term has a basis vector as an operand, so it is read
+# off the slots with no call to `accumulate`: T(v, e_k) = sum_s v_s
+# T(e_s, e_k) from T.get((s, k)), and T(e_k, v) likewise from
+# T.get((k, s)).  The derived identities further down still contract
+# through `accumulate`, with e and m the unit vectors and their
+# negatives.  Over Q the tables of one scan are scaled to ints by their
+# common denominator d (see `linalg.common_denominator`), so every sum is
+# an int sum; an identity of degree k in the tables is then d**k times
+# itself, and `scan_item` divides the witness's discrepancy back by d**k.
+# Derivation-action and the Jacobi cyclic sum live in `lie`
+# (`derivation_action`, `cyclic_sum`), which reads them too.
 
 
 def _scaled(d, *tables):
@@ -202,50 +206,65 @@ def _scaled(d, *tables):
     return [t.scaled_terms(d) for t in tables]
 
 
-def _module_action(field, dim, G, P):
+def _module_action(dim, G, P):
     """Delta of [x,y].z = x.(y.z) - y.(x.z) on basis triples, of degree 2
     in the tables."""
-    e, m = sparse_units(field, dim)
 
     def delta(i, j, k):
         acc = [0] * dim
-        accumulate(acc, P, G.get((i, j), ()), e[k])
-        accumulate(acc, P, m[i], P.get((j, k), ()))
-        accumulate(acc, P, e[j], P.get((i, k), ()))
+        for s, a in G.get((i, j), ()):
+            for t, v in P.get((s, k), ()):
+                acc[t] += a * v
+        for s, a in P.get((j, k), ()):
+            for t, v in P.get((i, s), ()):
+                acc[t] -= a * v
+        for s, a in P.get((i, k), ()):
+            for t, v in P.get((j, s), ()):
+                acc[t] += a * v
         return acc
     return delta
 
 
-def _skew_part(field, dim, G, N, P):
+def _skew_part(dim, G, N, P):
     """Delta of x.y - y.x = [x,y] - {x,y} on basis pairs, of degree 1 in
-    the tables.  An empty G or N is skipped: with G empty the delta is
-    the induced bracket x.y - y.x + {x,y}."""
-    e, m = sparse_units(field, dim)
+    the tables.  With G empty the delta is the induced bracket
+    x.y - y.x + {x,y}."""
 
     def delta(i, j):
         acc = [0] * dim
-        accumulate(acc, P, e[i], e[j])
-        accumulate(acc, P, m[j], e[i])
-        if G:
-            accumulate(acc, G, m[i], e[j])
-        if N:
-            accumulate(acc, N, e[i], e[j])
+        for t, v in P.get((i, j), ()):
+            acc[t] += v
+        for t, v in P.get((j, i), ()):
+            acc[t] -= v
+        for t, v in G.get((i, j), ()):
+            acc[t] -= v
+        for t, v in N.get((i, j), ()):
+            acc[t] += v
         return acc
     return delta
 
 
-def _associator_skew(field, dim, N, P):
+def _associator_skew(dim, N, P):
     """Delta of {x,y}.z = (y.x).z - y.(x.z) - (x.y).z + x.(y.z), of
     degree 2 in the tables."""
-    e, m = sparse_units(field, dim)
 
     def delta(i, j, k):
         acc = [0] * dim
-        accumulate(acc, P, N.get((i, j), ()), e[k])
-        accumulate(acc, P, P.get((j, i), ()), m[k])
-        accumulate(acc, P, e[j], P.get((i, k), ()))
-        accumulate(acc, P, P.get((i, j), ()), e[k])
-        accumulate(acc, P, m[i], P.get((j, k), ()))
+        for s, a in N.get((i, j), ()):
+            for t, v in P.get((s, k), ()):
+                acc[t] += a * v
+        for s, a in P.get((j, i), ()):
+            for t, v in P.get((s, k), ()):
+                acc[t] -= a * v
+        for s, a in P.get((i, j), ()):
+            for t, v in P.get((s, k), ()):
+                acc[t] += a * v
+        for s, a in P.get((i, k), ()):
+            for t, v in P.get((j, s), ()):
+                acc[t] += a * v
+        for s, a in P.get((j, k), ()):
+            for t, v in P.get((i, s), ()):
+                acc[t] -= a * v
         return acc
     return delta
 
@@ -257,11 +276,11 @@ def check_structure(g, n, product):
     G, N, P = _scaled(d, g, n, product)
     items = (
         scan_item("skew-part", field, _pairs(dim),
-                  _skew_part(field, dim, G, N, P), d),
+                  _skew_part(dim, G, N, P), d),
         scan_item("module-action", field, _triples_pair_any(dim),
-                  _module_action(field, dim, G, P), d * d),
+                  _module_action(dim, G, P), d * d),
         scan_item("derivation-action", field, _triples_any_pair(dim),
-                  derivation_action(field, dim, N, P), d * d),
+                  derivation_action(dim, N, P), d * d),
     )
     return CheckReport("post-Lie structure", items)
 
@@ -283,9 +302,9 @@ def check_algebra(product, n):
     items = (
         jacobi,
         scan_item("associator-skew", field, _triples_pair_any(dim),
-                  _associator_skew(field, dim, N, P), d * d),
+                  _associator_skew(dim, N, P), d * d),
         scan_item("derivation-action", field, _triples_any_pair(dim),
-                  derivation_action(field, dim, N, P), d * d),
+                  derivation_action(dim, N, P), d * d),
     )
     return CheckReport("post-Lie algebra", items)
 
@@ -293,7 +312,7 @@ def check_algebra(product, n):
 def induced_bracket(product, n, name=None):
     """The unvalidated bracket table x.y - y.x + {x,y}."""
     field, dim = n.field, n.dim
-    delta = _skew_part(field, dim, {}, n.terms(), product.terms())
+    delta = _skew_part(dim, {}, n.terms(), product.terms())
     return LieAlgebra.from_raw(
         field, dim, {(i, j): delta(i, j) for i, j in _pairs(dim)}, name=name)
 
@@ -302,13 +321,14 @@ def phi_product(n, phi):
     """The product x.y = {phi(x), y} for an endomorphism phi of n."""
     field, dim = n.field, n.dim
     N = n.terms()
-    e, _ = sparse_units(field, dim)
     table = {}
     for i in range(dim):
         x = sparse(field, phi.col(i))
         for j in range(dim):
             acc = [0] * dim
-            accumulate(acc, N, x, e[j])
+            for s, a in x:
+                for t, v in N.get((s, j), ()):
+                    acc[t] += a * v
             table[(i, j)] = acc
     return BilinearProduct.from_raw(field, dim, table)
 
@@ -402,22 +422,22 @@ def derived_identity_audit(pair):
         accumulate(acc, P, e[x], N.get((y, z), ()))
         accumulate(acc, P, e[y], N.get((z, x), ()))
         accumulate(acc, P, e[z], N.get((x, y), ()))
-        cyclic_sum(acc, N, G, m, x, y, z)
+        cyclic_sum(acc, N, G, -1, x, y, z)
         return acc
 
     def cyclic_product(x, y, z):
         acc = [0] * dim
-        cyclic_sum(acc, P, N, e, x, y, z)
-        cyclic_sum(acc, N, G, m, x, y, z)
-        cyclic_sum(acc, G, N, m, x, y, z)
+        cyclic_sum(acc, P, N, 1, x, y, z)
+        cyclic_sum(acc, N, G, -1, x, y, z)
+        cyclic_sum(acc, G, N, -1, x, y, z)
         return acc
 
     dd = d * d
     items = (
         scan_item("module-action", field, _triples_pair_any(dim),
-                  _module_action(field, dim, G, P), dd),
+                  _module_action(dim, G, P), dd),
         scan_item("associator-skew", field, _triples_pair_any(dim),
-                  _associator_skew(field, dim, N, P), dd),
+                  _associator_skew(dim, N, P), dd),
         scan_item("right-slot-expansion", field, _triples_any_pair(dim),
                   right_slot, dd),
         scan_item("mixed-rearrangement", field, _triples_all(dim), mixed,
@@ -593,9 +613,9 @@ def special_case_detect(pair):
 
     # left-symmetry and left-commutativity are associator-skew and
     # module-action with the brackets set to zero
-    lsa = holds(_triples_pair_any(dim), _associator_skew(field, dim, {}, P))
+    lsa = holds(_triples_pair_any(dim), _associator_skew(dim, {}, P))
     left_comm = holds(_triples_pair_any(dim),
-                      _module_action(field, dim, {}, P))
+                      _module_action(dim, {}, P))
     right_comm = holds(_triples_any_pair(dim), right_comm_delta)
     cyclic = holds(_triples_all(dim), cyclic_delta)
 
@@ -882,9 +902,9 @@ def prelie_from_two_step(pair):
     # no second bracket, and left-symmetric when module-action does
     items = (
         scan_item("commutator-matches-bracket", field, _pairs(dim),
-                  _skew_part(field, dim, G, {}, O), d),
+                  _skew_part(dim, G, {}, O), d),
         scan_item("left-symmetry", field, _triples_pair_any(dim),
-                  _module_action(field, dim, G, O), d * d),
+                  _module_action(dim, G, O), d * d),
     )
     return prelie, CheckReport("pre-Lie deformation", items)
 

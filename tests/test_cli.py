@@ -429,8 +429,8 @@ def test_search_probe_parameter_errors(capsys):
     code, out, err = _run(capsys, ["search", "probe", "--g-class", "perfect"])
     assert code == 2 and "error:" in err
     code, out, err = _run(capsys, ["search", "probe", "--g-class", "sl2",
-                                   "--p", "3"])
-    assert code == 2 and "error:" in err
+                                   "--p", "2"])
+    assert code == 2 and "not complete over GF(2)" in err
 
 
 def test_guard_blocks_oversized_sweeps(capsys, monkeypatch):

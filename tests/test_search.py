@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from postlie.errors import (DimensionError, GuardError,
                             ParameterError, StructureError,
                             UnsupportedFieldError)
 from postlie.fields import GF, QQ
+from postlie.lie import center
 from postlie.linalg import Matrix, inverse, unit_vector
 from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             automorphism_indices, check_guard, current_guard,
@@ -23,7 +25,7 @@ from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
                             flat_bracket_tensor, nonexistence_probe,
                             orbit_reduce, pair_from_phi, transform_product)
 from postlie.structures import (BilinearProduct, check_structure,
-                                endomorphism_from_structure)
+                                endomorphism_from_structure, phi_product)
 
 
 def _abelian_spec(p, symmetric=True):
@@ -617,6 +619,66 @@ def test_pair_from_phi_shapes():
         pair_from_phi(n, Matrix.identity(GF(5), 2))
 
 
+_COSET_CASES = [("n3", None, None), ("abelian", 2, None),
+                 ("r3_lambda", None, 0), ("sl2", None, None)]
+
+
+@lru_cache(maxsize=None)
+def _phi_sweep_gf3(name, dim, lam):
+    return search.phi_ansatz_sweep(
+        builtin_algebra(name, field=GF(3), dim=dim, lam=lam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_COSET_CASES), st.data())
+def test_hits_of_one_coset_share_one_validated_pair(case, data):
+    """phi and phi + psi with psi(V) in Z(n) give one product.  The sweep
+    hands every hit its own product, and two hits share one validated
+    pair exactly when they lie in one coset of Hom(V, Z(n))."""
+    sweep = _phi_sweep_gf3(*case)
+    n_alg = sweep.n
+    field, dim = n_alg.field, n_alg.dim
+    pairs = dict(zip(sweep.indices, sweep.pairs))
+    a, b = (data.draw(st.sampled_from(sweep.indices)) for _ in range(2))
+    phi = decode_matrix(field, dim, a)
+    assert pairs[a].validated
+    assert pairs[a].product == phi_product(n_alg, phi)
+    centre = center(n_alg)
+    cols = []
+    for _ in range(dim):
+        col = (field.zero,) * dim
+        for z in centre.basis:
+            c = field.scalar(data.draw(st.integers(0, 2)))
+            col = tuple(u + c * v for u, v in zip(col, z))
+        cols.append(col)
+    other = encode_matrix(phi + Matrix.from_cols(field, cols))
+    assert pairs[other] is pairs[a]
+    assert phi_product(n_alg, decode_matrix(field, dim, other)) == \
+        pairs[a].product
+    diff = phi - decode_matrix(field, dim, b)
+    same = all(centre.contains(diff.col(i)) for i in range(dim))
+    assert (pairs[a] is pairs[b]) == same
+
+
+@pytest.mark.parametrize("case, hits, cosets", [
+    (("n3", None, None), 2187, 81), (("abelian", 2, None), 81, 1),
+    (("sl2", None, None), 86, 86)])
+def test_phi_sweep_validates_one_pair_per_coset(monkeypatch, case, hits,
+                                                cosets):
+    calls = []
+
+    def counted(n, phi):
+        calls.append(phi)
+        return pair_from_phi(n, phi)
+
+    monkeypatch.setattr(search, "pair_from_phi", counted)
+    name, dim, lam = case
+    sweep = search.phi_ansatz_sweep(
+        builtin_algebra(name, field=GF(3), dim=dim, lam=lam))
+    assert len(sweep.indices) == len(sweep.pairs) == hits
+    assert len(calls) == cosets
+
+
 @pytest.mark.parametrize("name, p, count", [("sl2", 5, 392), ("r2", 5, 70),
                                             ("r2", 7, 140)])
 def test_phi_round_trip_over_gf_p(name, p, count):
@@ -636,8 +698,12 @@ def test_probe_requires_known_classes():
         nonexistence_probe("perfect")
     with pytest.raises(ParameterError):
         nonexistence_probe("sl2", n_class="r2")
-    with pytest.raises(ParameterError):
-        nonexistence_probe("sl2", p=3)
+    with pytest.raises(ParameterError, match=r"not complete over GF\(2\)"):
+        nonexistence_probe("sl2", p=2)
+    # builtin sl2 is complete and perfect over GF(3), so that probe runs
+    probe = nonexistence_probe("sl2", p=3)
+    assert len(probe.hits) == 86
+    assert probe.class_counts == {"perfect": 2, "solvable": 84}
 
 
 def test_probe_existence_and_banner():

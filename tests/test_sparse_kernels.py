@@ -412,6 +412,43 @@ def test_identity_scans_match_dense_oracles(case):
                                      and holds["right-commutative"])
 
 
+@st.composite
+def near_miss_tables(draw):
+    """`pair_tables` with one coordinate of one slot of g, n or the
+    product moved by a nonzero scalar.  The passing kinds become near
+    misses, so most draws fail, and often not at the first tuple."""
+    field, dim, g, n, product = draw(pair_tables())
+    tables = {"g": g, "n": n, "product": product}
+    which = draw(st.sampled_from(["g", "n", "product"] if dim > 1
+                                 else ["product"]))
+    old = tables[which]
+    slots = _pairs(dim) if which != "product" else [
+        (i, j) for i in range(dim) for j in range(dim)]
+    key = draw(st.sampled_from(slots))
+    k = draw(st.integers(0, dim - 1))
+    vec = list(old.table.get(key, (field.zero,) * dim))
+    vec[k] = vec[k] + draw(_scalars(field))
+    tables[which] = type(old)(field, dim, {**old.table, key: vec})
+    return field, dim, tables["g"], tables["n"], tables["product"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_miss_tables())
+def test_near_miss_scans_match_dense_oracles(case):
+    """check_lie_axioms, check_structure and check_algebra against the
+    dense oracles, item by item: passed, witness and discrepancy."""
+    field, dim, g, n, product = case
+    oracle = _oracles(Dense(field, dim, g, n, product))
+    _expect(field, check_lie_axioms(g).item("jacobi"), *oracle["g.jacobi"])
+    _expect(field, check_lie_axioms(n).item("jacobi"), *oracle["n.jacobi"])
+    for item in check_structure(g, n, product).items:
+        _expect(field, item, *oracle[item.name])
+    algebra = check_algebra(product, n)
+    _expect(field, algebra.item("bracket-jacobi"), *oracle["n.jacobi"])
+    for name in ("associator-skew", "derivation-action"):
+        _expect(field, algebra.item(name), *oracle[name])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_prelie_scans_match_dense_oracles(data):
