@@ -651,13 +651,17 @@ def basis_change_table(field, dim, terms, T, Tinv=None):
 
     `terms` is the sparse slot table of B (see `support_terms`): index
     pairs (a, b) map to the nonzero coordinates of B(e_a, e_b), and absent
-    pairs are zero.  For each (i, j) the contraction visits only the
-    support of the table, on raw values (see `Field.raw`).  The pairs
-    come out in key order, so each coordinate is reduced once where it is
-    produced, and a pair whose vector reduces to zero is left out.
-    `Tinv` is the inverse of T when the caller already holds it; it is
-    trusted, not checked.  Without it the inverse is computed here, and a
-    singular T raises DimensionError.
+    pairs are zero.  The checks come first: T over another field raises
+    FieldMismatchError, and T of another shape, or a singular T when no
+    `Tinv` is given, raises DimensionError.  An empty table then maps to
+    the empty table at once.  Otherwise T^-1 is applied once to each
+    nonzero slot, u_ab = T^-1 B(e_a, e_b), and slot (i, j) of the result
+    is the sum over the support of T_ai T_bj u_ab, on raw values (see
+    `Field.raw`); no output slot applies T^-1 again.  The pairs come out
+    in key order, each coordinate reduced once where it is produced, and
+    a pair whose vector reduces to zero is left out.  `Tinv` is the
+    inverse of T when the caller already holds it; it is trusted, not
+    checked.  Without it the inverse is computed here.
     """
     if T.field != field:
         raise FieldMismatchError("basis change over %s for a table over %s"
@@ -669,32 +673,41 @@ def basis_change_table(field, dim, terms, T, Tinv=None):
         Tinv = inverse(T)
         if Tinv is None:
             raise DimensionError("basis change matrix is singular")
+    if not terms:
+        return {}
     p = field.p
+    # over Q every sum starts as a Fraction, so it ends as one
+    zero = 0 if p is not None else Fraction(0)
     n = range(dim)
     t = T.raw_flat()
     s = Tinv.raw_flat()
     cols = [t[i::dim] for i in n]
-    back = [s[k * dim:(k + 1) * dim] for k in n]
-    slots = [(a, b, vec) for (a, b), vec in terms.items()]
+    back = [s[m::dim] for m in n]
+    slots = []
+    for (a, b), vec in terms.items():
+        # u = T^-1 B(e_a, e_b), a sum of columns of T^-1
+        u = [0] * dim
+        for m, v in vec:
+            col = back[m]
+            for k in n:
+                u[k] += v * col[k]
+        slots.append((a, b, u))
     table = {}
     for i in n:
         x = cols[i]
         for j in n:
             y = cols[j]
-            # w = B(T e_i, T e_j) = sum over (a, b) of x_a y_b B(e_a, e_b)
-            w = [0] * dim
-            for a, b, vec in slots:
+            w = [zero] * dim
+            for a, b, u in slots:
                 c = x[a] * y[b]
                 if c:
-                    for k, v in vec:
-                        w[k] += c * v
-            if p is None:
-                # the entries of T^-1 are Fractions, so each sum is one
-                vec = tuple([sum(map(mul, r, w)) for r in back])
-            else:
-                vec = tuple([sum(map(mul, r, w)) % p for r in back])
-            if any(vec):
-                table[(i, j)] = vec
+                    for k in n:
+                        w[k] += c * u[k]
+            if p is not None:
+                for k in n:
+                    w[k] %= p
+            if any(w):
+                table[(i, j)] = tuple(w)
     return table
 
 

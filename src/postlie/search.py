@@ -174,13 +174,6 @@ def _index_digits(index, p, k):
     return digits
 
 
-def _digits_index(digits, p):
-    index = 0
-    for d in digits:
-        index = index * p + d
-    return index
-
-
 def decode_product(spec, index):
     """The candidate product of a sweep index, as an exact table; an index
     outside 0..spec.total - 1 raises ParameterError.
@@ -224,8 +217,11 @@ def encode_product(spec, product):
                     raise ParameterError(
                         "product is outside the symmetric parametrization; "
                         "its skew part does not match the bracket gap")
-    return _digits_index([a for key in spec.digit_slots
-                          for a in raw.get(key, zero)], p)
+    index = 0
+    for key in spec.digit_slots:
+        for a in raw.get(key, zero):
+            index = index * p + a
+    return index
 
 
 def _backend_name(kernel):
@@ -302,7 +298,13 @@ def decode_matrix(field, dim, index):
 
 
 def encode_matrix(mat):
-    return _digits_index(mat.raw_flat(), mat.field.p)
+    """Inverse of decode_matrix: the entries' residues, row by row, read
+    as base-p digits by Horner's rule."""
+    p = mat.field.p
+    index = 0
+    for d in mat.raw_flat():
+        index = index * p + d
+    return index
 
 
 @dataclass(frozen=True)

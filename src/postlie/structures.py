@@ -33,7 +33,7 @@ from .lie import (DerivationAlgebra, LieAlgebra, center, check_lie_axioms,
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      commutator, common_denominator, contract,
                      coordinates_in_span_many, integral_form, inverse,
-                     is_nilpotent_int, raw_vector, sparse, sparse_units,
+                     is_nilpotent_int, raw_terms, raw_vector, sparse_units,
                      unit_vector, vadd, vsub, vzero)
 from .report import CheckItem, CheckReport, scan_item
 
@@ -321,9 +321,12 @@ def phi_product(n, phi):
     """The product x.y = {phi(x), y} for an endomorphism phi of n."""
     field, dim = n.field, n.dim
     N = n.terms()
+    flat = phi.raw_flat()
+    # the columns phi(e_i) in operand form, straight off the raw entries
+    columns = raw_terms({i: flat[i::dim] for i in range(dim)})
     table = {}
     for i in range(dim):
-        x = sparse(field, phi.col(i))
+        x = columns.get(i, ())
         for j in range(dim):
             acc = [0] * dim
             for s, a in x:

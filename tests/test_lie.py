@@ -686,6 +686,16 @@ def test_change_basis_matches_the_slot_formula(field):
     n3 = builtin_algebra("n3", field=field)
     moved = n3.change_basis(Matrix.identity(field, 3))
     assert moved == n3 and moved.validated and moved.name == n3.name
+    # the abelian table stays empty, but only after T is checked
+    abelian = LieAlgebra(field, 2, {}).validate()
+    with pytest.raises(DimensionError):
+        abelian.change_basis(Matrix.zeros(field, 2, 2))
+    with pytest.raises(DimensionError):
+        abelian.change_basis(Matrix.identity(field, 3))
+    with pytest.raises(FieldMismatchError):
+        abelian.change_basis(Matrix.identity(GF(7), 2))
+    moved = abelian.change_basis(Matrix(field, [[1, 1], [0, 1]]))
+    assert moved == abelian and moved.raw == {} and moved.validated
 
 
 def test_invariants_are_computed_once_per_algebra(monkeypatch):

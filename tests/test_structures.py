@@ -586,10 +586,17 @@ def test_change_basis_matches_the_slot_formula(case):
 
 
 def test_change_basis_rejects_mismatched_matrices():
-    product = BilinearProduct(GF(3), 2, {(0, 1): [1, 2]})
-    with pytest.raises(DimensionError):
-        product.change_basis(Matrix.zeros(GF(3), 2, 2))
-    with pytest.raises(DimensionError):
-        product.change_basis(Matrix.identity(GF(3), 3))
-    with pytest.raises(FieldMismatchError):
-        product.change_basis(Matrix.identity(GF(5), 2))
+    """T is checked before any table is conjugated, the empty one too:
+    its field, its shape and, when no inverse is given, its
+    invertibility."""
+    zero = BilinearProduct.zero(GF(3), 2)
+    for product in (BilinearProduct(GF(3), 2, {(0, 1): [1, 2]}), zero):
+        with pytest.raises(DimensionError):
+            product.change_basis(Matrix.zeros(GF(3), 2, 2))
+        with pytest.raises(DimensionError):
+            product.change_basis(Matrix.identity(GF(3), 3))
+        with pytest.raises(FieldMismatchError):
+            product.change_basis(Matrix.identity(GF(5), 2))
+    T = Matrix(GF(3), [[1, 2], [0, 1]])
+    for moved in (zero.change_basis(T), zero.change_basis(T, inverse(T))):
+        assert moved == zero and moved.raw == {}

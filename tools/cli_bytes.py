@@ -11,7 +11,10 @@ Every command runs in a fresh process, `python3 -m postlie ...` with
   those exports (the tree's own stdout, written to a file; an export
   that failed leaves an empty file);
 - the `search products`, `phi` and `probe` runs of `tests/test_cli.py`,
-  and `--orbits` on sl2/sl2 and r3/r3 over GF(7);
+  and `--orbits` on sl2/sl2 and r3/r3 over GF(7), on abelian/abelian of
+  dimension 2 over GF(7) (the abelian half of the products-orbits
+  benchmark: 2737 hits, 6 orbits under 2016 automorphisms) and on n3/n3
+  over GF(5) (11 orbits under 12000 automorphisms, a few seconds);
 - refusals: unknown ids, bad parameters and fields, the guard.
 
 The temporary directory is written `<tmp>` in commands and outputs, so
@@ -63,6 +66,8 @@ SEARCHES = (
     "products --g abelian --n abelian --dim 3 --p 3",
     "products --g sl2 --n sl2 --p 7 --orbits",
     "products --g r3 --n r3 --p 7 --orbits",
+    "products --p 7 --g abelian --n abelian --dim 2 --orbits --format json",
+    "products --g n3 --n n3 --p 5 --orbits",
     "phi --p 2 --n n3",
     "phi --p 2 --n n3 --format json",
     "phi --p 2 --n n3 --limit -1",
