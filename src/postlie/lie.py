@@ -22,8 +22,8 @@ from .linalg import (Matrix, SparseTable, accumulate, as_vector,
                      basis_change_table, common_denominator, commutator,
                      contract, coordinates_in_span, coordinates_in_span_many,
                      echelon, from_ints, is_zero_vec, kernel_rows, rank,
-                     raw_terms, raw_vector, sparse_units, unit_vector, vneg,
-                     vzero)
+                     nest_left, nest_right, raw_terms, raw_vector,
+                     unit_vector, vneg, vzero)
 from .report import CheckReport, scan_item
 
 
@@ -145,14 +145,12 @@ def _require_validated(L):
 
 def cyclic_sum(acc, outer, inner, sign, x, y, z):
     """Add sign times outer(inner(x,y), e_z) + outer(inner(y,z), e_x) +
-    outer(inner(z,x), e_y) into `acc`: the cyclic sum of the Jacobi
-    identity, for the sparse slot tables `outer` and `inner` and a sign
-    of 1 or -1."""
-    for i, j, k in ((x, y, z), (y, z, x), (z, x, y)):
-        for s, a in inner.get((i, j), ()):
-            a *= sign
-            for t, v in outer.get((s, k), ()):
-                acc[t] += a * v
+    outer(inner(z,x), e_y) into `acc`, three `nest_left` terms: the cyclic
+    sum of the Jacobi identity, for the sparse slot tables `outer` and
+    `inner` and a sign of 1 or -1."""
+    nest_left(acc, outer, inner, sign, x, y, z)
+    nest_left(acc, outer, inner, sign, y, z, x)
+    nest_left(acc, outer, inner, sign, z, x, y)
 
 
 def derivation_action(dim, N, P):
@@ -164,15 +162,9 @@ def derivation_action(dim, N, P):
 
     def delta(i, j, k):
         acc = [0] * dim
-        for s, a in N.get((j, k), ()):
-            for t, v in P.get((i, s), ()):
-                acc[t] += a * v
-        for s, a in P.get((i, j), ()):
-            for t, v in N.get((s, k), ()):
-                acc[t] -= a * v
-        for s, a in P.get((i, k), ()):
-            for t, v in N.get((j, s), ()):
-                acc[t] -= a * v
+        nest_right(acc, P, N, 1, i, j, k)
+        nest_left(acc, N, P, -1, i, j, k)
+        nest_right(acc, N, P, -1, j, i, k)
         return acc
     return delta
 
@@ -180,7 +172,7 @@ def derivation_action(dim, N, P):
 def operator_table(M, scale=1):
     """The sparse slot table of the product x.v = x_0 (M v): slot (0, c)
     holds column c of the integer form of M (see `Matrix.int_form`) times
-    `scale`.  So `accumulate` with the left operand e_0 applies M, scaled
+    `scale`.  So `nest_right` at i = 0 applies M to the inner term, scaled
     by the form's denominator and `scale`."""
     ints, _ = M.int_form()
     cols = [ints[c::M.ncols] for c in range(M.ncols)]
@@ -279,7 +271,7 @@ def image_chain(field, dim, terms, inner=False):
     when every product of dim such operators vanishes.  The terms are
     kept on the int rows of `Subspace`, multiples of their basis.
     """
-    units = sparse_units(field, dim)[0]
+    units = [((k, 1),) for k in range(dim)]
     eye = tuple(tuple([int(k == i) for k in range(dim)]) for i in range(dim))
     current = Subspace(field, dim, eye, tuple(range(dim)))
     chain = [current]

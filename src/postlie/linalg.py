@@ -7,7 +7,6 @@ No floating point is used anywhere.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -90,16 +89,6 @@ def sparse(field, vec):
     return [(k, raw(c)) for k, c in enumerate(vec) if c]
 
 
-@lru_cache(maxsize=64)
-def sparse_units(field, dim):
-    """The unit vectors e_k and their negatives -e_k in sparse form, as
-    two tuples indexed by k; built once per field and dimension.  The
-    coordinates are the ints 1 and -1, raw values in every field."""
-    del field
-    return (tuple(((k, 1),) for k in range(dim)),
-            tuple(((k, -1),) for k in range(dim)))
-
-
 def raw_terms(raw_table):
     """The sparse slot table of a table of raw vectors: each pair maps to
     the (k, value) pairs of its nonzero coordinates, in operand form (see
@@ -127,14 +116,13 @@ def accumulate(acc, terms, x, y):
     int zeros, for the bilinear map whose sparse slot table is `terms`
     (see `support_terms`); x and y are sparse operands (see `sparse`).
 
-    This is the general bilinear kernel, for operands that are not unit
-    vectors; a contraction with a unit vector e_k is read off the slots
-    directly instead (see the identity scans of `structures`).  Only
-    supp(x) x supp(y) is visited, and each slot contributes only its
-    nonzero coordinates, so the cost follows the nonzero coordinates of
-    the operands and of the table, not dim**3.  Nothing is reduced:
-    `reduce_table`, `Field.from_raw` or `report.scan_item` does that once
-    per coordinate, when the sum is read.
+    This is the kernel for two general operands; a nested term with
+    basis-vector operands goes through `nest_left` or `nest_right`
+    instead.  Only supp(x) x supp(y) is visited, and each slot contributes
+    only its nonzero coordinates, so the cost follows the nonzero
+    coordinates of the operands and of the table, not dim**3.  Nothing is
+    reduced: `reduce_table`, `Field.from_raw` or `report.scan_item` does
+    that once per coordinate, when the sum is read.
     """
     get = terms.get
     for i, a in x:
@@ -146,6 +134,29 @@ def accumulate(acc, terms, x, y):
                     # a Fraction sum costs a gcd even onto a zero
                     w = acc[k]
                     acc[k] = w + c * v if w else c * v
+
+
+# The nested terms of an identity of degree 2, read straight off the
+# slots of two sparse slot tables: outer(v, e_k) is the sum over s of
+# v_s outer(e_s, e_k), from outer.get((s, k)).  The scans hand them
+# tables scaled to ints (see `SparseTable.scaled_terms`), so the sums
+# skip the zero test of `accumulate`.
+
+
+def nest_left(acc, outer, inner, c, i, j, k):
+    """Add c outer(inner(e_i, e_j), e_k) into `acc`."""
+    for s, a in inner.get((i, j), ()):
+        a *= c
+        for t, v in outer.get((s, k), ()):
+            acc[t] += a * v
+
+
+def nest_right(acc, outer, inner, c, i, j, k):
+    """Add c outer(e_i, inner(e_j, e_k)) into `acc`."""
+    for s, a in inner.get((j, k), ()):
+        a *= c
+        for t, v in outer.get((i, s), ()):
+            acc[t] += a * v
 
 
 def raw_vector(field, vec):

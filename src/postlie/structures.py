@@ -33,8 +33,8 @@ from .lie import (DerivationAlgebra, LieAlgebra, center, check_lie_axioms,
 from .linalg import (Matrix, SparseTable, accumulate, basis_change_table,
                      commutator, common_denominator, contract,
                      coordinates_in_span_many, integral_form, inverse,
-                     is_nilpotent_int, raw_terms, raw_vector, sparse_units,
-                     unit_vector, vadd, vsub, vzero)
+                     is_nilpotent_int, nest_left, nest_right, raw_terms,
+                     raw_vector, unit_vector, vadd, vsub, vzero)
 from .report import CheckItem, CheckReport, scan_item
 
 
@@ -95,19 +95,25 @@ def scalar_multiple(L, lam):
     return BilinearProduct.from_raw(field, L.dim, table)
 
 
+def _require_one_space(*tables):
+    """Raise unless the tables share one dimension and one field."""
+    dims = [t.dim for t in tables]
+    if dims.count(dims[0]) < len(dims):
+        raise DimensionError("pair components of dimensions %s" %
+                             ", ".join(map(str, dims)))
+    fields = [t.field for t in tables]
+    if fields.count(fields[0]) < len(fields):
+        raise FieldMismatchError("pair components over %s" %
+                                 ", ".join([f.name for f in fields]))
+
+
 class PostLiePair:
     """Two bracket tables and one product on a shared space."""
 
     __slots__ = ("g", "n", "product", "name", "_validated")
 
     def __init__(self, g, n, product, name=None):
-        if not (g.dim == n.dim == product.dim):
-            raise DimensionError("pair components of dimensions %d, %d, %d" %
-                                 (g.dim, n.dim, product.dim))
-        if not (g.field == n.field == product.field):
-            raise FieldMismatchError("pair components over %s, %s, %s" %
-                                     (g.field.name, n.field.name,
-                                      product.field.name))
+        _require_one_space(g, n, product)
         self.g = g
         self.n = n
         self.product = product
@@ -187,18 +193,17 @@ def _triples_all(n):
 # The identity scans below work on raw values (see `Field.raw`).  Each
 # delta starts from int zeros and adds every term of the identity; in the
 # comments x, y, z stand for basis vectors, P for the product table and
-# G, N for the bracket tables of g and n.  In the deltas of the defining
-# identities every term has a basis vector as an operand, so it is read
-# off the slots with no call to `accumulate`: T(v, e_k) = sum_s v_s
-# T(e_s, e_k) from T.get((s, k)), and T(e_k, v) likewise from
-# T.get((k, s)).  The derived identities further down still contract
-# through `accumulate`, with e and m the unit vectors and their
-# negatives.  Over Q the tables of one scan are scaled to ints by their
-# common denominator d (see `linalg.common_denominator`), so every sum is
-# an int sum; an identity of degree k in the tables is then d**k times
-# itself, and `scan_item` divides the witness's discrepancy back by d**k.
-# Derivation-action and the Jacobi cyclic sum live in `lie`
-# (`derivation_action`, `cyclic_sum`), which reads them too.
+# G, N for the bracket tables of g and n.  A term of degree 1 is one
+# slot, read directly; a nested term of degree 2 goes through
+# `linalg.nest_left`, T(S(x, y), z), or `linalg.nest_right`,
+# T(x, S(y, z)), with its sign as the scalar factor.  `accumulate` is
+# left for two general operands.  Over Q the tables of one scan are
+# scaled to ints by their common denominator d (see
+# `linalg.common_denominator`), so every sum is an int sum; an identity
+# of degree k in the tables is then d**k times itself, and `scan_item`
+# divides the witness's discrepancy back by d**k.  Derivation-action and
+# the Jacobi cyclic sum live in `lie` (`derivation_action`,
+# `cyclic_sum`), which reads them too.
 
 
 def _scaled(d, *tables):
@@ -212,15 +217,9 @@ def _module_action(dim, G, P):
 
     def delta(i, j, k):
         acc = [0] * dim
-        for s, a in G.get((i, j), ()):
-            for t, v in P.get((s, k), ()):
-                acc[t] += a * v
-        for s, a in P.get((j, k), ()):
-            for t, v in P.get((i, s), ()):
-                acc[t] -= a * v
-        for s, a in P.get((i, k), ()):
-            for t, v in P.get((j, s), ()):
-                acc[t] += a * v
+        nest_left(acc, P, G, 1, i, j, k)
+        nest_right(acc, P, P, -1, i, j, k)
+        nest_right(acc, P, P, 1, j, i, k)
         return acc
     return delta
 
@@ -250,27 +249,19 @@ def _associator_skew(dim, N, P):
 
     def delta(i, j, k):
         acc = [0] * dim
-        for s, a in N.get((i, j), ()):
-            for t, v in P.get((s, k), ()):
-                acc[t] += a * v
-        for s, a in P.get((j, i), ()):
-            for t, v in P.get((s, k), ()):
-                acc[t] -= a * v
-        for s, a in P.get((i, j), ()):
-            for t, v in P.get((s, k), ()):
-                acc[t] += a * v
-        for s, a in P.get((i, k), ()):
-            for t, v in P.get((j, s), ()):
-                acc[t] += a * v
-        for s, a in P.get((j, k), ()):
-            for t, v in P.get((i, s), ()):
-                acc[t] -= a * v
+        nest_left(acc, P, N, 1, i, j, k)
+        nest_left(acc, P, P, -1, j, i, k)
+        nest_left(acc, P, P, 1, i, j, k)
+        nest_right(acc, P, P, 1, j, i, k)
+        nest_right(acc, P, P, -1, i, j, k)
         return acc
     return delta
 
 
 def check_structure(g, n, product):
-    """Scan the three defining identities of a pair structure."""
+    """Scan the three defining identities of a pair structure; the three
+    tables must share one dimension and one field."""
+    _require_one_space(g, n, product)
     field, dim = g.field, g.dim
     d = common_denominator(g, n, product)
     G, N, P = _scaled(d, g, n, product)
@@ -291,8 +282,9 @@ def check_algebra(product, n):
     Here the bracket {,} is the one carried by `n`; no second bracket is
     assumed.  The two computed identities say that the bracket acts by the
     antisymmetrized associator and that left multiplications are bracket
-    derivations.
+    derivations.  Both tables must share one dimension and one field.
     """
+    _require_one_space(product, n)
     field, dim = n.field, n.dim
     jacobi = check_lie_axioms(n).item("jacobi")
     jacobi = CheckItem("bracket-jacobi", jacobi.passed, jacobi.witness,
@@ -392,39 +384,36 @@ def derived_identity_audit(pair):
     field = pair.field
     d = common_denominator(g, n, product)
     G, N, P = _scaled(d, g, n, product)
-    e, m = sparse_units(field, dim)
 
     def right_slot(z, i, j):
         # z.[x,y] - z.(x.y) + z.(y.x) - z.{x,y}
         acc = [0] * dim
-        accumulate(acc, P, e[z], G.get((i, j), ()))
-        accumulate(acc, P, m[z], P.get((i, j), ()))
-        accumulate(acc, P, e[z], P.get((j, i), ()))
-        accumulate(acc, P, m[z], N.get((i, j), ()))
+        nest_right(acc, P, G, 1, z, i, j)
+        nest_right(acc, P, P, -1, z, i, j)
+        nest_right(acc, P, P, 1, z, j, i)
+        nest_right(acc, P, N, -1, z, i, j)
         return acc
 
     def mixed(x, y, z):
-        pxy = P.get((x, y), ())
-        pxz = P.get((x, z), ())
         acc = [0] * dim
         # the left side [x.y,z] + [y,x.z] - x.[y,z]
-        accumulate(acc, G, pxy, e[z])
-        accumulate(acc, G, e[y], pxz)
-        accumulate(acc, P, m[x], G.get((y, z), ()))
+        nest_left(acc, G, P, 1, x, y, z)
+        nest_right(acc, G, P, 1, y, x, z)
+        nest_right(acc, P, G, -1, x, y, z)
         # minus the right side
-        accumulate(acc, P, pxy, m[z])
-        accumulate(acc, P, pxz, e[y])
-        accumulate(acc, P, m[y], pxz)
-        accumulate(acc, P, e[x], P.get((y, z), ()))
-        accumulate(acc, P, m[x], P.get((z, y), ()))
-        accumulate(acc, P, e[z], pxy)
+        nest_left(acc, P, P, -1, x, y, z)
+        nest_left(acc, P, P, 1, x, z, y)
+        nest_right(acc, P, P, -1, y, x, z)
+        nest_right(acc, P, P, 1, x, y, z)
+        nest_right(acc, P, P, -1, x, z, y)
+        nest_right(acc, P, P, 1, z, x, y)
         return acc
 
     def cyclic_left(x, y, z):
         acc = [0] * dim
-        accumulate(acc, P, e[x], N.get((y, z), ()))
-        accumulate(acc, P, e[y], N.get((z, x), ()))
-        accumulate(acc, P, e[z], N.get((x, y), ()))
+        nest_right(acc, P, N, 1, x, y, z)
+        nest_right(acc, P, N, 1, y, z, x)
+        nest_right(acc, P, N, 1, z, x, y)
         cyclic_sum(acc, N, G, -1, x, y, z)
         return acc
 
@@ -591,7 +580,6 @@ def special_case_detect(pair):
     field = pair.field
     # only the pass flags are read, so the scaled table needs no divisor
     P = product.scaled_terms()
-    e, m = sparse_units(field, dim)
 
     def holds(tuples, delta):
         return scan_item(None, field, tuples, delta).passed
@@ -599,19 +587,19 @@ def special_case_detect(pair):
     def right_comm_delta(i, j, k):
         # (x.y).z - (x.z).y
         acc = [0] * dim
-        accumulate(acc, P, P.get((i, j), ()), e[k])
-        accumulate(acc, P, P.get((i, k), ()), m[j])
+        nest_left(acc, P, P, 1, i, j, k)
+        nest_left(acc, P, P, -1, i, k, j)
         return acc
 
     def cyclic_delta(x, y, z):
         # x.(y.z) + y.(x.z) + z.(x.y) - (y.z).x - (x.z).y - (x.y).z
         acc = [0] * dim
-        accumulate(acc, P, e[x], P.get((y, z), ()))
-        accumulate(acc, P, e[y], P.get((x, z), ()))
-        accumulate(acc, P, e[z], P.get((x, y), ()))
-        accumulate(acc, P, P.get((y, z), ()), m[x])
-        accumulate(acc, P, P.get((x, z), ()), m[y])
-        accumulate(acc, P, P.get((x, y), ()), m[z])
+        nest_right(acc, P, P, 1, x, y, z)
+        nest_right(acc, P, P, 1, y, x, z)
+        nest_right(acc, P, P, 1, z, x, y)
+        nest_left(acc, P, P, -1, y, z, x)
+        nest_left(acc, P, P, -1, x, z, y)
+        nest_left(acc, P, P, -1, x, y, z)
         return acc
 
     # left-symmetry and left-commutativity are associator-skew and
@@ -735,12 +723,11 @@ def embed_semidirect(pair):
     M = operator_table(matrix, d // dm)
     img = [M[(0, i)] for i in range(dim)]
     neg = [[(t, -v) for t, v in vec] for vec in img]
-    x = ((0, d),)
 
     def hom(i, j):
         # M [e_i, e_j] - [M e_i, M e_j], with M e_k the k-th image
         acc = [0] * size
-        accumulate(acc, M, x, G.get((i, j), ()))
+        nest_right(acc, M, G, d, 0, i, j)
         accumulate(acc, A, neg[i], img[j])
         return acc
 
@@ -890,13 +877,14 @@ def prelie_from_two_step(pair):
     field = pair.field
     half = field.raw(field.scalar(Fraction(1, 2)))
     N, P = n.terms(), pair.product.terms()
-    e, _ = sparse_units(field, dim)
     table = {}
     for i in range(dim):
         for j in range(dim):
             acc = [0] * dim
-            accumulate(acc, P, e[i], e[j])
-            accumulate(acc, N, ((i, half),), e[j])
+            for t, v in P.get((i, j), ()):
+                acc[t] += v
+            for t, v in N.get((i, j), ()):
+                acc[t] += half * v
             table[(i, j)] = acc
     prelie = BilinearProduct.from_raw(field, dim, table)
     d = common_denominator(pair.g, prelie)

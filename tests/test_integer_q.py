@@ -22,7 +22,7 @@ from postlie.linalg import (Matrix, commutator, contract,
                             coordinates_in_span, coordinates_in_span_many,
                             integral_form, inverse, is_nilpotent_int,
                             is_nilpotent_matrix, nullspace, rref, sparse,
-                            sparse_units, support_terms, unit_vector)
+                            support_terms, unit_vector)
 from postlie.structures import (BilinearProduct, PostLiePair, _combination,
                                 check_structure, derived_identity_audit,
                                 is_complete_structure, left_mult_matrix,
@@ -159,8 +159,6 @@ def test_sparse_operands_over_q():
     assert sparse(QQ, (Fraction(2), Fraction(0), Fraction(1, 2), 3)) == [
         (0, 2), (2, Fraction(1, 2)), (3, 3)]
     assert [type(v) for _, v in sparse(QQ, (Fraction(-4), 7))] == [int, int]
-    assert sparse_units(QQ, 2) == sparse_units(GF(5), 2) == (
-        (((0, 1),), ((1, 1),)), (((0, -1),), ((1, -1),)))
 
 
 def test_scan_witnesses_are_fractions():

@@ -600,3 +600,23 @@ def test_change_basis_rejects_mismatched_matrices():
     T = Matrix(GF(3), [[1, 2], [0, 1]])
     for moved in (zero.change_basis(T), zero.change_basis(T, inverse(T))):
         assert moved == zero and moved.raw == {}
+
+
+def test_scans_reject_tables_on_different_spaces():
+    """The public scans check dimensions and fields as `PostLiePair`
+    does: a product on a larger space has slots the scans over the
+    bracket's dimension would never read."""
+    a2 = builtin_algebra("abelian", dim=2)
+    junk = BilinearProduct(QQ, 3, {(2, 2): {0: 7}, (0, 2): {1: 1}})
+    for scan in (lambda: check_structure(a2, a2, junk),
+                 lambda: check_algebra(junk, a2),
+                 lambda: PostLiePair(a2, a2, junk)):
+        with pytest.raises(DimensionError, match="dimensions"):
+            scan()
+    a5 = builtin_algebra("abelian", dim=2, field=GF(5))
+    zero = BilinearProduct.zero(QQ, 2)
+    for scan in (lambda: check_structure(a5, a2, zero),
+                 lambda: check_algebra(zero, a5),
+                 lambda: PostLiePair(a2, a5, zero)):
+        with pytest.raises(FieldMismatchError, match="over"):
+            scan()
