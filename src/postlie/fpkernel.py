@@ -566,8 +566,6 @@ def _invariance_slot(p, n, tensors):
     (C, a, b, t) with C(e_a, e_b)_t != 0 and t outside {a, b}, which
     `_slot_solve` solves for T e_t, or None when there is none."""
     _check_args(p, n)
-    if len(tensors) > 8:
-        raise ValueError("at most 8 tensors per sweep")
     ts = [C for C in (_tensor(t, n, p) for t in tensors) if C.any()]
     slot = next(((C, a, b, t) for C in ts
                  for a, b, t in permutations(range(n), 3) if C[a, b, t]),

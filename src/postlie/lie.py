@@ -21,9 +21,9 @@ from .errors import (DimensionError, FieldMismatchError, NotValidatedError,
 from .linalg import (Matrix, SparseTable, accumulate, as_vector,
                      basis_change_table, common_denominator, commutator,
                      contract, coordinates_in_span, coordinates_in_span_many,
-                     echelon, from_ints, is_zero_vec, kernel_rows, rank,
-                     nest_left, nest_right, raw_terms, raw_vector,
-                     unit_vector, vneg, vzero)
+                     echelon, from_ints, kernel_rows, nest_left,
+                     nest_right, rank, raw_ints, raw_terms, raw_vector,
+                     unit_vector, vzero)
 from .report import CheckReport, scan_item
 
 
@@ -80,7 +80,7 @@ class LieAlgebra(SparseTable):
 
     def terms(self):
         """The sparse slot table of the bracket, both orders (see
-        `linalg.support_terms`), read off `raw` once: the (j, i) slots are
+        `SparseTable.terms`), read off `raw` once: the (j, i) slots are
         the negated (i, j) ones, reduced."""
         if self._terms is None:
             terms = raw_terms(self.raw)
@@ -256,7 +256,7 @@ def center(L):
 def image_chain(field, dim, terms, inner=False):
     """The descending chain W_0 = field^dim, W_{t+1} = span{B(x, w)}, as
     subspaces, for the bilinear map B whose sparse slot table is `terms`
-    (see `linalg.support_terms`): w runs over the basis of W_t, and x over
+    (see `SparseTable.terms`): w runs over the basis of W_t, and x over
     the unit vectors, or with `inner` over the basis vectors before w.
     `inner` is valid for antisymmetric tables only, such as a bracket's,
     where B(w, x) = -B(x, w) and B(w, w) = 0.
@@ -430,8 +430,7 @@ def derivation_algebra(L):
     kern, l = kernel_rows(L.field.p, list(zip(*cols)), n * n)
     basis = []
     for flat in kern:
-        flat = from_ints(L.field, flat, l)
-        D = Matrix(L.field, [flat[r * n:(r + 1) * n] for r in range(n)])
+        D = Matrix._from_canonical(L.field, n, n, raw_ints(L.field, flat, l))
         if not is_derivation(L, D):
             raise StructureError("internal error: derivation solver produced "
                                  "a non-derivation")
@@ -473,19 +472,12 @@ def semidirect_with_derivations(L, derivations, name=None):
     flats = [D.flat() for D in derivations]
     if k and not checked and rank(Matrix(L.field, flats)) != k:
         raise StructureError("derivation list is linearly dependent")
-    dim = n + k
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = L.bracket_basis(i, j)
-            if not is_zero_vec(vec):
-                table[(i, j)] = vec + (L.field.zero,) * k
-    for i in range(n):
-        for t, D in enumerate(derivations):
+    table = {key: vec + (0,) * k for key, vec in L.raw.items()}
+    for t, D in enumerate(derivations):
+        raw = D.raw_flat()
+        for i in range(n):
             # [e_i, D] = -D(e_i) inside the L block
-            vec = vneg(D.col(i))
-            if not is_zero_vec(vec):
-                table[(i, n + t)] = vec + (L.field.zero,) * k
+            table[(i, n + t)] = [-v for v in raw[i::n]] + [0] * k
     pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
     solved = coordinates_in_span_many(
         flats, [commutator(derivations[s], derivations[t]).flat()
@@ -495,11 +487,10 @@ def semidirect_with_derivations(L, derivations, name=None):
             raise StructureError(
                 "derivation span is not closed under the commutator "
                 "(entries %d, %d)" % (s, t))
-        vec = vzero(L.field, n) + tuple(coords)
-        if not is_zero_vec(vec):
-            table[(n + s, n + t)] = vec
-    out = LieAlgebra(L.field, dim, table,
-                     name=name or "semidirect(%s, der%d)" % (L.name or "L", k))
+        table[(n + s, n + t)] = [0] * n + raw_vector(L.field, coords)
+    out = LieAlgebra.from_raw(
+        L.field, n + k, table,
+        name=name or "semidirect(%s, der%d)" % (L.name or "L", k))
     out._validated = checked
     return out.validate()
 
@@ -512,13 +503,12 @@ def direct_sum(L1, L2, name=None):
     _require_validated(L1)
     _require_validated(L2)
     n1, n2 = L1.dim, L2.dim
-    table = {}
-    for (i, j), vec in L1.brackets.items():
-        table[(i, j)] = vec + vzero(L1.field, n2)
-    for (i, j), vec in L2.brackets.items():
-        table[(n1 + i, n1 + j)] = vzero(L1.field, n1) + vec
-    out = LieAlgebra(L1.field, n1 + n2, table,
-                     name=name or "sum(%s, %s)" % (L1.name or "a", L2.name or "b"))
+    table = {key: vec + (0,) * n2 for key, vec in L1.raw.items()}
+    for (i, j), vec in L2.raw.items():
+        table[(n1 + i, n1 + j)] = (0,) * n1 + vec
+    out = LieAlgebra.from_raw(
+        L1.field, n1 + n2, table,
+        name=name or "sum(%s, %s)" % (L1.name or "a", L2.name or "b"))
     return out.validate()
 
 

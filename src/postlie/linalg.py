@@ -1,9 +1,19 @@
-"""Dense exact matrices with a deterministic reduced row echelon form.
+"""Exact vectors, matrices and structure-constant tables, with a
+deterministic reduced row echelon form.
 
-Row reduction always takes the first row with a nonzero entry in the
-current column as pivot and normalizes it to 1, so echelon forms, ranks,
-solution vectors, and nullspace bases are identical from run to run.
-No floating point is used anywhere.
+Storage rule: tables (`SparseTable`) and matrices (`Matrix`) keep raw
+values (see `Field.raw`) in one canonical form, residues in 0..p-1 over
+GF(p) and Fractions over Q, and subspaces (`lie.Subspace`) the int rows
+of their echelon form; each builds field scalars only when those are
+read, and over Q the raw values are the scalars.
+
+Row reduction (`echelon`) is fraction-free Gauss-Jordan on ints.  It
+takes the first row with a nonzero entry in the current column as pivot
+and keeps each pivot row 1 at its pivot over GF(p), and content-free
+with a positive pivot over Q; a row is divided by its pivot only when
+the RREF is read.  So echelon forms, ranks, solution vectors, and
+nullspace bases are identical from run to run.  No floating point is
+used anywhere.
 """
 
 from fractions import Fraction
@@ -13,19 +23,12 @@ from operator import mul
 from .errors import DimensionError, FieldMismatchError
 
 
-def scalars(field, values):
-    """`values` coerced into a tuple of scalars of `field`.  A Fraction is
-    a scalar of Q already and is passed through; a residue still has its
-    modulus checked."""
-    kind = Fraction if field.p is None else None
-    scalar = field.scalar
-    return tuple([v if type(v) is kind else scalar(v) for v in values])
-
-
 def as_vector(field, dim, spec):
     """Coerce `spec` into a length-`dim` tuple of field scalars.
 
     Accepts a sequence of length dim, or a sparse {index: coeff} mapping.
+    A Fraction is a scalar of Q already and is passed through; a residue
+    still has its modulus checked.
     """
     if isinstance(spec, dict):
         out = [field.zero] * dim
@@ -34,7 +37,9 @@ def as_vector(field, dim, spec):
                 raise DimensionError("component index %r outside 0..%d" % (k, dim - 1))
             out[k] = field.scalar(v)
         return tuple(out)
-    vec = scalars(field, spec)
+    kind = Fraction if field.p is None else None
+    scalar = field.scalar
+    vec = tuple([v if type(v) is kind else scalar(v) for v in spec])
     if len(vec) != dim:
         raise DimensionError("expected a vector of length %d, got %d" % (dim, len(vec)))
     return vec
@@ -114,7 +119,7 @@ def support_terms(field, slots):
 def accumulate(acc, terms, x, y):
     """Add B(x, y) into `acc`, a list of raw values that starts as plain
     int zeros, for the bilinear map whose sparse slot table is `terms`
-    (see `support_terms`); x and y are sparse operands (see `sparse`).
+    (see `SparseTable.terms`); x and y are sparse operands (see `sparse`).
 
     This is the kernel for two general operands; a nested term with
     basis-vector operands goes through `nest_left` or `nest_right`
@@ -238,7 +243,9 @@ class SparseTable:
         return self._table
 
     def terms(self):
-        """The sparse slot table (see `support_terms`), built once."""
+        """The sparse slot table, built once (see `raw_terms`): each pair
+        (i, j) with a nonzero slot maps to the (k, value) pairs of the
+        nonzero coordinates of B(e_i, e_j), the form `accumulate` reads."""
         if self._terms is None:
             self._terms = raw_terms(self.raw)
         return self._terms
@@ -313,49 +320,46 @@ def unit_vector(field, n, i):
 class Matrix:
     """Immutable dense matrix over one field, stored row major.
 
+    The entries are kept as raw values (see `Field.raw`) in the canonical
+    form of `reduce_table`, and sums, negation and `scale` run on them.
+    `flat`, `row`, `col` and `entry` read field scalars, built from the
+    raw values on first read; over Q the raw values are the scalars.
     Products, `apply` and `commutator` run on the integer form of the
-    entries (see `int_form`) and build one scalar per result entry."""
+    entries (see `int_form`)."""
 
-    __slots__ = ("field", "nrows", "ncols", "_e", "_raw", "_int")
+    __slots__ = ("field", "nrows", "ncols", "_raw", "_e", "_int")
 
     def __init__(self, field, rows):
-        data = []
-        width = None
-        count = 0
+        rows = [raw_vector(field, row) for row in rows]
+        width = len(rows[0]) if rows else 0
         for row in rows:
-            row = scalars(field, row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if len(row) != width:
                 raise DimensionError("ragged rows: %d then %d" % (width, len(row)))
-            data.extend(row)
-            count += 1
         self.field = field
-        self.nrows = count
-        self.ncols = width if width is not None else 0
-        self._e = tuple(data)
-        self._raw = self._int = None
+        self.nrows = len(rows)
+        self.ncols = width
+        self._raw = tuple([v for row in rows for v in row])
+        self._e = self._int = None
 
     @classmethod
-    def _from_scalars(cls, field, nrows, ncols, entries, raw=None):
-        """A matrix from row-major entries that are already scalars of
-        `field`, without the constructor's coercion; `raw`, when given,
-        is the tuple of their raw values (see `raw_flat`), trusted.  Like
-        the constructor, a matrix with no rows has no columns."""
+    def _from_canonical(cls, field, nrows, ncols, raw):
+        """The matrix whose row-major raw values are `raw`, which are
+        trusted to be in canonical form already: stored as they are, not
+        reduced again.  Like the constructor, a matrix with no rows has no
+        columns."""
         out = object.__new__(cls)
         out.field = field
         out.nrows = nrows
         out.ncols = ncols if nrows else 0
-        out._e = tuple(entries)
-        out._raw = raw
-        out._int = None
+        out._raw = tuple(raw)
+        out._e = out._int = None
         return out
 
     @classmethod
     def _from_ints(cls, field, nrows, ncols, ints, d):
         """The matrix whose row-major entries are ints[k] / d (see
-        `from_ints`); over Q the pair is kept as its `int_form`."""
-        out = cls._from_scalars(field, nrows, ncols, from_ints(field, ints, d))
+        `raw_ints`); over Q the pair is kept as its `int_form`."""
+        out = cls._from_canonical(field, nrows, ncols, raw_ints(field, ints, d))
         if field.p is None:
             out._int = (ints, d)
         return out
@@ -370,38 +374,41 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols):
-        cols = [scalars(field, c) for c in cols]
+        cols = [raw_vector(field, c) for c in cols]
         if cols and any(len(c) != len(cols[0]) for c in cols):
             raise DimensionError("columns of unequal height")
         height = len(cols[0]) if cols else 0
-        return cls._from_scalars(field, height, len(cols),
-                                 [c[i] for i in range(height) for c in cols])
+        return cls._from_canonical(field, height, len(cols),
+                                   [c[i] for i in range(height) for c in cols])
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def entry(self, i, j):
-        return self._e[i * self.ncols + j]
+        return self.flat()[i * self.ncols + j]
 
     def row(self, i):
-        return self._e[i * self.ncols:(i + 1) * self.ncols]
+        return self.flat()[i * self.ncols:(i + 1) * self.ncols]
 
     def col(self, j):
-        return tuple(self._e[i * self.ncols + j] for i in range(self.nrows))
+        flat = self.flat()
+        return tuple(flat[i * self.ncols + j] for i in range(self.nrows))
 
     def rows(self):
         return [self.row(i) for i in range(self.nrows)]
 
     def flat(self):
+        """The row-major entries as field scalars, built once from the raw
+        values; over Q they are the raw values."""
+        if self._e is None:
+            field = self.field
+            self._e = (self._raw if field.p is None
+                       else tuple(map(field.from_raw, self._raw)))
         return self._e
 
     def raw_flat(self):
-        """The row-major entries as raw values (see `Field.raw`), built
-        once; over Q they are the entries themselves."""
-        if self._raw is None:
-            self._raw = (self._e if self.field.p is None
-                         else tuple(raw_vector(self.field, self._e)))
+        """The row-major entries as raw values (see `Field.raw`)."""
         return self._raw
 
     def int_form(self):
@@ -409,8 +416,8 @@ class Matrix:
         Over Q d > 0 clears every denominator (see `integral_form`); over
         GF(p) the ints are the residues and d is 1."""
         if self._int is None:
-            self._int = (integral_form(self._e) if self.field.p is None
-                         else (self.raw_flat(), 1))
+            self._int = (integral_form(self._raw) if self.field.p is None
+                         else (self._raw, 1))
         return self._int
 
     def _check_compatible(self, other, need_shape):
@@ -422,24 +429,26 @@ class Matrix:
         if need_shape and self.shape != other.shape:
             raise DimensionError("shape mismatch %r vs %r" % (self.shape, other.shape))
 
+    def _like(self, raw):
+        """A matrix of this shape from raw values in any representative:
+        reduced mod p over GF(p), Fractions already over Q."""
+        p = self.field.p
+        return Matrix._from_canonical(self.field, self.nrows, self.ncols,
+                                      raw if p is None else [v % p for v in raw])
+
     def __add__(self, other):
         self._check_compatible(other, True)
-        return Matrix._from_scalars(self.field, self.nrows, self.ncols,
-                                    vadd(self._e, other._e))
+        return self._like(vadd(self._raw, other._raw))
 
     def __sub__(self, other):
         self._check_compatible(other, True)
-        return Matrix._from_scalars(self.field, self.nrows, self.ncols,
-                                    vsub(self._e, other._e))
+        return self._like(vsub(self._raw, other._raw))
 
     def __neg__(self):
-        return Matrix._from_scalars(self.field, self.nrows, self.ncols,
-                                    vneg(self._e))
+        return self._like(vneg(self._raw))
 
     def scale(self, c):
-        c = self.field.scalar(c)
-        return Matrix._from_scalars(self.field, self.nrows, self.ncols,
-                                    vscale(c, self._e))
+        return self._like(vscale(self.field.raw(c), self._raw))
 
     def _int_product(self, other):
         """(ints, d) of self * other: the products of the integer forms,
@@ -474,15 +483,15 @@ class Matrix:
                                        for i in range(self.nrows)], d))
 
     def transpose(self):
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)])
+        n = self.ncols
+        return Matrix._from_canonical(self.field, n, self.nrows,
+                                      [v for j in range(n)
+                                       for v in self._raw[j::n]])
 
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionError("trace of a non-square matrix")
-        t = self.field.zero
-        for i in range(self.nrows):
-            t = t + self.entry(i, i)
-        return t
+        return self.field.from_raw(sum(self._raw[::self.ncols + 1]))
 
     def power(self, k):
         if self.nrows != self.ncols:
@@ -495,16 +504,16 @@ class Matrix:
         return acc
 
     def is_zero(self):
-        return all(v == 0 for v in self._e)
+        return not any(self._raw)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.shape == other.shape
-                and self._e == other._e)
+                and self._raw == other._raw)
 
     def __hash__(self):
-        return hash((self.field, self.shape, tuple(str(v) for v in self._e)))
+        return hash((self.field, self.shape, self._raw))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(v) for v in self.row(i))
@@ -512,20 +521,25 @@ class Matrix:
         return "Matrix(%s, [%s])" % (self.field.name, body)
 
 
-def from_ints(field, ints, d=1):
-    """The scalars ints[k] / d, one built per value: over Q a Fraction
-    (the shared zero for 0), over GF(p) the residue of the int times the
-    inverse of d, reduced once."""
+def raw_ints(field, ints, d=1):
+    """The raw values ints[k] / d in canonical form, one built per value:
+    over Q a Fraction (the shared zero for 0), over GF(p) the residue of
+    the int times the inverse of d, reduced once."""
     p = field.p
     if p is None:
         zero = field.zero
         if d == 1:
             return [Fraction(v) if v else zero for v in ints]
         return [Fraction(v, d) if v else zero for v in ints]
-    if d != 1:
-        inv = pow(d, -1, p)
-        ints = [v * inv for v in ints]
-    return list(map(field.from_raw, ints))
+    inv = pow(d, -1, p)
+    return [v * inv % p for v in ints]
+
+
+def from_ints(field, ints, d=1):
+    """The scalars ints[k] / d: `raw_ints` read as field scalars, which
+    over Q are the raw values themselves."""
+    raw = raw_ints(field, ints, d)
+    return raw if field.p is None else list(map(field.from_raw, raw))
 
 
 def integral_form(values):
@@ -601,15 +615,15 @@ def echelon(p, rows):
 def rref(matrix):
     """Reduced row echelon form.  Returns (R, pivot_columns): the
     `echelon` of the rows, each divided by its pivot once (see
-    `from_ints`), which builds the scalars of R."""
+    `raw_ints`)."""
     field = matrix.field
     nrows, ncols = matrix.shape
     rows, pivots = echelon(field.p, _rows(matrix))
     entries = [v for row, c in zip(rows, pivots)
-               for v in from_ints(field, row, row[c])]
+               for v in raw_ints(field, row, row[c])]
     # the rows below the pivot rows are zero
-    entries += [field.zero] * ((nrows - len(pivots)) * ncols)
-    return Matrix._from_scalars(field, nrows, ncols, entries), pivots
+    entries += raw_ints(field, [0] * ((nrows - len(pivots)) * ncols))
+    return Matrix._from_canonical(field, nrows, ncols, entries), pivots
 
 
 def rank(matrix):
@@ -640,19 +654,23 @@ def nullspace(matrix):
 
 
 def inverse(matrix):
-    """Exact inverse, or None when the matrix is singular: column j is
-    the coordinates of e_j in the span of the columns, and some e_j
-    misses that span exactly when they are dependent."""
+    """Exact inverse, or None when the matrix is singular.  With (a, d)
+    the integer form of A (see `Matrix.int_form`), the `echelon` of
+    [a | d I] = d [A | I] has rows [r | e] with e A = r.  A is invertible
+    exactly when the pivots are the columns of A, and then r is
+    r[c] e_c on row c, so row c of the inverse is e / r[c]."""
     if matrix.nrows != matrix.ncols:
         raise DimensionError("inverse of a non-square matrix")
     field, n = matrix.field, matrix.nrows
-    cols = coordinates_in_span_many(
-        [matrix.col(j) for j in range(n)],
-        [unit_vector(field, n, j) for j in range(n)], field)
-    if None in cols:
+    a, d = matrix.int_form()
+    rows, pivots = echelon(field.p, [
+        list(a[i * n:(i + 1) * n]) + [d if j == i else 0 for j in range(n)]
+        for i in range(n)])
+    if pivots != tuple(range(n)):
         return None
-    return Matrix._from_scalars(field, n, n,
-                                [c[i] for i in range(n) for c in cols])
+    return Matrix._from_canonical(field, n, n, [
+        v for c, row in enumerate(rows)
+        for v in raw_ints(field, row[n:], row[c])])
 
 
 def basis_change_table(field, dim, terms, T, Tinv=None):
@@ -660,7 +678,7 @@ def basis_change_table(field, dim, terms, T, Tinv=None):
     T e_1, ..., T e_n: {(i, j): T^-1 B(T e_i, T e_j)}, in the canonical
     form of `reduce_table`.
 
-    `terms` is the sparse slot table of B (see `support_terms`): index
+    `terms` is the sparse slot table of B (see `SparseTable.terms`): index
     pairs (a, b) map to the nonzero coordinates of B(e_a, e_b), and absent
     pairs are zero.  The checks come first: T over another field raises
     FieldMismatchError, and T of another shape, or a singular T when no
@@ -783,9 +801,8 @@ def coordinates_in_span_many(vectors, targets, field):
 
 def span_basis(field, ambient, vectors):
     """Canonical (RREF row) basis of the span of `vectors` in field^ambient."""
-    vectors = [as_vector(field, ambient, v) for v in vectors]
-    R, pivots = rref(Matrix._from_scalars(field, len(vectors), ambient,
-                                          [v for vec in vectors for v in vec]))
+    R, pivots = rref(Matrix(field, [as_vector(field, ambient, v)
+                                    for v in vectors]))
     return tuple(R.row(i) for i in range(len(pivots)))
 
 

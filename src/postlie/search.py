@@ -23,7 +23,7 @@ from .errors import (GuardError, ParameterError, StructureError,
 from .fields import GF
 from .lie import (LieAlgebra, center, is_complete_lie, is_nilpotent,
                   is_perfect, is_solvable)
-from .linalg import Matrix
+from .linalg import Matrix, kernel_rows
 from .structures import BilinearProduct, check_structure, pair_from_phi
 
 GUARD_ENV = "POSTLIE_GUARD"
@@ -275,32 +275,23 @@ def enumerate_products(spec, kernel=None):
                              backend=_backend_name(kernel))
 
 
-def _residue_matrices(field, dim, rows):
-    """The dim x dim matrices over GF(p) whose row-major entries are the
-    given rows of reduced residues.  Each keeps its row as its raw values
-    (see `Matrix.raw_flat`), and equal residues share one field scalar."""
-    scalar = {}
-    out = []
-    for row in rows:
-        for v in row:
-            if v not in scalar:
-                scalar[v] = field.from_raw(v)
-        out.append(Matrix._from_scalars(field, dim, dim,
-                                        [scalar[v] for v in row], tuple(row)))
-    return out
-
-
 def decode_matrix(field, dim, index):
-    """The matrix of a sweep index over GF(p); an index outside
-    0..p^(dim^2) - 1 raises ParameterError."""
-    digits = _index_digits(index, field.p, dim * dim)
-    return _residue_matrices(field, dim, [digits])[0]
+    """The matrix of a sweep index over GF(p), whose raw values are the
+    digits (residues already); a field of characteristic 0 raises
+    UnsupportedFieldError, an index outside 0..p^(dim^2) - 1
+    ParameterError."""
+    digits = _index_digits(index, _require_prime_field(field), dim * dim)
+    return Matrix._from_canonical(field, dim, dim, digits)
 
 
 def encode_matrix(mat):
     """Inverse of decode_matrix: the entries' residues, row by row, read
-    as base-p digits by Horner's rule."""
-    p = mat.field.p
+    as base-p digits by Horner's rule.  A matrix over Q raises
+    UnsupportedFieldError, a non-square one ParameterError."""
+    p = _require_prime_field(mat.field)
+    if mat.nrows != mat.ncols:
+        raise ParameterError("sweep matrices are square, got shape %r"
+                             % (mat.shape,))
     index = 0
     for d in mat.raw_flat():
         index = index * p + d
@@ -359,8 +350,8 @@ def phi_ansatz_sweep(n_alg, kernel=None):
     # rows A of Z(n).  So the hits are keyed by A phi, and one pair is
     # validated per key.  With no centre every hit is its own key.
     centre = center(n_alg)
-    ann = [[n_alg.field.raw(c) for c in row]
-           for row in centre.annihilator_rows()] if centre.dim else None
+    # over GF(p) the rows of `kernel_rows` are residues, with l = 1
+    ann = kernel_rows(p, list(centre.rows), n)[0] if centre.dim else None
     cosets = {}
     pairs = []
     for index in raw:
@@ -390,9 +381,11 @@ def automorphism_indices(algebras, kernel=None):
     The guard counts the candidates the sweep tests
     (`fpkernel.automorphism_candidate_count`), read from `fpkernel`
     itself as in `enumerate_products`, and the sweep range stays the
-    whole box."""
+    whole box.  An empty list raises ParameterError."""
     if kernel is None:
         kernel = fpkernel
+    if not algebras:
+        raise ParameterError("automorphism sweeps need at least one algebra")
     first = algebras[0]
     p = _require_prime_field(first.field)
     n = first.dim
@@ -440,9 +433,9 @@ def orbit_reduce(spec, indices, kernel=None):
     auts = automorphism_indices([spec.g, spec.n], kernel=kernel)
     # T^-1 of every T from one adjugate pass, which checks T T^-1 = I too
     rows = [_index_digits(a, p, n * n) for a in auts]
-    pairs = list(zip(_residue_matrices(field, n, rows),
-                     _residue_matrices(field, n, fpkernel.inverse_matrices(
-                         p, n, rows))))
+    pairs = [(Matrix._from_canonical(field, n, n, T),
+              Matrix._from_canonical(field, n, n, Tinv))
+             for T, Tinv in zip(rows, fpkernel.inverse_matrices(p, n, rows))]
     seen = set()
     orbits = []
     for index in sorted(hit_set):

@@ -555,8 +555,6 @@ def test_kernel_argument_errors(kern):
         kern.product_sweep(5, 4, [0] * 64, [0] * 64, True, 0, 1)
     with pytest.raises(ValueError, match="modulus"):
         kern.gl_invariance_sweep(0, 2, [[0] * 8], 0, 1)
-    with pytest.raises(ValueError, match="tensors"):
-        kern.gl_invariance_sweep(3, 2, [[0] * 8] * 9, 0, 1)
     # the phi test is module-action alone, which is exact only over a
     # Lie bracket; anything else must be refused, or phi = 0 would count
     # as a hit

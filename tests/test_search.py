@@ -15,7 +15,7 @@ from postlie.catalog import builtin_algebra, get_entry
 from postlie.errors import (DimensionError, GuardError,
                             ParameterError, StructureError,
                             UnsupportedFieldError)
-from postlie.fields import GF, QQ
+from postlie.fields import GF, QQ, Mod
 from postlie.lie import center
 from postlie.linalg import Matrix, inverse, unit_vector
 from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
@@ -200,6 +200,13 @@ def test_decode_rejects_indices_outside_the_sweep():
     for bad in (-1, 81):
         with pytest.raises(ParameterError, match="outside the sweep"):
             decode_matrix(GF(3), 2, bad)
+    # the matrix codec is over GF(p) and square, as every sweep is
+    with pytest.raises(UnsupportedFieldError, match="not Q"):
+        decode_matrix(QQ, 2, 0)
+    with pytest.raises(UnsupportedFieldError, match="not Q"):
+        encode_matrix(Matrix.identity(QQ, 2))
+    with pytest.raises(ParameterError, match="square"):
+        encode_matrix(Matrix.zeros(GF(3), 3, 2))
 
 
 def test_symmetric_decode_forces_the_skew_slots():
@@ -412,6 +419,10 @@ def test_automorphism_indices_respect_brackets():
                         expected.append(encode_matrix(T))
     assert sorted(got) == sorted(expected)
     assert 0 < len(got) < 48
+    # any number of tables: nine copies preserve what two do
+    assert automorphism_indices([r2] * 9) == got
+    with pytest.raises(ParameterError, match="at least one algebra"):
+        automorphism_indices([])
 
 
 def test_transform_product_is_an_action():
@@ -489,6 +500,40 @@ def test_orbit_reduce_inverts_the_automorphisms_in_one_kernel_pass(
     assert len({T for T, _ in pairs}) == dec.aut_order
     for T, Tinv in pairs:
         assert type(Tinv) is Matrix and Tinv == inverse(T)
+
+
+@pytest.mark.parametrize("sweep, name, p", [
+    ("orbits", "r2", 5), ("orbits", "abelian", 7),
+    ("phi", "sl2", 3), ("phi", "r3", 3), ("phi", "n3", 3)])
+def test_gf_p_sweep_paths_build_no_scalars(sweep, name, p, monkeypatch):
+    # the sweep paths run on residues only: the decoded and inverted
+    # matrices of orbit_reduce and phi_ansatz_sweep, their conjugations
+    # and products, and the coset keys build no field scalar
+    L = builtin_algebra(name, field=GF(p),
+                        **({"dim": 2} if name == "abelian" else {}))
+    if sweep == "orbits":
+        spec = SearchSpec(L, L)
+        hits = enumerate_products(spec).indices
+
+        def run():
+            return orbit_reduce(spec, hits).count
+    else:
+        L.validate()
+
+        def run():
+            return len(search.phi_ansatz_sweep(L).pairs)
+    built = []
+    init = Mod.__init__
+
+    def counted(self, a, modulus):
+        built.append(a)
+        init(self, a, modulus)
+
+    monkeypatch.setattr(Mod, "__init__", counted)
+    found = run()
+    monkeypatch.undo()
+    assert found > 1
+    assert built == []
 
 
 def _fixed_counts(spec, hits, mats):

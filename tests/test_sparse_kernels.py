@@ -125,18 +125,21 @@ def test_bracket_and_product_match_dense_formulas(case):
 
 @st.composite
 def matrices_and_vector(draw):
-    """Sparse A (r x m), B (m x c) and v (length m) over one field."""
+    """Sparse A and C (r x m), B (m x c), a scalar s and v (length m)
+    over one field."""
     field = draw(st.sampled_from(FIELDS))
     r, m, c = (draw(st.integers(1, 4)) for _ in range(3))
     A = Matrix(field, [_sparse(draw, field, m) for _ in range(r)])
     B = Matrix(field, [_sparse(draw, field, c) for _ in range(m)])
-    return field, A, B, _vector(draw, field, m)
+    C = Matrix(field, [_sparse(draw, field, m) for _ in range(r)])
+    s = draw(_scalars(field)) if draw(st.booleans()) else field.zero
+    return field, A, B, C, s, _vector(draw, field, m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices_and_vector())
 def test_matrix_product_and_apply_match_dense_formulas(case):
-    field, A, B, v = case
+    field, A, B, C, s, v = case
     r, m = A.shape
     c = B.ncols
 
@@ -152,6 +155,30 @@ def test_matrix_product_and_apply_match_dense_formulas(case):
     assert AB.flat() == tuple(dot(A.row(i), B.col(k))
                               for i in range(r) for k in range(c))
     _check(field, A.apply(v), tuple(dot(A.row(i), v) for i in range(r)))
+
+    # sums, negation and scaling run on the raw values and read back as
+    # the entrywise field formulas
+    a, b = A.flat(), C.flat()
+    for got, want in ((A + C, [x + y for x, y in zip(a, b)]),
+                      (A - C, [x - y for x, y in zip(a, b)]),
+                      (-A, [-x for x in a]),
+                      (A.scale(s), [s * x for x in a])):
+        assert got.shape == (r, m)
+        _check(field, got.flat(), tuple(want))
+        # equality reads the stored values, so they are canonical too
+        assert got == Matrix(field, [want[i * m:(i + 1) * m]
+                                     for i in range(r)])
+    At = A.transpose()
+    assert At.shape == (m, r)
+    _check(field, At.flat(), tuple(x for j in range(m) for x in A.col(j)))
+    assert At.transpose() == A
+
+    # the matrix of the field scalars and the one of their raw values are
+    # one matrix
+    raw = Matrix._from_canonical(field, r, m, [field.raw(x) for x in a])
+    assert raw == A and hash(raw) == hash(A)
+    assert raw.raw_flat() == A.raw_flat()
+    _check(field, raw.flat(), a)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=lambda f: f.name)

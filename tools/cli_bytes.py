@@ -15,6 +15,9 @@ Every command runs in a fresh process, `python3 -m postlie ...` with
   dimension 2 over GF(7) (the abelian half of the products-orbits
   benchmark: 2737 hits, 6 orbits under 2016 automorphisms) and on n3/n3
   over GF(5) (11 orbits under 12000 automorphisms, a few seconds);
+- `search phi` on sl2 over GF(5) with `--limit 400` in json, which
+  prints all 392 hit matrices, each decoded from its sweep index and
+  read back as residues;
 - refusals: unknown ids, bad parameters and fields, the guard.
 
 The temporary directory is written `<tmp>` in commands and outputs, so
@@ -79,6 +82,7 @@ SEARCHES = (
     "phi --p 2 --n abelian --dim 4",
     "phi --p 3 --n abelian --dim 4",
     "phi --p 3 --n r3_lambda --lam half",
+    "phi --n sl2 --p 5 --limit 400 --format json",
     "probe --g-class sl2 --p 5",
     "probe --g-class sl2 --p 5 --format json",
     "probe --g-class solvable --p 5",
