@@ -78,8 +78,6 @@ class CatalogEntry:
 
     entry_id: str
     summary: str
-    g_label: str
-    n_label: str
     parameters: tuple
     samples: tuple
     build: object
@@ -136,24 +134,15 @@ def _V10_products(field, beta):
     return {(0, 1): {0: beta}, (1, 0): {0: beta - 1}, (1, 1): {1: beta}}
 
 
-def _build_V14(field=QQ, alpha1=None):
-    a1 = field.scalar(alpha1)
-    _check_nonzero(a1, "alpha1", "V14")
-    return case4_raw_family("first", a1, 0, field=field)
-
-
-def _build_V15(field=QQ):
-    return case4_raw_family("first", 1, 1, field=field)
-
-
-def _build_V16(field=QQ, alpha1=None):
-    a1 = field.scalar(alpha1)
-    _check_nonzero(a1, "alpha1", "V16")
-    return case4_raw_family("second", a1, 0, field=field)
-
-
-def _build_V17(field=QQ):
-    return case4_raw_family("second", -1, 1, field=field)
+def _case4(entry_id, which, alpha1=None, coeff=0):
+    """The builder of a case-4 entry: the member (alpha1, coeff) of the
+    raw family `which` (see `case4_raw_family`), with alpha1 the entry's
+    parameter when it is not fixed here."""
+    def build(field=QQ, alpha1=alpha1):
+        a1 = field.scalar(alpha1)
+        _check_nonzero(a1, "alpha1", entry_id)
+        return case4_raw_family(which, a1, coeff, field=field)
+    return build
 
 
 def heis_commutative(alpha, beta, gamma, field=QQ):
@@ -237,12 +226,10 @@ def lambda_product(L, lam):
                        name="lambda_product(%s, %s)" % (L.name or "L", lam))
 
 
-def _entry(entry_id, summary, g_label, n_label, build, parameters=(),
-           samples=({},), expect_tags=(), forbid_tags=(),
-           expect_complete=None, note=""):
-    return CatalogEntry(entry_id, summary, g_label, n_label,
-                        tuple(parameters), tuple(samples), build,
-                        frozenset(expect_tags), frozenset(forbid_tags),
+def _entry(entry_id, summary, build, parameters=(), samples=({},),
+           expect_tags=(), forbid_tags=(), expect_complete=None, note=""):
+    return CatalogEntry(entry_id, summary, tuple(parameters), tuple(samples),
+                        build, frozenset(expect_tags), frozenset(forbid_tags),
                         expect_complete, note)
 
 
@@ -251,9 +238,8 @@ def _lambda_entry(entry_id, algebra_name, lam_samples, summary, **kw):
         base = builtin_algebra(algebra_name, field)
         pair = lambda_product(base, lam)
         return pair.validate()
-    return _entry(entry_id, summary, algebra_name, None, build,
-                  parameters=("lam",), samples=tuple({"lam": v}
-                                                     for v in lam_samples), **kw)
+    return _entry(entry_id, summary, build, parameters=("lam",),
+                  samples=tuple({"lam": v} for v in lam_samples), **kw)
 
 
 def classification_dim2_entries():
@@ -261,35 +247,33 @@ def classification_dim2_entries():
     both_lr = (TAG_PRE_LIE, TAG_LR_PAIR, TAG_COMMUTATIVE, TAG_LSA,
                TAG_LR_IDENTITY)
     entries = (
-        _entry("V1", "zero product", "abelian", "abelian", _case1({}),
+        _entry("V1", "zero product", _case1({}),
                expect_tags=(TAG_ZERO, TAG_PRE_LIE, TAG_LR_PAIR,
                             TAG_COMMUTATIVE, TAG_SCALAR),
                expect_complete=True),
-        _entry("V2", "one idempotent: e1.e1 = e1", "abelian", "abelian",
-               _case1({(0, 0): {0: 1}}), expect_tags=both_lr,
-               forbid_tags=(TAG_SCALAR,), expect_complete=False),
-        _entry("V3", "two orthogonal idempotents", "abelian", "abelian",
+        _entry("V2", "one idempotent: e1.e1 = e1", _case1({(0, 0): {0: 1}}),
+               expect_tags=both_lr, forbid_tags=(TAG_SCALAR,),
+               expect_complete=False),
+        _entry("V3", "two orthogonal idempotents",
                _case1({(0, 0): {0: 1}, (1, 1): {1: 1}}), expect_tags=both_lr,
                expect_complete=False),
-        _entry("V4", "e2 is a two-sided unit for e1 and itself", "abelian",
-               "abelian",
+        _entry("V4", "e2 is a two-sided unit for e1 and itself",
                _case1({(0, 1): {0: 1}, (1, 0): {0: 1}, (1, 1): {1: 1}}),
                expect_tags=both_lr, expect_complete=False),
-        _entry("V5", "square-zero generator: e2.e2 = e1", "abelian", "abelian",
+        _entry("V5", "square-zero generator: e2.e2 = e1",
                _case1({(1, 1): {0: 1}}), expect_tags=both_lr,
                expect_complete=True),
         _entry("V6", "idempotent absorbed by e2: e1.e1 = e1, e2.e1 = -e1",
-               "abelian", "r2",
                _case2({(0, 0): {0: 1}, (1, 0): {0: -1}}),
                expect_tags=(TAG_LR_PAIR, TAG_LR_IDENTITY),
                forbid_tags=(TAG_LSA,), expect_complete=False),
-        _entry("V7", "e1.e2 = e1", "abelian", "r2", _case2({(0, 1): {0: 1}}),
+        _entry("V7", "e1.e2 = e1", _case2({(0, 1): {0: 1}}),
                expect_tags=(TAG_LR_PAIR, TAG_LR_IDENTITY),
                forbid_tags=(TAG_LSA,), expect_complete=True),
-        _entry("V8", "e2.e1 = -e1", "abelian", "r2", _case2({(1, 0): {0: -1}}),
+        _entry("V8", "e2.e1 = -e1", _case2({(1, 0): {0: -1}}),
                expect_tags=(TAG_LR_PAIR, TAG_LR_IDENTITY, TAG_LSA),
                expect_complete=False),
-        _entry("V9", "e2.e1 = -e1 with e2.e2 = alpha e2", "r2", "abelian",
+        _entry("V9", "e2.e1 = -e1 with e2.e2 = alpha e2",
                _case3(_V9_products, ("alpha",)), parameters=("alpha",),
                samples=({"alpha": 0}, {"alpha": 1}, {"alpha": 2}),
                expect_tags=(TAG_PRE_LIE, TAG_LSA), expect_complete=False,
@@ -297,31 +281,31 @@ def classification_dim2_entries():
                     "right-complete (all R(x) nilpotent) but not complete: "
                     "L(e2) is not nilpotent, and no (r2, abelian) structure "
                     "is left-complete"),
-        _entry("V10", "two-sided scaling by beta", "r2", "abelian",
+        _entry("V10", "two-sided scaling by beta",
                _case3(_V10_products, ("beta",)), parameters=("beta",),
                samples=({"beta": 1}, {"beta": 2}),
                expect_tags=(TAG_PRE_LIE, TAG_LSA), expect_complete=False),
-        _entry("V11", "e2.e1 = -e1, e2.e2 = e1 - e2", "r2", "abelian",
+        _entry("V11", "e2.e1 = -e1, e2.e2 = e1 - e2",
                _case3(lambda field: {(1, 0): {0: -1}, (1, 1): {0: 1, 1: -1}},
                       ()),
                expect_tags=(TAG_PRE_LIE, TAG_LSA), expect_complete=False),
-        _entry("V12", "e1.e1 = e2 over the weight -2 action", "r2", "abelian",
+        _entry("V12", "e1.e1 = e2 over the weight -2 action",
                _case3(lambda field: {(0, 0): {1: 1}, (1, 0): {0: -1},
                                      (1, 1): {1: -2}}, ()),
                expect_tags=(TAG_PRE_LIE, TAG_LSA), expect_complete=False),
-        _entry("V13", "e1.e2 = e1, e2.e2 = e1 + e2", "r2", "abelian",
+        _entry("V13", "e1.e2 = e1, e2.e2 = e1 + e2",
                _case3(lambda field: {(0, 1): {0: 1}, (1, 1): {0: 1, 1: 1}},
                       ()),
                expect_tags=(TAG_PRE_LIE, TAG_LSA), expect_complete=False),
-        _entry("V14", "e2.e1 = (1 - alpha1) e1 on matched r2 brackets", "r2",
-               "r2", _build_V14, parameters=("alpha1",),
+        _entry("V14", "e2.e1 = (1 - alpha1) e1 on matched r2 brackets",
+               _case4("V14", "first"), parameters=("alpha1",),
                samples=({"alpha1": 1}, {"alpha1": 2}, {"alpha1": -1}),
                expect_tags=(TAG_LSA, TAG_LR_IDENTITY)),
-        _entry("V15", "e2.e2 = e1 on matched r2 brackets", "r2", "r2",
-               _build_V15, expect_tags=(TAG_LSA, TAG_LR_IDENTITY),
-               expect_complete=True),
-        _entry("V16", "left action by -1 against weight -alpha1", "r2", "r2",
-               _build_V16, parameters=("alpha1",),
+        _entry("V15", "e2.e2 = e1 on matched r2 brackets",
+               _case4("V15", "first", 1, 1),
+               expect_tags=(TAG_LSA, TAG_LR_IDENTITY), expect_complete=True),
+        _entry("V16", "left action by -1 against weight -alpha1",
+               _case4("V16", "second"), parameters=("alpha1",),
                samples=({"alpha1": 1}, {"alpha1": 2}, {"alpha1": -1}),
                forbid_tags=(TAG_LSA, TAG_LR_IDENTITY),
                expect_complete=False,
@@ -330,8 +314,8 @@ def classification_dim2_entries():
                     "alpha1 = 1; for any other alpha1 the triple "
                     "(e1, e2, e2) gives 2*alpha1*e1 on the left and 2*e1 "
                     "on the right"),
-        _entry("V17", "opposed weights with e2.e2 = e1", "r2", "r2",
-               _build_V17,
+        _entry("V17", "opposed weights with e2.e2 = e1",
+               _case4("V17", "second", -1, 1),
                forbid_tags=(TAG_CYCLIC, TAG_LSA, TAG_LR_IDENTITY),
                expect_complete=False,
                note="fails the six-term identity at (e1, e2, e2): "
@@ -345,14 +329,13 @@ def example_entries():
     return (
         _entry("heis_commutative",
                "commutative products on the Heisenberg pair",
-               "n3", "n3", heis_commutative,
-               parameters=("alpha", "beta", "gamma"),
+               heis_commutative, parameters=("alpha", "beta", "gamma"),
                samples=({"alpha": 0, "beta": 1, "gamma": 0},
                         {"alpha": 1, "beta": 2, "gamma": 3},
                         {"alpha": -1, "beta": Fraction(1, 2), "gamma": 5}),
                expect_tags=(TAG_COMMUTATIVE,), expect_complete=True),
         _entry("sl2_family", "two-parameter family acting on sl2",
-               None, "sl2", sl2_family, parameters=("alpha", "beta"),
+               sl2_family, parameters=("alpha", "beta"),
                samples=({"alpha": 2, "beta": 1}, {"alpha": 1, "beta": -1},
                         {"alpha": 3, "beta": 0}),
                expect_complete=None,
@@ -363,17 +346,17 @@ def example_entries():
                       (2, -1, Fraction(1, 3), Fraction(1, 2)),
                       "scalar products lam[,] on the Heisenberg algebra",
                       expect_tags=(TAG_SCALAR,), expect_complete=True),
-        _entry("zero_n3", "zero product on the Heisenberg pair", "n3", "n3",
+        _entry("zero_n3", "zero product on the Heisenberg pair",
                lambda field=QQ: lambda_product(
                    builtin_algebra("n3", field), 0).validate(),
                expect_tags=(TAG_ZERO, TAG_SCALAR, TAG_COMMUTATIVE),
                expect_complete=True),
-        _entry("zero_sl2", "zero product on the simple pair", "sl2", "sl2",
+        _entry("zero_sl2", "zero product on the simple pair",
                lambda field=QQ: lambda_product(
                    builtin_algebra("sl2", field), 0).validate(),
                expect_tags=(TAG_ZERO, TAG_SCALAR, TAG_COMMUTATIVE),
                expect_complete=True),
-        _entry("adjoint_sl2", "x.y = [x,y] on the simple pair", "sl2", "sl2",
+        _entry("adjoint_sl2", "x.y = [x,y] on the simple pair",
                lambda field=QQ: lambda_product(
                    builtin_algebra("sl2", field), 1).validate(),
                expect_tags=(TAG_SCALAR,), forbid_tags=(TAG_ZERO,),

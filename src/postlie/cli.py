@@ -79,6 +79,15 @@ def _load(path):
         raise DocumentError(str(exc), path)
 
 
+def _tables_failed(args, report, lines=()):
+    """The output of analyze, embed and audit on a document whose tables
+    fail `full_report`: its report, and a headline followed by `lines`."""
+    _emit(args, {"command": args.command, "file": args.file,
+                 "report": report.as_dict()},
+          ["%s: tables failed verification" % args.command, *lines])
+    return 1
+
+
 def _cmd_check(args):
     pair = _load(args.file)
     report = pair.full_report()
@@ -108,11 +117,8 @@ def _cmd_analyze(args):
     pair = _load(args.file)
     report = pair.full_report()
     if not report.passed:
-        lines = ["analyze: tables failed verification"]
-        lines += ["  " + text for text in report.lines() if "FAIL" in text]
-        _emit(args, {"command": "analyze", "file": args.file,
-                     "report": report.as_dict()}, lines)
-        return 1
+        return _tables_failed(args, report, ["  " + text for text in
+                                             report.lines() if "FAIL" in text])
     cases = special_case_detect(pair)
     complete = is_complete_structure(pair)
     sampled = sampled_left_mult_nilpotency(pair, seed=args.seed)
@@ -247,27 +253,30 @@ def _cmd_catalog_export(args):
     return 0
 
 
+def _sweep_output(args, result, subject, **keys):
+    """The payload and lines that search products and search phi share:
+    `keys` joins the payload, and `subject` the headline."""
+    payload = {"command": "search-" + args.search_command, "p": args.p,
+               "candidates": result.total, "hits": len(result.indices),
+               "backend": result.backend,
+               "indices": list(result.indices[:args.limit]), **keys}
+    lines = ["search %s: %s" % (args.search_command, subject),
+             "  candidates: %d" % result.total,
+             "  hits: %d" % len(result.indices),
+             "  backend: %s" % result.backend]
+    return payload, lines
+
+
 def _cmd_search_products(args):
     field = GF(args.p)
     g = builtin_algebra(args.g, field=field, dim=args.dim, lam=args.lam)
     n = builtin_algebra(args.n, field=field, dim=args.dim, lam=args.lam)
     spec = SearchSpec(g, n, symmetric=not args.full)
     result = enumerate_products(spec)
-    payload = {
-        "command": "search-products",
-        "p": args.p, "dim": spec.dim,
-        "mode": "full" if args.full else "symmetric",
-        "candidates": result.total,
-        "hits": len(result.indices),
-        "backend": result.backend,
-        "indices": list(result.indices[:args.limit]),
-    }
-    lines = ["search products: g=%s n=%s over GF(%d), %s mode"
-             % (args.g, args.n, args.p,
-                "full" if args.full else "symmetric"),
-             "  candidates: %d" % result.total,
-             "  hits: %d" % len(result.indices),
-             "  backend: %s" % result.backend]
+    mode = "full" if args.full else "symmetric"
+    payload, lines = _sweep_output(
+        args, result, "g=%s n=%s over GF(%d), %s mode"
+        % (args.g, args.n, args.p, mode), dim=spec.dim, mode=mode)
     shown = result.indices[:args.limit]
     if shown:
         lines.append("  first indices: %s"
@@ -290,18 +299,8 @@ def _cmd_search_phi(args):
     field = GF(args.p)
     n_alg = builtin_algebra(args.n, field=field, dim=args.dim, lam=args.lam)
     result = phi_ansatz_sweep(n_alg)
-    payload = {
-        "command": "search-phi",
-        "p": args.p, "n": args.n,
-        "candidates": result.total,
-        "hits": len(result.indices),
-        "backend": result.backend,
-        "indices": list(result.indices[:args.limit]),
-    }
-    lines = ["search phi: n=%s over GF(%d)" % (args.n, args.p),
-             "  candidates: %d" % result.total,
-             "  hits: %d" % len(result.indices),
-             "  backend: %s" % result.backend]
+    payload, lines = _sweep_output(
+        args, result, "n=%s over GF(%d)" % (args.n, args.p), n=args.n)
     if len(result.indices) <= args.limit:
         mats = []
         for index in result.indices:
@@ -346,10 +345,7 @@ def _cmd_embed(args):
     pair = _load(args.file)
     report = pair.full_report()
     if not report.passed:
-        _emit(args, {"command": "embed", "file": args.file,
-                     "report": report.as_dict()},
-              ["embed: tables failed verification"])
-        return 1
+        return _tables_failed(args, report)
     emb = embed_semidirect(pair)
     payload = {
         "command": "embed",
@@ -374,10 +370,7 @@ def _cmd_audit(args):
     pair = _load(args.file)
     report = pair.full_report()
     if not report.passed:
-        _emit(args, {"command": "audit", "file": args.file,
-                     "report": report.as_dict()},
-              ["audit: tables failed verification"])
-        return 1
+        return _tables_failed(args, report)
     audit = derived_identity_audit(pair)
     theorems = theorem_audit(pair)
     ok = audit.passed and theorems.consistent

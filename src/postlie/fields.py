@@ -205,11 +205,14 @@ class Field:
 
     def raw(self, x):
         """The plain value of a scalar of this field: the residue int over
-        GF(p), the Fraction itself over Q.  Anything else is coerced with
-        `scalar` first, so a residue of another field still raises."""
+        GF(p), the Fraction itself over Q.  Over GF(p) a plain int is
+        reduced at once; anything else is coerced with `scalar` first, so
+        a residue of another field still raises."""
         p = self.p
         if p is None:
             return x if type(x) is Fraction else self.scalar(x)
+        if type(x) is int:
+            return x % p
         if type(x) is Mod and x.p == p:
             return x.a
         return self.scalar(x).a

@@ -153,19 +153,19 @@ def cyclic_sum(acc, outer, inner, sign, x, y, z):
     nest_left(acc, outer, inner, sign, z, x, y)
 
 
-def derivation_action(dim, N, P):
+def derivation_action(N, P):
     """Delta of x.{y,z} = {x.y, z} + {y, x.z} on basis triples, for the
-    bracket N and the product P, of degree 2 in the tables.
+    bracket N and the product P, of degree 2 in the tables (see
+    `scan_item`).
 
     At x = e_0 of the one-slot table of a matrix D (see `operator_table`)
     it is D{y,z} - {Dy, z} - {y, Dz}, the derivation condition on D."""
 
-    def delta(i, j, k):
-        acc = [0] * dim
+    def delta(acc, idx):
+        i, j, k = idx
         nest_right(acc, P, N, 1, i, j, k)
         nest_left(acc, N, P, -1, i, j, k)
         nest_right(acc, N, P, -1, j, i, k)
-        return acc
     return delta
 
 
@@ -192,14 +192,12 @@ def check_lie_axioms(L):
     d = common_denominator(L)
     B = L.scaled_terms(d)
 
-    def jacobi(i, j, k):
-        acc = [0] * n
-        cyclic_sum(acc, B, B, 1, i, j, k)
-        return acc
+    def jacobi(acc, idx):
+        cyclic_sum(acc, B, B, 1, *idx)
 
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
                for k in range(j + 1, n)]
-    item = scan_item("jacobi", L.field, triples, jacobi, d * d)
+    item = scan_item("jacobi", L.field, n, triples, jacobi, d * d)
     return CheckReport("lie axioms (%s)" % (L.name or "bracket table"), (item,))
 
 
@@ -380,8 +378,8 @@ def is_derivation(L, D):
         raise FieldMismatchError("derivation candidate over %s for an "
                                  "algebra over %s" % (D.field.name,
                                                       L.field.name))
-    delta = derivation_action(n, L.scaled_terms(), operator_table(D))
-    return scan_item(None, L.field, _derivation_triples(n), delta).passed
+    delta = derivation_action(L.scaled_terms(), operator_table(D))
+    return scan_item(None, L.field, n, _derivation_triples(n), delta).passed
 
 
 def _derivation_triples(n):
@@ -425,8 +423,13 @@ def derivation_algebra(L):
     cols = []
     for r in range(n):
         for c in range(n):
-            delta = derivation_action(n, N, {(0, c): ((r, 1),)})
-            cols.append([v for idx in triples for v in delta(*idx)])
+            delta = derivation_action(N, {(0, c): ((r, 1),)})
+            col = []
+            for idx in triples:
+                acc = [0] * n
+                delta(acc, idx)
+                col += acc
+            cols.append(col)
     kern, l = kernel_rows(L.field.p, list(zip(*cols)), n * n)
     basis = []
     for flat in kern:
@@ -469,7 +472,7 @@ def semidirect_with_derivations(L, derivations, name=None):
     for t, D in enumerate(derivations):
         if not checked and not is_derivation(L, D):
             raise StructureError("entry %d is not a derivation" % t)
-    flats = [D.flat() for D in derivations]
+    flats = [D.raw_flat() for D in derivations]
     if k and not checked and rank(Matrix(L.field, flats)) != k:
         raise StructureError("derivation list is linearly dependent")
     table = {key: vec + (0,) * k for key, vec in L.raw.items()}
@@ -480,7 +483,7 @@ def semidirect_with_derivations(L, derivations, name=None):
             table[(i, n + t)] = [-v for v in raw[i::n]] + [0] * k
     pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
     solved = coordinates_in_span_many(
-        flats, [commutator(derivations[s], derivations[t]).flat()
+        flats, [commutator(derivations[s], derivations[t]).raw_flat()
                 for s, t in pairs], L.field)
     for (s, t), coords in zip(pairs, solved):
         if coords is None:

@@ -78,23 +78,28 @@ def _passing(name):
     return CheckItem(name, True)
 
 
-def scan_item(name, field, tuples, delta, scale=1):
+def scan_item(name, field, dim, tuples, delta, scale=1):
     """Evaluate an identity over index tuples; the first nonzero difference
     is the witness.
 
-    `delta(*idx)` returns `scale` times the difference of the two sides at
-    one tuple as raw values (see `Field.raw`), unreduced; each coordinate
-    is tested in place, as its residue mod p over GF(p), and only the
-    witness's discrepancy is read back as field scalars and divided by
-    `scale`.  Over Q the scans scale their tables by a common denominator
-    D (see `linalg.common_denominator`), so that an identity of degree k
-    sums ints and passes D**k; over GF(p) `scale` is 1.  The scan
-    short-circuits inside one identity, but callers always collect every
-    identity, so reports list all broken ones.
+    The scan owns the buffer: for each tuple idx it calls
+    `delta(acc, idx)` with a fresh list acc of dim int zeros, and the
+    delta adds `scale` times the difference of the two sides at idx into
+    acc, as raw values (see `Field.raw`), unreduced.  idx is passed
+    whole: `delta(acc, *idx)` would build a new argument tuple on every
+    call.  Each coordinate is tested in place, as
+    its residue mod p over GF(p), and only the witness's discrepancy is
+    read back as field scalars and divided by `scale`.  Over Q the scans
+    scale their tables by a common denominator D (see
+    `structures._scaled`), so that an identity of degree k sums ints and
+    passes D**k; over GF(p) `scale` is 1.  The scan short-circuits inside
+    one identity, but callers always collect every identity, so reports
+    list all broken ones.
     """
     p = field.p
     for idx in tuples:
-        diff = delta(*idx)
+        diff = [0] * dim
+        delta(diff, idx)
         if any(diff) if p is None else any([v % p for v in diff]):
             return CheckItem(name, False, idx, tuple(
                 [field.from_raw(v) / scale for v in diff]))

@@ -23,7 +23,8 @@ from .errors import (GuardError, ParameterError, StructureError,
 from .fields import GF
 from .lie import (LieAlgebra, center, is_complete_lie, is_nilpotent,
                   is_perfect, is_solvable)
-from .linalg import Matrix, kernel_rows
+from .linalg import Matrix, accumulate, kernel_rows, nest_right
+from .report import scan_item
 from .structures import BilinearProduct, check_structure, pair_from_phi
 
 GUARD_ENV = "POSTLIE_GUARD"
@@ -53,6 +54,12 @@ def check_guard(total):
             "sweep size %d exceeds the guard %d; raise the %s environment "
             "variable to allow it" % (total, limit, GUARD_ENV))
     return total
+
+
+def _kernel_disagrees(index):
+    """The error of a kernel hit that fails its exact re-verification."""
+    return GuardError("kernel hit %d failed exact re-verification; kernel "
+                      "and checker disagree" % index)
 
 
 def _require_sweep_dim(dim):
@@ -267,9 +274,7 @@ def enumerate_products(spec, kernel=None):
         product = decode_product(spec, index)
         report = check_structure(spec.g, spec.n, product)
         if not report.passed:
-            raise GuardError(
-                "kernel hit %d failed exact re-verification; kernel and "
-                "checker disagree" % index)
+            raise _kernel_disagrees(index)
         hits.append(index)
     return EnumerationResult(spec=spec, indices=tuple(hits), total=total,
                              backend=_backend_name(kernel))
@@ -365,9 +370,7 @@ def phi_ansatz_sweep(n_alg, kernel=None):
                 cosets[key] = pair_from_phi(
                     n_alg, decode_matrix(n_alg.field, n, index))
             except StructureError as exc:
-                raise GuardError(
-                    "kernel hit %d failed exact re-verification; kernel and "
-                    "checker disagree" % index) from exc
+                raise _kernel_disagrees(index) from exc
         pairs.append(cosets[key])
     return PhiSweepResult(n=n_alg, indices=tuple(raw), total=total,
                           backend=_backend_name(kernel),
@@ -381,7 +384,10 @@ def automorphism_indices(algebras, kernel=None):
     The guard counts the candidates the sweep tests
     (`fpkernel.automorphism_candidate_count`), read from `fpkernel`
     itself as in `enumerate_products`, and the sweep range stays the
-    whole box.  An empty list raises ParameterError."""
+    whole box.  Every kernel hit T is re-verified exactly, on residues:
+    [T e_i, T e_j] = T [e_i, e_j] for all i < j, once for each distinct
+    nonzero table; a zero table is preserved by every T, so it is not
+    scanned.  An empty list raises ParameterError."""
     if kernel is None:
         kernel = fpkernel
     if not algebras:
@@ -395,7 +401,25 @@ def automorphism_indices(algebras, kernel=None):
     _require_sweep_dim(n)
     tensors = [flat_bracket_tensor(L) for L in algebras]
     check_guard(fpkernel.automorphism_candidate_count(p, n, tensors))
-    return tuple(kernel.gl_invariance_sweep(p, n, tensors, 0, p ** (n * n)))
+    auts = tuple(kernel.gl_invariance_sweep(p, n, tensors, 0, p ** (n * n)))
+    tables = [L.terms() for L in dict.fromkeys(algebras) if L.raw]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for index in auts if tables else ():
+        T = _index_digits(index, p, n * n)
+        # the columns T e_i, and T as the one-slot table of x.v = x_0 T v
+        cols = [[(k, T[k * n + i]) for k in range(n) if T[k * n + i]]
+                for i in range(n)]
+        M = {(0, i): col for i, col in enumerate(cols)}
+        for B in tables:
+
+            def delta(acc, idx):
+                i, j = idx
+                accumulate(acc, B, cols[i], cols[j])
+                nest_right(acc, M, B, -1, 0, i, j)
+
+            if not scan_item(None, first.field, n, pairs, delta).passed:
+                raise _kernel_disagrees(index)
+    return auts
 
 
 def transform_product(product, T, Tinv=None):

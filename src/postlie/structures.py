@@ -190,47 +190,51 @@ def _triples_all(n):
                  for k in range(n))
 
 
-# The identity scans below work on raw values (see `Field.raw`).  Each
-# delta starts from int zeros and adds every term of the identity; in the
+# The identity scans below work on raw values (see `Field.raw`).
+# `scan_item` owns the buffer: it calls delta(acc, idx) with a list acc
+# of int zeros for each index tuple idx, and the delta unpacks idx and
+# adds every term of the identity into acc.  In the
 # comments x, y, z stand for basis vectors, P for the product table and
 # G, N for the bracket tables of g and n.  A term of degree 1 is one
 # slot, read directly; a nested term of degree 2 goes through
 # `linalg.nest_left`, T(S(x, y), z), or `linalg.nest_right`,
 # T(x, S(y, z)), with its sign as the scalar factor.  `accumulate` is
 # left for two general operands.  Over Q the tables of one scan are
-# scaled to ints by their common denominator d (see
-# `linalg.common_denominator`), so every sum is an int sum; an identity
-# of degree k in the tables is then d**k times itself, and `scan_item`
-# divides the witness's discrepancy back by d**k.  Derivation-action and
-# the Jacobi cyclic sum live in `lie` (`derivation_action`,
-# `cyclic_sum`), which reads them too.
+# scaled to ints by their common denominator d, which `_scaled` returns
+# with them, so every sum is an int sum; an identity of degree k in the
+# tables is then d**k times itself, and `scan_item` divides the
+# witness's discrepancy back by d**k.  Derivation-action and the Jacobi
+# cyclic sum live in `lie` (`derivation_action`, `cyclic_sum`), which
+# reads them too.
 
 
-def _scaled(d, *tables):
-    """The sparse slot tables of `tables`, each scaled by d."""
-    return [t.scaled_terms(d) for t in tables]
+def _scaled(*tables):
+    """The common denominator d of `tables` (see
+    `linalg.common_denominator`), then their sparse slot tables, each
+    scaled by d."""
+    d = common_denominator(*tables)
+    return (d, *[t.scaled_terms(d) for t in tables])
 
 
-def _module_action(dim, G, P):
+def _module_action(G, P):
     """Delta of [x,y].z = x.(y.z) - y.(x.z) on basis triples, of degree 2
     in the tables."""
 
-    def delta(i, j, k):
-        acc = [0] * dim
+    def delta(acc, idx):
+        i, j, k = idx
         nest_left(acc, P, G, 1, i, j, k)
         nest_right(acc, P, P, -1, i, j, k)
         nest_right(acc, P, P, 1, j, i, k)
-        return acc
     return delta
 
 
-def _skew_part(dim, G, N, P):
+def _skew_part(G, N, P):
     """Delta of x.y - y.x = [x,y] - {x,y} on basis pairs, of degree 1 in
     the tables.  With G empty the delta is the induced bracket
     x.y - y.x + {x,y}."""
 
-    def delta(i, j):
-        acc = [0] * dim
+    def delta(acc, idx):
+        i, j = idx
         for t, v in P.get((i, j), ()):
             acc[t] += v
         for t, v in P.get((j, i), ()):
@@ -239,22 +243,20 @@ def _skew_part(dim, G, N, P):
             acc[t] -= v
         for t, v in N.get((i, j), ()):
             acc[t] += v
-        return acc
     return delta
 
 
-def _associator_skew(dim, N, P):
+def _associator_skew(N, P):
     """Delta of {x,y}.z = (y.x).z - y.(x.z) - (x.y).z + x.(y.z), of
     degree 2 in the tables."""
 
-    def delta(i, j, k):
-        acc = [0] * dim
+    def delta(acc, idx):
+        i, j, k = idx
         nest_left(acc, P, N, 1, i, j, k)
         nest_left(acc, P, P, -1, j, i, k)
         nest_left(acc, P, P, 1, i, j, k)
         nest_right(acc, P, P, 1, j, i, k)
         nest_right(acc, P, P, -1, i, j, k)
-        return acc
     return delta
 
 
@@ -263,15 +265,14 @@ def check_structure(g, n, product):
     tables must share one dimension and one field."""
     _require_one_space(g, n, product)
     field, dim = g.field, g.dim
-    d = common_denominator(g, n, product)
-    G, N, P = _scaled(d, g, n, product)
+    d, G, N, P = _scaled(g, n, product)
     items = (
-        scan_item("skew-part", field, _pairs(dim),
-                  _skew_part(dim, G, N, P), d),
-        scan_item("module-action", field, _triples_pair_any(dim),
-                  _module_action(dim, G, P), d * d),
-        scan_item("derivation-action", field, _triples_any_pair(dim),
-                  derivation_action(dim, N, P), d * d),
+        scan_item("skew-part", field, dim, _pairs(dim),
+                  _skew_part(G, N, P), d),
+        scan_item("module-action", field, dim, _triples_pair_any(dim),
+                  _module_action(G, P), d * d),
+        scan_item("derivation-action", field, dim, _triples_any_pair(dim),
+                  derivation_action(N, P), d * d),
     )
     return CheckReport("post-Lie structure", items)
 
@@ -289,14 +290,13 @@ def check_algebra(product, n):
     jacobi = check_lie_axioms(n).item("jacobi")
     jacobi = CheckItem("bracket-jacobi", jacobi.passed, jacobi.witness,
                        jacobi.discrepancy)
-    d = common_denominator(n, product)
-    N, P = _scaled(d, n, product)
+    d, N, P = _scaled(n, product)
     items = (
         jacobi,
-        scan_item("associator-skew", field, _triples_pair_any(dim),
-                  _associator_skew(dim, N, P), d * d),
-        scan_item("derivation-action", field, _triples_any_pair(dim),
-                  derivation_action(dim, N, P), d * d),
+        scan_item("associator-skew", field, dim, _triples_pair_any(dim),
+                  _associator_skew(N, P), d * d),
+        scan_item("derivation-action", field, dim, _triples_any_pair(dim),
+                  derivation_action(N, P), d * d),
     )
     return CheckReport("post-Lie algebra", items)
 
@@ -304,9 +304,12 @@ def check_algebra(product, n):
 def induced_bracket(product, n, name=None):
     """The unvalidated bracket table x.y - y.x + {x,y}."""
     field, dim = n.field, n.dim
-    delta = _skew_part(dim, {}, n.terms(), product.terms())
-    return LieAlgebra.from_raw(
-        field, dim, {(i, j): delta(i, j) for i, j in _pairs(dim)}, name=name)
+    delta = _skew_part({}, n.terms(), product.terms())
+    table = {}
+    for idx in _pairs(dim):
+        table[idx] = acc = [0] * dim
+        delta(acc, idx)
+    return LieAlgebra.from_raw(field, dim, table, name=name)
 
 
 def phi_product(n, phi):
@@ -382,20 +385,18 @@ def derived_identity_audit(pair):
     g, n, product = pair.g, pair.n, pair.product
     dim = pair.dim
     field = pair.field
-    d = common_denominator(g, n, product)
-    G, N, P = _scaled(d, g, n, product)
+    d, G, N, P = _scaled(g, n, product)
 
-    def right_slot(z, i, j):
+    def right_slot(acc, idx):
+        z, i, j = idx
         # z.[x,y] - z.(x.y) + z.(y.x) - z.{x,y}
-        acc = [0] * dim
         nest_right(acc, P, G, 1, z, i, j)
         nest_right(acc, P, P, -1, z, i, j)
         nest_right(acc, P, P, 1, z, j, i)
         nest_right(acc, P, N, -1, z, i, j)
-        return acc
 
-    def mixed(x, y, z):
-        acc = [0] * dim
+    def mixed(acc, idx):
+        x, y, z = idx
         # the left side [x.y,z] + [y,x.z] - x.[y,z]
         nest_left(acc, G, P, 1, x, y, z)
         nest_right(acc, G, P, 1, y, x, z)
@@ -407,36 +408,33 @@ def derived_identity_audit(pair):
         nest_right(acc, P, P, 1, x, y, z)
         nest_right(acc, P, P, -1, x, z, y)
         nest_right(acc, P, P, 1, z, x, y)
-        return acc
 
-    def cyclic_left(x, y, z):
-        acc = [0] * dim
+    def cyclic_left(acc, idx):
+        x, y, z = idx
         nest_right(acc, P, N, 1, x, y, z)
         nest_right(acc, P, N, 1, y, z, x)
         nest_right(acc, P, N, 1, z, x, y)
         cyclic_sum(acc, N, G, -1, x, y, z)
-        return acc
 
-    def cyclic_product(x, y, z):
-        acc = [0] * dim
+    def cyclic_product(acc, idx):
+        x, y, z = idx
         cyclic_sum(acc, P, N, 1, x, y, z)
         cyclic_sum(acc, N, G, -1, x, y, z)
         cyclic_sum(acc, G, N, -1, x, y, z)
-        return acc
 
     dd = d * d
     items = (
-        scan_item("module-action", field, _triples_pair_any(dim),
-                  _module_action(dim, G, P), dd),
-        scan_item("associator-skew", field, _triples_pair_any(dim),
-                  _associator_skew(dim, N, P), dd),
-        scan_item("right-slot-expansion", field, _triples_any_pair(dim),
-                  right_slot, dd),
-        scan_item("mixed-rearrangement", field, _triples_all(dim), mixed,
-                  dd),
-        scan_item("cyclic-left-action", field, _triples_all(dim),
+        scan_item("module-action", field, dim, _triples_pair_any(dim),
+                  _module_action(G, P), dd),
+        scan_item("associator-skew", field, dim, _triples_pair_any(dim),
+                  _associator_skew(N, P), dd),
+        scan_item("right-slot-expansion", field, dim,
+                  _triples_any_pair(dim), right_slot, dd),
+        scan_item("mixed-rearrangement", field, dim, _triples_all(dim),
+                  mixed, dd),
+        scan_item("cyclic-left-action", field, dim, _triples_all(dim),
                   cyclic_left, dd),
-        scan_item("cyclic-product-action", field, _triples_all(dim),
+        scan_item("cyclic-product-action", field, dim, _triples_all(dim),
                   cyclic_product, dd),
     )
     return CheckReport("derived identities", items)
@@ -582,31 +580,28 @@ def special_case_detect(pair):
     P = product.scaled_terms()
 
     def holds(tuples, delta):
-        return scan_item(None, field, tuples, delta).passed
+        return scan_item(None, field, dim, tuples, delta).passed
 
-    def right_comm_delta(i, j, k):
+    def right_comm_delta(acc, idx):
+        i, j, k = idx
         # (x.y).z - (x.z).y
-        acc = [0] * dim
         nest_left(acc, P, P, 1, i, j, k)
         nest_left(acc, P, P, -1, i, k, j)
-        return acc
 
-    def cyclic_delta(x, y, z):
+    def cyclic_delta(acc, idx):
+        x, y, z = idx
         # x.(y.z) + y.(x.z) + z.(x.y) - (y.z).x - (x.z).y - (x.y).z
-        acc = [0] * dim
         nest_right(acc, P, P, 1, x, y, z)
         nest_right(acc, P, P, 1, y, x, z)
         nest_right(acc, P, P, 1, z, x, y)
         nest_left(acc, P, P, -1, y, z, x)
         nest_left(acc, P, P, -1, x, z, y)
         nest_left(acc, P, P, -1, x, y, z)
-        return acc
 
     # left-symmetry and left-commutativity are associator-skew and
     # module-action with the brackets set to zero
-    lsa = holds(_triples_pair_any(dim), _associator_skew(dim, {}, P))
-    left_comm = holds(_triples_pair_any(dim),
-                      _module_action(dim, {}, P))
+    lsa = holds(_triples_pair_any(dim), _associator_skew({}, P))
+    left_comm = holds(_triples_pair_any(dim), _module_action({}, P))
     right_comm = holds(_triples_any_pair(dim), right_comm_delta)
     cyclic = holds(_triples_all(dim), cyclic_delta)
 
@@ -657,8 +652,8 @@ def _left_coordinates(pair, span, what):
     """The coordinates of each L(e_i) in the span of the matrices `span`;
     `what` names the span for the internal error raised on a miss."""
     solved = coordinates_in_span_many(
-        [M.flat() for M in span],
-        [pair.product.left_matrix_basis(i).flat()
+        [M.raw_flat() for M in span],
+        [pair.product.left_matrix_basis(i).raw_flat()
          for i in range(pair.dim)], pair.field)
     if any(coords is None for coords in solved):
         raise StructureError("internal error: left multiplication is "
@@ -718,20 +713,19 @@ def embed_semidirect(pair):
     # identity, of degree 2 on the left and 3 on the right, reads d**3
     _, dm = matrix.int_form()
     d = lcm(dm, common_denominator(pair.g, ambient))
-    G, A = _scaled(d, pair.g, ambient)
-    size = ambient.dim
+    G, A = pair.g.scaled_terms(d), ambient.scaled_terms(d)
     M = operator_table(matrix, d // dm)
     img = [M[(0, i)] for i in range(dim)]
     neg = [[(t, -v) for t, v in vec] for vec in img]
 
-    def hom(i, j):
+    def hom(acc, idx):
+        i, j = idx
         # M [e_i, e_j] - [M e_i, M e_j], with M e_k the k-th image
-        acc = [0] * size
         nest_right(acc, M, G, d, 0, i, j)
         accumulate(acc, A, neg[i], img[j])
-        return acc
 
-    items = (scan_item("homomorphism", field, _pairs(dim), hom, d ** 3),)
+    items = (scan_item("homomorphism", field, ambient.dim, _pairs(dim), hom,
+                       d ** 3),)
     report = CheckReport("semidirect embedding", items)
     return Embedding(ambient, ders, tuple(images), matrix, report)
 
@@ -835,23 +829,24 @@ def split_semisimple(pair):
     coords = dict(zip(got, coordinates_in_span_many(basis, list(got.values()),
                                                     field)))
 
-    def closure(i, j):
-        if coords[(i, j)] is None:
+    def closure(acc, idx):
+        if coords[idx] is None:
             # not even inside the span: report the full vector
-            return raw_vector(field, got[(i, j)])
-        return raw_vector(field, vsub(coords[(i, j)],
-                                      pair.g.bracket_basis(i, j)))
+            acc[:] = raw_vector(field, got[idx])
+        else:
+            acc[:] = raw_vector(field, vsub(coords[idx],
+                                            pair.g.bracket_basis(*idx)))
 
-    def difference_map(i, j):
+    def difference_map(acc, idx):
         # (p1 - p2) w_i = e_i by construction; verified honestly
-        del j
+        i = idx[0]
         w = basis[i]
         diff = vsub(w[:dim], w[dim:])
-        return raw_vector(field, vsub(diff, unit_vector(field, dim, i)))
+        acc[:] = raw_vector(field, vsub(diff, unit_vector(field, dim, i)))
 
     items = (
-        scan_item("subalgebra-matches-g", field, _pairs(dim), closure),
-        scan_item("difference-map-bijective", field,
+        scan_item("subalgebra-matches-g", field, dim, _pairs(dim), closure),
+        scan_item("difference-map-bijective", field, dim,
                   [(i, i) for i in range(dim)], difference_map),
     )
     report = CheckReport("semisimple split", items)
@@ -887,15 +882,14 @@ def prelie_from_two_step(pair):
                 acc[t] += half * v
             table[(i, j)] = acc
     prelie = BilinearProduct.from_raw(field, dim, table)
-    d = common_denominator(pair.g, prelie)
-    G, O = _scaled(d, pair.g, prelie)
+    d, G, O = _scaled(pair.g, prelie)
     # o is commutator-compatible with g when skew-part holds for o with
     # no second bracket, and left-symmetric when module-action does
     items = (
-        scan_item("commutator-matches-bracket", field, _pairs(dim),
-                  _skew_part(dim, G, {}, O), d),
-        scan_item("left-symmetry", field, _triples_pair_any(dim),
-                  _module_action(dim, G, O), d * d),
+        scan_item("commutator-matches-bracket", field, dim, _pairs(dim),
+                  _skew_part(G, {}, O), d),
+        scan_item("left-symmetry", field, dim, _triples_pair_any(dim),
+                  _module_action(G, O), d * d),
     )
     return prelie, CheckReport("pre-Lie deformation", items)
 

@@ -6,10 +6,12 @@ contributing test passed.
 """
 
 import re
+from unittest import mock
 
 import pytest
 
 from postlie.catalog import all_entries
+from postlie.fields import Mod
 
 CRITERIA = {
     1: "catalog tables reproduced entrywise over Q",
@@ -65,3 +67,21 @@ def catalog_samples():
         for sample in entry.samples:
             out.append((entry, sample, entry.build_sample(sample)))
     return out
+
+
+@pytest.fixture
+def mods_built():
+    """`mods_built(run)`: the result of `run()` and the number of
+    `fields.Mod` scalars it constructed, counted on `Mod.__init__`."""
+    def count(run):
+        built = []
+        init = Mod.__init__
+
+        def counted(self, a, modulus):
+            built.append(a)
+            init(self, a, modulus)
+
+        with mock.patch.object(Mod, "__init__", counted):
+            result = run()
+        return result, len(built)
+    return count

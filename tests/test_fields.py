@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from postlie.errors import FieldMismatchError, UnsupportedFieldError
 from postlie.fields import GF, QQ, Mod, field_from_name, is_prime
+from postlie.linalg import Matrix
 
 
 def test_is_prime_small_values():
@@ -179,3 +180,14 @@ def test_mod_ops_agree_with_ints(p, x, y):
             assert type(got) is Mod and (got.a, got.p) == (expect, p)
     assert (a == b) is (x % p == y % p)
     assert (a == y) is (x % p == y % p)
+
+
+def test_raw_reduces_plain_ints_without_building_scalars(mods_built):
+    five = GF(5)
+    assert mods_built(lambda: Matrix.identity(five, 3))[1] == 0
+    assert mods_built(lambda: Matrix.zeros(five, 3, 3))[1] == 0
+    assert [five.raw(v) for v in (-7, 0, 4, 13)] == [3, 0, 4, 3]
+    assert Matrix.identity(five, 3).flat() == tuple(
+        five.one if i == j else five.zero for i in range(3) for j in range(3))
+    with pytest.raises(TypeError):
+        five.raw(True)

@@ -12,6 +12,10 @@ outside its own definition, in any Python file of `src`, `tests`,
 `benchmarks`, `tools` or `perfbench`; words in strings count, since
 perfbench names the functions it traces in strings.  Dunders are left
 out.
+
+Every field of a library dataclass must be read as an attribute, or
+named in a string other than a docstring, in some Python file of the
+same folders.
 """
 
 import ast
@@ -123,3 +127,61 @@ def test_every_library_name_is_read_somewhere():
     assert not dead, ", ".join("%s:%d %s" % (path.relative_to(ROOT), line,
                                             name)
                                for path, line, name in dead)
+
+
+def dataclass_fields(source):
+    """(name, line) of each field of the dataclasses of `source`: the
+    annotated names in the body of a class decorated with `dataclass`,
+    called or not."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            out.extend((item.target.id, item.lineno) for item in node.body
+                       if isinstance(item, ast.AnnAssign))
+    return out
+
+
+def field_reads(source):
+    """The attribute names that `source` reads, and the words of its
+    strings other than docstrings."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            words.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def test_the_scan_finds_an_unread_field():
+    lib = ("from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\n"
+           "class Row:\n    \"\"\"kept, label and size.\"\"\"\n\n"
+           "    kept: int\n    label: str\n    size: int = 0\n")
+    assert dataclass_fields(lib) == [("kept", 8), ("label", 9), ("size", 10)]
+    # a docstring and a write name a field without reading it
+    reads = field_reads(lib + "row.kept\nrow.label = 1\n"
+                              "getattr(row, 'size')\n")
+    assert [name for name, _ in dataclass_fields(lib)
+            if name not in reads] == ["label"]
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    reads = set()
+    for folder in READERS:
+        for path in sorted(folder.rglob("*.py")):
+            reads |= field_reads(path.read_text())
+    unread = [(path, line, name)
+              for path in sorted((ROOT / "src" / "postlie").glob("*.py"))
+              for name, line in dataclass_fields(path.read_text())
+              if name not in reads]
+    assert not unread, ", ".join("%s:%d %s" % (path.relative_to(ROOT), line,
+                                              name)
+                                 for path, line, name in unread)

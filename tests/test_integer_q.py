@@ -176,7 +176,10 @@ def test_scan_witnesses_are_fractions():
     for item in broken:
         assert _all_fractions(item.discrepancy) and any(item.discrepancy)
     # a delta of plain ints, as the scans over integral tables produce
-    item = scan_item("ints", QQ, [(0,), (1,)], lambda i: [0, 3 * i])
+    def delta(acc, idx):
+        acc[1] += 3 * idx[0]
+
+    item = scan_item("ints", QQ, 2, [(0,), (1,)], delta)
     assert item.witness == (1,) and item.discrepancy == (0, 3)
     assert _all_fractions(item.discrepancy)
 

@@ -15,7 +15,7 @@ from postlie.catalog import builtin_algebra, get_entry
 from postlie.errors import (DimensionError, GuardError,
                             ParameterError, StructureError,
                             UnsupportedFieldError)
-from postlie.fields import GF, QQ, Mod
+from postlie.fields import GF, QQ
 from postlie.lie import center
 from postlie.linalg import Matrix, inverse, unit_vector
 from postlie.search import (BANNER, DEFAULT_GUARD, GUARD_ENV, SearchSpec,
@@ -505,7 +505,7 @@ def test_orbit_reduce_inverts_the_automorphisms_in_one_kernel_pass(
 @pytest.mark.parametrize("sweep, name, p", [
     ("orbits", "r2", 5), ("orbits", "abelian", 7),
     ("phi", "sl2", 3), ("phi", "r3", 3), ("phi", "n3", 3)])
-def test_gf_p_sweep_paths_build_no_scalars(sweep, name, p, monkeypatch):
+def test_gf_p_sweep_paths_build_no_scalars(sweep, name, p, mods_built):
     # the sweep paths run on residues only: the decoded and inverted
     # matrices of orbit_reduce and phi_ansatz_sweep, their conjugations
     # and products, and the coset keys build no field scalar
@@ -522,18 +522,9 @@ def test_gf_p_sweep_paths_build_no_scalars(sweep, name, p, monkeypatch):
 
         def run():
             return len(search.phi_ansatz_sweep(L).pairs)
-    built = []
-    init = Mod.__init__
-
-    def counted(self, a, modulus):
-        built.append(a)
-        init(self, a, modulus)
-
-    monkeypatch.setattr(Mod, "__init__", counted)
-    found = run()
-    monkeypatch.undo()
+    found, built = mods_built(run)
     assert found > 1
-    assert built == []
+    assert built == 0
 
 
 def _fixed_counts(spec, hits, mats):
@@ -600,8 +591,40 @@ def test_orbit_reduce_rejects_a_non_automorphism(symmetric):
     spec = SearchSpec(r2, r2, symmetric=symmetric)
     hits = enumerate_products(spec).indices
     swap = encode_matrix(Matrix(GF(3), [[0, 1], [1, 0]]))
-    with pytest.raises(GuardError, match="carried hit .* to non-hit"):
+    with pytest.raises(GuardError, match="kernel hit %d failed exact "
+                       "re-verification" % swap):
         orbit_reduce(spec, hits, kernel=_IntruderKernel(swap))
+
+
+@pytest.mark.parametrize("p, intruder", [(5, 16275), (3, 819)])
+def test_automorphism_indices_reverify_every_kernel_hit(p, intruder):
+    # sl2's only product over GF(p) is zero, which every T fixes, so an
+    # invertible non-automorphism moves no hit and overlaps no orbit:
+    # only the exact check of the automorphism itself refuses it
+    sl2 = builtin_algebra("sl2", field=GF(p))
+    T = decode_matrix(GF(p), 3, intruder)
+    assert inverse(T) is not None
+    assert sl2.change_basis(T) != sl2
+    spec = SearchSpec(sl2, sl2)
+    hits = enumerate_products(spec).indices
+    assert hits == (0,)
+    kernel = _IntruderKernel(intruder)
+    message = "kernel hit %d failed exact re-verification" % intruder
+    with pytest.raises(GuardError, match=message):
+        automorphism_indices((sl2, sl2), kernel=kernel)
+    with pytest.raises(GuardError, match=message):
+        orbit_reduce(spec, hits, kernel=kernel)
+
+
+def test_orbit_reduce_refuses_a_hit_list_missing_an_orbit_member():
+    # r2/r2 over GF(3) has the orbits (0), (3, 6) and (54, 57, 60); with
+    # 57 left out, an automorphism carries the hit 54 off the list
+    r2 = builtin_algebra("r2", field=GF(3))
+    spec = SearchSpec(r2, r2)
+    hits = enumerate_products(spec).indices
+    assert orbit_reduce(spec, hits).orbits == ((0,), (3, 6), (54, 57, 60))
+    with pytest.raises(GuardError, match="carried hit 54 to non-hit 57"):
+        orbit_reduce(spec, [i for i in hits if i != 57])
 
 
 def test_guard_env_variable(monkeypatch):

@@ -440,6 +440,19 @@ def test_embedding_ambient_is_lie_on_every_catalog_sample():
             assert check_lie_axioms(emb.semidirect).passed, entry.entry_id
 
 
+@pytest.mark.parametrize("entry_id, bound", [("V1", 10), ("V5", 10),
+                                             ("adjoint_sl2", 30)])
+def test_embedding_over_gf_p_builds_few_scalars(entry_id, bound,
+                                                mods_built):
+    # the span solves read raw values: the derivations, their commutators
+    # and the left multiplications hand over residues, not scalars
+    entry = get_entry(entry_id)
+    pair = entry.build_sample(entry.samples[0], field=GF(7))
+    emb, built = mods_built(lambda: embed_semidirect(pair))
+    assert emb.passed
+    assert built <= bound
+
+
 def test_embedding_structure():
     pair = get_entry("V6").build_sample({})
     emb = embed_semidirect(pair)
