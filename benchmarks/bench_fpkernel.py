@@ -25,8 +25,9 @@ from postlie.search import flat_bracket_tensor  # noqa: E402
 
 # hit counts recorded from the sweeps, keyed by (row, p)
 RECORDED = {
-    # abelian/abelian in dimension 2, full mode
+    # abelian/abelian in dimension 2, full mode, and symmetric mode
     ("product", 3): 105, ("product", 5): 745,
+    ("product symmetric", 3): 105, ("product symmetric", 7): 2737,
     ("phi sl2", 3): 86, ("phi sl2", 5): 392, ("phi sl2", 7): 1066,
     ("phi n3", 3): 2187, ("phi n3", 5): 78125,
     ("phi r2", 3): 24, ("phi r2", 5): 70,
@@ -58,13 +59,20 @@ def _workloads(quick):
     zero = [0] * 8
     # n3/n3 over GF(2), symmetric: 2^18 candidates, which derivation-action
     # (every L(x) a derivation of n3) cuts to 2^9 solutions; abelian(3)
-    # cuts nothing, so the module-action mask decides all 2^18
+    # cuts nothing, so module-action decides all 2^18, 2^3 to a prefix;
+    # abelian(2) over GF(7), symmetric, is the product sweep of the
+    # products-orbits benchmark workload, 7^2 candidates to a prefix
     n3 = _bracket("n3", 2)
     zero3 = [0] * 27
+    q = 3 if quick else 7
     rows = [("product_sweep GF(%d) dim 2 full" % p,
              lambda: fpkernel.product_sweep(p, 2, zero, zero, False, 0,
                                             p ** 8),
              RECORDED["product", p]),
+            ("product_sweep abelian(2)/abelian(2) GF(%d) symmetric" % q,
+             lambda: fpkernel.product_sweep(q, 2, zero, zero, True, 0,
+                                            q ** 6),
+             RECORDED["product symmetric", q]),
             ("product_sweep n3/n3 GF(2) symmetric",
              lambda: fpkernel.product_sweep(2, 3, n3, n3, True, 0, 2 ** 18),
              44),
@@ -107,7 +115,7 @@ def run(quick=False, out=sys.stdout):
         begin = time.perf_counter()
         hits = sweep()
         elapsed = time.perf_counter() - begin
-        print("%-40s %8.3fs   %d hits" % (label, elapsed, len(hits)),
+        print("%-52s %8.3fs   %d hits" % (label, elapsed, len(hits)),
               file=out)
         if len(hits) != expected:
             failures += 1

@@ -11,18 +11,21 @@ returns the same sorted hits for any cut of the range into pieces.
 mod p.
 
 Each identity is stated once over a batch of tensors, on the basis
-tuples i < j (and i < j < k for Jacobi): Jacobi and module-action as
-masks, skew-part and derivation-action as residuals that `_vanishes`
-turns into masks.  Those two residuals are affine in the product
-tensor, so `product_sweep` reads its linear system off the same
-statements, scans only the candidates that solve it and masks them with
-module-action alone; `verify_structure` tests all three.
+tuples i < j (and i < j < k for Jacobi): Jacobi as a mask, and
+skew-part, module-action and derivation-action as residuals that
+`_vanishes` turns into masks.  Skew-part and derivation-action are
+affine in the product tensor, so `product_sweep` reads its linear
+system off the same statements and tests only the candidates that
+solve it, with module-action alone; `verify_structure` tests all
+three.  Module-action is quadratic, but no product slot meets itself
+in it, so it is affine in one slot once the others are fixed:
+`product_sweep` computes its residual at c + 1 points per prefix of
+the other slots and reads off the hits among all p^c values of the
+last slot's c free digits at once.
 
-Every sweep runs in batches of `_CHUNK` (2^12) solutions, prefixes or
-candidates, so that a batch's int64 tensors stay cache-sized.  The masks
-work in place: module-action builds one (m, n, n) residual per basis
-pair, reduces it in place and ANDs it into the mask, and `_vanishes`
-reduces its residual in place.
+Every sweep runs in batches of about `_CHUNK` (2^12) solutions,
+prefixes or candidates, so that a batch's int64 tensors stay
+cache-sized, and `_vanishes` reduces its residual in place.
 
 `phi_sweep` and `gl_invariance_sweep` run one column sweep over n x n
 matrices (`_column_sweep`): column t comes from a solve, and where
@@ -169,20 +172,27 @@ def _skew(pr, cg, cn):
     return (pr - pr.swapaxes(1, 2) - cg + cn)[:, i, j]
 
 
+def _module_action_residual(br, pr):
+    """Residual of module-action, [x, y].z = x.(y.z) - y.(x.z), on
+    x = e_i, y = e_j, i < j, one (m, n, n) block per basis pair, where br
+    is the first bracket [,]: one (n, n, n) table shared by the batch, or
+    br[m] per candidate m.  The matrix pr[m, i] is the transpose of
+    L(e_i): v -> e_i . v.
+
+    Its products x.(y.z) and y.(x.z) multiply a slot e_j . v by a slot
+    e_i . w, and i != j, so no slot meets itself: with every other slot
+    fixed, the residual is affine in any one slot."""
+    n = pr.shape[-1]
+    res = np.empty((len(pr), n * (n - 1) // 2, n, n), dtype=np.int64)
+    for q, (i, j) in enumerate(combinations(range(n), 2)):
+        res[:, q] = (np.einsum("...t,...tkr->...kr", br[..., i, j, :], pr)
+                     - pr[:, j] @ pr[:, i] + pr[:, i] @ pr[:, j])
+    return res
+
+
 def _module_action(p, br, pr):
-    """Module-action: [x, y].z = x.(y.z) - y.(x.z) on x = e_i, y = e_j,
-    i < j, where br is the first bracket [,]: one (n, n, n) table shared
-    by the batch, or br[m] per candidate m.  The matrix pr[m, i] is the
-    transpose of L(e_i): v -> e_i . v.  One basis pair at a time, into
-    one (m, n, n) residual reduced in place."""
-    ok = np.ones(len(pr), dtype=bool)
-    for i, j in combinations(range(pr.shape[-1]), 2):
-        res = np.einsum("...t,...tkr->...kr", br[..., i, j, :], pr)
-        res -= pr[:, j] @ pr[:, i]
-        res += pr[:, i] @ pr[:, j]
-        res %= p
-        ok &= ~res.any(axis=(1, 2))
-    return ok
+    """Module-action as a mask (see `_module_action_residual`)."""
+    return _vanishes(p, _module_action_residual(br, pr))
 
 
 def _derivation_action(cn, pr):
@@ -436,13 +446,19 @@ def _solution_space(p, n, cg, cn, symmetric):
     return k - 1 - free, k - 1 - piv, rows[:, k], -rows[:, free].T % p
 
 
-def _solution_digits(p, space, lo, hi):
-    """Digit vectors of the solutions with ranks in [lo, hi)."""
+def _solved(p, space, f):
+    """Digit vectors of the solutions whose free digits are the rows of
+    f."""
     free, piv, base, coef = space
-    digits = np.empty((hi - lo, free.size + piv.size), dtype=np.int64)
-    digits[:, free] = f = _digits(lo, hi, p, free.size)
+    digits = np.empty((len(f), free.size + piv.size), dtype=np.int64)
+    digits[:, free] = f
     digits[:, piv] = (base + f @ coef) % p
     return digits
+
+
+def _solution_digits(p, space, lo, hi):
+    """Digit vectors of the solutions with ranks in [lo, hi)."""
+    return _solved(p, space, _digits(lo, hi, p, space[0].size))
 
 
 @lru_cache(maxsize=8)
@@ -460,9 +476,11 @@ def _product_space(p, n, cg_flat, cn_flat, symmetric):
 
 
 def product_solution_count(p, n, cg_flat, cn_flat, symmetric):
-    """How many candidates `product_sweep` builds and masks over its
-    whole index range, found without sweeping: p^(free digits) of the
-    solved linear system, or 0 when it is inconsistent."""
+    """How many candidates `product_sweep` tests over its whole index
+    range, found without sweeping: p^(free digits) of the solved linear
+    system, or 0 when it is inconsistent.  The sweep builds c + 1
+    tensors for each p^c of them, where c is the number of free digits
+    in its last slot, and tests all p^c at once."""
     space = _product_space(p, n, tuple(cg_flat), tuple(cn_flat),
                            symmetric)[2]
     return 0 if space is None else p ** space[0].size
@@ -477,28 +495,58 @@ def product_sweep(p, n, cg_flat, cn_flat, symmetric, lo, hi):
     identity into every candidate; in full mode the digits are the whole
     tensor.  Derivation-action, and skew-part in full mode, are affine in
     the digits: they are solved over GF(p) (`_solution_space`), and only
-    the solutions are scanned, in rank order, which is index order, so
+    the solutions are tested, in rank order, which is index order, so
     the hits come out sorted and a range [lo, hi) is a range of ranks,
-    found by bisection (`_first`).  Module-action is quadratic and stays
-    a mask, and it is the only identity the mask tests: every solution
-    satisfies the other two already.  An index is computed only for the
-    solutions that pass the mask.  Indices outside [0, p^k) name no
-    candidate.  The modulus must be prime.
+    found by bisection (`_first`).  Every solution satisfies those two
+    identities already, so module-action alone decides a hit.
+
+    Module-action is quadratic, but affine in the last slot
+    e_n . e_n, the last n digits, once every other slot is fixed
+    (`_module_action_residual`).  The free digits of a rank end with
+    the c <= n free digits of that slot, its tail; each pivot digit
+    depends only on more significant free digits, so the prefix, the
+    free digits above the tail, fixes every other slot, and the slot's
+    own digits are affine in the tail.  So for each prefix the residual
+    is R(t) = R(0) + t A mod p over the p^c tails t: it is computed on
+    c + 1 tensors, at tail 0 and at the c unit tails, and tested at
+    every tail at once.  An index is computed only for the hits.
+    Indices outside [0, p^k) name no candidate.  The modulus must be
+    prime.
     """
     cg, cn, space = _product_space(p, n, tuple(cg_flat), tuple(cn_flat),
                                    symmetric)
     if space is None:
         return []
-    place = _places(p, space[0].size + space[1].size)
-    digits = partial(_solution_digits, p, space)
-    hits = []
-    r_lo, r_hi = (_first(bound, p ** space[0].size, digits, place)
+    free = space[0]
+    k = free.size + space[1].size
+    place = _places(p, k)
+    r_lo, r_hi = (_first(bound, p ** free.size,
+                         partial(_solution_digits, p, space), place)
                   for bound in (lo, hi))
-    for a in range(r_lo, r_hi, _CHUNK):
-        d = digits(a, min(r_hi, a + _CHUNK))
-        pr = _products_from_digits(p, n, d, cg, cn, symmetric)
-        ok = _module_action(p, cg, pr)
-        hits.extend((d[ok] @ place).tolist())
+    c = int(np.count_nonzero(free >= k - n))
+    tails = _digits(0, p ** c, p, c)
+    corners = np.vstack([np.zeros((1, c), dtype=np.int64),
+                         np.eye(c, dtype=np.int64)])
+    # the prefixes whose tails meet the ranks [r_lo, r_hi), about
+    # _CHUNK tested candidates at a time
+    q_hi = -(-r_hi // len(tails))
+    step = max(1, _CHUNK // len(tails))
+    hits = []
+    for a in range(r_lo // len(tails), q_hi, step):
+        f = _digits(a, min(q_hi, a + step), p, free.size - c)
+        m = len(f)
+        points = np.hstack([np.repeat(f, c + 1, axis=0),
+                            np.tile(corners, (m, 1))])
+        pr = _products_from_digits(p, n, _solved(p, space, points), cg, cn,
+                                   symmetric)
+        R = _module_action_residual(cg, pr).reshape(m, c + 1, -1) % p
+        # R(t) = R(0) + t A mod p, where row u of A is R(e_u) - R(0)
+        R[:, 1:] -= R[:, :1]
+        box = tails @ R[:, 1:] + R[:, :1]
+        box %= p
+        rows, tail = np.nonzero(~box.any(axis=2))
+        idx = _solved(p, space, np.hstack([f[rows], tails[tail]])) @ place
+        hits.extend(idx[(lo <= idx) & (idx < hi)].tolist())
     return hits
 
 

@@ -232,11 +232,6 @@ class Subspace:
     def coordinates(self, v):
         return coordinates_in_span(list(self.basis), v, self.field)
 
-    def annihilator_rows(self):
-        """Rows spanning the solutions of <row, b> = 0 for all basis b."""
-        vectors, l = kernel_rows(self.field.p, list(self.rows), self.ambient)
-        return tuple(tuple(from_ints(self.field, v, l)) for v in vectors)
-
 
 def center(L):
     """Elements bracketing to zero with the whole algebra: the kernel of

@@ -799,13 +799,6 @@ def coordinates_in_span_many(vectors, targets, field):
     return out
 
 
-def span_basis(field, ambient, vectors):
-    """Canonical (RREF row) basis of the span of `vectors` in field^ambient."""
-    R, pivots = rref(Matrix(field, [as_vector(field, ambient, v)
-                                    for v in vectors]))
-    return tuple(R.row(i) for i in range(len(pivots)))
-
-
 def is_nilpotent_matrix(matrix):
     """Exact nilpotency test: some power up to the dimension vanishes."""
     if matrix.nrows != matrix.ncols:

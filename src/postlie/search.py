@@ -255,9 +255,12 @@ def enumerate_products(spec, kernel=None):
     bug cannot produce a silent false positive.
 
     The guard counts the solutions of the sweep's linear system, the
-    candidates it masks (`fpkernel.product_solution_count`), and
-    `total` stays the whole box.  The count is read from `fpkernel`
-    itself, since a `kernel` passed in need only have the sweeps.
+    candidates it tests (`fpkernel.product_solution_count`), and
+    `total` stays the whole box.  The sweep builds tensors for only
+    c + 1 of each p^c of them and tests all p^c by one affine test per
+    prefix (see `fpkernel.product_sweep`); the guard counts every
+    candidate tested.  The count is read from `fpkernel` itself, since
+    a `kernel` passed in need only have the sweeps.
     """
     if kernel is None:
         kernel = fpkernel

@@ -21,7 +21,7 @@ from postlie.fields import GF, QQ
 from postlie.lie import (check_lie_axioms, classify_low_dim,
                          derivation_algebra, is_complete_lie, is_derivation,
                          is_nilpotent, is_perfect, is_solvable)
-from postlie.linalg import matrix_from_flat, span_basis, unit_vector
+from postlie.linalg import matrix_from_flat, unit_vector
 from postlie.search import (BANNER, SearchSpec, decode_matrix,
                             enumerate_products, flat_bracket_tensor,
                             orbit_reduce, pair_from_phi, phi_ansatz_sweep)
@@ -32,6 +32,7 @@ from postlie.structures import (all_right_multiplications_nilpotent,
                                 sampled_left_mult_nilpotency,
                                 structure_from_graph_subalgebra,
                                 theorem_audit)
+from test_lie import span_basis
 
 GOLDEN = Path(__file__).parent / "golden"
 

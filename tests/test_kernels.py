@@ -856,6 +856,58 @@ def test_module_action_mask_decides_solution_points_property(data):
     assert np.array_equal(mask, fpkernel._structure(p, cg, cn, pr))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_module_action_is_affine_in_the_last_slot_property(data):
+    # `product_sweep` decides the c free digits of the last slot
+    # e_n . e_n, the tail of a rank, by one affine test per prefix: with
+    # the other free digits fixed, the module-action residual at tail t
+    # is R(0) + t A mod p, where row u of A is R(e_u) - R(0).  Any
+    # tensors will do, Lie brackets or not, alternating or not.
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 3))
+    symmetric = data.draw(st.booleans())
+    cg, cn = (fpkernel._tensor(data.draw(st.lists(
+        st.integers(0, p - 1), min_size=n ** 3, max_size=n ** 3)), n, p)
+        for _ in range(2))
+    if data.draw(st.booleans()):
+        cg = cn
+    space = fpkernel._solution_space(p, n, cg, cn, symmetric)
+    if space is None:
+        return
+    free = space[0]
+    k = free.size + space[1].size
+    c = int(np.count_nonzero(free >= k - n))
+    block = p ** c
+    prefix = data.draw(st.integers(0, p ** (free.size - c) - 1))
+    # the ranks of one prefix are one block, its tails in rank order
+    digits = fpkernel._solution_digits(p, space, prefix * block,
+                                       (prefix + 1) * block)
+    pr = fpkernel._products_from_digits(p, n, digits, cg, cn, symmetric)
+    R = fpkernel._module_action_residual(cg, pr).reshape(block, -1) % p
+    A = R[[p ** (c - 1 - u) for u in range(c)]] - R[0]
+    assert np.array_equal(R, (R[0] + fpkernel._digits(0, block, p, c) @ A)
+                          % p)
+
+
+def test_product_sweep_builds_c_plus_one_tensors_per_prefix(monkeypatch):
+    # abelian(2)/abelian(2) over GF(7), symmetric: all 6 digits are free
+    # and the last slot holds 2 of them, so the sweep tests all 7^6
+    # candidates but builds tensors for only 3 per prefix, 7^4 x 3
+    zero = _zero_flat(2)
+    assert fpkernel.product_solution_count(7, 2, zero, zero, True) == 7 ** 6
+    built = []
+    products = fpkernel._products_from_digits
+
+    def counted(p, n, digits, *rest):
+        built.append(len(digits))
+        return products(p, n, digits, *rest)
+    monkeypatch.setattr(fpkernel, "_products_from_digits", counted)
+    assert len(fpkernel.product_sweep(7, 2, zero, zero, True, 0,
+                                      7 ** 6)) == 2737
+    assert sum(built) == 7 ** 4 * 3 == 7203
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3),
        st.lists(st.integers(-20, 20), min_size=9, max_size=9))

@@ -22,12 +22,30 @@ from postlie.lie import (LieAlgebra, Subspace, center, check_lie_axioms,
                          is_nilpotent, is_perfect, is_solvable,
                          killing_is_semisimple, nilpotency_class,
                          semidirect_with_derivations, series)
-from postlie.linalg import (Matrix, inverse, matrix_from_flat, nullspace,
-                            rank, span_basis, support_terms, unit_vector,
-                            vadd, vneg, vscale, vzero)
+from postlie.linalg import (Matrix, as_vector, from_ints, inverse,
+                            kernel_rows, matrix_from_flat, nullspace, rank,
+                            rref, support_terms, unit_vector, vadd, vneg,
+                            vscale, vzero)
 
 GOLDEN = Path(__file__).parent / "golden"
 TOOLS = Path(__file__).parent.parent / "tools"
+
+
+def span_basis(field, ambient, vectors):
+    """Canonical (RREF row) basis of the span of `vectors` in
+    field^ambient, by `rref` on field scalars: the oracle that subspaces,
+    series and derivation spans are checked against here and in
+    `test_linalg` and `test_acceptance`."""
+    R, pivots = rref(Matrix(field, [as_vector(field, ambient, v)
+                                    for v in vectors]))
+    return tuple(R.row(i) for i in range(len(pivots)))
+
+
+def annihilator_rows(span):
+    """Rows spanning the solutions of <row, b> = 0 for every basis vector
+    b of the Subspace `span`."""
+    vectors, l = kernel_rows(span.field.p, list(span.rows), span.ambient)
+    return tuple(tuple(from_ints(span.field, v, l)) for v in vectors)
 
 
 def test_builtins_validate():
@@ -645,7 +663,7 @@ def test_subspace_membership():
     assert not span.contains((1, 0, 0))
     assert span.coordinates((2, 2, 3)) is not None
     assert span.coordinates((1, 0, 0)) is None
-    rows = span.annihilator_rows()
+    rows = annihilator_rows(span)
     assert len(rows) == 1
     for b in span.basis:
         assert sum(r * x for r, x in zip(rows[0], b)) == 0
